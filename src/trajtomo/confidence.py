@@ -193,11 +193,21 @@ def build_r_matrix(rho, effects, *, tol: Tolerances = DEFAULT) -> RMatrix:
     traces = np.einsum("nij,ji->n", e, mat).real
     if traces.min() <= 0.0:
         raise DegenerateTrace("state assigns zero probability to some record")
+    basis = tangent_basis(state, tol=tol)
+    r, _, lam = _stiffness_form(
+        mat, e, traces, np.stack([b.matrix for b in basis]), tol
+    )
+    return RMatrix(state, basis, r, lam)
+
+
+def _stiffness_form(mat, e, traces, bmats, tol: Tolerances):
+    """(R in the basis stack bmats, likelihood gradient G, lambda) at a state.
+
+    traces holds tr(mat E_n) for every effect, all positive.
+    """
     g = np.einsum("n,nij->ij", 1.0 / traces, e)
     g = (g + g.conj().T) / 2.0
     lam = float(np.einsum("ij,ji->", mat, g).real)
-    basis = tangent_basis(state, tol=tol)
-    bmats = np.stack([b.matrix for b in basis])
     # curvature of the data term: sum_n (c_n c_n^T) / t_n^2 with c_n,i = tr(B_i E_n)
     c = np.einsum("mij,nji->mn", bmats, e).real / traces[None, :]
     r = c @ c.T
@@ -213,7 +223,7 @@ def build_r_matrix(rho, effects, *, tol: Tolerances = DEFAULT) -> RMatrix:
         moved = moved + moved.conj().transpose(0, 2, 1)
         r = r + np.einsum("mij,kji->mk", bmats, moved).real
     r = (r + r.T) / 2.0
-    return RMatrix(state, basis, r, lam)
+    return r, g, lam
 
 
 # ---------------------------------------------------------------------------
@@ -302,22 +312,7 @@ def posterior_variance_mc(
     traces0 = np.einsum("nij,ji->n", e, center_mat).real
     if n and traces0.min() <= 0.0:
         raise DegenerateTrace("center assigns zero probability to some record")
-    g = np.einsum("n,nij->ij", 1.0 / traces0, e) if n else np.zeros((dim, dim))
-    g = (g + g.conj().T) / 2.0
-    lam = float(np.einsum("ij,ji->", center_mat, g).real)
-    c = np.einsum("mij,nji->mn", traceless, e).real / traces0[None, :]
-    r_full = c @ c.T
-    w, v, keep = _support(center_mat, tol)
-    if not keep.all():
-        vq = v[:, ~keep]
-        d_q = vq @ (vq.conj().T @ (lam * np.eye(dim) - g) @ vq) @ vq.conj().T
-        d_q = (d_q + d_q.conj().T) / 2.0
-        vp = v[:, keep]
-        pinv = (vp / w[keep]) @ vp.conj().T
-        moved = d_q @ traceless @ pinv
-        moved = moved + moved.conj().transpose(0, 2, 1)
-        r_full = r_full + np.einsum("mij,kji->mk", traceless, moved).real
-    r_full = (r_full + r_full.T) / 2.0
+    r_full, g, _ = _stiffness_form(center_mat, e, traces0, traceless, tol)
     h, u = np.linalg.eigh(r_full)
 
     r_state = math.sqrt((dim - 1) / dim)

@@ -25,7 +25,6 @@ class Tolerances:
             an impossible outcome.
         kkt: optimality residual per record; the solver certifies at
             kkt * n_records.
-        max_iterations: iteration cap of the likelihood solver.
         rank_rel: eigenvalues below rank_rel * max_eigenvalue count as
             zero when ranking a reconstructed state.
         singular_rel: singular values below singular_rel * largest are
@@ -44,7 +43,6 @@ class Tolerances:
     kraus_trace: float = 1e-9
     prob_floor: float = 1e-300
     kkt: float = 1e-7
-    max_iterations: int = 10_000
     rank_rel: float = 1e-8
     singular_rel: float = 1e-10
     basis_drop: float = 1e-10

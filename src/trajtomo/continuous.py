@@ -40,8 +40,8 @@ from scipy.special import ndtr
 
 from .config import DEFAULT, Tolerances
 from .errors import StepSizeTooLarge, ZeroProbability
-from .filtering import AdjointResult, FilterTrace
-from .operators import DensityMatrix, EffectMatrix, as_matrix, _wrap_trusted
+from .filtering import AdjointResult, EffectBatch, FilterTrace
+from .operators import DensityMatrix, EffectMatrix, as_matrix
 
 __all__ = [
     "Channel",
@@ -262,13 +262,118 @@ def adjoint_cp_map_continuous(model: SMEModel, dy, effect) -> np.ndarray:
     return out
 
 
-def _band_check(traces: np.ndarray, t: int) -> None:
-    worst = float(np.abs(traces - 1.0).max())
-    if worst > _TRACE_BAND:
+def _band_check(traces: np.ndarray, t: int, ids) -> None:
+    dev = np.abs(traces - 1.0)
+    worst = int(np.argmax(dev))
+    if dev[worst] > _TRACE_BAND:
         raise StepSizeTooLarge(
-            f"step {t} changed the trace by {worst:.3f}; dt is too large for "
-            "this model or the record does not belong to it"
+            f"step {t} of record {ids[worst]} changed the trace by "
+            f"{dev[worst]:.3f}; dt is too large for this model or the record "
+            "does not belong to it"
         )
+
+
+def _superoperators(model: SMEModel, *, adjoint: bool):
+    """Right factor of the expanded step map, and the signal pairs it uses.
+
+    With row-major vec(A X B) = kron(A, B^T) vec(X), the step map is
+
+        vec(K_dy(X)) = sum_m phi_m(dy) A_m vec(X),
+        phi = (1, dy_v for each v, dy_v dy_w for each v <= w),
+
+    A_0 = B (x) conj(B) + sum_k R_k (x) conj(R_k) from the deterministic
+    part B and the undetected residue R_k, A_v = S_v (x) conj(B)
+    + B (x) conj(S_v) from the monitored operators S_v, and the pair
+    terms S_v (x) conj(S_w) (plus the swapped term when v != w).  The
+    adjoint K*_dy has superoperators A_m^dag, since phi is real.  Rows
+    vec(X) times the returned (d^2, M d^2) matrix give every A_m vec(X)
+    in one product.
+    """
+    base, stack, resid = _step_ops(model)
+    terms = [np.kron(base, base.conj()) + sum(np.kron(k, k.conj()) for k in resid)]
+    terms += [np.kron(s, base.conj()) + np.kron(base, s.conj()) for s in stack]
+    pairs = [(v, w) for v in range(len(stack)) for w in range(v, len(stack))]
+    for v, w in pairs:
+        term = np.kron(stack[v], stack[w].conj())
+        if v != w:
+            term = term + np.kron(stack[w], stack[v].conj())
+        terms.append(term)
+    right = np.concatenate([a.conj() if adjoint else a.T for a in terms], axis=1)
+    return right, np.array(pairs, dtype=int).reshape(-1, 2)
+
+
+def _propagate(
+    model: SMEModel,
+    flat: np.ndarray,
+    log_c: np.ndarray,
+    increments,
+    steps,
+    ids: np.ndarray,
+    lengths: np.ndarray,
+    *,
+    adjoint: bool,
+    keep=frozenset(),
+    tol: Tolerances = DEFAULT,
+) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Run the one-step map over a batch of operators, in place.
+
+    Row n of ``flat`` is the row-major vec of record ids[n]'s operator.
+    For each t in ``steps``, ``increments(t, flat)`` returns the signal
+    increments of every record, shape (N, n_monitored); each record with
+    more than t steps (``lengths`` holds the step counts) then has its
+    operator replaced by K_dy(X) / tr(K_dy(X)), or K*_dy in the adjoint
+    direction, and the log trace added to ``log_c``.  Steps are labelled
+    by the time index they reach: t in the adjoint direction, t + 1
+    forward, with 0 the forward initial value.  For each label in
+    ``keep`` the operators and log scales of the records that cover the
+    step are copied out as (ids, flat rows, log_c rows).
+
+    Raises StepSizeTooLarge when a step moves a trace out of the band
+    that dt can resolve, and ZeroProbability when it vanishes; both name
+    the record and the step.
+    """
+    right, pairs = _superoperators(model, adjoint=adjoint)
+    k = flat.shape[1]
+    n_terms = right.shape[1] // k
+    diag = np.arange(model.dim) * (model.dim + 1)
+    snaps = {}
+    if not adjoint and 0 in keep:
+        snaps[0] = (ids, flat.copy(), log_c.copy())
+    for t in steps:
+        dy = increments(t, flat)
+        act = slice(None) if lengths.min() > t else lengths > t
+        x, dy, on = flat[act], dy[act], ids[act]
+        phi = np.concatenate(
+            [np.ones((len(x), 1)), dy, dy[:, pairs[:, 0]] * dy[:, pairs[:, 1]]],
+            axis=1,
+        ).astype(complex)
+        new = np.matmul(phi[:, None, :], (x @ right).reshape(-1, n_terms, k))[:, 0]
+        traces = new[:, diag].real.sum(axis=1)
+        _band_check(traces, t, on)
+        bad = int(np.argmin(traces))
+        if traces[bad] <= tol.prob_floor:
+            raise ZeroProbability(
+                f"record {on[bad]} has zero density at step {t}",
+                step=t,
+                record_id=int(on[bad]),
+            )
+        flat[act] = new / traces[:, None]
+        log_c[act] += np.log(traces)
+        label = t if adjoint else t + 1
+        if label in keep:
+            snaps[label] = (on, flat[act].copy(), log_c[act].copy())
+    return snaps
+
+
+def _stack_signals(model: SMEModel, records: Sequence[ContinuousRecord]):
+    """Zero-padded (N, T, n_monitored) increments, record lengths and ids."""
+    for r in records:
+        _check_record(model, r)
+    lengths = np.array([len(r) for r in records])
+    sig = np.zeros((len(records), int(lengths.max()), len(model.monitored)))
+    for i, r in enumerate(records):
+        sig[i, : len(r)] = r.increments
+    return sig, lengths, np.array([r.id for r in records])
 
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -379,30 +484,33 @@ def simulate_sme(
         raise ValueError("need at least one record")
     rho = as_matrix(rho0)
     DensityMatrix(rho, tol=tol)
+    d = model.dim
     base, stack, resid = _step_ops(model)
     n_mon = stack.shape[0]
     t0, t1, t2 = _signal_quadratics(base, stack, resid)
     rng = np.random.default_rng(rng_seed)
-    states = np.tile(rho, (n_records, 1, 1)).astype(complex)
+    flat = np.tile(rho.reshape(-1), (n_records, 1)).astype(complex)
     signals = np.empty((n_records, model.n_steps, n_mon))
-    means = [states.mean(axis=0)] if keep_mean else None
-    for t in range(model.n_steps):
-        dy = _draw_increments(rng, states, t0, t1, t2, model.dt) if n_mon \
-            else np.zeros((n_records, 0))
-        signals[:, t, :] = dy
-        m = base + np.einsum("nv,vij->nij", dy, stack)
-        new = m @ states @ m.conj().transpose(0, 2, 1)
-        for k in resid:
-            new += k @ states @ k.conj().T
-        traces = np.einsum("nii->n", new).real
-        _band_check(traces, t)
-        states = new / traces[:, None, None]
+    means = []
+
+    def draw(t, flat):
+        states = flat.reshape(n_records, d, d)
         if keep_mean:
             means.append(states.mean(axis=0))
+        if n_mon:
+            signals[:, t, :] = _draw_increments(rng, states, t0, t1, t2, model.dt)
+        return signals[:, t, :]
+
+    _propagate(
+        model, flat, np.zeros(n_records), draw, range(model.n_steps),
+        np.arange(n_records), np.full(n_records, model.n_steps), adjoint=False,
+        tol=tol,
+    )
     records = [
         ContinuousRecord(i, model.dt, signals[i]) for i in range(n_records)
     ]
     if keep_mean:
+        means.append(flat.reshape(n_records, d, d).mean(axis=0))
         return records, np.stack(means)
     return records
 
@@ -433,7 +541,7 @@ def forward_filter(
         for k in resid:
             new += k @ mat @ k.conj().T
         p = float(new.trace().real)
-        _band_check(np.array([p]), t)
+        _band_check(np.array([p]), t, [record.id])
         if p <= tol.prob_floor:
             raise ZeroProbability(
                 f"record {record.id} has zero density at step {t}",
@@ -457,52 +565,29 @@ def forward_filter_batch(
 ) -> dict[int, np.ndarray]:
     """Conditional states of many records at selected times, batched.
 
-    ``at`` holds step counts (0 is the initial state).  Records must
-    share a common length.  Returns (n_records, dim, dim) arrays.
+    ``at`` holds step counts (0 is the initial state).  Records may
+    differ in length: the states after k steps are those of the records
+    with at least k steps, in record order.  Returns (n, dim, dim)
+    arrays.
     """
     records = list(records)
     if not records:
         return {int(k): np.zeros((0, model.dim, model.dim)) for k in at}
-    lengths = {len(r) for r in records}
-    if len(lengths) != 1:
-        raise ValueError("batched filtering needs records of a common length")
-    n_steps = lengths.pop()
-    for r in records:
-        _check_record(model, r)
+    sig, lengths, ids = _stack_signals(model, records)
+    span = sig.shape[1]
     wanted = frozenset(int(k) for k in at)
     for k in wanted:
-        if not 0 <= k <= n_steps:
-            raise ValueError(f"time index {k} outside the record span [0, {n_steps}]")
+        if not 0 <= k <= span:
+            raise ValueError(f"time index {k} outside the record span [0, {span}]")
     rho = as_matrix(rho0)
     DensityMatrix(rho, tol=tol)
-    n = len(records)
-    base, stack, resid = _step_ops(model)
-    sig = np.stack([r.increments for r in records])
-    states = np.tile(rho, (n, 1, 1)).astype(complex)
-    out: dict[int, np.ndarray] = {}
-    if 0 in wanted:
-        out[0] = states.copy()
-    for t in range(n_steps):
-        if stack.shape[0]:
-            m = base + np.einsum("nv,vij->nij", sig[:, t, :], stack)
-            new = m @ states @ m.conj().transpose(0, 2, 1)
-        else:
-            new = base @ states @ base.conj().T
-        for k in resid:
-            new += k @ states @ k.conj().T
-        traces = np.einsum("nii->n", new).real
-        _band_check(traces, t)
-        if traces.min() <= tol.prob_floor:
-            bad = int(np.argmin(traces))
-            raise ZeroProbability(
-                f"record {records[bad].id} has zero density at step {t}",
-                step=t,
-                record_id=records[bad].id,
-            )
-        states = new / traces[:, None, None]
-        if t + 1 in wanted:
-            out[t + 1] = states.copy()
-    return out
+    flat = np.tile(rho.reshape(-1), (len(records), 1)).astype(complex)
+    snaps = _propagate(
+        model, flat, np.zeros(len(records)), lambda t, _: sig[:, t], range(span),
+        ids, lengths, adjoint=False, keep=wanted, tol=tol,
+    )
+    d = model.dim
+    return {int(k): snaps[int(k)][1].reshape(-1, d, d) for k in at}
 
 
 def backward_continuous(
@@ -511,8 +596,33 @@ def backward_continuous(
     *,
     tol: Tolerances = DEFAULT,
 ) -> AdjointResult:
-    """Compress one signal record into (effect, log scale)."""
-    return backward_continuous_batch(model, [record], tol=tol)[0][0]
+    """Compress one signal record into (effect, log scale), step by step.
+
+    The plain Kraus-form recursion E <- K*_dy(E) / tr(K*_dy(E)) from
+    I/dim: the reference that the batched pass is checked against.
+    """
+    _check_record(model, record)
+    base, stack, resid = _step_ops(model)
+    d = model.dim
+    eff = np.eye(d, dtype=complex) / d
+    log_c = math.log(d)
+    for t in range(len(record) - 1, -1, -1):
+        m = base + np.einsum("v,vij->ij", record.increments[t], stack) \
+            if stack.shape[0] else base
+        new = m.conj().T @ eff @ m
+        for k in resid:
+            new += k.conj().T @ eff @ k
+        c = float(new.trace().real)
+        _band_check(np.array([c]), t, [record.id])
+        if c <= tol.prob_floor:
+            raise ZeroProbability(
+                f"record {record.id} has zero density at step {t}",
+                step=t,
+                record_id=record.id,
+            )
+        eff = new / c
+        log_c += math.log(c)
+    return AdjointResult(EffectMatrix(eff, tol=tol), log_c)
 
 
 def backward_continuous_batch(
@@ -521,79 +631,35 @@ def backward_continuous_batch(
     *,
     start_indices: Sequence[int] = (0,),
     tol: Tolerances = DEFAULT,
-) -> dict[int, list[AdjointResult]]:
+) -> dict[int, EffectBatch]:
     """Adjoint effects for a batch of records, optionally at several
     suffix start times in one backward pass.
 
-    All records must share a common length.  Results preserve record
-    order within each start index.
+    Records may differ in length; the effects at start s are those of
+    the records longer than s, in record order.
     """
     records = list(records)
+    d = model.dim
     if not records:
-        return {int(s): [] for s in start_indices}
-    lengths = {len(r) for r in records}
-    if len(lengths) != 1:
-        out: dict[int, list[AdjointResult]] = {int(s): [] for s in start_indices}
-        for rec in records:
-            usable = [s for s in start_indices if s < len(rec)]
-            res = backward_continuous_batch(
-                model, [rec], start_indices=usable, tol=tol
-            )
-            for s, adjs in res.items():
-                out[s].extend(adjs)
-        return out
-    n_steps = lengths.pop()
-    for r in records:
-        _check_record(model, r)
+        empty = np.zeros((0, d, d))
+        return {int(s): EffectBatch(empty, (), ()) for s in start_indices}
+    sig, lengths, ids = _stack_signals(model, records)
+    span = sig.shape[1]
     wanted = frozenset(int(s) for s in start_indices)
     for s in wanted:
-        if not 0 <= s < n_steps:
-            raise ValueError(f"start index {s} outside the record span [0, {n_steps})")
-    d = model.dim
+        if not 0 <= s < span:
+            raise ValueError(f"start index {s} outside the record span [0, {span})")
     n = len(records)
-    base, stack, resid = _step_ops(model)
-    base_h = base.conj().T
-    resid_h = [k.conj().T for k in resid]
-    sig = np.stack([r.increments for r in records])
-    effects = np.tile(np.eye(d, dtype=complex) / d, (n, 1, 1))
-    logc = np.full(n, math.log(d))
-    snapshots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for t in range(n_steps - 1, -1, -1):
-        if stack.shape[0]:
-            m = base + np.einsum("nv,vij->nij", sig[:, t, :], stack)
-            mh = m.conj().transpose(0, 2, 1)
-            new = mh @ effects @ m
-        else:
-            new = base_h @ effects @ base
-        for k, kh in zip(resid, resid_h):
-            new += kh @ effects @ k
-        traces = np.einsum("nii->n", new).real
-        _band_check(traces, t)
-        if traces.min() <= tol.prob_floor:
-            bad = int(np.argmin(traces))
-            raise ZeroProbability(
-                f"record {records[bad].id} has zero density at step {t}",
-                step=t,
-                record_id=records[bad].id,
-            )
-        effects = new / traces[:, None, None]
-        logc += np.log(traces)
-        if t in wanted:
-            snapshots[t] = (effects.copy(), logc.copy())
+    flat = np.tile((np.eye(d) / d).reshape(-1), (n, 1)).astype(complex)
+    snaps = _propagate(
+        model, flat, np.full(n, math.log(d)), lambda t, _: sig[:, t],
+        range(span - 1, -1, -1), ids, lengths, adjoint=True, keep=wanted,
+        tol=tol,
+    )
     out = {}
-    for s, (effs, lc) in snapshots.items():
-        effs = (effs + effs.conj().transpose(0, 2, 1)) / 2.0
-        w = np.linalg.eigvalsh(effs)
-        if w[:, 0].min() < -tol.psd:
-            bad = int(np.argmin(w[:, 0]))
-            raise ValueError(
-                f"effect of record {records[bad].id} lost positivity "
-                f"(min eigenvalue {w[bad, 0]:.3e})"
-            )
-        out[s] = [
-            AdjointResult(_wrap_trusted(EffectMatrix, e), float(c))
-            for e, c in zip(effs, lc)
-        ]
+    for s in map(int, start_indices):
+        on, effs, lc = snaps[s]
+        out[s] = EffectBatch(effs.reshape(-1, d, d), lc, on, start=s, tol=tol)
     return out
 
 

@@ -14,14 +14,15 @@ happens once, not once per likelihood evaluation.
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import UnknownOutcome, ZeroProbability
+from .errors import DimensionMismatch, UnknownOutcome, ZeroProbability
 from .operators import (
     DensityMatrix,
     EffectMatrix,
@@ -37,6 +38,7 @@ __all__ = [
     "DiscreteRecord",
     "FilterTrace",
     "AdjointResult",
+    "EffectBatch",
     "forward_step",
     "forward_run",
     "backward_step",
@@ -87,6 +89,68 @@ class AdjointResult:
 
     effect: EffectMatrix
     log_c: float
+
+
+@dataclass(frozen=True, eq=False)
+class EffectBatch:
+    """Compressed records as arrays.
+
+    P(record n | rho) = exp(log_c[n]) tr(rho effects[n]).  ``effects``
+    has shape (N, d, d) and is symmetrized, checked for unit trace and
+    positivity once at construction, and read-only after; ``log_c`` and
+    ``record_ids`` have shape (N,).  ``start`` only names the suffix
+    start time in error messages.  Indexing returns the per-record
+    AdjointResult, built on demand; iteration yields them in order.
+    """
+
+    effects: np.ndarray
+    log_c: np.ndarray
+    record_ids: np.ndarray
+    start: InitVar[int] = 0
+    tol: InitVar[Tolerances] = DEFAULT
+
+    def __post_init__(self, start: int, tol: Tolerances) -> None:
+        e = np.asarray(self.effects, dtype=complex)
+        if e.ndim != 3 or e.shape[1] != e.shape[2]:
+            raise DimensionMismatch(f"expected (N, d, d) effects, got {e.shape}")
+        e = (e + e.conj().transpose(0, 2, 1)) / 2.0
+        log_c = np.array(self.log_c, dtype=float)
+        ids = np.array(self.record_ids, dtype=int)
+        if log_c.shape != e.shape[:1] or ids.shape != e.shape[:1]:
+            raise DimensionMismatch(
+                f"{e.shape[0]} effects need as many log scales and record ids, "
+                f"got {log_c.shape} and {ids.shape}"
+            )
+        if e.shape[0]:
+            w = np.linalg.eigvalsh(e)[:, 0]
+            bad = int(np.argmin(w))
+            if w[bad] < -tol.psd:
+                raise ValueError(
+                    f"effect of record {ids[bad]} from start index {start} lost "
+                    f"positivity (min eigenvalue {w[bad]:.3e})"
+                )
+            dev = np.abs(np.einsum("nii->n", e).real - 1.0)
+            bad = int(np.argmax(dev))
+            if dev[bad] > tol.trace:
+                raise ValueError(
+                    f"effect of record {ids[bad]} from start index {start} has "
+                    f"trace off one by {dev[bad]:.3e}"
+                )
+        for name, arr in (("effects", e), ("log_c", log_c), ("record_ids", ids)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    def __len__(self) -> int:
+        return self.effects.shape[0]
+
+    def __getitem__(self, i) -> AdjointResult:
+        i = operator.index(i)
+        return AdjointResult(
+            _wrap_trusted(EffectMatrix, self.effects[i]), float(self.log_c[i])
+        )
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 def forward_step(
@@ -212,9 +276,13 @@ def log_likelihood(rho, effects) -> float:
 def stack_effects(effects) -> tuple[np.ndarray, np.ndarray]:
     """Stack a sequence of effects into (N, d, d) plus their log scales.
 
-    Accepts AdjointResult (contributing its log_c), EffectMatrix or plain
-    Hermitian arrays (contributing log_c = 0).
+    An EffectBatch hands over its own read-only arrays without copying.
+    Otherwise accepts a sequence of AdjointResult (contributing its
+    log_c), EffectMatrix or plain Hermitian arrays (contributing
+    log_c = 0).
     """
+    if isinstance(effects, EffectBatch):
+        return effects.effects, effects.log_c
     mats = []
     logc = []
     for item in effects:
@@ -283,27 +351,13 @@ def _forward_superops(family: KrausFamily, n_steps: int):
     return table
 
 
-def _wrap_effect_batch(
-    flat: np.ndarray, dim: int, tol: Tolerances
-) -> list[EffectMatrix]:
-    mats = flat.reshape(-1, dim, dim)
-    mats = (mats + mats.conj().transpose(0, 2, 1)) / 2.0
-    w = np.linalg.eigvalsh(mats)
-    if w[:, 0].min() < -tol.psd:
-        bad = int(np.argmin(w[:, 0]))
-        raise ValueError(
-            f"batched effect {bad} lost positivity (min eigenvalue {w[bad, 0]:.3e})"
-        )
-    return [_wrap_trusted(EffectMatrix, m) for m in mats]
-
-
 def backward_batch(
     family: KrausFamily,
     records: Sequence[DiscreteRecord],
     *,
     threads: int | None = None,
     tol: Tolerances = DEFAULT,
-) -> list[AdjointResult]:
+) -> EffectBatch:
     """Adjoint results for many records, in the order given.
 
     Equal-length records are processed as one vectorized pass; mixed
@@ -321,11 +375,16 @@ def backward_sweep_batch(
     *,
     threads: int | None = None,
     tol: Tolerances = DEFAULT,
-) -> dict[int, list[AdjointResult]]:
-    """Adjoint results for several record suffixes over a whole batch."""
+) -> dict[int, EffectBatch]:
+    """Adjoint results for several record suffixes over a whole batch.
+
+    The effects at start s are those of the records longer than s, in
+    record order.
+    """
     records = list(records)
     if not records:
-        return {int(s): [] for s in start_indices}
+        empty = np.zeros((0, family.dim, family.dim))
+        return {int(s): EffectBatch(empty, (), ()) for s in start_indices}
     lengths = {len(r.outcomes) for r in records}
     if len(lengths) == 1:
         return _sweep_vectorized(family, records, start_indices, tol)
@@ -340,10 +399,18 @@ def backward_sweep_batch(
             per_record = list(pool.map(one, records))
     else:
         per_record = [one(r) for r in records]
-    out: dict[int, list[AdjointResult]] = {int(s): [] for s in starts}
-    for res in per_record:
-        for s, adj in res.items():
-            out[s].append(adj)
+    out = {}
+    for s in map(int, starts):
+        done = [(rec.id, res[s]) for rec, res in zip(records, per_record) if s in res]
+        out[s] = EffectBatch(
+            np.array([adj.effect.matrix for _, adj in done]).reshape(
+                -1, family.dim, family.dim
+            ),
+            [adj.log_c for _, adj in done],
+            [i for i, _ in done],
+            start=s,
+            tol=tol,
+        )
     return out
 
 
@@ -352,7 +419,7 @@ def _sweep_vectorized(
     records: Sequence[DiscreteRecord],
     start_indices: Sequence[int],
     tol: Tolerances,
-) -> dict[int, list[AdjointResult]]:
+) -> dict[int, EffectBatch]:
     n_steps = len(records[0].outcomes)
     for r in records:
         _check_record(family, r)
@@ -393,11 +460,11 @@ def _sweep_vectorized(
         logc += np.log(traces)
         if t in wanted:
             snapshots[t] = (flat.copy(), logc.copy())
-    out: dict[int, list[AdjointResult]] = {}
-    for s, (f, lc) in snapshots.items():
-        effs = _wrap_effect_batch(f, dim, tol)
-        out[s] = [AdjointResult(e, float(c)) for e, c in zip(effs, lc)]
-    return out
+    ids = [r.id for r in records]
+    return {
+        s: EffectBatch(f.reshape(-1, dim, dim), lc, ids, start=s, tol=tol)
+        for s, (f, lc) in snapshots.items()
+    }
 
 
 def forward_batch(

@@ -240,12 +240,17 @@ def write_records(
 
 
 def read_records(path) -> tuple[dict, list]:
-    """Read a record archive; returns (metadata, records)."""
+    """Read a record archive; returns (metadata, records).
+
+    A malformed line raises ValueError naming its 1-based line number.
+    """
     with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+        lines = [
+            (no, ln) for no, ln in enumerate(fh.read().splitlines(), 1) if ln.strip()
+        ]
     if not lines:
         raise ValueError(f"{path} is empty")
-    meta = json.loads(lines[0])
+    meta = _parse_line(path, *lines[0], json.loads)
     if not isinstance(meta, dict) or meta.get("format") != RECORDS_FORMAT:
         raise ValueError(f"{path} is not a record archive")
     if meta.get("version") != FORMAT_VERSION:
@@ -253,25 +258,38 @@ def read_records(path) -> tuple[dict, list]:
     record_type = meta.get("record_type")
     if record_type not in ("discrete", "continuous"):
         raise ValueError(f"unknown record type {record_type!r}")
-    records = []
-    for ln in lines[1:]:
-        obj = json.loads(ln)
-        if record_type == "discrete":
-            records.append(DiscreteRecord(int(obj["id"]), tuple(obj["outcomes"])))
-        else:
-            records.append(
-                ContinuousRecord(
-                    int(obj["id"]),
-                    float(obj["dt"]),
-                    np.asarray(obj["increments"], float),
-                )
-            )
+    decode = _discrete_record if record_type == "discrete" else _continuous_record
+    records = [_parse_line(path, no, ln, decode) for no, ln in lines[1:]]
     declared = meta.get("n_records")
     if declared is not None and declared != len(records):
         raise ValueError(
             f"archive declares {declared} records but contains {len(records)}"
         )
     return meta, records
+
+
+def _discrete_record(line: str) -> DiscreteRecord:
+    obj = json.loads(line)
+    return DiscreteRecord(int(obj["id"]), tuple(obj["outcomes"]))
+
+
+def _continuous_record(line: str) -> ContinuousRecord:
+    obj = json.loads(line)
+    return ContinuousRecord(
+        int(obj["id"]), float(obj["dt"]), np.asarray(obj["increments"], float)
+    )
+
+
+def _parse_line(path, no: int, line: str, decode):
+    try:
+        return decode(line)
+    except json.JSONDecodeError as exc:
+        problem = f"malformed JSON ({exc.msg} at column {exc.colno})"
+    except KeyError as exc:
+        problem = f"missing key {exc}"
+    except (TypeError, ValueError) as exc:
+        problem = str(exc)
+    raise ValueError(f"{path}, line {no}: {problem}")
 
 
 def validate_records(

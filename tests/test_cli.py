@@ -9,7 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trajtomo import DiscreteRecord
+from trajtomo import (
+    ContinuousRecord,
+    DiscreteRecord,
+    build_fluorescence_model,
+    from_bloch,
+    simulate_sme,
+)
 from trajtomo.cli import _resolve_threads, main
 from trajtomo.io import (
     RESULTS_SCHEMA,
@@ -198,6 +204,25 @@ def test_ensemble_average_rows(tmp_path):
                 "--observables", "z", "--report-ensemble-average"]) == 0
     names = [ln.split(",")[1] for ln in out.read_text().splitlines()[2:]]
     assert names == ["z", "ensemble:z"]
+
+
+def test_mixed_length_signal_archive_with_ensemble_average(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    desc = save_model(model, "fluorescence", {"n_steps": 12})
+    full = simulate_sme(
+        build_fluorescence_model(n_steps=12), from_bloch((1.0, 0.0, 0.0)), 40, 5
+    )
+    records = [
+        ContinuousRecord(r.id, r.dt, r.increments[: 8 + r.id % 5]) for r in full
+    ]
+    recs = tmp_path / "recs.jsonl"
+    write_records(recs, records, model_description=desc)
+    out = tmp_path / "o.csv"
+    assert run(["tomography", "--model", model, "--records", recs, "--out", out,
+                "--start-times", "0,4", "--observables", "x",
+                "--report-ensemble-average"]) == 0
+    rows = [ln.split(",")[:2] for ln in out.read_text().splitlines()[2:]]
+    assert rows == [["0", "x"], ["4", "x"], ["0", "ensemble:x"], ["4", "ensemble:x"]]
 
 
 def _distribution_missing(name):

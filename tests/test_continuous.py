@@ -13,10 +13,12 @@ from trajtomo import (
     adjoint_cp_map_continuous,
     backward_continuous,
     backward_continuous_batch,
+    build_fluorescence_model,
     build_m,
     cp_map_continuous,
     forward_filter,
     forward_filter_batch,
+    from_bloch,
     lindblad_evolve,
     simulate_sme,
 )
@@ -245,9 +247,57 @@ def test_backward_batch_mixed_lengths():
     )
     assert len(out[0]) == 3
     assert len(out[6]) == 2  # the four-step record has no step 6
+    assert list(out[6].record_ids) == [records[0].id, records[1].id]
     solo = backward_continuous(model, short)
     mixed = out[0][1]
     assert np.abs(mixed.effect.matrix - solo.effect.matrix).max() < 1e-12
+    assert mixed.log_c == pytest.approx(solo.log_c, abs=1e-12)
+
+
+def test_forward_batch_mixed_lengths():
+    model = two_channel_model(n_steps=8)
+    records = simulate_sme(model, EXCITED, 2, rng_seed=17)
+    short = ContinuousRecord(9, records[0].dt, records[0].increments[:4])
+    batch = [records[0], short, records[1]]
+    out = forward_filter_batch(model, batch, EXCITED, at=(0, 4, 6, 8))
+    # the state after k steps exists for every record with at least k steps
+    assert [len(out[k]) for k in (0, 4, 6, 8)] == [3, 3, 2, 2]
+    for k, members in ((4, batch), (6, records), (8, records)):
+        for got, rec in zip(out[k], members):
+            want = forward_filter(model, rec, EXCITED).states[k].matrix
+            assert np.abs(got - want).max() < 1e-12
+
+
+def test_batch_matches_step_by_step_reference_on_fluorescence():
+    model = build_fluorescence_model()
+    plus = from_bloch((1.0, 0.0, 0.0))
+    records = simulate_sme(model, plus, 200, rng_seed=2718)
+    starts = range(26)  # the start times of the fluorescence runs
+    out = backward_continuous_batch(model, records, start_indices=starts)
+    for s in starts:
+        for rec, adj in zip(records, out[s]):
+            tail = ContinuousRecord(rec.id, rec.dt, rec.increments[s:])
+            ref = backward_continuous(model, tail)
+            assert np.abs(adj.effect.matrix - ref.effect.matrix).max() <= 1e-12
+            assert abs(adj.log_c - ref.log_c) <= 1e-12 * max(1.0, abs(ref.log_c))
+    steps = range(model.n_steps + 1)
+    states = forward_filter_batch(model, records, plus, at=steps)
+    for i, rec in enumerate(records):
+        trace = forward_filter(model, rec, plus)
+        for k in steps:
+            assert np.abs(states[k][i] - trace.states[k].matrix).max() <= 1e-12
+
+
+def test_step_errors_name_record_and_step():
+    model = two_channel_model()
+    records = simulate_sme(model, EXCITED, 3, rng_seed=23)
+    sig = np.array(records[1].increments)
+    sig[5] = 50.0
+    batch = [records[0], ContinuousRecord(7, model.dt, sig), records[2]]
+    with pytest.raises(StepSizeTooLarge, match="step 5 of record 7"):
+        backward_continuous_batch(model, batch)
+    with pytest.raises(StepSizeTooLarge, match="step 5 of record 7"):
+        forward_filter_batch(model, batch, EXCITED, at=(0,))
 
 
 def test_forward_batch_matches_scalar():

@@ -6,7 +6,9 @@ import pytest
 
 from conftest import random_density, random_family
 from trajtomo import (
+    AdjointResult,
     DiscreteRecord,
+    EffectBatch,
     KrausFamily,
     ZeroProbability,
     backward_batch,
@@ -184,6 +186,36 @@ def test_stack_effects_accepts_mixed_inputs():
     assert np.abs(e - e[0]).max() < 1e-15
     assert logc[0] == pytest.approx(adj.log_c)
     assert logc[1] == 0.0 and logc[2] == 0.0
+
+
+def test_effect_batch_is_an_array_view_with_per_record_access():
+    rng = np.random.default_rng(111)
+    fam = random_family(rng, 2, 4)
+    recs = [
+        DiscreteRecord(
+            10 + i, tuple(fam.outcomes(t)[int(rng.integers(2))] for t in range(4))
+        )
+        for i in range(5)
+    ]
+    batch = backward_batch(fam, recs)
+    assert isinstance(batch, EffectBatch) and len(batch) == 5
+    assert batch.effects.shape == (5, 2, 2) and batch.log_c.shape == (5,)
+    assert list(batch.record_ids) == [r.id for r in recs]
+    assert not batch.effects.flags.writeable
+    e, logc = stack_effects(batch)
+    assert e is batch.effects and logc is batch.log_c
+    adj = batch[-1]
+    assert isinstance(adj, AdjointResult)
+    assert np.array_equal(adj.effect.matrix, batch.effects[4])
+    assert adj.log_c == batch.log_c[4]
+    assert [a.log_c for a in batch] == list(batch.log_c)
+
+
+def test_effect_batch_positivity_error_names_record_and_start():
+    good = np.eye(2) / 2
+    bad = np.array([[1.2, 0.0], [0.0, -0.2]])
+    with pytest.raises(ValueError, match="record 9 from start index 4 lost positivity"):
+        EffectBatch(np.stack([good, bad]), [0.0, 0.0], [3, 9], start=4)
 
 
 def test_backward_batch_matches_scalar():

@@ -157,6 +157,24 @@ def test_read_records_rejects_corrupt_archives(tmp_path):
         read_records(p)
 
 
+def test_read_records_names_the_bad_line(tmp_path):
+    p = tmp_path / "x.jsonl"
+    head = '{"format": "trajtomo-records", "version": 1, "record_type": "%s"}\n'
+    good = '{"id": 0, "dt": 1e-3, "increments": [[0.1, 0.2]]}\n'
+    cases = {
+        '{"id": 1, "dt": 1e-3, "increments": [[0.1,\n': "line 4: malformed JSON",
+        '{"id": 1, "dt": 1e-3}\n': "line 4: missing key 'increments'",
+        '{"id": 1, "dt": 1e-3, "increments": [["a"]]}\n': "line 4: could not convert",
+    }
+    for line, message in cases.items():
+        p.write_text(head % "continuous" + good + "\n" + line)
+        with pytest.raises(ValueError, match=message):
+            read_records(p)
+    p.write_text(head % "discrete" + '{"outcomes": ["g"]}\n')
+    with pytest.raises(ValueError, match="line 2: missing key 'id'"):
+        read_records(p)
+
+
 def qnd_desc_and_model():
     desc = {"kind": "qnd", "parameters": {"n_steps": 3, "n_max": 3}}
     return desc, instantiate_model(desc)
