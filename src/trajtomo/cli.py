@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -69,24 +68,6 @@ _NUMERICAL_ERRORS = (
     EffectiveSampleSizeTooLow,
     Unidentifiable,
 )
-
-
-def _resolve_threads(value: int | None) -> int:
-    """Thread count: flag beats TRAJTOMO_THREADS beats 1."""
-    if value is not None:
-        if value < 1:
-            raise ValueError("--threads must be at least 1")
-        return value
-    env = os.environ.get("TRAJTOMO_THREADS", "").strip()
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ValueError(f"TRAJTOMO_THREADS must be an integer, got {env!r}")
-        if n < 1:
-            raise ValueError("TRAJTOMO_THREADS must be at least 1")
-        return n
-    return 1
 
 
 def _parse_start_times(arg: str) -> list[int]:
@@ -393,13 +374,10 @@ def _cmd_tomography(args) -> int:
             print(f"problem: {p}", file=sys.stderr)
         return 1
     observables = _parse_observables(args.observables, model.dim)
-    threads = _resolve_threads(args.threads)
     tol = DEFAULT if args.kkt_tol is None else DEFAULT.with_(kkt=args.kkt_tol)
     options = SolveOptions(max_iterations=args.max_iterations, keep_history=False)
     if isinstance(model, KrausFamily):
-        effects_by_start = backward_sweep_batch(
-            model, records, starts, threads=threads
-        )
+        effects_by_start = backward_sweep_batch(model, records, starts)
     else:
         effects_by_start = backward_continuous_batch(
             model, records, start_indices=starts
@@ -517,7 +495,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     tom.add_argument(
         "--threads", type=int, default=None,
-        help="worker threads for mixed-length batches; overrides TRAJTOMO_THREADS",
+        help="accepted and ignored: every batch runs in one vectorized pass",
     )
     tom.add_argument(
         "--report-ensemble-average", action="store_true",

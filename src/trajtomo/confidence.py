@@ -121,6 +121,31 @@ class ObservableInterval:
         return self.mean + self.half_width_95
 
 
+def _pinv_quadratic(w: np.ndarray, q: np.ndarray, u: np.ndarray) -> float:
+    """<u, R^+ u> for a PSD matrix R with eigenvalues w (ascending) and
+    eigenvectors q, the error-bar quadratic form of an observable with
+    tangent coefficients u.
+
+    Eigenvalues up to DEFAULT.singular_rel times the largest count as
+    zero modes.  Raises Unidentifiable when u has more than _NULL_OVERLAP
+    relative weight along them.
+    """
+    norm = float(np.linalg.norm(u))
+    if norm == 0.0:
+        return 0.0
+    cut = DEFAULT.singular_rel * max(float(w[-1]), 0.0)
+    live = w > cut
+    proj = q.T @ u
+    dead = float(np.linalg.norm(proj[~live]))
+    if dead > _NULL_OVERLAP * norm:
+        raise Unidentifiable(
+            "observable has relative weight "
+            f"{dead / norm:.2e} along directions the records do not "
+            "constrain; its error bar is unbounded"
+        )
+    return float(np.sum(proj[live] ** 2 / w[live]))
+
+
 class RMatrix:
     """The stiffness form R in an orthonormal tangent basis, ready to invert.
 
@@ -154,21 +179,7 @@ class RMatrix:
         the records leave unconstrained (zero modes of R).
         """
         a = self._coefficients(observable)
-        norm = float(np.linalg.norm(a))
-        if norm == 0.0:
-            return 0.0
-        w = self._eigvals
-        cut = DEFAULT.singular_rel * max(float(w[-1]), 0.0)
-        live = w > cut
-        proj = self._eigvecs.T @ a
-        dead = float(np.linalg.norm(proj[~live]))
-        if dead > _NULL_OVERLAP * norm:
-            raise Unidentifiable(
-                "observable has relative weight "
-                f"{dead / norm:.2e} along directions the records do not "
-                "constrain; its error bar is unbounded"
-            )
-        return float(np.sum(proj[live] ** 2 / w[live]))
+        return _pinv_quadratic(self._eigvals, self._eigvecs, a)
 
     def interval(self, observable, label: str = "") -> ObservableInterval:
         mean = float(

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import operator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass
 from typing import Mapping, Sequence
 
@@ -188,7 +187,9 @@ def forward_run(
         try:
             rho, p = forward_step(family, t, y, rho, tol=tol)
         except ZeroProbability as exc:
-            raise ZeroProbability(str(exc), step=t, record_id=record.id) from None
+            raise ZeroProbability(
+                f"record {record.id}: {exc}", step=t, record_id=record.id
+            ) from None
         states.append(rho)
         probs.append(p)
         log_prob += math.log(p)
@@ -250,7 +251,9 @@ def backward_sweep(
         try:
             eff, c = backward_step(family, t, record.outcomes[t], eff, tol=tol)
         except ZeroProbability as exc:
-            raise ZeroProbability(str(exc), step=t, record_id=record.id) from None
+            raise ZeroProbability(
+                f"record {record.id}: {exc}", step=t, record_id=record.id
+            ) from None
         acc += math.log(c)
         if t in wanted:
             out[t] = AdjointResult(eff, math.log(dim) + acc)
@@ -318,8 +321,10 @@ def _check_starts(start_indices: Sequence[int], n: int) -> frozenset[int]:
     return out
 
 
-def _adjoint_superops(family: KrausFamily, n_steps: int):
-    """Per-step {outcome: S} with vec(K*_y(E)) = S @ vec(E), cached by step identity."""
+def _superops(family: KrausFamily, n_steps: int, *, adjoint: bool):
+    """Per-step {outcome: S}, in the family's outcome order, with
+    vec(K_y(X)) = S @ vec(X), or vec(K*_y(X)) in the adjoint direction.
+    Steps shared by identity share one table."""
     cache: dict[int, dict[str, np.ndarray]] = {}
     table = []
     for t in range(n_steps):
@@ -327,7 +332,10 @@ def _adjoint_superops(family: KrausFamily, n_steps: int):
         sup = cache.get(id(step))
         if sup is None:
             sup = {
-                y: sum(np.kron(m.conj().T, m.T) for m in ops)
+                y: sum(
+                    np.kron(m.conj().T, m.T) if adjoint else np.kron(m, m.conj())
+                    for m in ops
+                )
                 for y, ops in step.items()
             }
             cache[id(step)] = sup
@@ -335,37 +343,99 @@ def _adjoint_superops(family: KrausFamily, n_steps: int):
     return table
 
 
-def _forward_superops(family: KrausFamily, n_steps: int):
-    cache: dict[int, dict[str, np.ndarray]] = {}
-    table = []
-    for t in range(n_steps):
-        step = family.step(t)
-        sup = cache.get(id(step))
-        if sup is None:
-            sup = {
-                y: sum(np.kron(m, m.conj()) for m in ops)
-                for y, ops in step.items()
-            }
-            cache[id(step)] = sup
-        table.append(sup)
-    return table
+def _encode(family: KrausFamily, records: Sequence[DiscreteRecord]):
+    """Outcome codes (N, T) for T the longest record, -1 past a record's
+    end, with the record lengths and ids.  Code i at step t is the i-th
+    label of ``family.outcomes(t)``."""
+    for r in records:
+        _check_record(family, r)
+    lengths = np.array([len(r) for r in records])
+    span = int(lengths.max())
+    maps = [{y: i for i, y in enumerate(family.outcomes(t))} for t in range(span)]
+    # the smallest signed type that holds every code keeps the matrix compact
+    codes = np.full(
+        (len(records), span), -1, np.min_scalar_type(-max(map(len, maps)))
+    )
+    for n, r in enumerate(records):
+        try:
+            codes[n, : len(r)] = [m[y] for m, y in zip(maps, r.outcomes)]
+        except KeyError:
+            t = next(t for t, y in enumerate(r.outcomes) if y not in maps[t])
+            raise UnknownOutcome(
+                f"outcome {r.outcomes[t]!r} of record {r.id} is not defined "
+                f"at step {t}"
+            ) from None
+    return codes, lengths, np.array([r.id for r in records])
+
+
+def _propagate(
+    family: KrausFamily,
+    flat: np.ndarray,
+    log_c: np.ndarray,
+    outcomes,
+    steps,
+    ids: np.ndarray,
+    lengths: np.ndarray,
+    *,
+    adjoint: bool,
+    keep=frozenset(),
+    tol: Tolerances = DEFAULT,
+) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Run the conditioning maps over a batch of operators, in place.
+
+    Row n of ``flat`` is the row-major vec of record ids[n]'s operator.
+    For each t in ``steps``, ``outcomes(t, flat)`` returns every record's
+    outcome code at step t (-1 for a record that has ended); each record
+    with more than t steps (``lengths`` holds the step counts) then has
+    its operator replaced by K_y(X) / tr(K_y(X)), or K*_y in the adjoint
+    direction, and the log trace added to ``log_c``.  Steps are labelled
+    by the time index they reach: t in the adjoint direction, t + 1
+    forward, with 0 the forward initial value.  For each label in
+    ``keep`` the operators and log scales of the records that cover the
+    step are copied out as (ids, flat rows, log_c rows).
+
+    Raises ZeroProbability, naming the record and the step, when a
+    step's trace is not above ``tol.prob_floor``.
+    """
+    sups = _superops(family, int(lengths.max()), adjoint=adjoint)
+    diag = np.arange(family.dim) * (family.dim + 1)
+    shortest = lengths.min()
+    snaps = {}
+    if not adjoint and 0 in keep:
+        snaps[0] = (ids, flat.copy(), log_c.copy())
+    for t in steps:
+        codes = outcomes(t, flat)
+        for i, sup in enumerate(sups[t].values()):
+            mask = codes == i
+            if mask.any():
+                flat[mask] = flat[mask] @ sup.T
+        act = slice(None) if shortest > t else lengths > t
+        on = ids[act]
+        traces = flat[act][:, diag].sum(axis=1).real
+        bad = int(np.argmin(traces))
+        if not traces[bad] > tol.prob_floor:
+            p = float(traces[bad])
+            raise ZeroProbability(
+                f"record {on[bad]} has probability {p!r} at step {t}",
+                step=t,
+                record_id=int(on[bad]),
+            )
+        flat[act] /= traces[:, None]
+        log_c[act] += np.log(traces)
+        label = t if adjoint else t + 1
+        if label in keep:
+            snaps[label] = (on, flat[act].copy(), log_c[act].copy())
+    return snaps
 
 
 def backward_batch(
     family: KrausFamily,
     records: Sequence[DiscreteRecord],
     *,
-    threads: int | None = None,
     tol: Tolerances = DEFAULT,
 ) -> EffectBatch:
-    """Adjoint results for many records, in the order given.
-
-    Equal-length records are processed as one vectorized pass; mixed
-    lengths fall back to a per-record loop, optionally fanned out over
-    ``threads`` workers.  Output order never depends on the thread count.
-    """
-    out = backward_sweep_batch(family, records, (0,), threads=threads, tol=tol)
-    return out[0]
+    """Adjoint results for many records, of any lengths, in the order given."""
+    return backward_sweep_batch(family, records, (0,), tol=tol)[0]
 
 
 def backward_sweep_batch(
@@ -378,93 +448,31 @@ def backward_sweep_batch(
 ) -> dict[int, EffectBatch]:
     """Adjoint results for several record suffixes over a whole batch.
 
-    The effects at start s are those of the records longer than s, in
-    record order.
+    Records may differ in length: the effects at start s are those of
+    the records longer than s, in record order, and every start must lie
+    before the end of the longest record.  All records run in one masked
+    pass.  ``threads`` is accepted for older callers and ignored.
     """
     records = list(records)
-    if not records:
-        empty = np.zeros((0, family.dim, family.dim))
-        return {int(s): EffectBatch(empty, (), ()) for s in start_indices}
-    lengths = {len(r.outcomes) for r in records}
-    if len(lengths) == 1:
-        return _sweep_vectorized(family, records, start_indices, tol)
-    starts = tuple(start_indices)
-
-    def one(rec: DiscreteRecord) -> dict[int, AdjointResult]:
-        usable = [s for s in starts if s < len(rec.outcomes)]
-        return backward_sweep(family, rec, usable, tol=tol)
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_record = list(pool.map(one, records))
-    else:
-        per_record = [one(r) for r in records]
-    out = {}
-    for s in map(int, starts):
-        done = [(rec.id, res[s]) for rec, res in zip(records, per_record) if s in res]
-        out[s] = EffectBatch(
-            np.array([adj.effect.matrix for _, adj in done]).reshape(
-                -1, family.dim, family.dim
-            ),
-            [adj.log_c for _, adj in done],
-            [i for i, _ in done],
-            start=s,
-            tol=tol,
-        )
-    return out
-
-
-def _sweep_vectorized(
-    family: KrausFamily,
-    records: Sequence[DiscreteRecord],
-    start_indices: Sequence[int],
-    tol: Tolerances,
-) -> dict[int, EffectBatch]:
-    n_steps = len(records[0].outcomes)
-    for r in records:
-        _check_record(family, r)
-    wanted = _check_starts(start_indices, n_steps)
     dim = family.dim
+    if not records:
+        empty = np.zeros((0, dim, dim))
+        return {int(s): EffectBatch(empty, (), ()) for s in start_indices}
+    codes, lengths, ids = _encode(family, records)
+    span = codes.shape[1]
+    wanted = _check_starts(start_indices, span)
     n = len(records)
-    supers = _adjoint_superops(family, n_steps)
-    # outcome labels -> integer codes per step
     flat = np.tile((np.eye(dim) / dim).reshape(-1), (n, 1)).astype(complex)
-    logc = np.full(n, math.log(dim))
-    diag_idx = np.arange(dim) * (dim + 1)
-    snapshots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for t in range(n_steps - 1, -1, -1):
-        sup = supers[t]
-        labels = family.outcomes(t)
-        codes = {y: i for i, y in enumerate(labels)}
-        try:
-            idx = np.array([codes[r.outcomes[t]] for r in records])
-        except KeyError:
-            bad = next(r for r in records if r.outcomes[t] not in codes)
-            raise UnknownOutcome(
-                f"outcome {bad.outcomes[t]!r} of record {bad.id} is not defined "
-                f"at step {t}"
-            ) from None
-        for i, y in enumerate(labels):
-            mask = idx == i
-            if mask.any():
-                flat[mask] = flat[mask] @ sup[y].T
-        traces = flat[:, diag_idx].sum(axis=1).real
-        if traces.min() <= tol.prob_floor:
-            bad = int(np.argmin(traces))
-            raise ZeroProbability(
-                f"record {records[bad].id} hit zero probability at step {t}",
-                step=t,
-                record_id=records[bad].id,
-            )
-        flat /= traces[:, None]
-        logc += np.log(traces)
-        if t in wanted:
-            snapshots[t] = (flat.copy(), logc.copy())
-    ids = [r.id for r in records]
-    return {
-        s: EffectBatch(f.reshape(-1, dim, dim), lc, ids, start=s, tol=tol)
-        for s, (f, lc) in snapshots.items()
-    }
+    snaps = _propagate(
+        family, flat, np.full(n, math.log(dim)), lambda t, _: codes[:, t],
+        range(span - 1, -1, -1), ids, lengths, adjoint=True, keep=wanted,
+        tol=tol,
+    )
+    out = {}
+    for s in map(int, start_indices):
+        on, effs, lc = snaps[s]
+        out[s] = EffectBatch(effs.reshape(-1, dim, dim), lc, on, start=s, tol=tol)
+    return out
 
 
 def forward_batch(
@@ -478,69 +486,30 @@ def forward_batch(
     """Conditional states of many records at selected times, batched.
 
     ``at`` holds step counts: entry k means the state after conditioning
-    on outcomes 0..k-1, so 0 is the initial state.  Returns arrays of
-    shape (n_records, dim, dim) per requested time.  Records must share
-    a common length for the vectorized pass; mixed lengths fall back to
-    per-record filtering.
+    on outcomes 0..k-1, so 0 is the initial state.  Records may differ in
+    length: the states after k steps are those of the records with at
+    least k steps, in record order, and k may not exceed the longest
+    record.  Returns arrays of shape (n, dim, dim) per requested time.
     """
     records = list(records)
+    dim = family.dim
     if not records:
-        return {int(k): np.zeros((0, family.dim, family.dim)) for k in at}
-    lengths = {len(r.outcomes) for r in records}
-    if len(lengths) != 1:
-        out: dict[int, list[np.ndarray]] = {int(k): [] for k in at}
-        for rec in records:
-            trace = forward_run(family, rec, rho0, tol=tol)
-            for k in at:
-                if k <= len(rec.outcomes):
-                    out[int(k)].append(trace.states[int(k)].matrix)
-        return {k: np.stack(v) if v else np.zeros((0, family.dim, family.dim))
-                for k, v in out.items()}
-    n_steps = lengths.pop()
-    for r in records:
-        _check_record(family, r)
+        return {int(k): np.zeros((0, dim, dim)) for k in at}
+    codes, lengths, ids = _encode(family, records)
+    span = codes.shape[1]
     wanted = frozenset(int(k) for k in at)
     for k in wanted:
-        if not 0 <= k <= n_steps:
-            raise ValueError(f"time index {k} outside the record span [0, {n_steps}]")
-    dim = family.dim
-    n = len(records)
+        if not 0 <= k <= span:
+            raise ValueError(f"time index {k} outside the record span [0, {span}]")
     rho = as_matrix(rho0)
     DensityMatrix(rho, tol=tol)
-    supers = _forward_superops(family, n_steps)
+    n = len(records)
     flat = np.tile(rho.reshape(-1), (n, 1)).astype(complex)
-    diag_idx = np.arange(dim) * (dim + 1)
-    out_states: dict[int, np.ndarray] = {}
-    if 0 in wanted:
-        out_states[0] = flat.reshape(n, dim, dim).copy()
-    for t in range(n_steps):
-        sup = supers[t]
-        labels = family.outcomes(t)
-        codes = {y: i for i, y in enumerate(labels)}
-        try:
-            idx = np.array([codes[r.outcomes[t]] for r in records])
-        except KeyError:
-            bad = next(r for r in records if r.outcomes[t] not in codes)
-            raise UnknownOutcome(
-                f"outcome {bad.outcomes[t]!r} of record {bad.id} is not defined "
-                f"at step {t}"
-            ) from None
-        for i, y in enumerate(labels):
-            mask = idx == i
-            if mask.any():
-                flat[mask] = flat[mask] @ sup[y].T
-        traces = flat[:, diag_idx].sum(axis=1).real
-        if traces.min() <= tol.prob_floor:
-            bad = int(np.argmin(traces))
-            raise ZeroProbability(
-                f"record {records[bad].id} hit zero probability at step {t}",
-                step=t,
-                record_id=records[bad].id,
-            )
-        flat /= traces[:, None]
-        if t + 1 in wanted:
-            out_states[t + 1] = flat.reshape(n, dim, dim).copy()
-    return out_states
+    snaps = _propagate(
+        family, flat, np.zeros(n), lambda t, _: codes[:, t], range(span), ids,
+        lengths, adjoint=False, keep=wanted, tol=tol,
+    )
+    return {int(k): snaps[int(k)][1].reshape(-1, dim, dim) for k in at}
 
 
 def sample_records(
@@ -574,56 +543,46 @@ def sample_records(
     rho = as_matrix(rho0)
     DensityMatrix(rho, tol=tol)  # validate once
     rng = np.random.default_rng(rng_seed)
-    supers = _forward_superops(family, total)
     # weight operators Q_y = sum_k M* M give outcome probabilities as tr(rho Q_y)
-    weight_cache: dict[int, dict[str, np.ndarray]] = {}
+    weight_cache: dict[int, list[np.ndarray]] = {}
     flat = np.tile(rho.reshape(-1), (n_records, 1)).astype(complex)
     diag_idx = np.arange(dim) * (dim + 1)
-    outcomes = np.empty((n_records, total), dtype=object)
-    means = [flat.mean(axis=0).reshape(dim, dim)] if keep_mean else None
-    for t in range(total):
+    codes = np.empty((n_records, total), dtype=int)
+    means = []
+
+    def draw(t, flat):
+        if keep_mean:
+            means.append(flat.mean(axis=0).reshape(dim, dim))
         if interventions and t in interventions:
-            flat = flat @ np.asarray(interventions[t], dtype=complex).T
+            flat[:] = flat @ np.asarray(interventions[t], dtype=complex).T
             traces = flat[:, diag_idx].sum(axis=1).real
             flat /= traces[:, None]
         step = family.step(t)
         weights = weight_cache.get(id(step))
         if weights is None:
             # stored transposed so that flat @ w computes tr(rho Q_y)
-            weights = {
-                y: sum(m.conj().T @ m for m in ops).T.reshape(-1)
-                for y, ops in step.items()
-            }
+            weights = [
+                sum(m.conj().T @ m for m in ops).T.reshape(-1) for ops in step.values()
+            ]
             weight_cache[id(step)] = weights
-        labels = family.outcomes(t)
-        probs = np.stack(
-            [(flat @ weights[y]).real for y in labels], axis=1
-        )
+        probs = np.stack([(flat @ w).real for w in weights], axis=1)
         np.clip(probs, 0.0, None, out=probs)
         probs /= probs.sum(axis=1, keepdims=True)
         u = rng.random(n_records)
         idx = (probs.cumsum(axis=1) < u[:, None]).sum(axis=1)
-        idx = np.minimum(idx, len(labels) - 1)
-        sup = supers[t]
-        for i, y in enumerate(labels):
-            mask = idx == i
-            if mask.any():
-                flat[mask] = flat[mask] @ sup[y].T
-                outcomes[mask, t] = y
-        traces = flat[:, diag_idx].sum(axis=1).real
-        if traces.min() <= tol.prob_floor:
-            bad = int(np.argmin(traces))
-            raise ZeroProbability(
-                f"simulated trajectory {bad} collapsed to zero probability",
-                step=t,
-                record_id=bad,
-            )
-        flat /= traces[:, None]
-        if keep_mean:
-            means.append(flat.mean(axis=0).reshape(dim, dim))
+        codes[:, t] = np.minimum(idx, len(weights) - 1)
+        return codes[:, t]
+
+    _propagate(
+        family, flat, np.zeros(n_records), draw, range(total),
+        np.arange(n_records), np.full(n_records, total), adjoint=False, tol=tol,
+    )
+    labels = [family.outcomes(t) for t in range(total)]
     records = [
-        DiscreteRecord(i, tuple(outcomes[i])) for i in range(n_records)
+        DiscreteRecord(i, tuple(map(operator.getitem, labels, codes[i].tolist())))
+        for i in range(n_records)
     ]
     if keep_mean:
+        means.append(flat.mean(axis=0).reshape(dim, dim))
         return records, np.stack(means)
     return records

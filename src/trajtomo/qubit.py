@@ -25,7 +25,8 @@ import math
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import DegenerateTrace, Unidentifiable
+from .confidence import _pinv_quadratic
+from .errors import DegenerateTrace
 from .operators import DensityMatrix, as_matrix
 from .filtering import stack_effects
 
@@ -100,23 +101,6 @@ def lambda_bloch(v, bloch_effects) -> float:
     return float(np.asarray(v, dtype=float) @ gradient_bloch(v, bloch_effects))
 
 
-def _solve_psd(r: np.ndarray, u: np.ndarray, what: str) -> float:
-    w, q = np.linalg.eigh(r)
-    cut = DEFAULT.singular_rel * max(float(w[-1]), 0.0)
-    live = w > cut
-    proj = q.T @ u
-    norm = float(np.linalg.norm(u))
-    if norm == 0.0:
-        return 0.0
-    dead = float(np.linalg.norm(proj[~live]))
-    if dead > 1e-6 * norm:
-        raise Unidentifiable(
-            f"{what} has relative weight {dead / norm:.2e} along directions "
-            "the records do not constrain; its error bar is unbounded"
-        )
-    return float(np.sum(proj[live] ** 2 / w[live]))
-
-
 def variance_bloch(
     v,
     bloch_effects,
@@ -148,7 +132,7 @@ def variance_bloch(
         if denom.min() <= 0.0:
             raise DegenerateTrace("state assigns zero probability to some record")
         r = (e / denom[:, None]).T @ (e / denom[:, None])
-        return _solve_psd(r, a, "observable")
+        return _pinv_quadratic(*np.linalg.eigh(r), a)
     # pure branch: renormalize so the radial direction is annihilated exactly
     vhat = v / speed
     denom = 1.0 + e @ vhat
@@ -159,4 +143,4 @@ def variance_bloch(
     scaled = e_par / denom[:, None]
     r = scaled.T @ scaled + lam * (np.eye(3) - np.outer(vhat, vhat))
     u_par = a - (a @ vhat) * vhat
-    return _solve_psd(r, u_par, "observable")
+    return _pinv_quadratic(*np.linalg.eigh(r), u_par)

@@ -1,4 +1,5 @@
 """End-to-end command-line behaviour: round trips, exit codes, determinism."""
+import csv
 import importlib.metadata
 import json
 import shutil
@@ -13,12 +14,15 @@ from trajtomo import (
     ContinuousRecord,
     DiscreteRecord,
     build_fluorescence_model,
+    forward_run,
     from_bloch,
+    sample_records,
     simulate_sme,
 )
-from trajtomo.cli import _resolve_threads, main
+from trajtomo.cli import main
 from trajtomo.io import (
     RESULTS_SCHEMA,
+    instantiate_model,
     matrix_to_json,
     save_model,
     write_records,
@@ -28,7 +32,7 @@ GROUND = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
 EXCITED = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
 
 
-def povm_model(path, *, tilt=0.0):
+def povm_model(path, *, tilt=0.0, n_steps=1, **extras):
     """Two-outcome counting model; tilt perturbs the elements slightly."""
     g = np.array([[0.7 + tilt, 0.1], [0.1, 0.2]], dtype=complex)
     e = np.eye(2) - g
@@ -37,8 +41,9 @@ def povm_model(path, *, tilt=0.0):
         "povm",
         {
             "elements": {"g": matrix_to_json(g), "e": matrix_to_json(e)},
-            "n_steps": 1,
+            "n_steps": n_steps,
         },
+        **extras,
     )
 
 
@@ -167,31 +172,32 @@ def test_observable_from_file(tmp_path):
     assert names == ["pg"]
 
 
-def test_threads_resolution(monkeypatch):
-    monkeypatch.delenv("TRAJTOMO_THREADS", raising=False)
-    assert _resolve_threads(None) == 1
-    assert _resolve_threads(4) == 4
-    monkeypatch.setenv("TRAJTOMO_THREADS", "3")
-    assert _resolve_threads(None) == 3
-    assert _resolve_threads(2) == 2
-    monkeypatch.setenv("TRAJTOMO_THREADS", "zero")
-    with pytest.raises(ValueError):
-        _resolve_threads(None)
-    with pytest.raises(ValueError):
-        _resolve_threads(0)
-
-
 def test_threads_flag_does_not_change_results(tmp_path):
+    # --threads is accepted and ignored: a discrete archive of unequal record
+    # lengths runs in one batched pass, ensemble rows included
     model = tmp_path / "model.json"
-    povm_model(model)
+    rho0 = np.array([[0.8, 0.3], [0.3, 0.2]], dtype=complex)
+    desc = povm_model(model, n_steps=6, initial_state=matrix_to_json(rho0))
+    family = instantiate_model(desc)
+    full = sample_records(family, rho0, 60, rng_seed=9)
+    records = [DiscreteRecord(r.id, r.outcomes[: 3 + r.id % 4]) for r in full]
     recs = tmp_path / "recs.jsonl"
-    run(["simulate", "--model", model, "--records", recs, "--n-trajectories", 80])
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    run(["tomography", "--model", model, "--records", recs, "--out", out1,
-         "--threads", 1])
-    run(["tomography", "--model", model, "--records", recs, "--out", out2,
-         "--threads", 3])
-    assert out1.read_bytes() == out2.read_bytes()
+    write_records(recs, records, model_description=desc)
+    tables = []
+    for threads in (1, 3):
+        out = tmp_path / f"threads{threads}.csv"
+        assert run(["tomography", "--model", model, "--records", recs, "--out", out,
+                    "--start-times", "0,2", "--observables", "z",
+                    "--report-ensemble-average", "--threads", threads]) == 0
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1]
+    rows = list(csv.DictReader(tables[0].decode().splitlines()[1:]))
+    means = {(int(r["t"]), r["observable"]): float(r["mean"]) for r in rows}
+    z = np.diag([1.0, -1.0])
+    for s in (0, 2):
+        states = [forward_run(family, r, rho0).states[s].matrix for r in records]
+        want = np.mean([np.trace(st @ z).real for st in states])
+        assert means[(s, "ensemble:z")] == pytest.approx(want, abs=1e-12)
 
 
 def test_ensemble_average_rows(tmp_path):

@@ -10,6 +10,7 @@ from trajtomo import (
     DiscreteRecord,
     EffectBatch,
     KrausFamily,
+    UnknownOutcome,
     ZeroProbability,
     backward_batch,
     backward_run,
@@ -21,6 +22,7 @@ from trajtomo import (
     sample_records,
     stack_effects,
 )
+from trajtomo.config import DEFAULT
 
 PROJECTIVE = {
     "g": [np.diag([1.0, 0.0]).astype(complex)],
@@ -234,25 +236,109 @@ def test_backward_batch_matches_scalar():
         assert adj.log_c == pytest.approx(single.log_c, abs=1e-10)
 
 
-def test_backward_batch_mixed_lengths_and_threads():
+def mixed_records(rng, fam, n, shortest, longest, n_labels=2):
+    """Records of random lengths in [shortest, longest], random outcomes."""
+    recs = []
+    for i in range(n):
+        length = int(rng.integers(shortest, longest + 1))
+        labels = [fam.outcomes(t)[int(rng.integers(n_labels))] for t in range(length)]
+        recs.append(DiscreteRecord(i, tuple(labels)))
+    return recs
+
+
+def test_backward_batch_mixed_lengths():
     rng = np.random.default_rng(109)
     fam = random_family(rng, 2, 8)
-    recs = []
-    for i in range(9):
-        length = int(rng.integers(2, 9))
-        recs.append(
-            DiscreteRecord(
-                i, tuple(fam.outcomes(t)[int(rng.integers(2))] for t in range(length))
-            )
-        )
-    serial = backward_batch(fam, recs)
-    threaded = backward_batch(fam, recs, threads=3)
-    for a, b in zip(serial, threaded):
-        assert np.abs(a.effect.matrix - b.effect.matrix).max() < 1e-15
-        assert a.log_c == b.log_c
-    for rec, adj in zip(recs, serial):
+    recs = mixed_records(rng, fam, 9, 2, 8)
+    assert len({len(r) for r in recs}) > 1
+    batch = backward_batch(fam, recs)
+    assert batch.record_ids.tolist() == [r.id for r in recs]
+    for rec, adj in zip(recs, batch):
         single = backward_run(fam, rec)
         assert np.abs(adj.effect.matrix - single.effect.matrix).max() < 1e-12
+        assert adj.log_c == pytest.approx(single.log_c, rel=1e-12)
+
+
+def test_backward_sweep_batch_mixed_lengths_matches_scalar_sweep():
+    rng = np.random.default_rng(113)
+    fam = random_family(rng, 3, 9)
+    recs = mixed_records(rng, fam, 11, 3, 9)
+    longest = max(len(r) for r in recs)
+    starts = (0, 2, 4, longest - 1)
+    got = backward_sweep_batch(fam, recs, starts)
+    for s in starts:
+        covering = [r for r in recs if len(r) > s]
+        assert got[s].record_ids.tolist() == [r.id for r in covering]
+        for rec, adj in zip(covering, got[s]):
+            want = backward_sweep(fam, rec, (s,))[s]
+            assert np.abs(adj.effect.matrix - want.effect.matrix).max() < 1e-12
+            assert adj.log_c == pytest.approx(want.log_c, rel=1e-12)
+
+
+def test_forward_batch_mixed_lengths_matches_scalar_filter():
+    rng = np.random.default_rng(114)
+    fam = random_family(rng, 3, 7)
+    rho = random_density(rng, 3)
+    recs = mixed_records(rng, fam, 10, 2, 7)
+    longest = max(len(r) for r in recs)
+    at = (0, 1, 3, longest)
+    got = forward_batch(fam, recs, rho, at)
+    for k in at:
+        covering = [r for r in recs if len(r) >= k]
+        assert got[k].shape == (len(covering), 3, 3)
+        for state, rec in zip(got[k], covering):
+            want = forward_run(fam, rec, rho).states[k].matrix
+            assert np.abs(state - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["equal", "mixed"])
+def test_batches_reject_indices_beyond_the_longest_record(mixed):
+    fam = KrausFamily.repeated(2, PROJECTIVE, 6)
+    recs = [
+        DiscreteRecord(0, ("g",) * 4),
+        DiscreteRecord(1, ("g",) * (3 if mixed else 4)),
+    ]
+    rho = np.diag([1.0, 0.0])
+    with pytest.raises(ValueError, match=r"start index 4 outside .* \[0, 4\)"):
+        backward_sweep_batch(fam, recs, (0, 4))
+    with pytest.raises(ValueError, match=r"time index 5 outside .* \[0, 4\]"):
+        forward_batch(fam, recs, rho, (0, 5))
+    # the last valid indices keep the records that reach them
+    covering = 1 if mixed else 2
+    assert len(backward_sweep_batch(fam, recs, (3,))[3]) == covering
+    assert forward_batch(fam, recs, rho, (4,))[4].shape[0] == covering
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["equal", "mixed"])
+def test_batch_errors_name_the_record_and_step(mixed):
+    fam = KrausFamily.repeated(2, PROJECTIVE, 4)
+    other = DiscreteRecord(3, ("g",) * (4 if mixed else 2))
+    unknown = [other, DiscreteRecord(7, ("g", "x"))]
+    with pytest.raises(UnknownOutcome, match=r"'x' of record 7 .* at step 1$"):
+        backward_sweep_batch(fam, unknown, (0,))
+    with pytest.raises(UnknownOutcome, match=r"'x' of record 7 .* at step 1$"):
+        forward_batch(fam, unknown, np.eye(2) / 2, (0,))
+    # e then g has zero adjoint trace at step 0; g then e from |g> has zero
+    # probability at step 1
+    impossible = [other, DiscreteRecord(7, ("e", "g"))]
+    with pytest.raises(ZeroProbability, match=r"^record 7 .* at step 0$") as info:
+        backward_sweep_batch(fam, impossible, (0,))
+    assert (info.value.record_id, info.value.step) == (7, 0)
+    with pytest.raises(ZeroProbability, match=r"^record 7 .* at step 1$") as info:
+        forward_batch(
+            fam, [other, DiscreteRecord(7, ("g", "e"))], np.diag([1.0, 0.0]), (2,)
+        )
+    assert (info.value.record_id, info.value.step) == (7, 1)
+
+
+def test_sample_records_zero_probability_names_the_record_and_step():
+    # every outcome probability is 0.3 or 0.7, so a 0.5 floor rejects the first "g"
+    fam = KrausFamily.repeated(2, PROJECTIVE, 2)
+    message = r"^record \d+ has probability 0\.3\d* at step 0$"
+    with pytest.raises(ZeroProbability, match=message):
+        sample_records(
+            fam, np.diag([0.3, 0.7]), 50, rng_seed=5, tol=DEFAULT.with_(prob_floor=0.5)
+        )
 
 
 def test_backward_sweep_batch_matches_scalar_sweep():
