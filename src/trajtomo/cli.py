@@ -188,29 +188,22 @@ def _check_adjoint_identity(model, rng: np.random.Generator) -> float:
 
 
 def _check_duality(model, records, rng: np.random.Generator) -> float:
-    """Worst forward/backward likelihood gap over records and random states."""
-    worst = 0.0
-    sample = records[: min(len(records), 20)]
+    """Worst gap between the batched backward pass and the step-by-step
+    forward filter, over sampled records and random states."""
     if isinstance(model, KrausFamily):
-        adjoints = [backward_run(model, r) for r in sample]
-        for rec, adj in zip(sample, adjoints):
-            for _ in range(5):
-                rho = _random_state(rng, model.dim)
-                fwd = forward_run(model, rec, rho).log_prob
-                bwd = adj.log_c + math.log(
-                    float(np.einsum("ij,ji->", rho, adj.effect.matrix).real)
-                )
-                worst = max(worst, abs(fwd - bwd))
+        compress, forward = backward_sweep_batch, forward_run
     else:
-        adjoints = backward_continuous_batch(model, sample, start_indices=(0,))[0]
-        for rec, adj in zip(sample, adjoints):
-            for _ in range(5):
-                rho = _random_state(rng, model.dim)
-                fwd = forward_filter(model, rec, rho).log_prob
-                bwd = adj.log_c + math.log(
-                    float(np.einsum("ij,ji->", rho, adj.effect.matrix).real)
-                )
-                worst = max(worst, abs(fwd - bwd))
+        compress, forward = backward_continuous_batch, forward_filter
+    sample = records[: min(len(records), 20)]
+    worst = 0.0
+    for rec, adj in zip(sample, compress(model, sample, start_indices=(0,))[0]):
+        for _ in range(5):
+            rho = _random_state(rng, model.dim)
+            fwd = forward(model, rec, rho).log_prob
+            bwd = adj.log_c + math.log(
+                float(np.einsum("ij,ji->", rho, adj.effect.matrix).real)
+            )
+            worst = max(worst, abs(fwd - bwd))
     return float(worst)
 
 
@@ -362,11 +355,11 @@ def _cmd_tomography(args) -> int:
     meta, records = tio.read_records(args.records)
     problems = tio.validate_records(desc, model, meta, records)
     starts = _parse_start_times(args.start_times)
-    span = min(len(r) for r in records)
+    span = max(len(r) for r in records)
     for s in starts:
         if s >= span:
             problems.append(
-                f"start time {s} is beyond the end of the shortest record "
+                f"start time {s} is beyond the end of the longest record "
                 f"({span} steps)"
             )
     if problems:

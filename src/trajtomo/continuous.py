@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -40,7 +41,7 @@ from scipy.special import ndtr
 
 from .config import DEFAULT, Tolerances
 from .errors import StepSizeTooLarge, ZeroProbability
-from .filtering import AdjointResult, EffectBatch, FilterTrace
+from .filtering import AdjointResult, EffectBatch, FilterTrace, _filter, _sweep
 from .operators import DensityMatrix, EffectMatrix, as_matrix
 
 __all__ = [
@@ -302,78 +303,40 @@ def _superoperators(model: SMEModel, *, adjoint: bool):
     return right, np.array(pairs, dtype=int).reshape(-1, 2)
 
 
-def _propagate(
-    model: SMEModel,
-    flat: np.ndarray,
-    log_c: np.ndarray,
-    increments,
-    steps,
-    ids: np.ndarray,
-    lengths: np.ndarray,
-    *,
-    adjoint: bool,
-    keep=frozenset(),
-    tol: Tolerances = DEFAULT,
-) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Run the one-step map over a batch of operators, in place.
+def _sme_step(model: SMEModel, increments, *, adjoint: bool):
+    """The driver's step map for signal records.
 
-    Row n of ``flat`` is the row-major vec of record ids[n]'s operator.
-    For each t in ``steps``, ``increments(t, flat)`` returns the signal
-    increments of every record, shape (N, n_monitored); each record with
-    more than t steps (``lengths`` holds the step counts) then has its
-    operator replaced by K_dy(X) / tr(K_dy(X)), or K*_dy in the adjoint
-    direction, and the log trace added to ``log_c``.  Steps are labelled
-    by the time index they reach: t in the adjoint direction, t + 1
-    forward, with 0 the forward initial value.  For each label in
-    ``keep`` the operators and log scales of the records that cover the
-    step are copied out as (ids, flat rows, log_c rows).
-
-    Raises StepSizeTooLarge when a step moves a trace out of the band
-    that dt can resolve, and ZeroProbability when it vanishes; both name
-    the record and the step.
+    ``increments(t, flat)`` returns every record's signal increments at
+    step t, shape (N, n_monitored); the active rows X become K_dy(X), or
+    K*_dy(X) in the adjoint direction, through the expansion of
+    ``_superoperators``: one product of the rows with the stacked A_m,
+    weighted by phi(dy).
     """
     right, pairs = _superoperators(model, adjoint=adjoint)
-    k = flat.shape[1]
+    k = model.dim**2
     n_terms = right.shape[1] // k
-    diag = np.arange(model.dim) * (model.dim + 1)
-    snaps = {}
-    if not adjoint and 0 in keep:
-        snaps[0] = (ids, flat.copy(), log_c.copy())
-    for t in steps:
-        dy = increments(t, flat)
-        act = slice(None) if lengths.min() > t else lengths > t
-        x, dy, on = flat[act], dy[act], ids[act]
+
+    def apply(t, flat, act):
+        dy = increments(t, flat)[act]
+        x = flat[act]
         phi = np.concatenate(
             [np.ones((len(x), 1)), dy, dy[:, pairs[:, 0]] * dy[:, pairs[:, 1]]],
             axis=1,
         ).astype(complex)
-        new = np.matmul(phi[:, None, :], (x @ right).reshape(-1, n_terms, k))[:, 0]
-        traces = new[:, diag].real.sum(axis=1)
-        _band_check(traces, t, on)
-        bad = int(np.argmin(traces))
-        if traces[bad] <= tol.prob_floor:
-            raise ZeroProbability(
-                f"record {on[bad]} has zero density at step {t}",
-                step=t,
-                record_id=int(on[bad]),
-            )
-        flat[act] = new / traces[:, None]
-        log_c[act] += np.log(traces)
-        label = t if adjoint else t + 1
-        if label in keep:
-            snaps[label] = (on, flat[act].copy(), log_c[act].copy())
-    return snaps
+        return np.matmul(phi[:, None, :], (x @ right).reshape(-1, n_terms, k))[:, 0]
+
+    return apply
 
 
 def _stack_signals(model: SMEModel, records: Sequence[ContinuousRecord]):
     """Zero-padded (N, T, n_monitored) increments, record lengths and ids."""
     for r in records:
         _check_record(model, r)
-    lengths = np.array([len(r) for r in records])
-    sig = np.zeros((len(records), int(lengths.max()), len(model.monitored)))
+    lengths = np.array([len(r) for r in records], dtype=int)
+    sig = np.zeros((len(records), int(lengths.max(initial=0)), len(model.monitored)))
     for i, r in enumerate(records):
         sig[i, : len(r)] = r.increments
-    return sig, lengths, np.array([r.id for r in records])
+    return sig, lengths, np.array([r.id for r in records], dtype=int)
 
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -482,14 +445,11 @@ def simulate_sme(
     """
     if n_records < 1:
         raise ValueError("need at least one record")
-    rho = as_matrix(rho0)
-    DensityMatrix(rho, tol=tol)
     d = model.dim
     base, stack, resid = _step_ops(model)
     n_mon = stack.shape[0]
     t0, t1, t2 = _signal_quadratics(base, stack, resid)
     rng = np.random.default_rng(rng_seed)
-    flat = np.tile(rho.reshape(-1), (n_records, 1)).astype(complex)
     signals = np.empty((n_records, model.n_steps, n_mon))
     means = []
 
@@ -501,16 +461,16 @@ def simulate_sme(
             signals[:, t, :] = _draw_increments(rng, states, t0, t1, t2, model.dt)
         return signals[:, t, :]
 
-    _propagate(
-        model, flat, np.zeros(n_records), draw, range(model.n_steps),
-        np.arange(n_records), np.full(n_records, model.n_steps), adjoint=False,
-        tol=tol,
-    )
+    total = model.n_steps
+    final = _filter(
+        partial(_sme_step, model, draw), d, np.full(n_records, total),
+        np.arange(n_records), rho0, (total,), check=_band_check, tol=tol,
+    )[total]
     records = [
         ContinuousRecord(i, model.dt, signals[i]) for i in range(n_records)
     ]
     if keep_mean:
-        means.append(flat.reshape(n_records, d, d).mean(axis=0))
+        means.append(final.mean(axis=0))
         return records, np.stack(means)
     return records
 
@@ -542,9 +502,9 @@ def forward_filter(
             new += k @ mat @ k.conj().T
         p = float(new.trace().real)
         _band_check(np.array([p]), t, [record.id])
-        if p <= tol.prob_floor:
+        if not p > tol.prob_floor:
             raise ZeroProbability(
-                f"record {record.id} has zero density at step {t}",
+                f"record {record.id} has probability {p!r} at step {t}",
                 step=t,
                 record_id=record.id,
             )
@@ -570,24 +530,11 @@ def forward_filter_batch(
     with at least k steps, in record order.  Returns (n, dim, dim)
     arrays.
     """
-    records = list(records)
-    if not records:
-        return {int(k): np.zeros((0, model.dim, model.dim)) for k in at}
-    sig, lengths, ids = _stack_signals(model, records)
-    span = sig.shape[1]
-    wanted = frozenset(int(k) for k in at)
-    for k in wanted:
-        if not 0 <= k <= span:
-            raise ValueError(f"time index {k} outside the record span [0, {span}]")
-    rho = as_matrix(rho0)
-    DensityMatrix(rho, tol=tol)
-    flat = np.tile(rho.reshape(-1), (len(records), 1)).astype(complex)
-    snaps = _propagate(
-        model, flat, np.zeros(len(records)), lambda t, _: sig[:, t], range(span),
-        ids, lengths, adjoint=False, keep=wanted, tol=tol,
+    sig, lengths, ids = _stack_signals(model, list(records))
+    step = partial(_sme_step, model, lambda t, _: sig[:, t])
+    return _filter(
+        step, model.dim, lengths, ids, rho0, at, check=_band_check, tol=tol
     )
-    d = model.dim
-    return {int(k): snaps[int(k)][1].reshape(-1, d, d) for k in at}
 
 
 def backward_continuous(
@@ -614,9 +561,9 @@ def backward_continuous(
             new += k.conj().T @ eff @ k
         c = float(new.trace().real)
         _band_check(np.array([c]), t, [record.id])
-        if c <= tol.prob_floor:
+        if not c > tol.prob_floor:
             raise ZeroProbability(
-                f"record {record.id} has zero density at step {t}",
+                f"record {record.id} has probability {c!r} at step {t}",
                 step=t,
                 record_id=record.id,
             )
@@ -638,29 +585,11 @@ def backward_continuous_batch(
     Records may differ in length; the effects at start s are those of
     the records longer than s, in record order.
     """
-    records = list(records)
-    d = model.dim
-    if not records:
-        empty = np.zeros((0, d, d))
-        return {int(s): EffectBatch(empty, (), ()) for s in start_indices}
-    sig, lengths, ids = _stack_signals(model, records)
-    span = sig.shape[1]
-    wanted = frozenset(int(s) for s in start_indices)
-    for s in wanted:
-        if not 0 <= s < span:
-            raise ValueError(f"start index {s} outside the record span [0, {span})")
-    n = len(records)
-    flat = np.tile((np.eye(d) / d).reshape(-1), (n, 1)).astype(complex)
-    snaps = _propagate(
-        model, flat, np.full(n, math.log(d)), lambda t, _: sig[:, t],
-        range(span - 1, -1, -1), ids, lengths, adjoint=True, keep=wanted,
-        tol=tol,
+    sig, lengths, ids = _stack_signals(model, list(records))
+    step = partial(_sme_step, model, lambda t, _: sig[:, t])
+    return _sweep(
+        step, model.dim, lengths, ids, start_indices, check=_band_check, tol=tol
     )
-    out = {}
-    for s in map(int, start_indices):
-        on, effs, lc = snaps[s]
-        out[s] = EffectBatch(effs.reshape(-1, d, d), lc, on, start=s, tol=tol)
-    return out
 
 
 def lindblad_evolve(

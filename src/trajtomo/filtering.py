@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import InitVar, dataclass
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -95,11 +96,12 @@ class EffectBatch:
     """Compressed records as arrays.
 
     P(record n | rho) = exp(log_c[n]) tr(rho effects[n]).  ``effects``
-    has shape (N, d, d) and is symmetrized, checked for unit trace and
-    positivity once at construction, and read-only after; ``log_c`` and
-    ``record_ids`` have shape (N,).  ``start`` only names the suffix
-    start time in error messages.  Indexing returns the per-record
-    AdjointResult, built on demand; iteration yields them in order.
+    has shape (N, d, d) and is symmetrized, checked for finite entries,
+    unit trace and positivity once at construction, and read-only after;
+    ``log_c`` (checked finite) and ``record_ids`` have shape (N,).
+    ``start`` only names the suffix start time in error messages.
+    Indexing returns the per-record AdjointResult, built on demand;
+    iteration yields them in order.
     """
 
     effects: np.ndarray
@@ -121,6 +123,13 @@ class EffectBatch:
                 f"got {log_c.shape} and {ids.shape}"
             )
         if e.shape[0]:
+            finite = np.isfinite(e).all(axis=(1, 2)) & np.isfinite(log_c)
+            bad = int(np.argmin(finite))
+            if not finite[bad]:
+                raise ValueError(
+                    f"effect of record {ids[bad]} from start index {start} is "
+                    "not finite"
+                )
             w = np.linalg.eigvalsh(e)[:, 0]
             bad = int(np.argmin(w))
             if w[bad] < -tol.psd:
@@ -349,12 +358,12 @@ def _encode(family: KrausFamily, records: Sequence[DiscreteRecord]):
     label of ``family.outcomes(t)``."""
     for r in records:
         _check_record(family, r)
-    lengths = np.array([len(r) for r in records])
-    span = int(lengths.max())
+    lengths = np.array([len(r) for r in records], dtype=int)
+    span = int(lengths.max(initial=0))
     maps = [{y: i for i, y in enumerate(family.outcomes(t))} for t in range(span)]
     # the smallest signed type that holds every code keeps the matrix compact
     codes = np.full(
-        (len(records), span), -1, np.min_scalar_type(-max(map(len, maps)))
+        (len(records), span), -1, np.min_scalar_type(-max(map(len, maps), default=1))
     )
     for n, r in enumerate(records):
         try:
@@ -365,53 +374,75 @@ def _encode(family: KrausFamily, records: Sequence[DiscreteRecord]):
                 f"outcome {r.outcomes[t]!r} of record {r.id} is not defined "
                 f"at step {t}"
             ) from None
-    return codes, lengths, np.array([r.id for r in records])
+    return codes, lengths, np.array([r.id for r in records], dtype=int)
+
+
+def _kraus_step(family: KrausFamily, span: int, outcomes, *, adjoint: bool):
+    """The driver's step map for discrete outcomes.
+
+    ``outcomes(t, flat)`` returns every record's outcome code at step t
+    (-1 for a record that has ended, which matches no label); each
+    record's row is replaced by K_y(X), or K*_y(X) in the adjoint
+    direction, one masked product per label, and the active rows are
+    returned as a view of ``flat`` when every record is active.
+    """
+    sups = _superops(family, span, adjoint=adjoint)
+
+    def apply(t, flat, act):
+        codes = outcomes(t, flat)
+        for i, sup in enumerate(sups[t].values()):
+            mask = codes == i
+            if mask.any():
+                flat[mask] = flat[mask] @ sup.T
+        return flat[act]
+
+    return apply
 
 
 def _propagate(
-    family: KrausFamily,
+    apply,
     flat: np.ndarray,
     log_c: np.ndarray,
-    outcomes,
     steps,
     ids: np.ndarray,
     lengths: np.ndarray,
     *,
     adjoint: bool,
     keep=frozenset(),
-    tol: Tolerances = DEFAULT,
+    check=None,
+    tol: Tolerances,
 ) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Run the conditioning maps over a batch of operators, in place.
+    """Run a record type's one-step maps over a batch of operators, in place.
 
     Row n of ``flat`` is the row-major vec of record ids[n]'s operator.
-    For each t in ``steps``, ``outcomes(t, flat)`` returns every record's
-    outcome code at step t (-1 for a record that has ended); each record
-    with more than t steps (``lengths`` holds the step counts) then has
-    its operator replaced by K_y(X) / tr(K_y(X)), or K*_y in the adjoint
-    direction, and the log trace added to ``log_c``.  Steps are labelled
-    by the time index they reach: t in the adjoint direction, t + 1
-    forward, with 0 the forward initial value.  For each label in
-    ``keep`` the operators and log scales of the records that cover the
-    step are copied out as (ids, flat rows, log_c rows).
+    For each t in ``steps`` the records with more than t steps
+    (``lengths`` holds the step counts) are active, and
+    ``apply(t, flat, act)`` returns their unnormalized K(X), or K*(X) in
+    the adjoint direction, with ``act`` selecting their rows.  Each
+    active operator is then divided by its trace and the log trace added
+    to ``log_c``.  Steps are labelled by the time index they reach: t in
+    the adjoint direction, t + 1 forward, with 0 the forward initial
+    value.  For each label in ``keep`` the operators and log scales of
+    the records that cover the step are copied out as (ids, flat rows,
+    log_c rows).
 
-    Raises ZeroProbability, naming the record and the step, when a
-    step's trace is not above ``tol.prob_floor``.
+    ``check(traces, t, ids)``, when given, vets the active traces first.
+    Raises ZeroProbability, naming the record and the step, when a trace
+    is not above ``tol.prob_floor`` (NaN included).
     """
-    sups = _superops(family, int(lengths.max()), adjoint=adjoint)
-    diag = np.arange(family.dim) * (family.dim + 1)
+    dim = math.isqrt(flat.shape[1])
+    diag = np.arange(dim) * (dim + 1)
     shortest = lengths.min()
     snaps = {}
     if not adjoint and 0 in keep:
         snaps[0] = (ids, flat.copy(), log_c.copy())
     for t in steps:
-        codes = outcomes(t, flat)
-        for i, sup in enumerate(sups[t].values()):
-            mask = codes == i
-            if mask.any():
-                flat[mask] = flat[mask] @ sup.T
         act = slice(None) if shortest > t else lengths > t
         on = ids[act]
-        traces = flat[act][:, diag].sum(axis=1).real
+        new = apply(t, flat, act)
+        traces = new[:, diag].real.sum(axis=1)
+        if check is not None:
+            check(traces, t, on)
         bad = int(np.argmin(traces))
         if not traces[bad] > tol.prob_floor:
             p = float(traces[bad])
@@ -420,12 +451,67 @@ def _propagate(
                 step=t,
                 record_id=int(on[bad]),
             )
-        flat[act] /= traces[:, None]
+        new /= traces[:, None]
+        if new.base is not flat:  # a view of flat is already in place
+            flat[act] = new
         log_c[act] += np.log(traces)
         label = t if adjoint else t + 1
         if label in keep:
             snaps[label] = (on, flat[act].copy(), log_c[act].copy())
     return snaps
+
+
+def _sweep(make_step, dim, lengths, ids, start_indices, *, check, tol):
+    """Effects of every record suffix starting at ``start_indices``.
+
+    The shared body of the batched backward passes, where
+    ``make_step(adjoint=True)`` gives the record type's step map.  The
+    effects at start s are those of the records longer than s, in record
+    order.
+    """
+    if not len(ids):
+        empty = np.zeros((0, dim, dim))
+        return {int(s): EffectBatch(empty, (), ()) for s in start_indices}
+    span = int(lengths.max())
+    wanted = _check_starts(start_indices, span)
+    n = len(ids)
+    flat = np.tile((np.eye(dim) / dim).reshape(-1), (n, 1)).astype(complex)
+    snaps = _propagate(
+        make_step(adjoint=True), flat, np.full(n, math.log(dim)),
+        range(span - 1, -1, -1), ids, lengths, adjoint=True, keep=wanted,
+        check=check, tol=tol,
+    )
+    out = {}
+    for s in map(int, start_indices):
+        on, effs, lc = snaps[s]
+        out[s] = EffectBatch(effs.reshape(-1, dim, dim), lc, on, start=s, tol=tol)
+    return out
+
+
+def _filter(make_step, dim, lengths, ids, rho0, at, *, check, tol):
+    """Conditional states after each step count in ``at``, from rho0.
+
+    The shared body of the batched forward passes, where
+    ``make_step(adjoint=False)`` gives the record type's step map.  The
+    states after k steps are those of the records with at least k steps,
+    in record order, as (n, dim, dim) arrays.
+    """
+    if not len(ids):
+        return {int(k): np.zeros((0, dim, dim)) for k in at}
+    span = int(lengths.max())
+    wanted = frozenset(int(k) for k in at)
+    for k in wanted:
+        if not 0 <= k <= span:
+            raise ValueError(f"time index {k} outside the record span [0, {span}]")
+    rho = as_matrix(rho0)
+    DensityMatrix(rho, tol=tol)
+    n = len(ids)
+    flat = np.tile(rho.reshape(-1), (n, 1)).astype(complex)
+    snaps = _propagate(
+        make_step(adjoint=False), flat, np.zeros(n), range(span), ids, lengths,
+        adjoint=False, keep=wanted, check=check, tol=tol,
+    )
+    return {int(k): snaps[int(k)][1].reshape(-1, dim, dim) for k in at}
 
 
 def backward_batch(
@@ -453,26 +539,9 @@ def backward_sweep_batch(
     before the end of the longest record.  All records run in one masked
     pass.  ``threads`` is accepted for older callers and ignored.
     """
-    records = list(records)
-    dim = family.dim
-    if not records:
-        empty = np.zeros((0, dim, dim))
-        return {int(s): EffectBatch(empty, (), ()) for s in start_indices}
-    codes, lengths, ids = _encode(family, records)
-    span = codes.shape[1]
-    wanted = _check_starts(start_indices, span)
-    n = len(records)
-    flat = np.tile((np.eye(dim) / dim).reshape(-1), (n, 1)).astype(complex)
-    snaps = _propagate(
-        family, flat, np.full(n, math.log(dim)), lambda t, _: codes[:, t],
-        range(span - 1, -1, -1), ids, lengths, adjoint=True, keep=wanted,
-        tol=tol,
-    )
-    out = {}
-    for s in map(int, start_indices):
-        on, effs, lc = snaps[s]
-        out[s] = EffectBatch(effs.reshape(-1, dim, dim), lc, on, start=s, tol=tol)
-    return out
+    codes, lengths, ids = _encode(family, list(records))
+    step = partial(_kraus_step, family, codes.shape[1], lambda t, _: codes[:, t])
+    return _sweep(step, family.dim, lengths, ids, start_indices, check=None, tol=tol)
 
 
 def forward_batch(
@@ -491,25 +560,9 @@ def forward_batch(
     least k steps, in record order, and k may not exceed the longest
     record.  Returns arrays of shape (n, dim, dim) per requested time.
     """
-    records = list(records)
-    dim = family.dim
-    if not records:
-        return {int(k): np.zeros((0, dim, dim)) for k in at}
-    codes, lengths, ids = _encode(family, records)
-    span = codes.shape[1]
-    wanted = frozenset(int(k) for k in at)
-    for k in wanted:
-        if not 0 <= k <= span:
-            raise ValueError(f"time index {k} outside the record span [0, {span}]")
-    rho = as_matrix(rho0)
-    DensityMatrix(rho, tol=tol)
-    n = len(records)
-    flat = np.tile(rho.reshape(-1), (n, 1)).astype(complex)
-    snaps = _propagate(
-        family, flat, np.zeros(n), lambda t, _: codes[:, t], range(span), ids,
-        lengths, adjoint=False, keep=wanted, tol=tol,
-    )
-    return {int(k): snaps[int(k)][1].reshape(-1, dim, dim) for k in at}
+    codes, lengths, ids = _encode(family, list(records))
+    step = partial(_kraus_step, family, codes.shape[1], lambda t, _: codes[:, t])
+    return _filter(step, family.dim, lengths, ids, rho0, at, check=None, tol=tol)
 
 
 def sample_records(
@@ -540,12 +593,9 @@ def sample_records(
     if not 1 <= total <= family.n_steps:
         raise ValueError(f"n_steps must be in [1, {family.n_steps}]")
     dim = family.dim
-    rho = as_matrix(rho0)
-    DensityMatrix(rho, tol=tol)  # validate once
     rng = np.random.default_rng(rng_seed)
     # weight operators Q_y = sum_k M* M give outcome probabilities as tr(rho Q_y)
     weight_cache: dict[int, list[np.ndarray]] = {}
-    flat = np.tile(rho.reshape(-1), (n_records, 1)).astype(complex)
     diag_idx = np.arange(dim) * (dim + 1)
     codes = np.empty((n_records, total), dtype=int)
     means = []
@@ -573,16 +623,16 @@ def sample_records(
         codes[:, t] = np.minimum(idx, len(weights) - 1)
         return codes[:, t]
 
-    _propagate(
-        family, flat, np.zeros(n_records), draw, range(total),
-        np.arange(n_records), np.full(n_records, total), adjoint=False, tol=tol,
-    )
+    final = _filter(
+        partial(_kraus_step, family, total, draw), dim, np.full(n_records, total),
+        np.arange(n_records), rho0, (total,), check=None, tol=tol,
+    )[total]
     labels = [family.outcomes(t) for t in range(total)]
     records = [
         DiscreteRecord(i, tuple(map(operator.getitem, labels, codes[i].tolist())))
         for i in range(n_records)
     ]
     if keep_mean:
-        means.append(flat.mean(axis=0).reshape(dim, dim))
+        means.append(final.mean(axis=0))
         return records, np.stack(means)
     return records

@@ -13,16 +13,20 @@ import pytest
 from trajtomo import (
     ContinuousRecord,
     DiscreteRecord,
+    backward_sweep_batch,
     build_fluorescence_model,
+    forward_batch,
     forward_run,
     from_bloch,
     sample_records,
     simulate_sme,
+    solve_maxlike,
 )
 from trajtomo.cli import main
 from trajtomo.io import (
     RESULTS_SCHEMA,
     instantiate_model,
+    matrix_from_json,
     matrix_to_json,
     save_model,
     write_records,
@@ -132,7 +136,38 @@ def test_start_beyond_records_exits_1(tmp_path, capsys):
     run(["simulate", "--model", model, "--records", recs])
     assert run(["tomography", "--model", model, "--records", recs,
                 "--out", tmp_path / "o.csv", "--start-times", "1"]) == 1
-    assert "shortest record" in capsys.readouterr().err
+    assert "longest record" in capsys.readouterr().err
+
+
+def test_short_record_does_not_cap_start_times(tmp_path):
+    # one two-step record among six-step ones: start 3 uses the 39 records
+    # that reach it instead of failing on the shortest record
+    model = tmp_path / "model.json"
+    desc = povm_model(model, n_steps=6)
+    family = instantiate_model(desc)
+    rho0 = np.eye(2) / 2
+    records = sample_records(family, rho0, 40, rng_seed=17)
+    records[12] = DiscreteRecord(12, records[12].outcomes[:2])
+    recs = tmp_path / "recs.jsonl"
+    write_records(recs, records, model_description=desc)
+    out = tmp_path / "o.csv"
+    assert run(["tomography", "--model", model, "--records", recs, "--out", out,
+                "--start-times", "0,3", "--observables", "z",
+                "--report-ensemble-average"]) == 0
+    effects = backward_sweep_batch(family, records, (3,))[3]
+    assert len(effects) == 39
+    want = solve_maxlike(effects).rho.matrix
+    got = json.loads(out.with_suffix(".state.json").read_text())["states"]["3"]
+    assert np.abs(matrix_from_json(got["rho"]) - want).max() < 1e-12
+    rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+    row = next(r for r in rows if r["t"] == "3" and r["observable"] == "ensemble:z")
+    states = forward_batch(family, records, rho0, (3,))[3]
+    assert states.shape[0] == 39
+    vals = np.einsum("nii->n", states @ np.diag([1.0, -1.0])).real
+    assert float(row["mean"]) == pytest.approx(vals.mean(), abs=1e-12)
+    assert float(row["sigma"]) == pytest.approx(
+        vals.std(ddof=1) / np.sqrt(39), abs=1e-12
+    )
 
 
 def test_impossible_record_exits_3(tmp_path, capsys):

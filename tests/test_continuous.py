@@ -10,6 +10,7 @@ from trajtomo import (
     ContinuousRecord,
     SMEModel,
     StepSizeTooLarge,
+    ZeroProbability,
     adjoint_cp_map_continuous,
     backward_continuous,
     backward_continuous_batch,
@@ -291,13 +292,24 @@ def test_batch_matches_step_by_step_reference_on_fluorescence():
 def test_step_errors_name_record_and_step():
     model = two_channel_model()
     records = simulate_sme(model, EXCITED, 3, rng_seed=23)
-    sig = np.array(records[1].increments)
-    sig[5] = 50.0
-    batch = [records[0], ContinuousRecord(7, model.dt, sig), records[2]]
-    with pytest.raises(StepSizeTooLarge, match="step 5 of record 7"):
-        backward_continuous_batch(model, batch)
-    with pytest.raises(StepSizeTooLarge, match="step 5 of record 7"):
-        forward_filter_batch(model, batch, EXCITED, at=(0,))
+    # NaN fails every comparison, so only a "not above the floor" test
+    # catches it
+    for value, error, message in (
+        (50.0, StepSizeTooLarge, "step 5 of record 7"),
+        (math.nan, ZeroProbability, "record 7 has probability nan at step 5"),
+    ):
+        sig = np.array(records[1].increments)
+        sig[5] = value
+        bad = ContinuousRecord(7, model.dt, sig)
+        batch = [records[0], bad, records[2]]
+        with pytest.raises(error, match=message):
+            backward_continuous_batch(model, batch)
+        with pytest.raises(error, match=message):
+            forward_filter_batch(model, batch, EXCITED, at=(0,))
+        with pytest.raises(error, match=message):
+            backward_continuous(model, bad)
+        with pytest.raises(error, match=message):
+            forward_filter(model, bad, EXCITED)
 
 
 def test_forward_batch_matches_scalar():

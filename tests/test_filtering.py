@@ -13,10 +13,13 @@ from trajtomo import (
     UnknownOutcome,
     ZeroProbability,
     backward_batch,
+    backward_continuous_batch,
     backward_run,
     backward_sweep,
     backward_sweep_batch,
+    build_fluorescence_model,
     forward_batch,
+    forward_filter_batch,
     forward_run,
     log_likelihood,
     sample_records,
@@ -220,6 +223,15 @@ def test_effect_batch_positivity_error_names_record_and_start():
         EffectBatch(np.stack([good, bad]), [0.0, 0.0], [3, 9], start=4)
 
 
+def test_effect_batch_rejects_non_finite_values():
+    good = np.eye(2) / 2
+    nan = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="record 9 from start index 4 is not finite"):
+        EffectBatch(np.stack([good, nan]), [0.0, 0.0], [3, 9], start=4)
+    with pytest.raises(ValueError, match="record 3 from start index 0 is not finite"):
+        EffectBatch(np.stack([good, good]), [math.inf, 0.0], [3, 9])
+
+
 def test_backward_batch_matches_scalar():
     rng = np.random.default_rng(108)
     fam = random_family(rng, 3, 7, n_outcomes=3)
@@ -289,6 +301,22 @@ def test_forward_batch_mixed_lengths_matches_scalar_filter():
         for state, rec in zip(got[k], covering):
             want = forward_run(fam, rec, rho).states[k].matrix
             assert np.abs(state - want).max() < 1e-12
+
+
+def test_empty_batches_give_empty_results():
+    fam = KrausFamily.repeated(2, PROJECTIVE, 6)
+    model = build_fluorescence_model(n_steps=6)
+    rho = np.eye(2) / 2
+    for sweep in (
+        backward_sweep_batch(fam, [], (0, 3)),
+        backward_continuous_batch(model, [], start_indices=(0, 3)),
+    ):
+        assert list(sweep) == [0, 3] and sweep[3].effects.shape == (0, 2, 2)
+    for states in (
+        forward_batch(fam, [], rho, (0, 2)),
+        forward_filter_batch(model, [], rho, (0, 2)),
+    ):
+        assert list(states) == [0, 2] and states[2].shape == (0, 2, 2)
 
 
 @pytest.mark.parametrize("mixed", [False, True], ids=["equal", "mixed"])
