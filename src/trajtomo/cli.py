@@ -325,9 +325,12 @@ def _ensemble_rows(model, desc, records, starts, observables) -> list[dict]:
         filtered = forward_batch(model, records, rho0, starts)
     else:
         filtered = forward_filter_batch(model, records, rho0, starts)
+    lengths = np.array([len(r) for r in records])
     rows = []
     for t in starts:
-        states = filtered[t]
+        # filtered[t] holds every record with at least t steps; the estimate
+        # at t uses only the records longer than t, and so does this row
+        states = filtered[t][lengths[lengths >= t] > t]
         n = states.shape[0]
         for name, op in observables:
             vals = np.einsum("nij,ji->n", states, op).real

@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from scipy.linalg import expm
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from .config import DEFAULT, Tolerances
 from .errors import StepSizeTooLarge, ZeroProbability
@@ -340,6 +340,7 @@ def _stack_signals(model: SMEModel, records: Sequence[ContinuousRecord]):
 
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_EPS = float(np.finfo(float).eps)
 
 
 def _tilted_normal_ppf(u, a, b, c):
@@ -351,27 +352,47 @@ def _tilted_normal_ppf(u, a, b, c):
         F(x) = [a Phi(x) - b phi(x) + c (Phi(x) - x phi(x))] / (a + c)
 
     is monotone and available in closed form.  Inverted by bracketed
-    Newton iteration, vectorized over the batch.
+    Newton iteration from the untilted quantile ndtri(u), on [-9, 9]:
+    the bracket shrinks on the sign of F(x) - u, and a step that leaves
+    it or is not finite bisects instead.  A lane stops, keeping its
+    current x, once |F(x) - u| <= 1e-15 or the Newton step or the
+    bracket is within 4 eps max(1, |x|); in the tails rounding noise
+    over a tiny density would otherwise keep Newton moving.  Only the
+    lanes still running are iterated, for at most 60 passes.
     """
     u = np.clip(u, 1e-16, 1.0 - 1e-16)
-    norm = a + c
+    out = np.clip(ndtri(u), -9.0, 9.0)
+    lane = np.arange(u.size)
+    x, norm = out.copy(), a + c
     lo = np.full(u.shape, -9.0)
     hi = np.full(u.shape, 9.0)
-    x = np.zeros(u.shape)
     for _ in range(60):
         phi = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-        gauss = ndtr(x)
-        err = (a * gauss - b * phi + c * (gauss - x * phi)) / norm - u
+        up = x > 0.0
+        tail = ndtr(-np.abs(x))
+        mass = (a * tail + np.where(up, b, -b) * phi
+                + c * (tail + np.abs(x) * phi)) / norm
+        err = np.where(up, (1.0 - u) - mass, mass - u)
         hi = np.where(err > 0.0, np.minimum(hi, x), hi)
         lo = np.where(err <= 0.0, np.maximum(lo, x), lo)
         dens = (a + (b + c * x) * x) * phi / norm
         step = np.divide(
-            err, dens, out=np.zeros_like(err), where=dens > 1e-300
+            err, dens, out=np.full_like(err, np.inf), where=dens > 1e-300
         )
-        trial = x - step
+        tol = 4.0 * _EPS * np.maximum(1.0, np.abs(x))
+        done = (np.abs(err) <= 1e-15) | (np.abs(step) <= tol) | (hi - lo <= tol)
+        out[lane[done]] = x[done]
+        run = ~done
+        trial = x[run] - step[run]
+        lane, lo, hi, u, a, b, c, norm = (
+            v[run] for v in (lane, lo, hi, u, a, b, c, norm)
+        )
         stuck = (trial <= lo) | (trial >= hi) | ~np.isfinite(trial)
         x = np.where(stuck, 0.5 * (lo + hi), trial)
-    return x
+        if not lane.size:
+            break
+    out[lane] = x
+    return out
 
 
 def _signal_quadratics(base, stack, resid):

@@ -15,7 +15,6 @@ from trajtomo import (
     DiscreteRecord,
     backward_sweep_batch,
     build_fluorescence_model,
-    forward_batch,
     forward_run,
     from_bloch,
     sample_records,
@@ -140,8 +139,9 @@ def test_start_beyond_records_exits_1(tmp_path, capsys):
 
 
 def test_short_record_does_not_cap_start_times(tmp_path):
-    # one two-step record among six-step ones: start 3 uses the 39 records
-    # that reach it instead of failing on the shortest record
+    # one two-step record among six-step ones: starts 2 and 3 use the 39
+    # records longer than the start instead of failing on the shortest
+    # record, and the ensemble row at each start averages the same 39
     model = tmp_path / "model.json"
     desc = povm_model(model, n_steps=6)
     family = instantiate_model(desc)
@@ -152,22 +152,26 @@ def test_short_record_does_not_cap_start_times(tmp_path):
     write_records(recs, records, model_description=desc)
     out = tmp_path / "o.csv"
     assert run(["tomography", "--model", model, "--records", recs, "--out", out,
-                "--start-times", "0,3", "--observables", "z",
+                "--start-times", "0,2,3", "--observables", "z",
                 "--report-ensemble-average"]) == 0
-    effects = backward_sweep_batch(family, records, (3,))[3]
-    assert len(effects) == 39
-    want = solve_maxlike(effects).rho.matrix
-    got = json.loads(out.with_suffix(".state.json").read_text())["states"]["3"]
-    assert np.abs(matrix_from_json(got["rho"]) - want).max() < 1e-12
+    sidecar = json.loads(out.with_suffix(".state.json").read_text())["states"]
     rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
-    row = next(r for r in rows if r["t"] == "3" and r["observable"] == "ensemble:z")
-    states = forward_batch(family, records, rho0, (3,))[3]
-    assert states.shape[0] == 39
-    vals = np.einsum("nii->n", states @ np.diag([1.0, -1.0])).real
-    assert float(row["mean"]) == pytest.approx(vals.mean(), abs=1e-12)
-    assert float(row["sigma"]) == pytest.approx(
-        vals.std(ddof=1) / np.sqrt(39), abs=1e-12
-    )
+    for s in (2, 3):
+        effects = backward_sweep_batch(family, records, (s,))[s]
+        assert len(effects) == 39
+        want = solve_maxlike(effects).rho.matrix
+        assert np.abs(matrix_from_json(sidecar[str(s)]["rho"]) - want).max() < 1e-12
+        row = next(
+            r for r in rows if r["t"] == str(s) and r["observable"] == "ensemble:z"
+        )
+        states = [forward_run(family, r, rho0).states[s].matrix
+                  for r in records if len(r) > s]
+        assert len(states) == 39
+        vals = np.array([st[0, 0].real - st[1, 1].real for st in states])
+        assert float(row["mean"]) == pytest.approx(vals.mean(), abs=1e-12)
+        assert float(row["sigma"]) == pytest.approx(
+            vals.std(ddof=1) / np.sqrt(39), abs=1e-12
+        )
 
 
 def test_impossible_record_exits_3(tmp_path, capsys):

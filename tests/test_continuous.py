@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr, ndtri
 
+import trajtomo.continuous as continuous
 from conftest import random_density
 from trajtomo import (
     Channel,
@@ -163,6 +165,48 @@ def test_simulated_increments_follow_the_signal_law():
     assert abs(first.mean()) > 5.0 * noise  # the drift is resolved, not noise
     every = np.concatenate([r.increments[:, 0] for r in records])
     assert every.var() == pytest.approx(model.dt, rel=0.05)
+
+
+def _tilted_batches(n):
+    """Seeded (u, a, b, c) batches: generic, degenerate and edge quantiles."""
+    rng = np.random.default_rng(2016)
+    a, c, u = rng.uniform(0.0, 2.0, n), rng.uniform(0.0, 2.0, n), rng.random(n)
+    root = 2.0 * np.sqrt(a * c)
+    zero = np.zeros(n)
+    edges = rng.choice([0.0, 1.0, 1e-300, -1.0], size=n)
+    edges = np.where(edges < 0.0, 1.0 - 1e-15 * rng.random(n), edges)
+    return {
+        "random": (u, a, rng.uniform(-1.0, 1.0, n) * root, c),
+        "double root +": (u, a, root, c),
+        "double root -": (u, a, -root, c),
+        "a = 0": (u, zero, zero, c),
+        "c = b = 0": (u, a, zero, zero),
+        "edge u": (edges, a, rng.uniform(-1.0, 1.0, n) * root, c),
+    }
+
+
+def test_tilted_quantile_converges_per_lane(monkeypatch):
+    # F(x) = [a Phi - b phi + c (Phi - x phi)] / (a + c) in closed form;
+    # the routine calls ndtr once per pass on the lanes still running
+    calls = []
+
+    def counting_ndtr(x):
+        calls.append(np.size(x))
+        return ndtr(x)
+
+    monkeypatch.setattr(continuous, "ndtr", counting_ndtr)
+    n = 200_000
+    for name, (u, a, b, c) in _tilted_batches(n).items():
+        calls.clear()
+        x = continuous._tilted_normal_ppf(u, a, b, c)
+        assert np.isfinite(x).all(), name
+        phi = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+        cdf = (a * ndtr(x) - b * phi + c * (ndtr(x) - x * phi)) / (a + c)
+        assert np.abs(cdf - u).max() <= 1e-12, name
+        assert len(calls) <= 30, f"{name}: {len(calls)} passes"
+        assert sum(calls) / n <= 10.0, f"{name}: {sum(calls) / n:.2f} per lane"
+        if name == "c = b = 0":
+            assert np.abs(x - ndtri(u)).max() <= 1e-12
 
 
 def test_simulate_keep_mean_tracks_unconditional_solution():
