@@ -354,7 +354,9 @@ def _tilted_normal_ppf(u, a, b, c):
     is monotone and available in closed form.  Inverted by bracketed
     Newton iteration from the untilted quantile ndtri(u), on [-9, 9]:
     the bracket shrinks on the sign of F(x) - u, and a step that leaves
-    it or is not finite bisects instead.  A lane stops, keeping its
+    it or is not finite bisects instead.  F(x) - u is taken on the
+    smaller tail (1 - u minus the mass above x when x > 0), so it keeps
+    its relative accuracy as u approaches 1.  A lane stops, keeping its
     current x, once |F(x) - u| <= 1e-15 or the Newton step or the
     bracket is within 4 eps max(1, |x|); in the tails rounding noise
     over a tiny density would otherwise keep Newton moving.  Only the
@@ -368,10 +370,9 @@ def _tilted_normal_ppf(u, a, b, c):
     hi = np.full(u.shape, 9.0)
     for _ in range(60):
         phi = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-        up = x > 0.0
-        tail = ndtr(-np.abs(x))
-        mass = (a * tail + np.where(up, b, -b) * phi
-                + c * (tail + np.abs(x) * phi)) / norm
+        up, size = x > 0.0, np.abs(x)
+        tail = ndtr(-size)
+        mass = (a * tail + np.where(up, b, -b) * phi + c * (tail + size * phi)) / norm
         err = np.where(up, (1.0 - u) - mass, mass - u)
         hi = np.where(err > 0.0, np.minimum(hi, x), hi)
         lo = np.where(err <= 0.0, np.maximum(lo, x), lo)
@@ -379,7 +380,7 @@ def _tilted_normal_ppf(u, a, b, c):
         step = np.divide(
             err, dens, out=np.full_like(err, np.inf), where=dens > 1e-300
         )
-        tol = 4.0 * _EPS * np.maximum(1.0, np.abs(x))
+        tol = 4.0 * _EPS * np.maximum(1.0, size)
         done = (np.abs(err) <= 1e-15) | (np.abs(step) <= tol) | (hi - lo <= tol)
         out[lane[done]] = x[done]
         run = ~done
