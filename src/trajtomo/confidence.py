@@ -19,6 +19,13 @@ space; the second piece is the boundary stiffness.  The variance of an
 observable A is then <A_par, R^{-1} A_par>, and a 95% interval is two
 standard deviations.
 
+R is written in an orthonormal tangent basis read off one
+eigendecomposition of rho: in its eigenbasis, the off-diagonal Gell-Mann
+pairs that touch the support plus the traceless diagonals on the support,
+rotated back.  The same split into support and kernel feeds the boundary
+piece, and every trace against the effects is one matrix product over
+the flattened effect stack.
+
 An independent Monte Carlo estimate of the same posterior variance (flat
 or Bures-like prior, importance sampling over the full state set) is
 provided for cross-checking in low dimension.
@@ -33,13 +40,8 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .errors import DegenerateTrace, EffectiveSampleSizeTooLow, Unidentifiable
 from .filtering import stack_effects
-from .operators import (
-    DensityMatrix,
-    HermitianOperator,
-    as_matrix,
-    hermitian_basis,
-    tangent_project,
-)
+from .maxlike import _grad_matrix, _traces
+from .operators import DensityMatrix, as_matrix, hermitian_basis
 
 __all__ = [
     "tangent_basis",
@@ -61,35 +63,49 @@ def _support(mat: np.ndarray, tol: Tolerances):
     return w, v, keep
 
 
-def tangent_basis(rho, *, tol: Tolerances = DEFAULT) -> tuple[HermitianOperator, ...]:
+def _eigenbasis_tangent(v: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Orthonormal tangent basis, written in the eigenbasis v and rotated back.
+
+    keep marks the support columns of v.  In eigenbasis coordinates the
+    basis is a Gell-Mann set cut to the feasible directions: the symmetric
+    and antisymmetric element of every pair (j < k) with j or k in the
+    support, then the r - 1 traceless diagonals on the support indices.
+    """
+    n = keep.size
+    j, k = np.triu_indices(n, 1)
+    live = keep[j] | keep[k]
+    j, k = j[live], k[live]
+    pairs = 2 * np.arange(j.size)
+    sup = np.flatnonzero(keep)
+    r = sup.size
+    b = np.zeros((2 * j.size + r - 1, n, n), dtype=complex)
+    b[pairs, j, k] = b[pairs, k, j] = 1.0 / math.sqrt(2.0)
+    b[pairs + 1, j, k] = -1j / math.sqrt(2.0)
+    b[pairs + 1, k, j] = 1j / math.sqrt(2.0)
+    # row l - 1 is (sum_{m<l} |s_m><s_m| - l |s_l><s_l|) / sqrt(l (l + 1))
+    ls = np.arange(1, r)
+    diag = np.tri(r - 1, r)
+    diag[ls - 1, ls] = -ls
+    b[2 * j.size :, sup, sup] = diag / np.sqrt(ls * (ls + 1.0))[:, None]
+    out = v @ b @ v.conj().T
+    out = (out + out.conj().transpose(0, 2, 1)) / 2.0
+    out.setflags(write=False)
+    return out
+
+
+def tangent_basis(rho, *, tol: Tolerances = DEFAULT) -> np.ndarray:
     """Orthonormal Hermitian basis of the feasible directions at a state.
 
     A direction X is feasible when it is traceless and has no component in
     the kernel-kernel block of rho.  For an n-dimensional state of rank r
-    there are n^2 - (n - r)^2 - 1 of them.
+    there are n^2 - (n - r)^2 - 1 of them, returned as a read-only
+    (m, n, n) stack.  The basis is built in closed form from one
+    eigendecomposition of rho: in its eigenbasis it consists of the
+    off-diagonal Gell-Mann pairs that touch the support and the traceless
+    diagonals on the support, which are then rotated back.
     """
-    mat = as_matrix(rho)
-    n = mat.shape[0]
-    w, v, keep = _support(mat, tol)
-    rank = int(keep.sum())
-    p = v[:, keep] @ v[:, keep].conj().T
-    p = (p + p.conj().T) / 2.0
-    expected = n * n - (n - rank) ** 2 - 1
-    out: list[np.ndarray] = []
-    for b in hermitian_basis(n).elements[1:]:
-        cand = tangent_project(b, p, tol=tol).matrix
-        for _ in range(2):
-            for prev in out:
-                cand = cand - np.einsum("ij,ji->", prev, cand).real * prev
-        norm = float(np.linalg.norm(cand))
-        if norm > tol.basis_drop:
-            out.append(cand / norm)
-    if len(out) != expected:
-        raise RuntimeError(
-            f"tangent basis has {len(out)} elements, expected {expected}; "
-            "the support split is numerically ambiguous"
-        )
-    return tuple(HermitianOperator(b) for b in out)
+    _, v, keep = _support(as_matrix(rho), tol)
+    return _eigenbasis_tangent(v, keep)
 
 
 @dataclass(frozen=True)
@@ -149,13 +165,14 @@ def _pinv_quadratic(w: np.ndarray, q: np.ndarray, u: np.ndarray) -> float:
 class RMatrix:
     """The stiffness form R in an orthonormal tangent basis, ready to invert.
 
-    Built once per reconstruction; each observable then costs one small
-    matrix-vector solve.
+    basis is the (m, n, n) stack of tangent directions.  Built once per
+    reconstruction; each observable then costs one small matrix-vector
+    solve.
     """
 
     def __init__(self, rho: DensityMatrix, basis, matrix: np.ndarray, lam: float):
         self.rho = rho
-        self.basis = tuple(basis)
+        self.basis = np.asarray(basis)
         self.matrix = np.asarray(matrix, dtype=float)
         self.lagrange_multiplier = float(lam)
         w, u = np.linalg.eigh(self.matrix)
@@ -164,13 +181,11 @@ class RMatrix:
 
     @property
     def tangent_dim(self) -> int:
-        return len(self.basis)
+        return self.basis.shape[0]
 
     def _coefficients(self, observable) -> np.ndarray:
-        a = as_matrix(observable)
-        return np.array(
-            [np.einsum("ij,ji->", b.matrix, a).real for b in self.basis]
-        )
+        flat = self.basis.reshape(self.tangent_dim, -1)
+        return _traces(flat, as_matrix(observable))
 
     def variance(self, observable) -> float:
         """Squared error bar <A_par, R^{-1} A_par> for tr(rho A).
@@ -201,29 +216,30 @@ def build_r_matrix(rho, effects, *, tol: Tolerances = DEFAULT) -> RMatrix:
     e, _ = stack_effects(effects)
     if e.shape[0] == 0:
         raise ValueError("no effects given")
-    traces = np.einsum("nij,ji->n", e, mat).real
+    e_flat = e.reshape(e.shape[0], -1)
+    traces = _traces(e_flat, mat)
     if traces.min() <= 0.0:
         raise DegenerateTrace("state assigns zero probability to some record")
-    basis = tangent_basis(state, tol=tol)
-    r, _, lam = _stiffness_form(
-        mat, e, traces, np.stack([b.matrix for b in basis]), tol
-    )
+    split = _support(mat, tol)
+    basis = _eigenbasis_tangent(split[1], split[2])
+    r, _, lam = _stiffness_form(mat, e_flat, traces, basis, split)
     return RMatrix(state, basis, r, lam)
 
 
-def _stiffness_form(mat, e, traces, bmats, tol: Tolerances):
+def _stiffness_form(mat, e_flat, traces, bmats, split):
     """(R in the basis stack bmats, likelihood gradient G, lambda) at a state.
 
-    traces holds tr(mat E_n) for every effect, all positive.
+    e_flat is the flattened (N, n*n) effect stack, traces holds
+    tr(mat E_n) for every effect, all positive, and split is the
+    _support triple of mat.
     """
-    g = np.einsum("n,nij->ij", 1.0 / traces, e)
-    g = (g + g.conj().T) / 2.0
+    g = _grad_matrix(e_flat, traces)
     lam = float(np.einsum("ij,ji->", mat, g).real)
     # curvature of the data term: sum_n (c_n c_n^T) / t_n^2 with c_n,i = tr(B_i E_n)
-    c = np.einsum("mij,nji->mn", bmats, e).real / traces[None, :]
-    r = c @ c.T
+    c = _traces(e_flat, bmats) / traces[:, None]
+    r = c.T @ c
     # boundary stiffness through the kernel block
-    w, v, keep = _support(mat, tol)
+    w, v, keep = split
     if not keep.all():
         vq = v[:, ~keep]
         d_q = vq @ (vq.conj().T @ (lam * np.eye(mat.shape[0]) - g) @ vq) @ vq.conj().T
@@ -232,7 +248,7 @@ def _stiffness_form(mat, e, traces, bmats, tol: Tolerances):
         pinv = (vp / w[keep]) @ vp.conj().T
         moved = d_q @ bmats @ pinv
         moved = moved + moved.conj().transpose(0, 2, 1)
-        r = r + np.einsum("mij,kji->mk", bmats, moved).real
+        r = r + _traces(bmats.reshape(bmats.shape[0], -1), moved)
     r = (r + r.T) / 2.0
     return r, g, lam
 
@@ -320,10 +336,13 @@ def posterior_variance_mc(
     # coordinates; with no effects the likelihood is flat and the
     # posterior is the bare prior, so the form degenerates to zero and
     # every direction falls back to the prior-scale width below
-    traces0 = np.einsum("nij,ji->n", e, center_mat).real
+    e_flat = e.reshape(n, dim * dim)
+    traces0 = _traces(e_flat, center_mat)
     if n and traces0.min() <= 0.0:
         raise DegenerateTrace("center assigns zero probability to some record")
-    r_full, g, _ = _stiffness_form(center_mat, e, traces0, traceless, tol)
+    r_full, g, _ = _stiffness_form(
+        center_mat, e_flat, traces0, traceless, _support(center_mat, tol)
+    )
     h, u = np.linalg.eigh(r_full)
 
     r_state = math.sqrt((dim - 1) / dim)
@@ -381,7 +400,7 @@ def posterior_variance_mc(
 
     log_like = np.zeros(n_valid)
     if n:
-        e_flat = np.concatenate(
+        e_parts = np.concatenate(
             [
                 e.transpose(0, 2, 1).reshape(n, -1).real,
                 -e.transpose(0, 2, 1).reshape(n, -1).imag,
@@ -395,7 +414,7 @@ def posterior_variance_mc(
         chunk = max(1, int(1.6e8 / (8 * n)))
         for lo in range(0, n_valid, chunk):
             hi = min(lo + chunk, n_valid)
-            t = s_flat[lo:hi] @ e_flat.T
+            t = s_flat[lo:hi] @ e_parts.T
             bad = t.min(axis=1) <= 0.0
             with np.errstate(divide="ignore", invalid="ignore"):
                 ll = np.log(np.maximum(t, 1e-300)).sum(axis=1)

@@ -30,8 +30,6 @@ class Tolerances:
         singular_rel: singular values below singular_rel * largest are
             treated as exact zeros in pseudo-inverses, separating flat
             likelihood directions from roundoff.
-        basis_drop: Gram-Schmidt drop threshold when building tangent
-            bases.
         eig_clip: eigenvalues in (-eig_clip, -psd) found during time
             stepping are treated as integration roundoff and projected
             away; anything below -eig_clip is a hard step failure.
@@ -45,7 +43,6 @@ class Tolerances:
     kkt: float = 1e-7
     rank_rel: float = 1e-8
     singular_rel: float = 1e-10
-    basis_drop: float = 1e-10
     eig_clip: float = 1e-6
 
     def with_(self, **kwargs) -> "Tolerances":

@@ -94,36 +94,51 @@ class TomographyResult:
         return self.kkt.lagrange_multiplier
 
 
-def _f_and_traces(mat: np.ndarray, e: np.ndarray, logc_sum: float):
-    traces = np.einsum("nij,ji->n", e, mat).real
+def _traces(e_flat: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """tr(M E_n) for every row n of the flattened (N, d*d) effect stack.
+
+    mats is one (d, d) matrix, giving shape (N,), or an (m, d, d) stack,
+    giving (N, m).  One matrix product: tr(M E) is the dot product of
+    E.ravel() with M.T.ravel().
+    """
+    flat = np.swapaxes(mats, -1, -2).reshape(mats.shape[:-2] + (-1,))
+    return (e_flat @ flat.T).real
+
+
+def _f_and_traces(mat: np.ndarray, e_flat: np.ndarray, logc_sum: float):
+    traces = _traces(e_flat, mat)
     if traces.min() <= 0.0:
         return -math.inf, traces
     return float(logc_sum + np.log(traces).sum()), traces
 
 
-def _grad_matrix(e: np.ndarray, traces: np.ndarray) -> np.ndarray:
-    g = np.einsum("n,nij->ij", 1.0 / traces, e)
+def _grad_matrix(e_flat: np.ndarray, traces: np.ndarray) -> np.ndarray:
+    """sum_n E_n / t_n from the flattened effect stack, symmetrized."""
+    dim = math.isqrt(e_flat.shape[1])
+    g = ((1.0 / traces) @ e_flat).reshape(dim, dim)
     return (g + g.conj().T) / 2.0
+
+
+def _checked_traces(rho, effects):
+    """Flattened effect stack and tr(rho E_n), refusing a zero trace."""
+    e, _ = stack_effects(effects)
+    e_flat = e.reshape(e.shape[0], -1)
+    traces = _traces(e_flat, as_matrix(rho))
+    if traces.min() <= 0.0:
+        raise DegenerateTrace("state assigns zero probability to some record")
+    return e_flat, traces
 
 
 def gradient(rho, effects) -> HermitianOperator:
     """Likelihood gradient sum_n E_n / tr(rho E_n) at the given state."""
-    e, _ = stack_effects(effects)
-    mat = as_matrix(rho)
-    traces = np.einsum("nij,ji->n", e, mat).real
-    if traces.min() <= 0.0:
-        raise DegenerateTrace("state assigns zero probability to some record")
-    return HermitianOperator(_grad_matrix(e, traces))
+    return HermitianOperator(_grad_matrix(*_checked_traces(rho, effects)))
 
 
 def kkt_certificate(rho, effects, *, tol: Tolerances = DEFAULT) -> KKTReport:
     """Check first-order optimality of a state for the given effects."""
-    e, _ = stack_effects(effects)
-    mat = as_matrix(rho)
-    traces = np.einsum("nij,ji->n", e, mat).real
-    if traces.min() <= 0.0:
-        raise DegenerateTrace("state assigns zero probability to some record")
-    return _certificate(mat, _grad_matrix(e, traces), e.shape[0], tol)
+    e_flat, traces = _checked_traces(rho, effects)
+    g = _grad_matrix(e_flat, traces)
+    return _certificate(as_matrix(rho), g, e_flat.shape[0], tol)
 
 
 def _certificate(
@@ -168,9 +183,10 @@ def solve_maxlike(
     """Find the state maximizing the compressed-record likelihood.
 
     Projected gradient ascent with a Barzilai-Borwein step proposal and a
-    monotone backtracking line search.  Iterations stop as soon as the
-    stationarity certificate passes; hitting the iteration cap returns the
-    best state found with ``certified=False``.
+    monotone backtracking line search, whose sufficient-increase test sums
+    the rise in f from the per-record trace ratios.  Iterations stop as
+    soon as the stationarity certificate passes; hitting the iteration cap
+    returns the best state found with ``certified=False``.
     """
     e, logc = stack_effects(effects)
     n = e.shape[0]
@@ -184,17 +200,18 @@ def solve_maxlike(
             "on the state"
         )
     logc_sum = float(logc.sum())
+    e_flat = e.reshape(n, -1)
     if rho0 is None:
         mat = eye.astype(complex) / dim
     else:
         mat = as_matrix(rho0).astype(complex)
         DensityMatrix(mat, tol=tol)
-    f, traces = _f_and_traces(mat, e, logc_sum)
+    f, traces = _f_and_traces(mat, e_flat, logc_sum)
     if not math.isfinite(f):
         # the interior start is safe; a user-supplied boundary start may not be
         mat = eye.astype(complex) / dim
-        f, traces = _f_and_traces(mat, e, logc_sum)
-    g = _grad_matrix(e, traces)
+        f, traces = _f_and_traces(mat, e_flat, logc_sum)
+    g = _grad_matrix(e_flat, traces)
     history = [f] if options.keep_history else None
     alpha = 1.0 / max(n, 1)
     report = _certificate(mat, g, n, tol)
@@ -203,18 +220,31 @@ def solve_maxlike(
         iters += 1
         accepted = False
         step = alpha
+        lam = report.lagrange_multiplier
         for _ in range(options.max_backtracks):
             cand = project_to_density(mat + step * g, tol=tol).matrix
             delta = cand - mat
-            gain = float(np.einsum("ij,ji->", g, delta).real)
-            f_new, traces_new = _f_and_traces(cand, e, logc_sum)
-            if math.isfinite(f_new) and f_new >= f + options.armijo_c1 * gain:
-                accepted = True
-                break
+            # Gain and rise are taken between unit-trace states: the roundoff
+            # in tr(delta), times lambda = n, would otherwise swamp both near
+            # the optimum.  The rise f(cand) - f(mat) is summed from
+            # tr(delta E_n) / t_n, so it resolves steps far below the roundoff
+            # of f itself.
+            shift = float(delta.trace().real)
+            gain = float(np.einsum("ij,ji->", g, delta).real) - lam * shift
+            ratio = _traces(e_flat, delta) / traces
+            if (
+                ratio.min() > -1.0
+                and np.log1p(ratio).sum() - n * math.log1p(shift)
+                >= options.armijo_c1 * gain
+            ):
+                f_new, traces_new = _f_and_traces(cand, e_flat, logc_sum)
+                if math.isfinite(f_new):
+                    accepted = True
+                    break
             step *= options.armijo_shrink
         if not accepted:
             break
-        g_new = _grad_matrix(e, traces_new)
+        g_new = _grad_matrix(e_flat, traces_new)
         s = delta.reshape(-1)
         y = (g - g_new).reshape(-1)
         sy = float(np.vdot(s, y).real)
@@ -222,7 +252,7 @@ def solve_maxlike(
             alpha = min(max(float(np.vdot(s, s).real) / sy, 1e-18), 1e18)
         else:
             alpha = min(step * 2.0, 1e18)
-        mat, f, g = cand, f_new, g_new
+        mat, f, g, traces = cand, f_new, g_new, traces_new
         if options.keep_history:
             history.append(f)
         report = _certificate(mat, g, n, tol)

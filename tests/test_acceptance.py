@@ -287,7 +287,7 @@ def test_criterion_04_interior_variance():
             e = g @ g.conj().T + 0.05 * np.eye(dim)
             effs.append(e / e.trace().real)
         r = build_r_matrix(rho, effs)
-        mats = [b.matrix for b in r.basis]
+        mats = list(r.basis)
         k = len(mats)
         hess = np.empty((k, k))
         for i in range(k):

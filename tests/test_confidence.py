@@ -7,14 +7,20 @@ from scipy.integrate import quad
 
 from conftest import random_density, random_hermitian
 from trajtomo import (
+    DEFAULT,
     DegenerateTrace,
     EffectiveSampleSizeTooLow,
+    RMatrix,
     Unidentifiable,
     build_r_matrix,
+    hermitian_basis,
+    number_operator,
     posterior_variance_mc,
     solve_maxlike,
     tangent_basis,
+    tangent_project,
 )
+from trajtomo.confidence import _stiffness_form, _support
 
 GROUND = np.diag([1.0, 0.0]).astype(complex)
 EXCITED = np.diag([0.0, 1.0]).astype(complex)
@@ -46,7 +52,7 @@ def test_tangent_basis_dimension_and_orthonormality():
     for state, expected in cases:
         basis = tangent_basis(state)
         assert len(basis) == expected
-        mats = [b.matrix for b in basis]
+        mats = list(basis)
         gram = np.array([[np.trace(a @ b).real for b in mats] for a in mats])
         assert np.abs(gram - np.eye(len(mats))).max() < 1e-10
         for m in mats:
@@ -57,7 +63,146 @@ def test_tangent_basis_avoids_kernel_block():
     basis = tangent_basis(np.diag([0.6, 0.4, 0.0]).astype(complex))
     q = np.diag([0.0, 0.0, 1.0])
     for b in basis:
-        assert np.abs(q @ b.matrix @ q).max() < 1e-10
+        assert np.abs(q @ b @ q).max() < 1e-10
+
+
+def random_unitary(rng, dim):
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def state_with_spectrum(rng, spectrum):
+    """rho = U diag(spectrum) U* / trace for a random U."""
+    p = np.asarray(spectrum, dtype=float)
+    u = random_unitary(rng, p.size)
+    return (u * (p / p.sum())) @ u.conj().T
+
+
+def flat_real(mats):
+    mats = np.asarray(mats)
+    return np.concatenate(
+        [mats.reshape(len(mats), -1).real, mats.reshape(len(mats), -1).imag], axis=1
+    )
+
+
+def check_tangent_basis(rho, rank):
+    n = rho.shape[0]
+    # the support split the old construction used: eigenvalues above the cut
+    w, v = np.linalg.eigh(rho)
+    assert (w > DEFAULT.rank_rel * w[-1]).sum() == rank
+    p = v[:, n - rank :] @ v[:, n - rank :].conj().T
+    basis = tangent_basis(rho)
+    assert basis.shape == (n * n - (n - rank) ** 2 - 1, n, n)
+    for b in basis:
+        assert np.abs(tangent_project(b, p).matrix - b).max() < 1e-12
+    gram = np.einsum("aij,bji->ab", basis, basis).real
+    assert np.abs(gram - np.eye(len(basis))).max() < 1e-12
+    # same span as the tangent projections of the whole Gell-Mann set
+    projected = flat_real(
+        [tangent_project(b, p).matrix for b in hermitian_basis(n).elements[1:]]
+    )
+    span = np.linalg.matrix_rank(projected, tol=1e-9)
+    assert span == len(basis)
+    assert np.linalg.matrix_rank(
+        np.concatenate([projected, flat_real(basis)]), tol=1e-9
+    ) == span
+
+
+def test_closed_form_basis_spans_tangent_space():
+    rng = np.random.default_rng(310)
+    for n in (2, 3, 5, 8):
+        for rank in range(1, n + 1):
+            spectrum = np.zeros(n)
+            spectrum[:rank] = rng.uniform(0.1, 1.0, rank)
+            check_tangent_basis(state_with_spectrum(rng, spectrum), rank)
+
+
+def test_closed_form_basis_at_degenerate_and_near_cut_spectra():
+    rng = np.random.default_rng(311)
+    # degenerate support eigenvalues, with and without a kernel
+    for spectrum, rank in (
+        ([0.25] * 4 + [0.0] * 4, 4),
+        ([1.0] * 8, 8),
+        ([0.4, 0.4, 0.1, 0.1, 0.0], 4),
+    ):
+        check_tangent_basis(state_with_spectrum(rng, spectrum), rank)
+    # an eigenvalue a factor 1 +- 1e-3 from the rank cut lands on its side
+    for factor, rank in ((1.0 + 1e-3, 4), (1.0 - 1e-3, 3)):
+        spectrum = [0.5, 0.3, 0.2, factor * DEFAULT.rank_rel * 0.5, 0.0, 0.0]
+        check_tangent_basis(state_with_spectrum(rng, spectrum), rank)
+
+
+def gram_schmidt_tangent_basis(rho, tol=DEFAULT):
+    """The tangent basis as built before the closed form: every Gell-Mann
+    element projected onto the tangent space, then Gram-Schmidt."""
+    n = rho.shape[0]
+    w, v = np.linalg.eigh(rho)
+    keep = w > tol.rank_rel * max(float(w[-1]), 0.0)
+    p = v[:, keep] @ v[:, keep].conj().T
+    p = (p + p.conj().T) / 2.0
+    out = []
+    for b in hermitian_basis(n).elements[1:]:
+        cand = tangent_project(b, p, tol=tol).matrix
+        for _ in range(2):
+            for prev in out:
+                cand = cand - np.einsum("ij,ji->", prev, cand).real * prev
+        norm = float(np.linalg.norm(cand))
+        if norm > 1e-10:
+            out.append(cand / norm)
+    assert len(out) == n * n - (n - int(keep.sum())) ** 2 - 1
+    return np.stack(out)
+
+
+def variance_or_raise(r, a):
+    try:
+        return r.variance(a)
+    except Unidentifiable:
+        return None
+
+
+def test_variance_matches_gram_schmidt_basis():
+    rng = np.random.default_rng(312)
+    dim, n_eff = 8, 250
+    observables = [number_operator(dim)] + [
+        random_hermitian(rng, dim) for _ in range(5)
+    ]
+    compared = raised = 0
+    for rank in range(1, dim + 1):
+        # effects living on a rank-dimensional subspace pin the optimum
+        # inside it; diagonal ones leave its coherences unconstrained
+        u = random_unitary(rng, dim)[:, :rank]
+        for diagonal in (False, True):
+            effects = []
+            for _ in range(n_eff):
+                if diagonal:
+                    w = np.diag(rng.exponential(size=rank))
+                else:
+                    w = random_density(rng, rank) + 0.1 * np.eye(rank)
+                e = u @ w @ u.conj().T
+                effects.append(e / e.trace().real)
+            effects = np.stack(effects)
+            result = solve_maxlike(effects)
+            assert result.certified
+            r = build_r_matrix(result.rho, effects)
+            mat = result.rho.matrix
+            ref_basis = gram_schmidt_tangent_basis(mat)
+            e_flat = effects.reshape(n_eff, -1)
+            traces = np.einsum("nij,ji->n", effects, mat).real
+            ref_r, _, lam = _stiffness_form(
+                mat, e_flat, traces, ref_basis, _support(mat, DEFAULT)
+            )
+            ref = RMatrix(result.rho, ref_basis, ref_r, lam)
+            assert r.tangent_dim == ref.tangent_dim
+            for a in observables:
+                got, want = variance_or_raise(r, a), variance_or_raise(ref, a)
+                assert (got is None) == (want is None)
+                if want is None:
+                    raised += 1
+                else:
+                    compared += 1
+                    assert got == pytest.approx(want, rel=1e-10, abs=1e-300)
+    assert compared >= 40 and raised >= 10
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +218,7 @@ def test_interior_r_matrix_is_negative_hessian():
         result = solve_maxlike(effects)
         assert result.rank == dim
         r = build_r_matrix(result.rho, effects)
-        mats = np.stack([b.matrix for b in r.basis])
+        mats = r.basis
         m = mats.shape[0]
         x0 = result.rho.matrix
 

@@ -9,9 +9,14 @@ from trajtomo import (
     DegenerateLikelihood,
     DegenerateTrace,
     SolveOptions,
+    backward_sweep_batch,
+    build_qnd_family,
     gradient,
+    injection_channel,
     kkt_certificate,
+    sample_records,
     solve_maxlike,
+    thermal_state,
 )
 
 GROUND = np.diag([1.0, 0.0]).astype(complex)
@@ -85,6 +90,29 @@ def test_gradient_matches_finite_differences():
             ) / (2.0 * h)
             directional = np.trace(g @ b).real
             assert fd == pytest.approx(directional, rel=1e-6, abs=1e-8)
+
+
+def test_gradient_kernels_agree():
+    # the public gradient, the certificate and the solver's own gradient
+    # share one trace kernel; all three must match a per-effect reference
+    rng = np.random.default_rng(208)
+    dim, n = 4, 120
+    effects = np.stack([random_density(rng, dim) for _ in range(n)])
+    rho = random_density(rng, dim)
+    ref = sum(e / np.trace(rho @ e).real for e in effects)
+    scale = np.linalg.norm(ref)
+    g_public = gradient(rho, effects).matrix
+    start = solve_maxlike(effects, rho0=rho, options=SolveOptions(max_iterations=0))
+    assert start.n_iterations == 0
+    g_solver = start.gradient.matrix
+    assert np.linalg.norm(g_public - ref) <= 1e-13 * scale
+    assert np.linalg.norm(g_solver - g_public) <= 1e-13 * scale
+    report = kkt_certificate(rho, effects)
+    assert report == start.kkt
+    lam = np.trace(rho @ ref).real
+    assert report.lagrange_multiplier == pytest.approx(lam, rel=1e-13)
+    comm = np.linalg.norm(rho @ ref - ref @ rho)
+    assert abs(report.commutator_norm - comm) <= 1e-13 * scale
 
 
 def test_gradient_degenerate_trace():
@@ -191,6 +219,25 @@ def test_iteration_cap_returns_uncertified():
     assert not result.certified
     assert result.n_iterations == 1
     assert result.kkt.residual > 0.0
+
+
+def test_certifies_qnd_starts_at_roundoff_floor():
+    # photon-counting optima where a step's likelihood rise is far below the
+    # roundoff of f and of n tr(delta): an Armijo test on f alone stalled at
+    # start 622 of this draw, given as bare arrays, before the certificate
+    # passed (residual 2.0 times the threshold)
+    fam = build_qnd_family(2_500, t_cavity=65e-3, n_bath=0.06, step_time=86e-6)
+    records = sample_records(
+        fam, thermal_state(fam.dim, 0.06), 250, 5,
+        interventions={1_000: injection_channel(fam.dim)},
+    )
+    rel = [-1.3, -1.0, -0.75, -0.5, -0.3, -0.15] + [0.1 * k for k in range(16)]
+    starts = [1_000 + round(r * 65e-3 / 86e-6) for r in rel]
+    effects = backward_sweep_batch(fam, records, starts)
+    for s in starts:
+        result = solve_maxlike(np.asarray(effects[s].effects))
+        assert result.certified, s
+        assert result.kkt.residual <= result.kkt.threshold
 
 
 def test_bad_start_state_recovers():
