@@ -19,12 +19,9 @@ space; the second piece is the boundary stiffness.  The variance of an
 observable A is then <A_par, R^{-1} A_par>, and a 95% interval is two
 standard deviations.
 
-R is written in an orthonormal tangent basis read off one
-eigendecomposition of rho: in its eigenbasis, the off-diagonal Gell-Mann
-pairs that touch the support plus the traceless diagonals on the support,
-rotated back.  The same split into support and kernel feeds the boundary
-piece, and every trace against the effects is one matrix product over
-the flattened effect stack.
+R is written in a tangent basis built in closed form from one
+eigendecomposition of rho (see tangent_basis), whose split into support
+and kernel also feeds the boundary piece.
 
 An independent Monte Carlo estimate of the same posterior variance (flat
 or Bures-like prior, importance sampling over the full state set) is
@@ -64,13 +61,7 @@ def _support(mat: np.ndarray, tol: Tolerances):
 
 
 def _eigenbasis_tangent(v: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Orthonormal tangent basis, written in the eigenbasis v and rotated back.
-
-    keep marks the support columns of v.  In eigenbasis coordinates the
-    basis is a Gell-Mann set cut to the feasible directions: the symmetric
-    and antisymmetric element of every pair (j < k) with j or k in the
-    support, then the r - 1 traceless diagonals on the support indices.
-    """
+    """tangent_basis from the eigenvectors v of rho, keep marking the support."""
     n = keep.size
     j, k = np.triu_indices(n, 1)
     live = keep[j] | keep[k]
@@ -99,10 +90,10 @@ def tangent_basis(rho, *, tol: Tolerances = DEFAULT) -> np.ndarray:
     A direction X is feasible when it is traceless and has no component in
     the kernel-kernel block of rho.  For an n-dimensional state of rank r
     there are n^2 - (n - r)^2 - 1 of them, returned as a read-only
-    (m, n, n) stack.  The basis is built in closed form from one
-    eigendecomposition of rho: in its eigenbasis it consists of the
-    off-diagonal Gell-Mann pairs that touch the support and the traceless
-    diagonals on the support, which are then rotated back.
+    (m, n, n) stack.  Closed form from one eigendecomposition of rho: in
+    its eigenbasis, the symmetric and antisymmetric Gell-Mann element of
+    every pair (j < k) with j or k in the support, then the r - 1
+    traceless diagonals on the support, rotated back.
     """
     _, v, keep = _support(as_matrix(rho), tol)
     return _eigenbasis_tangent(v, keep)

@@ -95,12 +95,8 @@ class TomographyResult:
 
 
 def _traces(e_flat: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """tr(M E_n) for every row n of the flattened (N, d*d) effect stack.
-
-    mats is one (d, d) matrix, giving shape (N,), or an (m, d, d) stack,
-    giving (N, m).  One matrix product: tr(M E) is the dot product of
-    E.ravel() with M.T.ravel().
-    """
+    """tr(M E_n) for every row n of the flattened (N, d*d) effect stack, as
+    one product with M.T.ravel(); an (m, d, d) stack of M gives (N, m)."""
     flat = np.swapaxes(mats, -1, -2).reshape(mats.shape[:-2] + (-1,))
     return (e_flat @ flat.T).real
 
@@ -224,11 +220,8 @@ def solve_maxlike(
         for _ in range(options.max_backtracks):
             cand = project_to_density(mat + step * g, tol=tol).matrix
             delta = cand - mat
-            # Gain and rise are taken between unit-trace states: the roundoff
-            # in tr(delta), times lambda = n, would otherwise swamp both near
-            # the optimum.  The rise f(cand) - f(mat) is summed from
-            # tr(delta E_n) / t_n, so it resolves steps far below the roundoff
-            # of f itself.
+            # the rise is summed from tr(delta E_n) / t_n, below f's roundoff,
+            # and both it and the gain drop the n tr(delta) roundoff term
             shift = float(delta.trace().real)
             gain = float(np.einsum("ij,ji->", g, delta).real) - lam * shift
             ratio = _traces(e_flat, delta) / traces

@@ -223,12 +223,13 @@ def test_iteration_cap_returns_uncertified():
 
 def test_certifies_qnd_starts_at_roundoff_floor():
     # photon-counting optima where a step's likelihood rise is far below the
-    # roundoff of f and of n tr(delta): an Armijo test on f alone stalled at
-    # start 622 of this draw, given as bare arrays, before the certificate
-    # passed (residual 2.0 times the threshold)
+    # roundoff of f and of n tr(delta): on this draw, given as bare arrays,
+    # an Armijo test on f stalled at starts 1378 and 1680 before the
+    # certificate passed (residuals 1.2 and 4.7 times the threshold), and a
+    # rise summed from trace ratios but keeping n tr(delta) at three others
     fam = build_qnd_family(2_500, t_cavity=65e-3, n_bath=0.06, step_time=86e-6)
     records = sample_records(
-        fam, thermal_state(fam.dim, 0.06), 250, 5,
+        fam, thermal_state(fam.dim, 0.06), 250, 6,
         interventions={1_000: injection_channel(fam.dim)},
     )
     rel = [-1.3, -1.0, -0.75, -0.5, -0.3, -0.15] + [0.1 * k for k in range(16)]
