@@ -16,196 +16,30 @@ Forward filtering, trajectory simulation, ready-made physical models and
 deterministic file formats round out the toolkit; the ``trajtomo``
 command line wraps the full loop.
 """
-from .config import DEFAULT, Tolerances
-from .errors import (
-    TomographyError,
-    DimensionMismatch,
-    UnknownOutcome,
-    InvalidProjector,
-    ZeroProbability,
-    DegenerateTrace,
-    DegenerateLikelihood,
-    Unidentifiable,
-    EffectiveSampleSizeTooLow,
-    StepSizeTooLarge,
-    IncompletePOVM,
-)
-from .operators import (
-    HermitianOperator,
-    DensityMatrix,
-    EffectMatrix,
-    KrausFamily,
-    HermitianBasis,
-    hermitian_basis,
-    apply_cp_map,
-    apply_adjoint_cp_map,
-    tangent_project,
-    project_to_density,
-    frobenius,
-)
-from .filtering import (
-    DiscreteRecord,
-    FilterTrace,
-    AdjointResult,
-    EffectBatch,
-    forward_step,
-    forward_run,
-    forward_batch,
-    backward_step,
-    backward_run,
-    backward_sweep,
-    backward_batch,
-    backward_sweep_batch,
-    log_likelihood,
-    stack_effects,
-    sample_records,
-)
-from .maxlike import (
-    SolveOptions,
-    KKTReport,
-    TomographyResult,
-    gradient,
-    kkt_certificate,
-    solve_maxlike,
-)
-from .confidence import (
-    tangent_basis,
-    RMatrix,
-    build_r_matrix,
-    ObservableInterval,
-    MCEstimate,
-    posterior_variance_mc,
-)
-from .qubit import (
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    PAULIS,
-    pauli_combination,
-    to_bloch,
-    from_bloch,
-    effects_to_bloch,
-    gradient_bloch,
-    lambda_bloch,
-    variance_bloch,
-)
-from .continuous import (
-    Channel,
-    SMEModel,
-    ContinuousRecord,
-    build_m,
-    cp_map_continuous,
-    adjoint_cp_map_continuous,
-    simulate_sme,
-    forward_filter,
-    forward_filter_batch,
-    backward_continuous,
-    backward_continuous_batch,
-    lindblad_evolve,
-)
-from .models import (
-    build_fluorescence_model,
-    quadrature_estimates,
-    povm_family,
-    pauli_povm,
-    number_operator,
-    thermal_state,
-    mean_photon,
-    thermal_relaxation_kraus,
-    kraus_to_superop,
-    injection_channel,
-    thermal_decay_curve,
-    build_qnd_family,
-)
+from . import config, confidence, continuous, errors, filtering, maxlike, models
+from . import operators, qubit
+from .config import *
+from .errors import *
+from .operators import *
+from .filtering import *
+from .maxlike import *
+from .confidence import *
+from .qubit import *
+from .continuous import *
+from .models import *
 
 __version__ = "0.1.0"
 
+# every public name is declared once, in the __all__ of the module defining it
 __all__ = [
-    "DEFAULT",
-    "Tolerances",
-    "TomographyError",
-    "DimensionMismatch",
-    "UnknownOutcome",
-    "InvalidProjector",
-    "ZeroProbability",
-    "DegenerateTrace",
-    "DegenerateLikelihood",
-    "Unidentifiable",
-    "EffectiveSampleSizeTooLow",
-    "StepSizeTooLarge",
-    "IncompletePOVM",
-    "HermitianOperator",
-    "DensityMatrix",
-    "EffectMatrix",
-    "KrausFamily",
-    "HermitianBasis",
-    "hermitian_basis",
-    "apply_cp_map",
-    "apply_adjoint_cp_map",
-    "tangent_project",
-    "project_to_density",
-    "frobenius",
-    "DiscreteRecord",
-    "FilterTrace",
-    "AdjointResult",
-    "EffectBatch",
-    "forward_step",
-    "forward_run",
-    "forward_batch",
-    "backward_step",
-    "backward_run",
-    "backward_sweep",
-    "backward_batch",
-    "backward_sweep_batch",
-    "log_likelihood",
-    "stack_effects",
-    "sample_records",
-    "SolveOptions",
-    "KKTReport",
-    "TomographyResult",
-    "gradient",
-    "kkt_certificate",
-    "solve_maxlike",
-    "tangent_basis",
-    "RMatrix",
-    "build_r_matrix",
-    "ObservableInterval",
-    "MCEstimate",
-    "posterior_variance_mc",
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
-    "PAULIS",
-    "pauli_combination",
-    "to_bloch",
-    "from_bloch",
-    "effects_to_bloch",
-    "gradient_bloch",
-    "lambda_bloch",
-    "variance_bloch",
-    "Channel",
-    "SMEModel",
-    "ContinuousRecord",
-    "build_m",
-    "cp_map_continuous",
-    "adjoint_cp_map_continuous",
-    "simulate_sme",
-    "forward_filter",
-    "forward_filter_batch",
-    "backward_continuous",
-    "backward_continuous_batch",
-    "lindblad_evolve",
-    "build_fluorescence_model",
-    "quadrature_estimates",
-    "povm_family",
-    "pauli_povm",
-    "number_operator",
-    "thermal_state",
-    "mean_photon",
-    "thermal_relaxation_kraus",
-    "kraus_to_superop",
-    "injection_channel",
-    "thermal_decay_curve",
-    "build_qnd_family",
+    *config.__all__,
+    *errors.__all__,
+    *operators.__all__,
+    *filtering.__all__,
+    *maxlike.__all__,
+    *confidence.__all__,
+    *qubit.__all__,
+    *continuous.__all__,
+    *models.__all__,
     "__version__",
 ]

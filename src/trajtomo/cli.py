@@ -194,7 +194,7 @@ def _check_duality(model, records, rng: np.random.Generator) -> float:
         compress, forward = backward_sweep_batch, forward_run
     else:
         compress, forward = backward_continuous_batch, forward_filter
-    sample = records[: min(len(records), 20)]
+    sample = records[:20]
     worst = 0.0
     for rec, adj in zip(sample, compress(model, sample, start_indices=(0,))[0]):
         for _ in range(5):
@@ -271,7 +271,7 @@ def _cmd_validate(args) -> int:
             "; ".join(problems) if problems else
             f"{len(records)} records match kind={desc['kind']}",
         )
-        if not problems and records:
+        if not problems:
             add(
                 "forward_backward_duality",
                 _check_duality(model, records, rng),
@@ -325,7 +325,7 @@ def _ensemble_rows(model, desc, records, starts, observables) -> list[dict]:
         filtered = forward_batch(model, records, rho0, starts)
     else:
         filtered = forward_filter_batch(model, records, rho0, starts)
-    lengths = np.array([len(r) for r in records])
+    lengths = records.lengths
     rows = []
     for t in starts:
         # filtered[t] holds every record with at least t steps; the estimate
@@ -358,7 +358,7 @@ def _cmd_tomography(args) -> int:
     meta, records = tio.read_records(args.records)
     problems = tio.validate_records(desc, model, meta, records)
     starts = _parse_start_times(args.start_times)
-    span = max(len(r) for r in records)
+    span = int(records.lengths.max())
     for s in starts:
         if s >= span:
             problems.append(

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+__all__ = ["DEFAULT", "Tolerances"]
+
 
 @dataclass(frozen=True)
 class Tolerances:

@@ -40,8 +40,17 @@ from scipy.linalg import expm
 from scipy.special import ndtr, ndtri
 
 from .config import DEFAULT, Tolerances
-from .errors import StepSizeTooLarge, ZeroProbability
-from .filtering import AdjointResult, EffectBatch, FilterTrace, _filter, _sweep
+from .errors import StepSizeTooLarge
+from .filtering import (
+    AdjointResult,
+    ContinuousRecord,
+    EffectBatch,
+    FilterTrace,
+    RecordBatch,
+    _filter,
+    _step_by_step,
+    _sweep,
+)
 from .operators import DensityMatrix, EffectMatrix, as_matrix
 
 __all__ = [
@@ -145,34 +154,6 @@ class SMEModel:
         return self.dt * self.n_steps
 
 
-@dataclass(frozen=True)
-class ContinuousRecord:
-    """Measured signal increments over a time grid.
-
-    increments has shape (n_steps, n_monitored_channels); row t holds the
-    integrals of each monitored signal over [t dt, (t+1) dt].
-    """
-
-    id: int
-    dt: float
-    increments: np.ndarray
-
-    def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        object.__setattr__(self, "dt", float(self.dt))
-        sig = np.array(self.increments, dtype=float)
-        if sig.ndim != 2:
-            raise ValueError("increments must be a 2-d array (steps, channels)")
-        if sig.shape[0] < 1:
-            raise ValueError("a record needs at least one step")
-        sig.flags.writeable = False
-        object.__setattr__(self, "increments", sig)
-
-    def __len__(self) -> int:
-        return self.increments.shape[0]
-
-
 def _step_ops(model: SMEModel):
     """(deterministic part of M, stacked sqrt(eta) L for monitored channels,
     Kraus operators of the undetected residue).
@@ -211,23 +192,40 @@ def _step_ops(model: SMEModel):
     return base, stack, resid
 
 
-def _check_record(model: SMEModel, record: ContinuousRecord) -> None:
-    sig = record.increments
-    if not math.isclose(record.dt, model.dt, rel_tol=1e-9, abs_tol=0.0):
-        raise ValueError(
-            f"record {record.id} was taken on a {record.dt} s grid but the "
-            f"model steps by {model.dt} s"
-        )
-    if sig.shape[1] != len(model.monitored):
-        raise ValueError(
-            f"record {record.id} carries {sig.shape[1]} signal channels but "
-            f"the model monitors {len(model.monitored)}"
-        )
-    if sig.shape[0] > model.n_steps:
-        raise ValueError(
-            f"record {record.id} has {sig.shape[0]} steps but the model "
-            f"defines {model.n_steps}"
-        )
+def _signal_problems(model: SMEModel, batch: RecordBatch) -> list:
+    """The rules that signal records must meet, applied to a batch.
+
+    A grid step other than the model's, or a channel count other than
+    its monitored count, is shared by the whole batch and so is a
+    problem of every record; otherwise a record may have more steps
+    than the model defines.  Problems come as the exceptions a pass
+    raises, at most one per record, in record order.
+    """
+    if not len(batch):
+        return []
+    if batch.dt is None:
+        raise TypeError("a signal model needs signal records, not outcomes")
+    ids, lengths = batch.record_ids, batch.lengths
+    n_mon, k = len(model.monitored), batch.data.shape[2]
+    if not math.isclose(batch.dt, model.dt, rel_tol=1e-9, abs_tol=0.0):
+        why = f"was taken on a {batch.dt} s grid but the model steps by {model.dt} s"
+    elif k != n_mon:
+        why = f"carries {k} signal channels but the model monitors {n_mon}"
+    else:
+        return [ValueError(
+            f"record {ids[n]} has {lengths[n]} steps but the model defines "
+            f"{model.n_steps}"
+        ) for n in np.flatnonzero(lengths > model.n_steps)]
+    return [ValueError(f"record {rid} {why}") for rid in ids]
+
+
+def _checked_signals(model: SMEModel, records) -> RecordBatch:
+    """The batch of ``records``; raises its first problem against the model."""
+    batch = RecordBatch.from_records(records)
+    problems = _signal_problems(model, batch)
+    if problems:
+        raise problems[0]
+    return batch
 
 
 def build_m(model: SMEModel, dy) -> np.ndarray:
@@ -243,24 +241,19 @@ def build_m(model: SMEModel, dy) -> np.ndarray:
 
 def cp_map_continuous(model: SMEModel, dy, rho) -> np.ndarray:
     """Unnormalized one-step update K_dy(rho)."""
-    m = build_m(model, dy)
-    x = as_matrix(rho)
-    out = m @ x @ m.conj().T
-    _, _, resid = _step_ops(model)
-    for k in resid:
-        out += k @ x @ k.conj().T
-    return out
+    return _kraus_form(build_m(model, dy), _step_ops(model)[2], as_matrix(rho), False)
 
 
 def adjoint_cp_map_continuous(model: SMEModel, dy, effect) -> np.ndarray:
     """Unnormalized adjoint update K_dy^*(E)."""
-    m = build_m(model, dy)
-    x = as_matrix(effect)
-    out = m.conj().T @ x @ m
-    _, _, resid = _step_ops(model)
-    for k in resid:
-        out += k.conj().T @ x @ k
-    return out
+    return _kraus_form(build_m(model, dy), _step_ops(model)[2], as_matrix(effect), True)
+
+
+def _kraus_form(m, resid, x, adjoint: bool) -> np.ndarray:
+    """M X M^dag + sum_k R_k X R_k^dag, or the adjoint with each factor's
+    dagger on the left, for the undetected residue R_k."""
+    return sum(k.conj().T @ x @ k if adjoint else k @ x @ k.conj().T
+               for k in (m, *resid))
 
 
 def _band_check(traces: np.ndarray, t: int, ids) -> None:
@@ -326,17 +319,6 @@ def _sme_step(model: SMEModel, increments, *, adjoint: bool):
         return np.matmul(phi[:, None, :], (x @ right).reshape(-1, n_terms, k))[:, 0]
 
     return apply
-
-
-def _stack_signals(model: SMEModel, records: Sequence[ContinuousRecord]):
-    """Zero-padded (N, T, n_monitored) increments, record lengths and ids."""
-    for r in records:
-        _check_record(model, r)
-    lengths = np.array([len(r) for r in records], dtype=int)
-    sig = np.zeros((len(records), int(lengths.max(initial=0)), len(model.monitored)))
-    for i, r in enumerate(records):
-        sig[i, : len(r)] = r.increments
-    return sig, lengths, np.array([r.id for r in records], dtype=int)
 
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -460,10 +442,10 @@ def simulate_sme(
     Each step samples the increments from the tilted-Gaussian density
     tr(K_dy rho) N(dy; 0, dt) and conditions the state on the draw, so
     the records are distributed exactly as the filter assumes at the
-    model's own step size.  Returns the records; with keep_mean also the
-    ensemble average of the conditional states after each step, shape
-    (n_steps + 1, dim, dim), which converges to the unconditional
-    master-equation solution.
+    model's own step size.  Returns the records as a RecordBatch; with
+    keep_mean also the ensemble average of the conditional states after
+    each step, shape (n_steps + 1, dim, dim), which converges to the
+    unconditional master-equation solution.
     """
     if n_records < 1:
         raise ValueError("need at least one record")
@@ -488,9 +470,9 @@ def simulate_sme(
         partial(_sme_step, model, draw), d, np.full(n_records, total),
         np.arange(n_records), rho0, (total,), check=_band_check, tol=tol,
     )[total]
-    records = [
-        ContinuousRecord(i, model.dt, signals[i]) for i in range(n_records)
-    ]
+    records = RecordBatch(
+        signals, np.full(n_records, total), np.arange(n_records), dt=model.dt
+    )
     if keep_mean:
         means.append(final.mean(axis=0))
         return records, np.stack(means)
@@ -509,37 +491,32 @@ def forward_filter(
     log_prob is the log density of the record relative to pure noise;
     only differences between candidate initial states are meaningful.
     """
-    _check_record(model, record)
+    _checked_signals(model, [record])
     rho = rho0 if isinstance(rho0, DensityMatrix) else DensityMatrix(rho0, tol=tol)
-    base, stack, resid = _step_ops(model)
-    states = [rho]
-    probs = []
-    log_prob = 0.0
-    mat = rho.matrix
-    for t in range(record.increments.shape[0]):
-        m = base + np.einsum("v,vij->ij", record.increments[t], stack) \
-            if stack.shape[0] else base
-        new = m @ mat @ m.conj().T
-        for k in resid:
-            new += k @ mat @ k.conj().T
-        p = float(new.trace().real)
-        _band_check(np.array([p]), t, [record.id])
-        if not p > tol.prob_floor:
-            raise ZeroProbability(
-                f"record {record.id} has probability {p!r} at step {t}",
-                step=t,
-                record_id=record.id,
-            )
-        mat = new / p
+    states, probs = [rho], []
+    for _, mat, p in _signal_steps(model, record, rho.matrix, adjoint=False, tol=tol):
         states.append(DensityMatrix(mat, tol=tol))
         probs.append(p)
-        log_prob += math.log(p)
-    return FilterTrace(tuple(states), tuple(probs), log_prob)
+    return FilterTrace(tuple(states), tuple(probs), sum(map(math.log, probs)))
+
+
+def _signal_steps(model: SMEModel, record: ContinuousRecord, x, *, adjoint, tol):
+    """The step-by-step recursion of a signal record in Kraus form."""
+    base, stack, resid = _step_ops(model)
+
+    def apply(t, x):
+        dy = record.increments[t]
+        m = base + np.einsum("v,vij->ij", dy, stack) if stack.shape[0] else base
+        return _kraus_form(m, resid, x, adjoint)
+
+    return _step_by_step(
+        apply, len(record), x, record.id, adjoint=adjoint, check=_band_check, tol=tol
+    )
 
 
 def forward_filter_batch(
     model: SMEModel,
-    records: Sequence[ContinuousRecord],
+    records: RecordBatch | Sequence[ContinuousRecord],
     rho0,
     at: Sequence[int],
     *,
@@ -552,10 +529,11 @@ def forward_filter_batch(
     with at least k steps, in record order.  Returns (n, dim, dim)
     arrays.
     """
-    sig, lengths, ids = _stack_signals(model, list(records))
-    step = partial(_sme_step, model, lambda t, _: sig[:, t])
+    batch = _checked_signals(model, records)
+    step = partial(_sme_step, model, lambda t, _: batch.data[:, t])
     return _filter(
-        step, model.dim, lengths, ids, rho0, at, check=_band_check, tol=tol
+        step, model.dim, batch.lengths, batch.record_ids, rho0, at,
+        check=_band_check, tol=tol,
     )
 
 
@@ -570,33 +548,19 @@ def backward_continuous(
     The plain Kraus-form recursion E <- K*_dy(E) / tr(K*_dy(E)) from
     I/dim: the reference that the batched pass is checked against.
     """
-    _check_record(model, record)
-    base, stack, resid = _step_ops(model)
+    _checked_signals(model, [record])
     d = model.dim
-    eff = np.eye(d, dtype=complex) / d
     log_c = math.log(d)
-    for t in range(len(record) - 1, -1, -1):
-        m = base + np.einsum("v,vij->ij", record.increments[t], stack) \
-            if stack.shape[0] else base
-        new = m.conj().T @ eff @ m
-        for k in resid:
-            new += k.conj().T @ eff @ k
-        c = float(new.trace().real)
-        _band_check(np.array([c]), t, [record.id])
-        if not c > tol.prob_floor:
-            raise ZeroProbability(
-                f"record {record.id} has probability {c!r} at step {t}",
-                step=t,
-                record_id=record.id,
-            )
-        eff = new / c
+    for _, eff, c in _signal_steps(
+        model, record, np.eye(d, dtype=complex) / d, adjoint=True, tol=tol
+    ):
         log_c += math.log(c)
     return AdjointResult(EffectMatrix(eff, tol=tol), log_c)
 
 
 def backward_continuous_batch(
     model: SMEModel,
-    records: Sequence[ContinuousRecord],
+    records: RecordBatch | Sequence[ContinuousRecord],
     *,
     start_indices: Sequence[int] = (0,),
     tol: Tolerances = DEFAULT,
@@ -607,10 +571,11 @@ def backward_continuous_batch(
     Records may differ in length; the effects at start s are those of
     the records longer than s, in record order.
     """
-    sig, lengths, ids = _stack_signals(model, list(records))
-    step = partial(_sme_step, model, lambda t, _: sig[:, t])
+    batch = _checked_signals(model, records)
+    step = partial(_sme_step, model, lambda t, _: batch.data[:, t])
     return _sweep(
-        step, model.dim, lengths, ids, start_indices, check=_band_check, tol=tol
+        step, model.dim, batch.lengths, batch.record_ids, start_indices,
+        check=_band_check, tol=tol,
     )
 
 

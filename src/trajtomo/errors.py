@@ -1,6 +1,20 @@
 """Exception types raised by the tomography pipeline."""
 from __future__ import annotations
 
+__all__ = [
+    "TomographyError",
+    "DimensionMismatch",
+    "UnknownOutcome",
+    "InvalidProjector",
+    "ZeroProbability",
+    "DegenerateTrace",
+    "DegenerateLikelihood",
+    "Unidentifiable",
+    "EffectiveSampleSizeTooLow",
+    "StepSizeTooLarge",
+    "IncompletePOVM",
+]
+
 
 class TomographyError(Exception):
     """Base class for all package-specific failures."""

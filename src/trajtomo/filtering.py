@@ -10,6 +10,10 @@ state into a single trace-one effect E and a scale c, so that
 for every candidate initial state rho.  That factorization is what makes
 maximum-likelihood search over rho cheap: the expensive per-record pass
 happens once, not once per likelihood evaluation.
+
+Records travel as one RecordBatch of arrays, from the samplers and the
+archive reader to every batched pass; DiscreteRecord and
+ContinuousRecord are the per-record views it hands out.
 """
 from __future__ import annotations
 
@@ -17,7 +21,7 @@ import math
 import operator
 from dataclasses import InitVar, dataclass
 from functools import partial
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -26,7 +30,6 @@ from .errors import DimensionMismatch, UnknownOutcome, ZeroProbability
 from .operators import (
     DensityMatrix,
     EffectMatrix,
-    HermitianOperator,
     KrausFamily,
     apply_adjoint_cp_map,
     apply_cp_map,
@@ -36,15 +39,12 @@ from .operators import (
 
 __all__ = [
     "DiscreteRecord",
-    "FilterTrace",
+    "RecordBatch",
     "AdjointResult",
     "EffectBatch",
-    "forward_step",
     "forward_run",
-    "backward_step",
     "backward_run",
     "backward_sweep",
-    "backward_batch",
     "backward_sweep_batch",
     "log_likelihood",
     "stack_effects",
@@ -67,6 +67,152 @@ class DiscreteRecord:
 
     def __len__(self) -> int:
         return len(self.outcomes)
+
+
+@dataclass(frozen=True)
+class ContinuousRecord:
+    """Measured signal increments over a time grid.
+
+    increments has shape (n_steps, n_monitored_channels); row t holds the
+    integrals of each monitored signal over [t dt, (t+1) dt].  Exported
+    by ``trajtomo.continuous``; defined here so that RecordBatch can hand
+    it out.
+    """
+
+    id: int
+    dt: float
+    increments: np.ndarray
+
+    def __post_init__(self):
+        if not self.dt > 0:
+            raise ValueError("dt must be positive")
+        object.__setattr__(self, "dt", float(self.dt))
+        sig = np.array(self.increments, dtype=float)
+        if sig.ndim != 2:
+            raise ValueError("increments must be a 2-d array (steps, channels)")
+        if sig.shape[0] < 1:
+            raise ValueError("a record needs at least one step")
+        sig.flags.writeable = False
+        object.__setattr__(self, "increments", sig)
+
+    def __len__(self) -> int:
+        return self.increments.shape[0]
+
+
+@dataclass(frozen=True, eq=False)
+class RecordBatch:
+    """Measurement records as arrays: what every batched pass reads.
+
+    ``data`` holds either discrete outcomes, as an (N, T) integer matrix
+    of codes into ``labels`` that is -1 after each record ends, or
+    signal increments taken on a grid of step ``dt``, as an (N, T, k)
+    array that is zero after each record ends.  T is the longest
+    record's length; ``lengths`` (each at least one) and ``record_ids``
+    have shape (N,).  The arrays are checked once at construction and
+    read-only after.  An integer index returns that record's
+    DiscreteRecord or ContinuousRecord view, a slice a sub-batch;
+    iteration yields the views in order.
+    """
+
+    data: np.ndarray
+    lengths: np.ndarray
+    record_ids: np.ndarray
+    labels: tuple[str, ...] = ()
+    dt: float | None = None
+
+    def __post_init__(self) -> None:
+        lengths, ids = np.array(self.lengths, int), np.array(self.record_ids, int)
+        data, labels = np.asarray(self.data), tuple(map(str, self.labels))
+        n, signals = len(lengths), self.dt is not None
+        if data.ndim != 2 + signals or data.shape[0] != n or ids.shape != (n,):
+            raise DimensionMismatch(
+                f"{data.shape} data does not fit {lengths.shape} lengths and "
+                f"{ids.shape} record ids"
+            )
+        if lengths.min(initial=1) < 1 or data.shape[1] != lengths.max(initial=0):
+            raise ValueError("records need a step each and data spanning the longest")
+        inside = np.arange(data.shape[1]) < lengths[:, None]
+        if signals:
+            if labels or not self.dt > 0:
+                raise ValueError("signal records need a positive dt and no labels")
+            object.__setattr__(self, "dt", float(self.dt))
+            data, pad = np.array(data, float), 0
+        else:
+            codes = data[inside]
+            if len(set(labels)) < len(labels) or data.size and (
+                data.dtype.kind not in "iu"
+                or not 0 <= codes.min() <= codes.max() < len(labels)
+            ):
+                raise ValueError(f"codes must index the distinct labels {labels}")
+            # the smallest signed type that holds every code keeps the matrix compact
+            data, pad = np.array(data, np.min_scalar_type(-max(len(labels), 1))), -1
+        if (data[~inside] != pad).any():
+            raise ValueError(f"data past the end of a record must be {pad}")
+        for name, arr in (("data", data), ("lengths", lengths), ("record_ids", ids)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "labels", labels)
+
+    @classmethod
+    def from_records(cls, records) -> RecordBatch:
+        """The batch of a sequence of DiscreteRecord or ContinuousRecord
+        views, all of one type; a RecordBatch passes through unchanged."""
+        if isinstance(records, RecordBatch):
+            return records
+        records = list(records)
+        return _pack(records, lambda i: f"record {records[i].id}")
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            lengths = self.lengths[i]
+            return RecordBatch(
+                self.data[i, : lengths.max(initial=0)], lengths, self.record_ids[i],
+                self.labels, self.dt,
+            )
+        n = operator.index(i)
+        rid, row = int(self.record_ids[n]), self.data[n, : self.lengths[n]]
+        if self.dt is None:
+            return DiscreteRecord(rid, tuple(self.labels[c] for c in row.tolist()))
+        return ContinuousRecord(rid, self.dt, row)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
+def _pack(records: list, where: Callable[[int], str]) -> RecordBatch:
+    """One batch from record views of one type, labels numbered in order of
+    first appearance.  Signal records must share the first record's grid
+    step and channel count; ``where(i)`` names record i when one does not.
+    """
+    if not records:
+        return RecordBatch(np.zeros((0, 0), np.int8), (), ())
+    kinds = {type(r) for r in records}
+    if len(kinds) > 1 or not kinds <= {DiscreteRecord, ContinuousRecord}:
+        raise TypeError(f"cannot batch records of type {[k.__name__ for k in kinds]}")
+    lengths = np.array([len(r) for r in records])
+    inside = np.arange(lengths.max()) < lengths[:, None]
+    ids = [r.id for r in records]
+    if kinds == {DiscreteRecord}:
+        index: dict[str, int] = {}
+        codes = [index.setdefault(y, len(index)) for r in records for y in r.outcomes]
+        data = np.full(inside.shape, -1, np.min_scalar_type(-max(len(index), 1)))
+        data[inside] = codes
+        return RecordBatch(data, lengths, ids, tuple(index))
+    dts = np.array([r.dt for r in records])
+    ks = np.array([r.increments.shape[1] for r in records])
+    off = np.flatnonzero((dts != dts[0]) | (ks != ks[0]))
+    if off.size:
+        raise ValueError(
+            f"{where(off[0])}: grid step {dts[off[0]]} s and {ks[off[0]]} signal "
+            f"channels, but the first record has {dts[0]} s and {ks[0]}; one "
+            "batch holds one grid and one channel count"
+        )
+    data = np.zeros(inside.shape + (ks[0],))
+    data[inside] = np.concatenate([r.increments for r in records])
+    return RecordBatch(data, lengths, ids, dt=dts[0])
 
 
 @dataclass(frozen=True)
@@ -161,24 +307,6 @@ class EffectBatch:
         return (self[i] for i in range(len(self)))
 
 
-def forward_step(
-    family: KrausFamily,
-    t: int,
-    outcome: str,
-    rho,
-    *,
-    tol: Tolerances = DEFAULT,
-) -> tuple[DensityMatrix, float]:
-    """One conditioning step: returns the updated state and the step probability."""
-    sigma = apply_cp_map(family, t, outcome, rho).matrix
-    p = sigma.trace().real
-    if p <= tol.prob_floor:
-        raise ZeroProbability(
-            f"outcome {outcome!r} at step {t} has probability {p!r}", step=t
-        )
-    return _wrap_trusted(DensityMatrix, sigma / p), p
-
-
 def forward_run(
     family: KrausFamily,
     record: DiscreteRecord,
@@ -186,41 +314,17 @@ def forward_run(
     *,
     tol: Tolerances = DEFAULT,
 ) -> FilterTrace:
-    """Filter a full record from initial state rho0."""
-    _check_record(family, record)
+    """Filter a full record from initial state rho0, one step at a time."""
+    _checked(family, [record])
     rho = rho0 if isinstance(rho0, DensityMatrix) else DensityMatrix(rho0, tol=tol)
-    states = [rho]
-    probs = []
-    log_prob = 0.0
-    for t, y in enumerate(record.outcomes):
-        try:
-            rho, p = forward_step(family, t, y, rho, tol=tol)
-        except ZeroProbability as exc:
-            raise ZeroProbability(
-                f"record {record.id}: {exc}", step=t, record_id=record.id
-            ) from None
-        states.append(rho)
+    states, probs = [rho], []
+    for _, mat, p in _step_by_step(
+        lambda t, x: apply_cp_map(family, t, record.outcomes[t], x).matrix,
+        len(record), rho.matrix, record.id, adjoint=False, tol=tol,
+    ):
+        states.append(_wrap_trusted(DensityMatrix, mat))
         probs.append(p)
-        log_prob += math.log(p)
-    return FilterTrace(tuple(states), tuple(probs), log_prob)
-
-
-def backward_step(
-    family: KrausFamily,
-    t: int,
-    outcome: str,
-    effect,
-    *,
-    tol: Tolerances = DEFAULT,
-) -> tuple[EffectMatrix, float]:
-    """One adjoint step: returns the renormalized effect and the trace factor."""
-    f = apply_adjoint_cp_map(family, t, outcome, effect).matrix
-    c = f.trace().real
-    if c <= tol.prob_floor:
-        raise ZeroProbability(
-            f"adjoint step {t} for outcome {outcome!r} has trace {c!r}", step=t
-        )
-    return _wrap_trusted(EffectMatrix, f / c), c
+    return FilterTrace(tuple(states), tuple(probs), sum(map(math.log, probs)))
 
 
 def backward_run(
@@ -249,24 +353,43 @@ def backward_sweep(
     ``start_indices[k] = s`` asks for the effect summarizing outcomes
     s, s+1, ..., end; the full record corresponds to s = 0.
     """
-    _check_record(family, record)
-    n = len(record.outcomes)
-    wanted = _check_starts(start_indices, n)
-    dim = family.dim
-    eff = HermitianOperator(np.eye(dim) / dim)
+    _checked(family, [record])
+    wanted = _check_starts(start_indices, len(record))
     acc = 0.0
     out: dict[int, AdjointResult] = {}
-    for t in range(n - 1, -1, -1):
-        try:
-            eff, c = backward_step(family, t, record.outcomes[t], eff, tol=tol)
-        except ZeroProbability as exc:
-            raise ZeroProbability(
-                f"record {record.id}: {exc}", step=t, record_id=record.id
-            ) from None
+    for t, eff, c in _step_by_step(
+        lambda t, x: apply_adjoint_cp_map(family, t, record.outcomes[t], x).matrix,
+        len(record), np.eye(family.dim) / family.dim, record.id, adjoint=True, tol=tol,
+    ):
         acc += math.log(c)
         if t in wanted:
-            out[t] = AdjointResult(eff, math.log(dim) + acc)
+            eff = _wrap_trusted(EffectMatrix, eff)
+            out[t] = AdjointResult(eff, math.log(family.dim) + acc)
     return out
+
+
+def _step_by_step(apply, n, x, record_id, *, adjoint, check=None, tol):
+    """One record of n steps through the plain recursion, a step at a time.
+
+    ``apply(t, x)`` returns step t's unnormalized K(x), or K*(x) in the
+    adjoint direction, where the steps run from the last.  Each image is
+    divided by its trace; yields (t, image, trace) per step.  The
+    references that the batched passes are checked against.  ``check``
+    and the zero-probability test are those of ``_propagate``.
+    """
+    for t in reversed(range(n)) if adjoint else range(n):
+        new = apply(t, x)
+        c = float(new.trace().real)
+        if check is not None:
+            check(np.array([c]), t, [record_id])
+        if not c > tol.prob_floor:
+            raise ZeroProbability(
+                f"record {record_id} has probability {c!r} at step {t}",
+                step=t,
+                record_id=record_id,
+            )
+        x = new / c
+        yield t, x, c
 
 
 def log_likelihood(rho, effects) -> float:
@@ -314,14 +437,6 @@ def stack_effects(effects) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _check_record(family: KrausFamily, record: DiscreteRecord) -> None:
-    if len(record.outcomes) > family.n_steps:
-        raise ValueError(
-            f"record {record.id} has {len(record.outcomes)} outcomes but the "
-            f"family defines only {family.n_steps} steps"
-        )
-
-
 def _check_starts(start_indices: Sequence[int], n: int) -> frozenset[int]:
     out = frozenset(int(s) for s in start_indices)
     for s in out:
@@ -352,29 +467,56 @@ def _superops(family: KrausFamily, n_steps: int, *, adjoint: bool):
     return table
 
 
-def _encode(family: KrausFamily, records: Sequence[DiscreteRecord]):
-    """Outcome codes (N, T) for T the longest record, -1 past a record's
-    end, with the record lengths and ids.  Code i at step t is the i-th
-    label of ``family.outcomes(t)``."""
-    for r in records:
-        _check_record(family, r)
-    lengths = np.array([len(r) for r in records], dtype=int)
-    span = int(lengths.max(initial=0))
-    maps = [{y: i for i, y in enumerate(family.outcomes(t))} for t in range(span)]
-    # the smallest signed type that holds every code keeps the matrix compact
-    codes = np.full(
-        (len(records), span), -1, np.min_scalar_type(-max(map(len, maps), default=1))
-    )
-    for n, r in enumerate(records):
-        try:
-            codes[n, : len(r)] = [m[y] for m, y in zip(maps, r.outcomes)]
-        except KeyError:
-            t = next(t for t, y in enumerate(r.outcomes) if y not in maps[t])
-            raise UnknownOutcome(
-                f"outcome {r.outcomes[t]!r} of record {r.id} is not defined "
-                f"at step {t}"
-            ) from None
-    return codes, lengths, np.array([r.id for r in records], dtype=int)
+def _outcome_codes(family: KrausFamily, batch: RecordBatch):
+    """The rules that discrete records must meet, applied to a batch.
+
+    Returns each record's index into ``family.outcomes(t)`` at every
+    step t (-1 past its end), looked up in a per-step table built once
+    per distinct step object, and the records' problems, as the
+    exceptions a pass raises, in record order: too many steps, or else
+    the first label that its step does not define.
+    """
+    if batch.dt is not None:
+        raise TypeError("a Kraus family needs discrete records, not signals")
+    span = min(batch.data.shape[1], family.n_steps)
+    rows: dict[int, list[int]] = {}
+    table = []
+    for t in range(span):
+        step = family.step(t)
+        if id(step) not in rows:
+            known = {y: i for i, y in enumerate(step)}
+            # -2 marks a label the step does not define; the last entry
+            # is where the -1 past a record's end lands
+            rows[id(step)] = [known.get(y, -2) for y in batch.labels] + [-1]
+        table.append(rows[id(step)])
+    table = np.array(table, dtype=np.int16).reshape(span, len(batch.labels) + 1)
+    codes = table[np.arange(span), batch.data[:, :span]]
+    ids, lengths = batch.record_ids, batch.lengths
+    unknown = codes == -2
+    long = lengths > family.n_steps
+    problems = []
+    for n in np.flatnonzero(long | unknown.any(axis=1)):
+        if long[n]:
+            problems.append(ValueError(
+                f"record {ids[n]} has {lengths[n]} outcomes but the family "
+                f"defines only {family.n_steps} steps"
+            ))
+        else:
+            t = int(np.argmax(unknown[n]))
+            problems.append(UnknownOutcome(
+                f"unknown outcome {batch.labels[batch.data[n, t]]!r} of record "
+                f"{ids[n]} is not defined at step {t}"
+            ))
+    return codes, problems
+
+
+def _checked(family: KrausFamily, records) -> tuple[RecordBatch, np.ndarray]:
+    """The batch of ``records`` and its family codes; raises its first problem."""
+    batch = RecordBatch.from_records(records)
+    codes, problems = _outcome_codes(family, batch)
+    if problems:
+        raise problems[0]
+    return batch, codes
 
 
 def _kraus_step(family: KrausFamily, span: int, outcomes, *, adjoint: bool):
@@ -514,19 +656,9 @@ def _filter(make_step, dim, lengths, ids, rho0, at, *, check, tol):
     return {int(k): snaps[int(k)][1].reshape(-1, dim, dim) for k in at}
 
 
-def backward_batch(
-    family: KrausFamily,
-    records: Sequence[DiscreteRecord],
-    *,
-    tol: Tolerances = DEFAULT,
-) -> EffectBatch:
-    """Adjoint results for many records, of any lengths, in the order given."""
-    return backward_sweep_batch(family, records, (0,), tol=tol)[0]
-
-
 def backward_sweep_batch(
     family: KrausFamily,
-    records: Sequence[DiscreteRecord],
+    records: RecordBatch | Sequence[DiscreteRecord],
     start_indices: Sequence[int],
     *,
     threads: int | None = None,
@@ -539,14 +671,17 @@ def backward_sweep_batch(
     before the end of the longest record.  All records run in one masked
     pass.  ``threads`` is accepted for older callers and ignored.
     """
-    codes, lengths, ids = _encode(family, list(records))
+    batch, codes = _checked(family, records)
     step = partial(_kraus_step, family, codes.shape[1], lambda t, _: codes[:, t])
-    return _sweep(step, family.dim, lengths, ids, start_indices, check=None, tol=tol)
+    return _sweep(
+        step, family.dim, batch.lengths, batch.record_ids, start_indices,
+        check=None, tol=tol,
+    )
 
 
 def forward_batch(
     family: KrausFamily,
-    records: Sequence[DiscreteRecord],
+    records: RecordBatch | Sequence[DiscreteRecord],
     rho0,
     at: Sequence[int],
     *,
@@ -560,9 +695,12 @@ def forward_batch(
     least k steps, in record order, and k may not exceed the longest
     record.  Returns arrays of shape (n, dim, dim) per requested time.
     """
-    codes, lengths, ids = _encode(family, list(records))
+    batch, codes = _checked(family, records)
     step = partial(_kraus_step, family, codes.shape[1], lambda t, _: codes[:, t])
-    return _filter(step, family.dim, lengths, ids, rho0, at, check=None, tol=tol)
+    return _filter(
+        step, family.dim, batch.lengths, batch.record_ids, rho0, at,
+        check=None, tol=tol,
+    )
 
 
 def sample_records(
@@ -584,8 +722,9 @@ def sample_records(
     channel acting on vec(rho), applied to all trajectories just before
     that step (state preparation events inside a record).
 
-    Returns the list of records; with ``keep_mean`` also the ensemble
-    average state after each step as an (n_steps+1, dim, dim) array.
+    Returns the records as a RecordBatch; with ``keep_mean`` also the
+    ensemble average state after each step as an (n_steps+1, dim, dim)
+    array.
     """
     if n_records < 1:
         raise ValueError("need at least one record")
@@ -627,11 +766,18 @@ def sample_records(
         partial(_kraus_step, family, total, draw), dim, np.full(n_records, total),
         np.arange(n_records), rho0, (total,), check=None, tol=tol,
     )[total]
-    labels = [family.outcomes(t) for t in range(total)]
-    records = [
-        DiscreteRecord(i, tuple(map(operator.getitem, labels, codes[i].tolist())))
-        for i in range(n_records)
-    ]
+    # family codes become codes into the labels, numbered in step order
+    labels: dict[str, int] = {}
+    relabel: dict[int, np.ndarray] = {}
+    for t in range(total):
+        step = family.step(t)
+        if id(step) not in relabel:
+            relabel[id(step)] = np.array([labels.setdefault(y, len(labels))
+                                          for y in step])
+        codes[:, t] = relabel[id(step)][codes[:, t]]
+    records = RecordBatch(
+        codes, np.full(n_records, total), np.arange(n_records), tuple(labels)
+    )
     if keep_mean:
         means.append(final.mean(axis=0))
         return records, np.stack(means)

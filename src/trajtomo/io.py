@@ -25,8 +25,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .continuous import ContinuousRecord, SMEModel
-from .filtering import DiscreteRecord
+from .continuous import SMEModel, _signal_problems
+from .filtering import (
+    ContinuousRecord,
+    DiscreteRecord,
+    RecordBatch,
+    _outcome_codes,
+    _pack,
+)
 from .models import (
     build_fluorescence_model,
     build_qnd_family,
@@ -196,53 +202,50 @@ def interventions_from_description(
 
 def write_records(
     path,
-    records: Sequence,
+    records,
     *,
     model_description: Mapping | None = None,
     metadata: Mapping | None = None,
 ) -> dict:
-    """Write records as JSON Lines with a leading metadata object."""
-    records = list(records)
-    if not records:
+    """Write records as JSON Lines with a leading metadata object.
+
+    ``records`` is a RecordBatch or a sequence of record views.
+    """
+    batch = RecordBatch.from_records(records)
+    if not len(batch):
         raise ValueError("refusing to write an empty record archive")
-    if isinstance(records[0], DiscreteRecord):
-        record_type = "discrete"
-    elif isinstance(records[0], ContinuousRecord):
-        record_type = "continuous"
-    else:
-        raise TypeError(f"cannot archive records of type {type(records[0]).__name__}")
+    record_type = "discrete" if batch.dt is None else "continuous"
     meta = {
         "format": RECORDS_FORMAT,
         "version": FORMAT_VERSION,
         "record_type": record_type,
-        "n_records": len(records),
+        "n_records": len(batch),
     }
     if model_description is not None:
         meta["model_hash"] = model_hash(model_description)
         meta["model"] = dict(model_description)
     if metadata:
         meta.update(metadata)
+    labels = np.array(batch.labels, dtype=object)
     with open(path, "w") as fh:
         fh.write(canonical_json(meta))
         fh.write("\n")
-        for rec in records:
-            if record_type == "discrete":
-                line = {"id": rec.id, "outcomes": list(rec.outcomes)}
+        for rid, row, n in zip(batch.record_ids.tolist(), batch.data, batch.lengths):
+            if batch.dt is None:
+                line = {"id": rid, "outcomes": labels[row[:n]].tolist()}
             else:
-                line = {
-                    "id": rec.id,
-                    "dt": rec.dt,
-                    "increments": rec.increments.tolist(),
-                }
+                line = {"id": rid, "dt": batch.dt, "increments": row[:n].tolist()}
             fh.write(canonical_json(line))
             fh.write("\n")
     return meta
 
 
-def read_records(path) -> tuple[dict, list]:
-    """Read a record archive; returns (metadata, records).
+def read_records(path) -> tuple[dict, RecordBatch]:
+    """Read a record archive; returns (metadata, records as a RecordBatch).
 
-    A malformed line raises ValueError naming its 1-based line number.
+    A malformed line raises ValueError naming its 1-based line number,
+    and so does a signal record whose grid step or channel count differs
+    from the first record's.  An archive without records is refused.
     """
     with open(path) as fh:
         lines = [
@@ -260,12 +263,14 @@ def read_records(path) -> tuple[dict, list]:
         raise ValueError(f"unknown record type {record_type!r}")
     decode = _discrete_record if record_type == "discrete" else _continuous_record
     records = [_parse_line(path, no, ln, decode) for no, ln in lines[1:]]
+    if not records:
+        raise ValueError(f"{path} holds no records")
     declared = meta.get("n_records")
     if declared is not None and declared != len(records):
         raise ValueError(
             f"archive declares {declared} records but contains {len(records)}"
         )
-    return meta, records
+    return meta, _pack(records, lambda i: f"{path}, line {lines[i + 1][0]}")
 
 
 def _discrete_record(line: str) -> DiscreteRecord:
@@ -293,12 +298,14 @@ def _parse_line(path, no: int, line: str, decode):
 
 
 def validate_records(
-    model_description: Mapping, model, metadata: Mapping, records: Sequence
+    model_description: Mapping, model, metadata: Mapping, records
 ) -> list[str]:
     """Semantic cross-checks between an archive and a model.
 
-    Returns human-readable problem strings; an empty list means the
-    archive is consistent with the model.
+    ``records`` is a RecordBatch or a sequence of record views.  Lists
+    every problem that the passes' record checks find, then non-finite
+    signal increments (which a pass reports as a zero probability).  An
+    empty list means the archive is consistent with the model.
     """
     problems: list[str] = []
     declared = metadata.get("model_hash")
@@ -308,49 +315,26 @@ def validate_records(
             f"archive was produced from a different model (hash {declared[:12]}.. "
             f"!= {actual[:12]}..)"
         )
+    batch = RecordBatch.from_records(records)
     if isinstance(model, KrausFamily):
         if metadata.get("record_type") != "discrete":
             problems.append("discrete model but archive is not of discrete records")
             return problems
-        for rec in records:
-            if len(rec.outcomes) > model.n_steps:
-                problems.append(
-                    f"record {rec.id} has {len(rec.outcomes)} outcomes; the model "
-                    f"defines {model.n_steps} steps"
-                )
-                continue
-            for t, y in enumerate(rec.outcomes):
-                if y not in model.outcomes(t):
-                    problems.append(
-                        f"record {rec.id} uses unknown outcome {y!r} at step {t}"
-                    )
-                    break
+        found = _outcome_codes(model, batch)[1]
     elif isinstance(model, SMEModel):
         if metadata.get("record_type") != "continuous":
             problems.append("continuous model but archive is not of signal records")
             return problems
-        n_mon = len(model.monitored)
-        for rec in records:
-            if not math.isclose(rec.dt, model.dt, rel_tol=1e-9, abs_tol=0.0):
-                problems.append(
-                    f"record {rec.id} was taken on a {rec.dt} s grid; the "
-                    f"model steps by {model.dt} s"
-                )
-            elif rec.increments.shape[1] != n_mon:
-                problems.append(
-                    f"record {rec.id} carries {rec.increments.shape[1]} signal "
-                    f"channels; the model monitors {n_mon}"
-                )
-            elif rec.increments.shape[0] > model.n_steps:
-                problems.append(
-                    f"record {rec.id} has {rec.increments.shape[0]} steps; the "
-                    f"model defines {model.n_steps}"
-                )
-            elif not np.isfinite(rec.increments).all():
-                problems.append(f"record {rec.id} contains non-finite increments")
+        found = _signal_problems(model, batch)
+        finite = np.isfinite(batch.data).all(axis=tuple(range(1, batch.data.ndim)))
+        found += [
+            ValueError(f"record {rid} contains non-finite increments")
+            for rid in batch.record_ids[~finite]
+        ]
     else:
         problems.append(f"unsupported model type {type(model).__name__}")
-    return problems
+        return problems
+    return problems + [str(problem) for problem in found]
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,6 @@ __all__ = [
     "DensityMatrix",
     "EffectMatrix",
     "KrausFamily",
-    "HermitianBasis",
-    "as_matrix",
     "frobenius",
     "apply_cp_map",
     "apply_adjoint_cp_map",

@@ -146,7 +146,7 @@ def test_short_record_does_not_cap_start_times(tmp_path):
     desc = povm_model(model, n_steps=6)
     family = instantiate_model(desc)
     rho0 = np.eye(2) / 2
-    records = sample_records(family, rho0, 40, rng_seed=17)
+    records = list(sample_records(family, rho0, 40, rng_seed=17))
     records[12] = DiscreteRecord(12, records[12].outcomes[:2])
     recs = tmp_path / "recs.jsonl"
     write_records(recs, records, model_description=desc)
@@ -269,6 +269,46 @@ def test_mixed_length_signal_archive_with_ensemble_average(tmp_path, capsys):
     rows = [ln.split(",")[:2] for ln in out.read_text().splitlines()[2:]]
     assert rows == [["0", "x"], ["4", "x"], ["0", "ensemble:x"], ["4", "ensemble:x"]]
 
+
+def test_an_archive_without_records_is_unreadable(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    povm_model(model)
+    recs = tmp_path / "empty.jsonl"
+    recs.write_text(
+        '{"format": "trajtomo-records", "version": 1, "record_type": "discrete", '
+        '"n_records": 0}\n'
+    )
+    for command in (["tomography", "--out", tmp_path / "o.csv"], ["validate"]):
+        assert run([*command, "--model", model, "--records", recs]) == 2
+        assert "empty.jsonl holds no records" in capsys.readouterr().err
+
+
+def _signal_archive(path, records):
+    with open(path, "w") as fh:
+        fh.write('{"format": "trajtomo-records", "version": 1, '
+                 '"record_type": "continuous"}\n')
+        for i, (dt, channels) in enumerate(records):
+            line = {"id": i, "dt": dt, "increments": [[0.0] * channels] * 6}
+            fh.write(json.dumps(line))
+            fh.write("\n")
+
+
+def test_signal_archives_that_cannot_form_one_batch_or_fit_the_model(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    save_model(model, "fluorescence", {"n_steps": 6})
+    dt = build_fluorescence_model(n_steps=6).dt
+    recs, out = tmp_path / "recs.jsonl", tmp_path / "o.csv"
+    # a grid step or channel count unlike the first record's: unreadable
+    for mixed in ([(dt, 2), (2 * dt, 2)], [(dt, 2), (dt, 1)]):
+        _signal_archive(recs, mixed)
+        for command in (["tomography", "--out", out], ["validate"]):
+            assert run([*command, "--model", model, "--records", recs]) == 2
+            assert "recs.jsonl, line 3:" in capsys.readouterr().err
+    # one shared grid that is not the model's: a validation failure
+    _signal_archive(recs, [(2 * dt, 2), (2 * dt, 2)])
+    assert run(["tomography", "--out", out, "--model", model, "--records", recs]) == 1
+    assert capsys.readouterr().err.count("grid but the model steps by") == 2
+    assert run(["validate", "--model", model, "--records", recs]) == 1
 
 def _distribution_missing(name):
     try:

@@ -12,7 +12,6 @@ from trajtomo import (
     KrausFamily,
     UnknownOutcome,
     ZeroProbability,
-    backward_batch,
     backward_continuous_batch,
     backward_run,
     backward_sweep,
@@ -202,7 +201,7 @@ def test_effect_batch_is_an_array_view_with_per_record_access():
         )
         for i in range(5)
     ]
-    batch = backward_batch(fam, recs)
+    batch = backward_sweep_batch(fam, recs, (0,))[0]
     assert isinstance(batch, EffectBatch) and len(batch) == 5
     assert batch.effects.shape == (5, 2, 2) and batch.log_c.shape == (5,)
     assert list(batch.record_ids) == [r.id for r in recs]
@@ -241,7 +240,7 @@ def test_backward_batch_matches_scalar():
         )
         for i in range(12)
     ]
-    batch = backward_batch(fam, recs)
+    batch = backward_sweep_batch(fam, recs, (0,))[0]
     for rec, adj in zip(recs, batch):
         single = backward_run(fam, rec)
         assert np.abs(adj.effect.matrix - single.effect.matrix).max() < 1e-12
@@ -263,7 +262,7 @@ def test_backward_batch_mixed_lengths():
     fam = random_family(rng, 2, 8)
     recs = mixed_records(rng, fam, 9, 2, 8)
     assert len({len(r) for r in recs}) > 1
-    batch = backward_batch(fam, recs)
+    batch = backward_sweep_batch(fam, recs, (0,))[0]
     assert batch.record_ids.tolist() == [r.id for r in recs]
     for rec, adj in zip(recs, batch):
         single = backward_run(fam, rec)

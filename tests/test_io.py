@@ -175,6 +175,31 @@ def test_read_records_names_the_bad_line(tmp_path):
         read_records(p)
 
 
+def test_read_records_refuses_an_archive_without_records(tmp_path):
+    p = tmp_path / "none.jsonl"
+    p.write_text(
+        '{"format": "trajtomo-records", "version": 1, "record_type": "discrete", '
+        '"n_records": 0}\n'
+    )
+    with pytest.raises(ValueError, match=r"none\.jsonl holds no records"):
+        read_records(p)
+
+
+@pytest.mark.parametrize("third", [
+    '{"id": 2, "dt": 2e-3, "increments": [[0.1, 0.2]]}',  # another grid step
+    '{"id": 2, "dt": 1e-3, "increments": [[0.1]]}',  # another channel count
+], ids=["dt", "channels"])
+def test_read_records_names_the_line_that_cannot_join_the_batch(tmp_path, third):
+    p = tmp_path / "x.jsonl"
+    good = '{"id": %d, "dt": 1e-3, "increments": [[0.1, 0.2]]}\n'
+    p.write_text(
+        '{"format": "trajtomo-records", "version": 1, "record_type": "continuous"}\n'
+        + good % 0 + good % 1 + third + "\n"
+    )
+    with pytest.raises(ValueError, match="line 4: .* one batch holds one grid"):
+        read_records(p)
+
+
 def qnd_desc_and_model():
     desc = {"kind": "qnd", "parameters": {"n_steps": 3, "n_max": 3}}
     return desc, instantiate_model(desc)
