@@ -47,7 +47,10 @@ from .filtering import (
     EffectBatch,
     FilterTrace,
     RecordBatch,
+    _coords,
     _filter,
+    _matrices,
+    _real_map,
     _step_by_step,
     _sweep,
 )
@@ -196,10 +199,10 @@ def _signal_problems(model: SMEModel, batch: RecordBatch) -> list:
     """The rules that signal records must meet, applied to a batch.
 
     A grid step other than the model's, or a channel count other than
-    its monitored count, is shared by the whole batch and so is a
-    problem of every record; otherwise a record may have more steps
-    than the model defines.  Problems come as the exceptions a pass
-    raises, at most one per record, in record order.
+    its monitored count, is shared by the whole batch and so is one
+    problem, named after the first record; otherwise a record may have
+    more steps than the model defines.  Problems come as the exceptions
+    a pass raises, at most one per record, in record order.
     """
     if not len(batch):
         return []
@@ -216,7 +219,7 @@ def _signal_problems(model: SMEModel, batch: RecordBatch) -> list:
             f"record {ids[n]} has {lengths[n]} steps but the model defines "
             f"{model.n_steps}"
         ) for n in np.flatnonzero(lengths > model.n_steps)]
-    return [ValueError(f"record {rid} {why}") for rid in ids]
+    return [ValueError(f"record {ids[0]} {why}")]
 
 
 def _checked_signals(model: SMEModel, records) -> RecordBatch:
@@ -230,8 +233,12 @@ def _checked_signals(model: SMEModel, records) -> RecordBatch:
 
 def build_m(model: SMEModel, dy) -> np.ndarray:
     """The stochastic Kraus operator M for one step with increments dy."""
+    return _stochastic_m(*_step_ops(model)[:2], dy)
+
+
+def _stochastic_m(base, stack, dy) -> np.ndarray:
+    """M = base + sum_v dy_v stack_v, from ``_step_ops``' first two parts."""
     dy = np.asarray(dy, dtype=float)
-    base, stack, _ = _step_ops(model)
     if dy.shape != (stack.shape[0],):
         raise ValueError(f"expected {stack.shape[0]} signal increments")
     if stack.shape[0]:
@@ -241,12 +248,14 @@ def build_m(model: SMEModel, dy) -> np.ndarray:
 
 def cp_map_continuous(model: SMEModel, dy, rho) -> np.ndarray:
     """Unnormalized one-step update K_dy(rho)."""
-    return _kraus_form(build_m(model, dy), _step_ops(model)[2], as_matrix(rho), False)
+    base, stack, resid = _step_ops(model)
+    return _kraus_form(_stochastic_m(base, stack, dy), resid, as_matrix(rho), False)
 
 
 def adjoint_cp_map_continuous(model: SMEModel, dy, effect) -> np.ndarray:
     """Unnormalized adjoint update K_dy^*(E)."""
-    return _kraus_form(build_m(model, dy), _step_ops(model)[2], as_matrix(effect), True)
+    base, stack, resid = _step_ops(model)
+    return _kraus_form(_stochastic_m(base, stack, dy), resid, as_matrix(effect), True)
 
 
 def _kraus_form(m, resid, x, adjoint: bool) -> np.ndarray:
@@ -278,10 +287,12 @@ def _superoperators(model: SMEModel, *, adjoint: bool):
     A_0 = B (x) conj(B) + sum_k R_k (x) conj(R_k) from the deterministic
     part B and the undetected residue R_k, A_v = S_v (x) conj(B)
     + B (x) conj(S_v) from the monitored operators S_v, and the pair
-    terms S_v (x) conj(S_w) (plus the swapped term when v != w).  The
-    adjoint K*_dy has superoperators A_m^dag, since phi is real.  Rows
-    vec(X) times the returned (d^2, M d^2) matrix give every A_m vec(X)
-    in one product.
+    terms S_v (x) conj(S_w) (plus the swapped term when v != w).  Each
+    A_m preserves Hermiticity, so it acts on the real coordinates of
+    ``filtering._basis`` as a real map R_m, and K*_dy acts as R_m^T,
+    since phi is real.  Coordinate rows x times the returned
+    (d^2, M d^2) real matrix give every x @ R_m^T (x @ R_m in the
+    adjoint direction) in one product.
     """
     base, stack, resid = _step_ops(model)
     terms = [np.kron(base, base.conj()) + sum(np.kron(k, k.conj()) for k in resid)]
@@ -292,7 +303,8 @@ def _superoperators(model: SMEModel, *, adjoint: bool):
         if v != w:
             term = term + np.kron(stack[w], stack[v].conj())
         terms.append(term)
-    right = np.concatenate([a.conj() if adjoint else a.T for a in terms], axis=1)
+    maps = [_real_map(a) for a in terms]
+    right = np.concatenate([r if adjoint else r.T for r in maps], axis=1)
     return right, np.array(pairs, dtype=int).reshape(-1, 2)
 
 
@@ -300,10 +312,10 @@ def _sme_step(model: SMEModel, increments, *, adjoint: bool):
     """The driver's step map for signal records.
 
     ``increments(t, flat)`` returns every record's signal increments at
-    step t, shape (N, n_monitored); the active rows X become K_dy(X), or
-    K*_dy(X) in the adjoint direction, through the expansion of
-    ``_superoperators``: one product of the rows with the stacked A_m,
-    weighted by phi(dy).
+    step t, shape (N, n_monitored); the coordinate rows of the active X
+    become those of K_dy(X), or K*_dy(X) in the adjoint direction,
+    through the expansion of ``_superoperators``: one real product of
+    the rows with the stacked maps, weighted by phi(dy).
     """
     right, pairs = _superoperators(model, adjoint=adjoint)
     k = model.dim**2
@@ -315,7 +327,7 @@ def _sme_step(model: SMEModel, increments, *, adjoint: bool):
         phi = np.concatenate(
             [np.ones((len(x), 1)), dy, dy[:, pairs[:, 0]] * dy[:, pairs[:, 1]]],
             axis=1,
-        ).astype(complex)
+        )
         return np.matmul(phi[:, None, :], (x @ right).reshape(-1, n_terms, k))[:, 0]
 
     return apply
@@ -378,38 +390,41 @@ def _tilted_normal_ppf(u, a, b, c):
     return out
 
 
-def _signal_quadratics(base, stack, resid):
-    """Operators whose rho-traces give the outcome density coefficients.
+def _signal_quadratics(base, stack, resid) -> np.ndarray:
+    """Coordinate columns whose products with states give the outcome
+    density coefficients.
 
     The one-step density of the increments is
     (a + b . dy + dy^T C dy) N(dy; 0, dt I) with a = tr(rho T0),
-    b_v = tr(rho T1_v) and C_vw = tr(rho T2_vw) for the operators
-    returned here.
+    b_v = tr(rho T1_v) and C_vw = tr(rho T2_vw), where T0 = B*B
+    + sum_k R_k* R_k, T1_v = 2 B* S_v and T2_vw = S_w* S_v.  Returns
+    the (d^2, 1 + k + k^2) ``_coords`` of T0, the T1_v and the T2_vw in
+    row-major order, as columns: coordinate rows of rho times it give
+    (a, b, C) with the real parts taken.
     """
     t0 = base.conj().T @ base
     for k in resid:
         t0 = t0 + k.conj().T @ k
-    t1 = np.stack([2.0 * base.conj().T @ s for s in stack]) if len(stack) \
-        else np.zeros((0,) + base.shape, complex)
-    t2 = np.einsum("wji,vjk->vwik", stack.conj(), stack) if len(stack) \
-        else np.zeros((0, 0) + base.shape, complex)
-    return t0, t1, t2
+    t1 = [2.0 * base.conj().T @ s for s in stack]
+    t2 = [sw.conj().T @ sv for sv in stack for sw in stack]
+    return _coords(np.stack([t0, *t1, *t2])).T
 
 
-def _draw_increments(rng, states, t0, t1, t2, dt):
+def _draw_increments(rng, coeffs, dt):
     """Sample signal increments from the exact one-step outcome law.
 
-    The density is a Gaussian N(0, dt I) tilted by the nonnegative
-    quadratic tr(K_dy rho); rotating to the eigenbasis of its quadratic
-    part makes the coordinates conditionally one dimensional, each an
-    analytic tilted-Gaussian quantile.  Consumes exactly one uniform per
-    coordinate per record, so the draw is reproducible by seed.
+    ``coeffs`` holds each record's (a, b, C) of ``_signal_quadratics``,
+    shape (N, 1 + k + k^2).  The density is a Gaussian N(0, dt I)
+    tilted by the nonnegative quadratic tr(K_dy rho); rotating to the
+    eigenbasis of its quadratic part makes the coordinates conditionally
+    one dimensional, each an analytic tilted-Gaussian quantile.
+    Consumes exactly one uniform per coordinate per record, so the draw
+    is reproducible by seed.
     """
-    n = states.shape[0]
-    k = t1.shape[0]
-    a = np.einsum("ij,nji->n", t0, states).real
-    b = np.einsum("vij,nji->nv", t1, states).real
-    quad = np.einsum("vwij,nji->nvw", t2, states).real
+    n = coeffs.shape[0]
+    k = math.isqrt(coeffs.shape[1] - 1)
+    a, b = coeffs[:, 0], coeffs[:, 1 : k + 1]
+    quad = coeffs[:, k + 1 :].reshape(n, k, k)
     quad = 0.5 * (quad + quad.transpose(0, 2, 1))
     eigs, rot = np.linalg.eigh(quad)
     eigs = np.clip(eigs, 0.0, None)
@@ -452,17 +467,16 @@ def simulate_sme(
     d = model.dim
     base, stack, resid = _step_ops(model)
     n_mon = stack.shape[0]
-    t0, t1, t2 = _signal_quadratics(base, stack, resid)
+    quadratics = _signal_quadratics(base, stack, resid)
     rng = np.random.default_rng(rng_seed)
     signals = np.empty((n_records, model.n_steps, n_mon))
     means = []
 
     def draw(t, flat):
-        states = flat.reshape(n_records, d, d)
         if keep_mean:
-            means.append(states.mean(axis=0))
+            means.append(flat.mean(axis=0))
         if n_mon:
-            signals[:, t, :] = _draw_increments(rng, states, t0, t1, t2, model.dt)
+            signals[:, t, :] = _draw_increments(rng, flat @ quadratics, model.dt)
         return signals[:, t, :]
 
     total = model.n_steps
@@ -474,8 +488,8 @@ def simulate_sme(
         signals, np.full(n_records, total), np.arange(n_records), dt=model.dt
     )
     if keep_mean:
-        means.append(final.mean(axis=0))
-        return records, np.stack(means)
+        means = _matrices(np.stack(means))
+        return records, np.concatenate([means, final.mean(axis=0)[None]])
     return records
 
 
@@ -505,9 +519,9 @@ def _signal_steps(model: SMEModel, record: ContinuousRecord, x, *, adjoint, tol)
     base, stack, resid = _step_ops(model)
 
     def apply(t, x):
-        dy = record.increments[t]
-        m = base + np.einsum("v,vij->ij", dy, stack) if stack.shape[0] else base
-        return _kraus_form(m, resid, x, adjoint)
+        return _kraus_form(
+            _stochastic_m(base, stack, record.increments[t]), resid, x, adjoint
+        )
 
     return _step_by_step(
         apply, len(record), x, record.id, adjoint=adjoint, check=_band_check, tol=tol

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import InitVar, dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -445,24 +445,70 @@ def _check_starts(start_indices: Sequence[int], n: int) -> frozenset[int]:
     return out
 
 
+@cache
+def _basis(dim: int) -> np.ndarray:
+    """Rows vec(B_k) of an orthonormal basis of the Hermitian matrices.
+
+    The diagonal matrix units E_ii come first, then for each j < k
+    (E_jk + E_kj)/sqrt(2) and i(E_kj - E_jk)/sqrt(2).  The batched
+    passes carry a Hermitian X as its real coordinates x_k = tr(B_k X),
+    so that X = sum_k x_k B_k and tr X is the sum of the first dim
+    coordinates.  Matrix units keep the zeros of sparse Kraus operators
+    exact, so a step of probability zero still traces to exactly zero.
+    """
+    j, k = np.triu_indices(dim, 1)
+    pair, half = dim + 2 * np.arange(len(j)), 1.0 / math.sqrt(2.0)
+    rows = np.zeros((dim * dim, dim, dim), dtype=complex)
+    rows[np.arange(dim), np.arange(dim), np.arange(dim)] = 1.0
+    rows[pair, j, k] = rows[pair, k, j] = half
+    rows[pair + 1, j, k], rows[pair + 1, k, j] = -1j * half, 1j * half
+    rows = rows.reshape(dim * dim, dim * dim)
+    rows.flags.writeable = False
+    return rows
+
+
+def _coords(mats) -> np.ndarray:
+    """Rows Re tr(B_k A) of (..., d, d) matrices A, shape (..., d^2).
+
+    For Hermitian A these are its coordinates; for any A the row c gives
+    Re tr(A X) = c . x for a Hermitian X with coordinates x.
+    """
+    a = np.asarray(mats)
+    d = a.shape[-1]
+    return (a.reshape(a.shape[:-2] + (d * d,)) @ _basis(d).conj().T).real
+
+
+def _matrices(coords: np.ndarray) -> np.ndarray:
+    """The (..., d, d) Hermitian matrices of coordinate rows (..., d^2)."""
+    d = math.isqrt(coords.shape[-1])
+    return (coords @ _basis(d)).reshape(coords.shape[:-1] + (d, d))
+
+
+def _real_map(sup: np.ndarray) -> np.ndarray:
+    """R[k, l] = tr(B_k K(B_l)) for a Hermiticity-preserving K with
+    row-major vec(K(X)) = sup @ vec(X).
+
+    Coordinate rows x map to x @ R.T under K and to x @ R under its
+    adjoint K*, since the basis is real-orthonormal under tr(A B).
+    """
+    b = _basis(math.isqrt(sup.shape[0]))
+    return (b.conj() @ sup @ b.T).real
+
+
 def _superops(family: KrausFamily, n_steps: int, *, adjoint: bool):
-    """Per-step {outcome: S}, in the family's outcome order, with
-    vec(K_y(X)) = S @ vec(X), or vec(K*_y(X)) in the adjoint direction.
-    Steps shared by identity share one table."""
-    cache: dict[int, dict[str, np.ndarray]] = {}
+    """Per-step maps, in the family's outcome order, with coordinate rows
+    x of X going to x @ map for K_y(X), or K*_y(X) in the adjoint
+    direction.  Steps shared by identity share one table."""
+    maps: dict[int, list[np.ndarray]] = {}
     table = []
     for t in range(n_steps):
         step = family.step(t)
-        sup = cache.get(id(step))
+        sup = maps.get(id(step))
         if sup is None:
-            sup = {
-                y: sum(
-                    np.kron(m.conj().T, m.T) if adjoint else np.kron(m, m.conj())
-                    for m in ops
-                )
-                for y, ops in step.items()
-            }
-            cache[id(step)] = sup
+            sup = [_real_map(sum(np.kron(m, m.conj()) for m in ops))
+                   for ops in step.values()]
+            sup = [r if adjoint else r.T for r in sup]
+            maps[id(step)] = sup
         table.append(sup)
     return table
 
@@ -524,18 +570,19 @@ def _kraus_step(family: KrausFamily, span: int, outcomes, *, adjoint: bool):
 
     ``outcomes(t, flat)`` returns every record's outcome code at step t
     (-1 for a record that has ended, which matches no label); each
-    record's row is replaced by K_y(X), or K*_y(X) in the adjoint
-    direction, one masked product per label, and the active rows are
-    returned as a view of ``flat`` when every record is active.
+    record's coordinate row is replaced by that of K_y(X), or K*_y(X) in
+    the adjoint direction, one masked real product per label, and the
+    active rows are returned as a view of ``flat`` when every record is
+    active.
     """
-    sups = _superops(family, span, adjoint=adjoint)
+    maps = _superops(family, span, adjoint=adjoint)
 
     def apply(t, flat, act):
         codes = outcomes(t, flat)
-        for i, sup in enumerate(sups[t].values()):
+        for i, r in enumerate(maps[t]):
             mask = codes == i
             if mask.any():
-                flat[mask] = flat[mask] @ sup.T
+                flat[mask] = flat[mask] @ r
         return flat[act]
 
     return apply
@@ -556,24 +603,26 @@ def _propagate(
 ) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Run a record type's one-step maps over a batch of operators, in place.
 
-    Row n of ``flat`` is the row-major vec of record ids[n]'s operator.
-    For each t in ``steps`` the records with more than t steps
-    (``lengths`` holds the step counts) are active, and
-    ``apply(t, flat, act)`` returns their unnormalized K(X), or K*(X) in
-    the adjoint direction, with ``act`` selecting their rows.  Each
-    active operator is then divided by its trace and the log trace added
-    to ``log_c``.  Steps are labelled by the time index they reach: t in
+    Row n of the real array ``flat`` holds the coordinates of record
+    ids[n]'s d x d Hermitian operator in the basis of ``_basis``, so its
+    trace is the sum of the first d columns; callers convert to and from
+    complex matrices only at the start and at the kept snapshots.  For
+    each t in ``steps`` the records with more than t steps (``lengths``
+    holds the step counts) are active, and ``apply(t, flat, act)``
+    returns the coordinates of their unnormalized K(X), or K*(X) in the
+    adjoint direction, with ``act`` selecting their rows.  Each active
+    operator is then divided by its trace and the log trace added to
+    ``log_c``.  Steps are labelled by the time index they reach: t in
     the adjoint direction, t + 1 forward, with 0 the forward initial
     value.  For each label in ``keep`` the operators and log scales of
-    the records that cover the step are copied out as (ids, flat rows,
-    log_c rows).
+    the records that cover the step are copied out as (ids, coordinate
+    rows, log_c rows).
 
     ``check(traces, t, ids)``, when given, vets the active traces first.
     Raises ZeroProbability, naming the record and the step, when a trace
     is not above ``tol.prob_floor`` (NaN included).
     """
     dim = math.isqrt(flat.shape[1])
-    diag = np.arange(dim) * (dim + 1)
     shortest = lengths.min()
     snaps = {}
     if not adjoint and 0 in keep:
@@ -582,7 +631,7 @@ def _propagate(
         act = slice(None) if shortest > t else lengths > t
         on = ids[act]
         new = apply(t, flat, act)
-        traces = new[:, diag].real.sum(axis=1)
+        traces = new[:, :dim].sum(axis=1)
         if check is not None:
             check(traces, t, on)
         bad = int(np.argmin(traces))
@@ -617,7 +666,7 @@ def _sweep(make_step, dim, lengths, ids, start_indices, *, check, tol):
     span = int(lengths.max())
     wanted = _check_starts(start_indices, span)
     n = len(ids)
-    flat = np.tile((np.eye(dim) / dim).reshape(-1), (n, 1)).astype(complex)
+    flat = np.tile(_coords(np.eye(dim) / dim), (n, 1))
     snaps = _propagate(
         make_step(adjoint=True), flat, np.full(n, math.log(dim)),
         range(span - 1, -1, -1), ids, lengths, adjoint=True, keep=wanted,
@@ -626,7 +675,7 @@ def _sweep(make_step, dim, lengths, ids, start_indices, *, check, tol):
     out = {}
     for s in map(int, start_indices):
         on, effs, lc = snaps[s]
-        out[s] = EffectBatch(effs.reshape(-1, dim, dim), lc, on, start=s, tol=tol)
+        out[s] = EffectBatch(_matrices(effs), lc, on, start=s, tol=tol)
     return out
 
 
@@ -648,12 +697,12 @@ def _filter(make_step, dim, lengths, ids, rho0, at, *, check, tol):
     rho = as_matrix(rho0)
     DensityMatrix(rho, tol=tol)
     n = len(ids)
-    flat = np.tile(rho.reshape(-1), (n, 1)).astype(complex)
+    flat = np.tile(_coords(rho), (n, 1))
     snaps = _propagate(
         make_step(adjoint=False), flat, np.zeros(n), range(span), ids, lengths,
         adjoint=False, keep=wanted, check=check, tol=tol,
     )
-    return {int(k): snaps[int(k)][1].reshape(-1, dim, dim) for k in at}
+    return {int(k): _matrices(snaps[int(k)][1]) for k in at}
 
 
 def backward_sweep_batch(
@@ -733,33 +782,32 @@ def sample_records(
         raise ValueError(f"n_steps must be in [1, {family.n_steps}]")
     dim = family.dim
     rng = np.random.default_rng(rng_seed)
-    # weight operators Q_y = sum_k M* M give outcome probabilities as tr(rho Q_y)
-    weight_cache: dict[int, list[np.ndarray]] = {}
-    diag_idx = np.arange(dim) * (dim + 1)
+    # coordinates of the weight operators Q_y = sum_k M* M, one column per
+    # outcome, so that rows of coordinates times them give tr(rho Q_y)
+    weight_cache: dict[int, np.ndarray] = {}
     codes = np.empty((n_records, total), dtype=int)
     means = []
 
     def draw(t, flat):
         if keep_mean:
-            means.append(flat.mean(axis=0).reshape(dim, dim))
+            means.append(flat.mean(axis=0))
         if interventions and t in interventions:
-            flat[:] = flat @ np.asarray(interventions[t], dtype=complex).T
-            traces = flat[:, diag_idx].sum(axis=1).real
-            flat /= traces[:, None]
+            sup = np.asarray(interventions[t], dtype=complex)
+            flat[:] = flat @ _real_map(sup).T
+            flat /= flat[:, :dim].sum(axis=1, keepdims=True)
         step = family.step(t)
         weights = weight_cache.get(id(step))
         if weights is None:
-            # stored transposed so that flat @ w computes tr(rho Q_y)
-            weights = [
-                sum(m.conj().T @ m for m in ops).T.reshape(-1) for ops in step.values()
-            ]
+            weights = _coords(
+                np.stack([sum(m.conj().T @ m for m in ops) for ops in step.values()])
+            ).T
             weight_cache[id(step)] = weights
-        probs = np.stack([(flat @ w).real for w in weights], axis=1)
+        probs = flat @ weights
         np.clip(probs, 0.0, None, out=probs)
         probs /= probs.sum(axis=1, keepdims=True)
         u = rng.random(n_records)
         idx = (probs.cumsum(axis=1) < u[:, None]).sum(axis=1)
-        codes[:, t] = np.minimum(idx, len(weights) - 1)
+        codes[:, t] = np.minimum(idx, weights.shape[1] - 1)
         return codes[:, t]
 
     final = _filter(
@@ -779,6 +827,6 @@ def sample_records(
         codes, np.full(n_records, total), np.arange(n_records), tuple(labels)
     )
     if keep_mean:
-        means.append(final.mean(axis=0))
-        return records, np.stack(means)
+        means = _matrices(np.stack(means))
+        return records, np.concatenate([means, final.mean(axis=0)[None]])
     return records

@@ -2,6 +2,13 @@
 
 Everything is seeded explicitly at the call site so failures reproduce.
 """
+import os
+
+# One BLAS thread unless the environment says otherwise, set before NumPy
+# loads: spinning BLAS threads on a busy core slow the small matrix
+# products of the passes by orders of magnitude.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from trajtomo import KrausFamily

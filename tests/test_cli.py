@@ -304,10 +304,16 @@ def test_signal_archives_that_cannot_form_one_batch_or_fit_the_model(tmp_path, c
         for command in (["tomography", "--out", out], ["validate"]):
             assert run([*command, "--model", model, "--records", recs]) == 2
             assert "recs.jsonl, line 3:" in capsys.readouterr().err
-    # one shared grid that is not the model's: a validation failure
+    # one shared grid that is not the model's: a validation failure of the
+    # batch, reported once and naming the first record
     _signal_archive(recs, [(2 * dt, 2), (2 * dt, 2)])
     assert run(["tomography", "--out", out, "--model", model, "--records", recs]) == 1
-    assert capsys.readouterr().err.count("grid but the model steps by") == 2
+    problems = [
+        line for line in capsys.readouterr().err.splitlines() if "problem:" in line
+    ]
+    assert len(problems) == 1
+    assert "record 0 was taken on a" in problems[0]
+    assert "grid but the model steps by" in problems[0]
     assert run(["validate", "--model", model, "--records", recs]) == 1
 
 def _distribution_missing(name):

@@ -1,0 +1,210 @@
+"""The real Hermitian coordinates that the batched passes run on.
+
+Each step map is checked on its own against the Kraus-form maps, and
+whole passes over mixed-length batches against the step-by-step
+references, for several Kraus operators per outcome.
+"""
+import math
+
+import numpy as np
+import pytest
+
+from conftest import random_density, random_hermitian, random_step
+from trajtomo import (
+    Channel,
+    ContinuousRecord,
+    DiscreteRecord,
+    KrausFamily,
+    SMEModel,
+    adjoint_cp_map_continuous,
+    apply_adjoint_cp_map,
+    apply_cp_map,
+    backward_continuous,
+    backward_continuous_batch,
+    backward_sweep,
+    backward_sweep_batch,
+    cp_map_continuous,
+    forward_batch,
+    forward_filter,
+    forward_filter_batch,
+    forward_run,
+    sample_records,
+    simulate_sme,
+)
+from trajtomo.continuous import _superoperators
+from trajtomo.filtering import _basis, _coords, _matrices, _real_map, _superops
+
+DIMS = (2, 3, 8)
+TOL = 1e-13
+
+
+def _scale(x):
+    return max(1.0, float(np.abs(x).max()))
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_basis_is_orthonormal_and_hermitian(dim):
+    b = _basis(dim).reshape(-1, dim, dim)
+    assert b.shape == (dim * dim, dim, dim)
+    assert np.abs(b - b.conj().transpose(0, 2, 1)).max() == 0.0
+    gram = np.einsum("kij,lji->kl", b, b)
+    assert np.abs(gram - np.eye(dim * dim)).max() < 1e-15
+    # the trace is the sum of the first dim coordinates
+    rho = random_density(np.random.default_rng(dim), dim)
+    x = _coords(rho)
+    assert x[:dim].sum() == pytest.approx(1.0, abs=1e-15)
+    assert np.abs(_matrices(x) - rho).max() < 1e-15
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_step_maps_are_real_and_reproduce_the_kraus_maps(dim):
+    rng = np.random.default_rng(400 + dim)
+    step = random_step(rng, dim, n_outcomes=3, ops_per_outcome=3)
+    fam = KrausFamily(dim, [step])
+    forward = _superops(fam, 1, adjoint=False)[0]
+    adjoint = _superops(fam, 1, adjoint=True)[0]
+    b = _basis(dim)
+    for i, (y, ops) in enumerate(step.items()):
+        sup = sum(np.kron(m, m.conj()) for m in ops)
+        full = b.conj() @ sup @ b.T
+        assert np.abs(full.imag).max() <= TOL * np.linalg.norm(full)
+        r = _real_map(sup)
+        assert np.array_equal(forward[i], r.T) and np.array_equal(adjoint[i], r)
+        for x in (random_hermitian(rng, dim), random_density(rng, dim)):
+            want = apply_cp_map(fam, 0, y, x).matrix
+            got = _matrices(_coords(x) @ forward[i])
+            assert np.abs(got - want).max() <= TOL * _scale(want)
+            want = apply_adjoint_cp_map(fam, 0, y, x).matrix
+            got = _matrices(_coords(x) @ adjoint[i])
+            assert np.abs(got - want).max() <= TOL * _scale(want)
+
+
+def random_model(rng, dim, n_steps):
+    """Two monitored channels and one unmonitored, weak enough for dt."""
+    h = random_hermitian(rng, dim)
+    ops = [
+        (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / dim
+        for _ in range(3)
+    ]
+    return SMEModel(
+        hamiltonian=h / np.linalg.norm(h, 2),
+        channels=(Channel(ops[0], 0.7), Channel(ops[1], 1.0), Channel(ops[2], 0.0)),
+        dt=1e-3,
+        n_steps=n_steps,
+    )
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_signal_step_maps_reproduce_the_kraus_maps(dim):
+    rng = np.random.default_rng(500 + dim)
+    model = random_model(rng, dim, 4)
+    k = dim * dim
+    for adjoint, reference in ((False, cp_map_continuous),
+                               (True, adjoint_cp_map_continuous)):
+        right, pairs = _superoperators(model, adjoint=adjoint)
+        assert right.dtype == float and right.shape[0] == k
+        for x in (random_hermitian(rng, dim), random_density(rng, dim)):
+            dy = rng.standard_normal(2) * math.sqrt(model.dt)
+            phi = np.concatenate([[1.0], dy, dy[pairs[:, 0]] * dy[pairs[:, 1]]])
+            got = _matrices(phi @ (_coords(x) @ right).reshape(-1, k))
+            want = reference(model, dy, x)
+            assert np.abs(got - want).max() <= TOL * _scale(want)
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_discrete_passes_on_mixed_lengths_match_the_references(dim):
+    rng = np.random.default_rng(600 + dim)
+    n_steps = 7
+    fam = KrausFamily(dim, [random_step(rng, dim, 3, 2) for _ in range(n_steps)])
+    rho = random_density(rng, dim)
+    lengths = rng.integers(1, n_steps + 1, size=9)
+    lengths[0] = n_steps
+    recs = [
+        DiscreteRecord(r.id, r.outcomes[:n])
+        for r, n in zip(sample_records(fam, rho, 9, rng_seed=dim), lengths)
+    ]
+    starts = (0, 2, n_steps - 1)
+    sweep = backward_sweep_batch(fam, recs, starts)
+    for s in starts:
+        covering = [r for r in recs if len(r) > s]
+        assert sweep[s].record_ids.tolist() == [r.id for r in covering]
+        for rec, adj in zip(covering, sweep[s]):
+            want = backward_sweep(fam, rec, (s,))[s]
+            assert np.abs(adj.effect.matrix - want.effect.matrix).max() < 1e-12
+            assert adj.log_c == pytest.approx(want.log_c, rel=1e-12, abs=1e-12)
+    at = (0, 1, 4, n_steps)
+    states = forward_batch(fam, recs, rho, at)
+    for k in at:
+        covering = [r for r in recs if len(r) >= k]
+        for state, rec in zip(states[k], covering):
+            want = forward_run(fam, rec, rho).states[k].matrix
+            assert np.abs(state - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_signal_passes_on_mixed_lengths_match_the_references(dim):
+    rng = np.random.default_rng(700 + dim)
+    n_steps = 6
+    model = random_model(rng, dim, n_steps)
+    rho = random_density(rng, dim)
+    lengths = rng.integers(1, n_steps + 1, size=7)
+    lengths[0] = n_steps
+    recs = [
+        ContinuousRecord(r.id, r.dt, r.increments[:n])
+        for r, n in zip(simulate_sme(model, rho, 7, rng_seed=dim), lengths)
+    ]
+    starts = (0, 3, n_steps - 1)
+    sweep = backward_continuous_batch(model, recs, start_indices=starts)
+    for s in starts:
+        covering = [r for r in recs if len(r) > s]
+        assert sweep[s].record_ids.tolist() == [r.id for r in covering]
+        for rec, adj in zip(covering, sweep[s]):
+            want = backward_continuous(
+                model, ContinuousRecord(rec.id, rec.dt, rec.increments[s:])
+            )
+            assert np.abs(adj.effect.matrix - want.effect.matrix).max() < 1e-12
+            assert adj.log_c == pytest.approx(want.log_c, rel=1e-12, abs=1e-12)
+    at = (0, 2, n_steps)
+    states = forward_filter_batch(model, recs, rho, at)
+    for k in at:
+        covering = [r for r in recs if len(r) >= k]
+        for state, rec in zip(states[k], covering):
+            want = forward_filter(model, rec, rho).states[k].matrix
+            assert np.abs(state - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_sampler_means_match_the_step_by_step_states(dim):
+    rng = np.random.default_rng(800 + dim)
+    n_steps = 5
+    fam = KrausFamily(dim, [random_step(rng, dim, 3, 2) for _ in range(n_steps)])
+    rho = random_density(rng, dim)
+    # an intervention before step 2 acts on every record's state after the
+    # mean at step 2 is taken
+    channel = random_step(rng, dim, 1, 3)["y0"]
+    sup = sum(np.kron(m, m.conj()) for m in channel)
+    recs, means = sample_records(
+        fam, rho, 12, rng_seed=dim, interventions={2: sup}, keep_mean=True
+    )
+    assert means.shape == (n_steps + 1, dim, dim)
+    want = np.zeros_like(means)
+    for rec in recs:
+        x = rho
+        for t, y in enumerate(rec.outcomes):
+            want[t] += x
+            if t == 2:
+                x = sum(m @ x @ m.conj().T for m in channel)
+                x = x / x.trace().real
+            x = apply_cp_map(fam, t, y, x).matrix
+            x = x / x.trace().real
+        want[n_steps] += x
+    assert np.abs(means - want / len(recs)).max() < 1e-12
+
+    model = random_model(rng, dim, n_steps)
+    recs, means = simulate_sme(model, rho, 6, rng_seed=dim, keep_mean=True)
+    want = np.mean(
+        [[s.matrix for s in forward_filter(model, rec, rho).states] for rec in recs],
+        axis=0,
+    )
+    assert np.abs(means - want).max() < 1e-12
+

@@ -193,8 +193,8 @@ RULE_CASES = {
     "too many steps": (
         _signal_case(_signals((3, (4, 2)), (7, (6, 2)))), ValueError, (7, None)
     ),
-    # grid step and channel count are shared by a batch, so every record has
-    # them and the first is named
+    # grid step and channel count are shared by a batch, so they are one
+    # problem, named after the first record
     "wrong grid": (
         _signal_case(_signals((5, (4, 2)), (7, (4, 2)), dt=3 * DT)),
         ValueError,
