@@ -36,9 +36,9 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import DegenerateTrace, EffectiveSampleSizeTooLow, Unidentifiable
-from .filtering import stack_effects
+from .filtering import _coords, stack_effects
 from .maxlike import _grad_matrix, _traces
-from .operators import DensityMatrix, as_matrix, hermitian_basis
+from .operators import DensityMatrix, as_matrix
 
 __all__ = [
     "tangent_basis",
@@ -256,11 +256,12 @@ class MCEstimate:
     mean and variance are the posterior mean and central variance;
     stderr is the Monte Carlo standard error of the mean, so the
     sampling noise itself can be judged against any observed offset.
+    For an (m, d, d) stack of observables the three are (m,) arrays.
     """
 
-    mean: float
-    variance: float
-    stderr: float
+    mean: float | np.ndarray
+    variance: float | np.ndarray
+    stderr: float | np.ndarray
     ess: float
     n_samples: int
     n_valid: int
@@ -294,6 +295,10 @@ def posterior_variance_mc(
 ) -> MCEstimate:
     """Posterior spread of tr(rho A) by importance sampling over states.
 
+    ``observable`` is one d x d matrix A or an (m, d, d) stack; a stack
+    shares the draws and their weights, so the likelihood is evaluated
+    once for all m.
+
     The proposal is a defensive mixture centered at the reconstructed
     state: 90% a Gaussian shaped by the stiffness form (flat directions
     get widths set by the linear decay rate of the likelihood, capped at
@@ -318,8 +323,9 @@ def posterior_variance_mc(
         raise ValueError("Monte Carlo cross-check supports dimension <= 3")
     center_mat = as_matrix(center)
     DensityMatrix(center_mat, tol=tol)
-    basis = hermitian_basis(dim)
-    traceless = np.stack([b.matrix for b in basis.elements[1:]])
+    # at a full-rank state every traceless direction is tangent: the
+    # generalized Gell-Mann set without the identity
+    traceless = _eigenbasis_tangent(np.eye(dim), np.ones(dim, dtype=bool))
     m = traceless.shape[0]
     x0 = np.einsum("kij,ji->k", traceless, center_mat).real
 
@@ -387,25 +393,16 @@ def posterior_variance_mc(
     log_q = np.log(0.9 * np.exp(log_gauss) + 0.1 * math.exp(-log_ball_vol))
 
     a = as_matrix(observable)
-    phi = np.einsum("sij,ji->s", mats, a).real
+    phi = np.einsum("sij,...ji->s...", mats, a).real
 
     log_like = np.zeros(n_valid)
     if n:
-        e_parts = np.concatenate(
-            [
-                e.transpose(0, 2, 1).reshape(n, -1).real,
-                -e.transpose(0, 2, 1).reshape(n, -1).imag,
-            ],
-            axis=1,
-        )
-        s_flat = np.concatenate(
-            [mats.reshape(n_valid, -1).real, mats.reshape(n_valid, -1).imag],
-            axis=1,
-        )
+        # tr(S E) as one real product of Hermitian coordinate rows
+        e_coords, s_coords = _coords(e).T, _coords(mats)
         chunk = max(1, int(1.6e8 / (8 * n)))
         for lo in range(0, n_valid, chunk):
             hi = min(lo + chunk, n_valid)
-            t = s_flat[lo:hi] @ e_parts.T
+            t = s_coords[lo:hi] @ e_coords
             bad = t.min(axis=1) <= 0.0
             with np.errstate(divide="ignore", invalid="ignore"):
                 ll = np.log(np.maximum(t, 1e-300)).sum(axis=1)
@@ -425,9 +422,11 @@ def posterior_variance_mc(
             f"effective sample size {ess:.1f} below the floor {ess_min:g}", ess=ess
         )
     norm_w = weights / total
-    mean = float(norm_w @ phi)
-    variance = float(norm_w @ (phi - mean) ** 2)
-    stderr = math.sqrt(float(norm_w**2 @ (phi - mean) ** 2))
+    mean = norm_w @ phi
+    variance = norm_w @ (phi - mean) ** 2
+    stderr = np.sqrt(norm_w**2 @ (phi - mean) ** 2)
+    if phi.ndim == 1:
+        mean, variance, stderr = float(mean), float(variance), float(stderr)
     return MCEstimate(
         mean=mean,
         variance=variance,

@@ -19,8 +19,6 @@ class Tolerances:
             object is rejected.  Chosen well above accumulated roundoff of
             long Kraus products but far below any physical population.
         trace: admissible deviation of a state or effect trace from one.
-        projector: admissible deviation of a projector from idempotency
-            and Hermiticity.
         kraus_trace: admissible deviation of a Kraus step from trace
             preservation, summed over outcomes.
         prob_floor: a step probability at or below this value counts as
@@ -39,7 +37,6 @@ class Tolerances:
 
     psd: float = 1e-10
     trace: float = 1e-10
-    projector: float = 1e-10
     kraus_trace: float = 1e-9
     prob_floor: float = 1e-300
     kkt: float = 1e-7

@@ -5,7 +5,6 @@ __all__ = [
     "TomographyError",
     "DimensionMismatch",
     "UnknownOutcome",
-    "InvalidProjector",
     "ZeroProbability",
     "DegenerateTrace",
     "DegenerateLikelihood",
@@ -26,10 +25,6 @@ class DimensionMismatch(TomographyError):
 
 class UnknownOutcome(TomographyError):
     """A record contains an outcome label the measurement family lacks."""
-
-
-class InvalidProjector(TomographyError):
-    """A matrix passed as an orthogonal projector is not one."""
 
 
 class ZeroProbability(TomographyError):

@@ -495,21 +495,14 @@ def _real_map(sup: np.ndarray) -> np.ndarray:
     return (b.conj() @ sup @ b.T).real
 
 
-def _superops(family: KrausFamily, n_steps: int, *, adjoint: bool):
-    """Per-step maps, in the family's outcome order, with coordinate rows
-    x of X going to x @ map for K_y(X), or K*_y(X) in the adjoint
-    direction.  Steps shared by identity share one table."""
-    maps: dict[int, list[np.ndarray]] = {}
+def _superops(family: KrausFamily, *, adjoint: bool) -> list[list[np.ndarray]]:
+    """Maps of each distinct step, in its outcome order, with coordinate
+    rows x of X going to x @ map for K_y(X), or K*_y(X) in the adjoint
+    direction; step t's maps are entry ``family._schedule[t]``."""
     table = []
-    for t in range(n_steps):
-        step = family.step(t)
-        sup = maps.get(id(step))
-        if sup is None:
-            sup = [_real_map(sum(np.kron(m, m.conj()) for m in ops))
-                   for ops in step.values()]
-            sup = [r if adjoint else r.T for r in sup]
-            maps[id(step)] = sup
-        table.append(sup)
+    for step in family._distinct:
+        sup = [_real_map(sum(np.kron(m, m.conj()) for m in ops)) for ops in step.values()]
+        table.append(sup if adjoint else [r.T for r in sup])
     return table
 
 
@@ -517,26 +510,22 @@ def _outcome_codes(family: KrausFamily, batch: RecordBatch):
     """The rules that discrete records must meet, applied to a batch.
 
     Returns each record's index into ``family.outcomes(t)`` at every
-    step t (-1 past its end), looked up in a per-step table built once
-    per distinct step object, and the records' problems, as the
+    step t (-1 past its end), looked up in a table of one row per
+    distinct step, and the records' problems, as the
     exceptions a pass raises, in record order: too many steps, or else
     the first label that its step does not define.
     """
     if batch.dt is not None:
         raise TypeError("a Kraus family needs discrete records, not signals")
     span = min(batch.data.shape[1], family.n_steps)
-    rows: dict[int, list[int]] = {}
     table = []
-    for t in range(span):
-        step = family.step(t)
-        if id(step) not in rows:
-            known = {y: i for i, y in enumerate(step)}
-            # -2 marks a label the step does not define; the last entry
-            # is where the -1 past a record's end lands
-            rows[id(step)] = [known.get(y, -2) for y in batch.labels] + [-1]
-        table.append(rows[id(step)])
-    table = np.array(table, dtype=np.int16).reshape(span, len(batch.labels) + 1)
-    codes = table[np.arange(span), batch.data[:, :span]]
+    for step in family._distinct:
+        known = {y: i for i, y in enumerate(step)}
+        # -2 marks a label the step does not define; the last entry is
+        # where the -1 past a record's end lands
+        table.append([known.get(y, -2) for y in batch.labels] + [-1])
+    table = np.array(table, dtype=np.int16)
+    codes = table[family._schedule[:span], batch.data[:, :span]]
     ids, lengths = batch.record_ids, batch.lengths
     unknown = codes == -2
     long = lengths > family.n_steps
@@ -565,7 +554,7 @@ def _checked(family: KrausFamily, records) -> tuple[RecordBatch, np.ndarray]:
     return batch, codes
 
 
-def _kraus_step(family: KrausFamily, span: int, outcomes, *, adjoint: bool):
+def _kraus_step(family: KrausFamily, outcomes, *, adjoint: bool):
     """The driver's step map for discrete outcomes.
 
     ``outcomes(t, flat)`` returns every record's outcome code at step t
@@ -575,11 +564,11 @@ def _kraus_step(family: KrausFamily, span: int, outcomes, *, adjoint: bool):
     active rows are returned as a view of ``flat`` when every record is
     active.
     """
-    maps = _superops(family, span, adjoint=adjoint)
+    maps, schedule = _superops(family, adjoint=adjoint), family._schedule
 
     def apply(t, flat, act):
         codes = outcomes(t, flat)
-        for i, r in enumerate(maps[t]):
+        for i, r in enumerate(maps[schedule[t]]):
             mask = codes == i
             if mask.any():
                 flat[mask] = flat[mask] @ r
@@ -721,7 +710,7 @@ def backward_sweep_batch(
     pass.  ``threads`` is accepted for older callers and ignored.
     """
     batch, codes = _checked(family, records)
-    step = partial(_kraus_step, family, codes.shape[1], lambda t, _: codes[:, t])
+    step = partial(_kraus_step, family, lambda t, _: codes[:, t])
     return _sweep(
         step, family.dim, batch.lengths, batch.record_ids, start_indices,
         check=None, tol=tol,
@@ -745,7 +734,7 @@ def forward_batch(
     record.  Returns arrays of shape (n, dim, dim) per requested time.
     """
     batch, codes = _checked(family, records)
-    step = partial(_kraus_step, family, codes.shape[1], lambda t, _: codes[:, t])
+    step = partial(_kraus_step, family, lambda t, _: codes[:, t])
     return _filter(
         step, family.dim, batch.lengths, batch.record_ids, rho0, at,
         check=None, tol=tol,
@@ -780,49 +769,54 @@ def sample_records(
     total = family.n_steps if n_steps is None else int(n_steps)
     if not 1 <= total <= family.n_steps:
         raise ValueError(f"n_steps must be in [1, {family.n_steps}]")
-    dim = family.dim
+    interventions = interventions or {}
+    for t in interventions:
+        if not 0 <= t < family.n_steps:
+            raise ValueError(
+                f"intervention at step {t} lies outside the family's steps "
+                f"[0, {family.n_steps})"
+            )
+    dim, schedule = family.dim, family._schedule[:total]
     rng = np.random.default_rng(rng_seed)
-    # coordinates of the weight operators Q_y = sum_k M* M, one column per
-    # outcome, so that rows of coordinates times them give tr(rho Q_y)
-    weight_cache: dict[int, np.ndarray] = {}
-    codes = np.empty((n_records, total), dtype=int)
+    # coordinates of the weight operators Q_y = sum_k M* M of each distinct
+    # step, one column per outcome, so that coordinate rows times them give
+    # tr(rho Q_y)
+    weights = [
+        _coords(np.stack([sum(m.conj().T @ m for m in ops) for ops in step.values()])).T
+        for step in family._distinct
+    ]
+    # outcome i of step t is recorded as relabel[schedule[t], i], the labels
+    # numbered in order of first appearance over the sampled steps
+    labels: dict[str, int] = {}
+    relabel = np.zeros((len(family._distinct), max(map(len, family._distinct))), int)
+    firsts = np.unique(schedule, return_index=True)[1]
+    for k in schedule[np.sort(firsts)]:
+        step = family._distinct[k]
+        relabel[k, : len(step)] = [labels.setdefault(y, len(labels)) for y in step]
+    codes = np.empty((n_records, total), np.min_scalar_type(-max(len(labels), 1)))
     means = []
 
     def draw(t, flat):
         if keep_mean:
             means.append(flat.mean(axis=0))
-        if interventions and t in interventions:
+        if t in interventions:
             sup = np.asarray(interventions[t], dtype=complex)
             flat[:] = flat @ _real_map(sup).T
             flat /= flat[:, :dim].sum(axis=1, keepdims=True)
-        step = family.step(t)
-        weights = weight_cache.get(id(step))
-        if weights is None:
-            weights = _coords(
-                np.stack([sum(m.conj().T @ m for m in ops) for ops in step.values()])
-            ).T
-            weight_cache[id(step)] = weights
-        probs = flat @ weights
+        w = weights[schedule[t]]
+        probs = flat @ w
         np.clip(probs, 0.0, None, out=probs)
         probs /= probs.sum(axis=1, keepdims=True)
         u = rng.random(n_records)
         idx = (probs.cumsum(axis=1) < u[:, None]).sum(axis=1)
-        codes[:, t] = np.minimum(idx, weights.shape[1] - 1)
-        return codes[:, t]
+        idx = np.minimum(idx, w.shape[1] - 1)
+        codes[:, t] = relabel[schedule[t], idx]
+        return idx
 
     final = _filter(
-        partial(_kraus_step, family, total, draw), dim, np.full(n_records, total),
+        partial(_kraus_step, family, draw), dim, np.full(n_records, total),
         np.arange(n_records), rho0, (total,), check=None, tol=tol,
     )[total]
-    # family codes become codes into the labels, numbered in step order
-    labels: dict[str, int] = {}
-    relabel: dict[int, np.ndarray] = {}
-    for t in range(total):
-        step = family.step(t)
-        if id(step) not in relabel:
-            relabel[id(step)] = np.array([labels.setdefault(y, len(labels))
-                                          for y in step])
-        codes[:, t] = relabel[id(step)][codes[:, t]]
     records = RecordBatch(
         codes, np.full(n_records, total), np.arange(n_records), tuple(labels)
     )

@@ -15,7 +15,7 @@ with lambda = tr(rho G), which equals the record count at any state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .filtering import stack_effects
 from .operators import DensityMatrix, HermitianOperator, as_matrix, project_to_density
 
 __all__ = [
-    "SolveOptions",
     "KKTReport",
     "TomographyResult",
     "gradient",
@@ -34,25 +33,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SolveOptions:
-    """Knobs for the projected gradient ascent.
-
-    max_iterations   hard cap on outer iterations
-    armijo_c1        sufficient-increase fraction for the backtracking search
-    armijo_shrink    step multiplier applied on each backtrack
-    max_backtracks   backtracks per iteration before giving up on the step
-    keep_history     record f after every iteration (cheap, handy for demos)
-    """
-
-    max_iterations: int = 10_000
-    armijo_c1: float = 1e-4
-    armijo_shrink: float = 0.5
-    max_backtracks: int = 60
-    keep_history: bool = True
-
-    def with_(self, **kwargs) -> "SolveOptions":
-        return replace(self, **kwargs)
+# backtracking line search: sufficient-increase fraction, step multiplier
+# per backtrack, and backtracks per iteration before giving up on the step
+_ARMIJO_C1 = 1e-4
+_ARMIJO_SHRINK = 0.5
+_MAX_BACKTRACKS = 60
 
 
 @dataclass(frozen=True)
@@ -173,7 +158,7 @@ def solve_maxlike(
     effects,
     *,
     rho0=None,
-    options: SolveOptions = SolveOptions(),
+    max_iterations: int = 10_000,
     tol: Tolerances = DEFAULT,
 ) -> TomographyResult:
     """Find the state maximizing the compressed-record likelihood.
@@ -182,7 +167,8 @@ def solve_maxlike(
     monotone backtracking line search, whose sufficient-increase test sums
     the rise in f from the per-record trace ratios.  Iterations stop as
     soon as the stationarity certificate passes; hitting the iteration cap
-    returns the best state found with ``certified=False``.
+    returns the best state found with ``certified=False``.  ``f_history``
+    holds f at the start and after every iteration.
     """
     e, logc = stack_effects(effects)
     n = e.shape[0]
@@ -208,16 +194,16 @@ def solve_maxlike(
         mat = eye.astype(complex) / dim
         f, traces = _f_and_traces(mat, e_flat, logc_sum)
     g = _grad_matrix(e_flat, traces)
-    history = [f] if options.keep_history else None
+    history = [f]
     alpha = 1.0 / max(n, 1)
     report = _certificate(mat, g, n, tol)
     iters = 0
-    while iters < options.max_iterations and not report.satisfied:
+    while iters < max_iterations and not report.satisfied:
         iters += 1
         accepted = False
         step = alpha
         lam = report.lagrange_multiplier
-        for _ in range(options.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             cand = project_to_density(mat + step * g, tol=tol).matrix
             delta = cand - mat
             # the rise is summed from tr(delta E_n) / t_n, below f's roundoff,
@@ -228,13 +214,13 @@ def solve_maxlike(
             if (
                 ratio.min() > -1.0
                 and np.log1p(ratio).sum() - n * math.log1p(shift)
-                >= options.armijo_c1 * gain
+                >= _ARMIJO_C1 * gain
             ):
                 f_new, traces_new = _f_and_traces(cand, e_flat, logc_sum)
                 if math.isfinite(f_new):
                     accepted = True
                     break
-            step *= options.armijo_shrink
+            step *= _ARMIJO_SHRINK
         if not accepted:
             break
         g_new = _grad_matrix(e_flat, traces_new)
@@ -246,8 +232,7 @@ def solve_maxlike(
         else:
             alpha = min(step * 2.0, 1e18)
         mat, f, g, traces = cand, f_new, g_new, traces_new
-        if options.keep_history:
-            history.append(f)
+        history.append(f)
         report = _certificate(mat, g, n, tol)
     rho = DensityMatrix(mat, tol=tol)
     return TomographyResult(
@@ -258,5 +243,5 @@ def solve_maxlike(
         n_records=n,
         n_iterations=iters,
         certified=report.satisfied,
-        f_history=tuple(history) if history is not None else (),
+        f_history=tuple(history),
     )

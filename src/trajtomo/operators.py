@@ -1,9 +1,8 @@
 """Hermitian-operator algebra for trajectory tomography.
 
-Density matrices, measurement effects, time-indexed Kraus families,
-tangent-space projections at a reconstructed state, and orthonormal
-Hermitian operator bases.  The Frobenius inner product <A, B> = tr(A B)
-(real for Hermitian arguments) is the metric everywhere.
+Density matrices, measurement effects, time-indexed Kraus families and
+the projection onto the state set.  The Frobenius inner product
+<A, B> = tr(A B) (real for Hermitian arguments) is the metric everywhere.
 """
 from __future__ import annotations
 
@@ -12,23 +11,16 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import (
-    DimensionMismatch,
-    InvalidProjector,
-    UnknownOutcome,
-)
+from .errors import DimensionMismatch, UnknownOutcome
 
 __all__ = [
     "HermitianOperator",
     "DensityMatrix",
     "EffectMatrix",
     "KrausFamily",
-    "frobenius",
     "apply_cp_map",
     "apply_adjoint_cp_map",
-    "tangent_project",
     "project_to_density",
-    "hermitian_basis",
 ]
 
 
@@ -37,11 +29,6 @@ def as_matrix(x) -> np.ndarray:
     if isinstance(x, HermitianOperator):
         return x.matrix
     return np.asarray(x, dtype=complex)
-
-
-def frobenius(a, b) -> float:
-    """Real Frobenius pairing tr(A B) of two Hermitian operators."""
-    return float(np.tensordot(as_matrix(a), as_matrix(b), axes=([0, 1], [1, 0])).real)
 
 
 class HermitianOperator:
@@ -129,11 +116,13 @@ class KrausFamily:
 
     Step ``t`` maps a state X to ``K_{y,t}(X) = sum_k M X M*`` once outcome
     ``y`` is known; summed over outcomes every step is trace preserving.
-    Step dictionaries passed by identity more than once (periodic models)
-    are validated and stored once.
+    Each step dictionary is validated and stored once in ``_distinct``,
+    in order of first appearance, however often it is passed by identity
+    (periodic models); the read-only ``_schedule[t]`` indexes step t's
+    entry, so per-step tables are built once per distinct step.
     """
 
-    __slots__ = ("dim", "_steps")
+    __slots__ = ("dim", "_distinct", "_schedule")
 
     def __init__(
         self,
@@ -147,42 +136,15 @@ class KrausFamily:
             raise DimensionMismatch("dimension must be at least 2")
         if len(steps) == 0:
             raise ValueError("a Kraus family needs at least one step")
-        seen: dict[int, dict] = {}
-        normalized = []
+        index: dict[int, int] = {}
+        distinct = []
         for step in steps:
-            cached = seen.get(id(step))
-            if cached is not None:
-                normalized.append(cached)
-                continue
-            out: dict[str, tuple[np.ndarray, ...]] = {}
-            for label, ops in step.items():
-                mats = []
-                for op in ops:
-                    m = np.asarray(op, dtype=complex)
-                    if m.shape != (self.dim, self.dim):
-                        raise DimensionMismatch(
-                            f"Kraus operator for outcome {label!r} has shape "
-                            f"{m.shape}, expected {(self.dim, self.dim)}"
-                        )
-                    m = m.copy()
-                    m.setflags(write=False)
-                    mats.append(m)
-                if not mats:
-                    raise ValueError(f"outcome {label!r} has no Kraus operators")
-                out[str(label)] = tuple(mats)
-            if not out:
-                raise ValueError("a step needs at least one outcome")
-            total = sum(
-                m.conj().T @ m for ops in out.values() for m in ops
-            )
-            err = np.abs(total - np.eye(self.dim)).max()
-            if err > tol.kraus_trace:
-                raise ValueError(
-                    f"Kraus step is not trace preserving; deviation {err:.3e}"
-                )
-            seen[id(step)] = out
-            normalized.append(out)
-        self._steps = tuple(normalized)
+            if id(step) not in index:
+                index[id(step)] = len(distinct)
+                distinct.append(_validated_step(self.dim, step, tol))
+        self._distinct = tuple(distinct)
+        self._schedule = np.array([index[id(step)] for step in steps], dtype=np.intp)
+        self._schedule.flags.writeable = False
 
     @classmethod
     def repeated(
@@ -198,17 +160,17 @@ class KrausFamily:
 
     @property
     def n_steps(self) -> int:
-        return len(self._steps)
+        return len(self._schedule)
 
     def step(self, t: int) -> Mapping[str, tuple[np.ndarray, ...]]:
-        return self._steps[t]
+        return self._distinct[self._schedule[t]]
 
     def outcomes(self, t: int) -> tuple[str, ...]:
-        return tuple(self._steps[t].keys())
+        return tuple(self.step(t).keys())
 
     def operators(self, t: int, outcome: str) -> tuple[np.ndarray, ...]:
         try:
-            return self._steps[t][str(outcome)]
+            return self.step(t)[str(outcome)]
         except KeyError:
             raise UnknownOutcome(
                 f"outcome {outcome!r} is not defined at step {t}"
@@ -219,12 +181,40 @@ class KrausFamily:
         if not 0 <= start < self.n_steps:
             raise ValueError(f"start index {start} outside [0, {self.n_steps})")
         out = KrausFamily.__new__(KrausFamily)
-        out.dim = self.dim
-        out._steps = self._steps[start:]
+        out.dim, out._distinct = self.dim, self._distinct
+        out._schedule = self._schedule[start:]
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"KrausFamily(dim={self.dim}, n_steps={self.n_steps})"
+
+
+def _validated_step(dim: int, step, tol: Tolerances) -> dict:
+    """One step as {label: read-only operators}, checked for shapes and
+    trace preservation."""
+    out: dict[str, tuple[np.ndarray, ...]] = {}
+    for label, ops in step.items():
+        mats = []
+        for op in ops:
+            m = np.asarray(op, dtype=complex)
+            if m.shape != (dim, dim):
+                raise DimensionMismatch(
+                    f"Kraus operator for outcome {label!r} has shape "
+                    f"{m.shape}, expected {(dim, dim)}"
+                )
+            m = m.copy()
+            m.setflags(write=False)
+            mats.append(m)
+        if not mats:
+            raise ValueError(f"outcome {label!r} has no Kraus operators")
+        out[str(label)] = tuple(mats)
+    if not out:
+        raise ValueError("a step needs at least one outcome")
+    total = sum(m.conj().T @ m for ops in out.values() for m in ops)
+    err = np.abs(total - np.eye(dim)).max()
+    if err > tol.kraus_trace:
+        raise ValueError(f"Kraus step is not trace preserving; deviation {err:.3e}")
+    return out
 
 
 def apply_cp_map(family: KrausFamily, t: int, outcome: str, x) -> HermitianOperator:
@@ -257,35 +247,6 @@ def apply_adjoint_cp_map(
     return HermitianOperator(acc)
 
 
-def _check_projector(p: np.ndarray, tol: Tolerances) -> None:
-    if np.abs(p - p.conj().T).max() > tol.projector:
-        raise InvalidProjector("projector is not Hermitian")
-    if np.abs(p @ p - p).max() > tol.projector:
-        raise InvalidProjector("projector is not idempotent")
-
-
-def tangent_project(b, p, *, tol: Tolerances = DEFAULT) -> HermitianOperator:
-    """Project B onto the tangent directions at a state with range projector P.
-
-    The image is the space of Hermitian B with tr(B P) = 0 and vanishing
-    (I-P) B (I-P) corner: directions along which a state of that rank can
-    move without losing trace normalization or positivity to first order.
-    """
-    bm = as_matrix(b)
-    pm = as_matrix(p)
-    if bm.shape != pm.shape:
-        raise DimensionMismatch("operand and projector dimensions differ")
-    _check_projector(pm, tol)
-    tp = pm.trace().real
-    if tp < 0.5:
-        # zero projector: no tangent directions at all
-        return HermitianOperator(np.zeros_like(bm))
-    q = np.eye(bm.shape[0]) - pm
-    coeff = np.tensordot(bm, pm, axes=([0, 1], [1, 0])).real / tp
-    out = bm - coeff * pm - q @ bm @ q
-    return HermitianOperator(out)
-
-
 def _project_simplex(w: np.ndarray) -> np.ndarray:
     """Euclidean projection of a real vector onto the probability simplex."""
     u = np.sort(w)[::-1]
@@ -309,62 +270,3 @@ def project_to_density(x, *, tol: Tolerances = DEFAULT) -> DensityMatrix:
     lam = _project_simplex(w)
     out = (v * lam) @ v.conj().T
     return _wrap_trusted(DensityMatrix, out)
-
-
-class HermitianBasis:
-    """Orthonormal Hermitian basis; element 0 is I/sqrt(dim), the rest traceless."""
-
-    __slots__ = ("dim", "elements")
-
-    def __init__(self, dim: int, elements: Sequence[HermitianOperator]) -> None:
-        self.dim = dim
-        self.elements = tuple(elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __getitem__(self, i):
-        return self.elements[i]
-
-    def expand(self, x) -> np.ndarray:
-        """Real coefficients <B_i, X> of a Hermitian X in this basis."""
-        m = as_matrix(x)
-        return np.array([frobenius(b, m) for b in self.elements])
-
-    def reconstruct(self, coeffs: np.ndarray) -> HermitianOperator:
-        acc = np.zeros((self.dim, self.dim), dtype=complex)
-        for c, b in zip(coeffs, self.elements):
-            acc += c * b.matrix
-        return HermitianOperator(acc)
-
-
-def hermitian_basis(dim: int) -> HermitianBasis:
-    """Generalized Gell-Mann basis, orthonormal under the Frobenius product.
-
-    Ordering: normalized identity, then for each index pair (j < k) the
-    symmetric and antisymmetric off-diagonal elements, then the diagonal
-    traceless elements.  For dim 2 this is {I, sx, sy, sz} / sqrt(2).
-    """
-    if dim < 2:
-        raise ValueError("dimension must be at least 2")
-    mats = [np.eye(dim, dtype=complex) / np.sqrt(dim)]
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            sym = np.zeros((dim, dim), dtype=complex)
-            sym[j, k] = sym[k, j] = 1.0 / np.sqrt(2.0)
-            mats.append(sym)
-            asym = np.zeros((dim, dim), dtype=complex)
-            asym[j, k] = -1j / np.sqrt(2.0)
-            asym[k, j] = 1j / np.sqrt(2.0)
-            mats.append(asym)
-    for l in range(1, dim):
-        diag = np.zeros((dim, dim), dtype=complex)
-        for m in range(l):
-            diag[m, m] = 1.0
-        diag[l, l] = -float(l)
-        diag /= np.sqrt(l * (l + 1.0))
-        mats.append(diag)
-    return HermitianBasis(dim, [HermitianOperator(m) for m in mats])

@@ -188,6 +188,20 @@ def test_impossible_record_exits_3(tmp_path, capsys):
     assert "numerical error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("step", [20, 5000, -3])
+def test_intervention_outside_the_model_exits_2(tmp_path, capsys, step):
+    model = tmp_path / "model.json"
+    save_model(
+        model, "qnd", {"n_steps": 20, "n_max": 2},
+        interventions=[{"step": step, "kind": "injection"}],
+    )
+    recs = tmp_path / "recs.jsonl"
+    assert run(["simulate", "--model", model, "--records", recs,
+                "--n-trajectories", 5]) == 2
+    assert f"intervention at step {step} lies outside" in capsys.readouterr().err
+    assert not recs.exists()
+
+
 def test_unknown_observable_exits_2(tmp_path, capsys):
     model = tmp_path / "model.json"
     povm_model(model)

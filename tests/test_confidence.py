@@ -13,12 +13,10 @@ from trajtomo import (
     RMatrix,
     Unidentifiable,
     build_r_matrix,
-    hermitian_basis,
     number_operator,
     posterior_variance_mc,
     solve_maxlike,
     tangent_basis,
-    tangent_project,
 )
 from trajtomo.confidence import _stiffness_form, _support
 
@@ -38,6 +36,42 @@ def log_likelihood_at(mat, effects):
 # ---------------------------------------------------------------------------
 # tangent geometry
 # ---------------------------------------------------------------------------
+
+
+def tangent_project(b, p):
+    """The tangent space at a state with support projector P, by its
+    definition: B - tr(B P)/tr(P) P - Q B Q with Q = I - P."""
+    q = np.eye(b.shape[0]) - p
+    return b - np.trace(b @ p).real / np.trace(p).real * p - q @ b @ q
+
+
+def traceless_spanning_set(n):
+    """The generalized Gell-Mann matrices without the identity: for each
+    j < k the real and imaginary off-diagonal pair, then the traceless
+    diagonals diag(1, ..., 1, -l, 0, ...) / sqrt(l (l + 1))."""
+    out = []
+    for j in range(n):
+        for k in range(j + 1, n):
+            sym = np.zeros((n, n), dtype=complex)
+            sym[j, k] = sym[k, j] = 1.0 / np.sqrt(2.0)
+            asym = np.zeros((n, n), dtype=complex)
+            asym[j, k], asym[k, j] = -1j / np.sqrt(2.0), 1j / np.sqrt(2.0)
+            out += [sym, asym]
+    for l in range(1, n):
+        diag = np.zeros(n)
+        diag[:l], diag[l] = 1.0, -float(l)
+        out.append(np.diag(diag / np.sqrt(l * (l + 1.0))).astype(complex))
+    return out
+
+
+def test_reference_spanning_set_is_an_orthonormal_traceless_basis():
+    for n in (2, 3, 4):
+        mats = np.stack(traceless_spanning_set(n))
+        assert mats.shape == (n * n - 1, n, n)
+        gram = np.einsum("aij,bji->ab", mats, mats)
+        assert np.abs(gram - np.eye(n * n - 1)).max() < 1e-15
+        assert np.abs(np.einsum("aii->a", mats)).max() < 1e-15
+        assert np.array_equal(mats, mats.conj().transpose(0, 2, 1))
 
 
 def test_tangent_basis_dimension_and_orthonormality():
@@ -95,13 +129,11 @@ def check_tangent_basis(rho, rank):
     basis = tangent_basis(rho)
     assert basis.shape == (n * n - (n - rank) ** 2 - 1, n, n)
     for b in basis:
-        assert np.abs(tangent_project(b, p).matrix - b).max() < 1e-12
+        assert np.abs(tangent_project(b, p) - b).max() < 1e-12
     gram = np.einsum("aij,bji->ab", basis, basis).real
     assert np.abs(gram - np.eye(len(basis))).max() < 1e-12
-    # same span as the tangent projections of the whole Gell-Mann set
-    projected = flat_real(
-        [tangent_project(b, p).matrix for b in hermitian_basis(n).elements[1:]]
-    )
+    # same span as the tangent projections of a traceless spanning set
+    projected = flat_real([tangent_project(b, p) for b in traceless_spanning_set(n)])
     span = np.linalg.matrix_rank(projected, tol=1e-9)
     assert span == len(basis)
     assert np.linalg.matrix_rank(
@@ -142,8 +174,8 @@ def gram_schmidt_tangent_basis(rho, tol=DEFAULT):
     p = v[:, keep] @ v[:, keep].conj().T
     p = (p + p.conj().T) / 2.0
     out = []
-    for b in hermitian_basis(n).elements[1:]:
-        cand = tangent_project(b, p, tol=tol).matrix
+    for b in traceless_spanning_set(n):
+        cand = tangent_project(b, p)
         for _ in range(2):
             for prev in out:
                 cand = cand - np.einsum("ij,ji->", prev, cand).real * prev
@@ -384,6 +416,27 @@ def test_mc_prior_robustness():
         effects, SX, result.rho, n_samples=300_000, seed=5, prior="bures-like"
     )
     assert flat.variance == pytest.approx(bures.variance, rel=0.10)
+
+
+def test_mc_observable_stack_matches_single_calls():
+    rng = np.random.default_rng(305)
+    effects = np.stack(
+        [0.5 * random_density(rng, 2) + 0.25 * np.eye(2) for _ in range(60)]
+    )
+    result = solve_maxlike(effects)
+    observables = np.stack([SX, SZ, random_hermitian(rng, 2)])
+    stacked = posterior_variance_mc(
+        effects, observables, result.rho, n_samples=20_000, seed=9
+    )
+    for field in ("mean", "variance", "stderr"):
+        assert getattr(stacked, field).shape == (3,)
+    for k, a in enumerate(observables):
+        one = posterior_variance_mc(effects, a, result.rho, n_samples=20_000, seed=9)
+        assert isinstance(one.mean, float)
+        assert (one.ess, one.n_valid) == (stacked.ess, stacked.n_valid)
+        for field in ("mean", "variance", "stderr"):
+            want = getattr(one, field)
+            assert abs(getattr(stacked, field)[k] - want) <= 1e-12 * abs(want)
 
 
 def test_mc_effective_sample_size_floor():

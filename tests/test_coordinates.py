@@ -61,8 +61,8 @@ def test_step_maps_are_real_and_reproduce_the_kraus_maps(dim):
     rng = np.random.default_rng(400 + dim)
     step = random_step(rng, dim, n_outcomes=3, ops_per_outcome=3)
     fam = KrausFamily(dim, [step])
-    forward = _superops(fam, 1, adjoint=False)[0]
-    adjoint = _superops(fam, 1, adjoint=True)[0]
+    forward = _superops(fam, adjoint=False)[0]
+    adjoint = _superops(fam, adjoint=True)[0]
     b = _basis(dim)
     for i, (y, ops) in enumerate(step.items()):
         sup = sum(np.kron(m, m.conj()) for m in ops)

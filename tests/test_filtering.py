@@ -418,6 +418,26 @@ def test_sample_records_interventions():
     )
     for r in recs:
         assert r.outcomes == ("g", "e", "e")
+    # an intervention the family never reaches is an error, not a no-op
+    for step in (3, -1):
+        with pytest.raises(ValueError, match=rf"intervention at step {step} lies"):
+            sample_records(fam, np.eye(2) / 2, 5, 3, interventions={step: superop})
+
+
+def test_sample_records_numbers_labels_by_first_appearance_on_a_suffix():
+    # the suffix starts on a step whose labels differ from the family's first
+    other = {"c": [np.diag([0.0, 1.0]).astype(complex)],
+             "d": [np.diag([1.0, 0.0]).astype(complex)]}
+    fam = KrausFamily(2, [PROJECTIVE, other, PROJECTIVE, other, other])
+    for family, labels in ((fam, ("g", "e", "c", "d")),
+                           (fam.suffix(1), ("c", "d", "g", "e")),
+                           (fam.suffix(3), ("c", "d"))):
+        recs = sample_records(family, np.eye(2) / 2, 40, rng_seed=8)
+        assert recs.labels == labels
+        assert set(recs.data.ravel().tolist()) == set(range(len(labels)))
+        for rec in recs:
+            assert all(y in family.outcomes(t) for t, y in enumerate(rec.outcomes))
+        backward_sweep_batch(family, recs, (0,))
 
 
 def test_sample_records_keep_mean_tracks_unread_map():

@@ -8,7 +8,6 @@ from conftest import random_density, random_traceless
 from trajtomo import (
     DegenerateLikelihood,
     DegenerateTrace,
-    SolveOptions,
     backward_sweep_batch,
     build_qnd_family,
     gradient,
@@ -102,7 +101,7 @@ def test_gradient_kernels_agree():
     ref = sum(e / np.trace(rho @ e).real for e in effects)
     scale = np.linalg.norm(ref)
     g_public = gradient(rho, effects).matrix
-    start = solve_maxlike(effects, rho0=rho, options=SolveOptions(max_iterations=0))
+    start = solve_maxlike(effects, rho0=rho, max_iterations=0)
     assert start.n_iterations == 0
     g_solver = start.gradient.matrix
     assert np.linalg.norm(g_public - ref) <= 1e-13 * scale
@@ -215,10 +214,12 @@ def test_degenerate_likelihood_raises():
 def test_iteration_cap_returns_uncertified():
     rng = np.random.default_rng(206)
     effects = np.stack([random_density(rng, 3) for _ in range(50)])
-    result = solve_maxlike(effects, options=SolveOptions(max_iterations=1))
+    result = solve_maxlike(effects, max_iterations=1)
     assert not result.certified
     assert result.n_iterations == 1
     assert result.kkt.residual > 0.0
+    # f at the start and after the one iteration
+    assert len(result.f_history) == 2
 
 
 def test_certifies_qnd_starts_at_roundoff_floor():

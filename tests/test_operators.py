@@ -1,4 +1,4 @@
-"""Operator layer: validated wrappers, CP maps, projections, bases."""
+"""Operator layer: validated wrappers, Kraus families, CP maps, projection."""
 import numpy as np
 import pytest
 
@@ -14,19 +14,11 @@ from trajtomo import (
     DimensionMismatch,
     EffectMatrix,
     HermitianOperator,
-    InvalidProjector,
     KrausFamily,
     apply_adjoint_cp_map,
     apply_cp_map,
-    frobenius,
-    hermitian_basis,
     project_to_density,
-    tangent_project,
 )
-
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 PROJECTIVE = {
     "g": [np.diag([1.0, 0.0]).astype(complex)],
@@ -65,13 +57,6 @@ def test_effect_matrix_validation():
         EffectMatrix(np.diag([1.5, -0.5]))
 
 
-def test_frobenius_pairing():
-    rng = np.random.default_rng(0)
-    a = random_hermitian(rng, 3)
-    b = random_hermitian(rng, 3)
-    assert frobenius(a, b) == pytest.approx(np.trace(a @ b).real, abs=1e-12)
-
-
 def test_kraus_family_rejects_non_trace_preserving():
     bad = {"g": [np.diag([1.0, 0.0])], "e": [np.diag([0.0, 0.9])]}
     with pytest.raises(ValueError):
@@ -88,6 +73,17 @@ def test_kraus_family_accessors():
     assert tail.n_steps == 1
     with pytest.raises(ValueError):
         fam.suffix(4)
+
+
+def test_kraus_family_stores_each_step_once():
+    swap = {"a": [np.array([[0, 1], [1, 0]], dtype=complex)]}
+    fam = KrausFamily(2, [PROJECTIVE, swap, PROJECTIVE, swap, swap])
+    assert fam.step(0) is fam.step(2) and fam.step(1) is fam.step(3) is fam.step(4)
+    assert fam.outcomes(3) == ("a",) and fam.outcomes(2) == ("g", "e")
+    tail = fam.suffix(1)
+    assert tail.n_steps == 4
+    assert tail.step(0) is fam.step(1) and tail.step(1) is fam.step(0)
+    assert tail.outcomes(3) == ("a",)
 
 
 def test_kraus_family_unknown_outcome():
@@ -131,8 +127,8 @@ def test_adjoint_identity():
             b = random_hermitian(rng, dim)
             scale = np.linalg.norm(a) * np.linalg.norm(b)
             for y in fam.outcomes(0):
-                lhs = frobenius(apply_cp_map(fam, 0, y, a), b)
-                rhs = frobenius(a, apply_adjoint_cp_map(fam, 0, y, b))
+                lhs = np.trace(apply_cp_map(fam, 0, y, a).matrix @ b).real
+                rhs = np.trace(a @ apply_adjoint_cp_map(fam, 0, y, b).matrix).real
                 assert abs(lhs - rhs) <= 1e-11 * scale
 
 
@@ -143,46 +139,6 @@ def test_unread_adjoint_map_is_unital():
         apply_adjoint_cp_map(fam, 0, y, np.eye(3)).matrix for y in fam.outcomes(0)
     )
     assert np.abs(total - np.eye(3)).max() < 1e-12
-
-
-def test_tangent_project_interior_keeps_traceless_part():
-    # at a full-rank state the tangent set is every traceless direction
-    p = np.eye(2)
-    b = 0.3 * SX + 0.1 * SZ + 0.2 * np.eye(2)
-    out = tangent_project(b, p).matrix
-    assert np.allclose(out, 0.3 * SX + 0.1 * SZ, atol=1e-14)
-
-
-def test_tangent_project_pure_state_keeps_coherences_only():
-    p = np.diag([1.0, 0.0]).astype(complex)
-    assert np.allclose(tangent_project(SX, p).matrix, SX, atol=1e-14)
-    assert np.allclose(tangent_project(SY, p).matrix, SY, atol=1e-14)
-    # the radial and off-support pieces are both annihilated
-    assert np.abs(tangent_project(SZ, p).matrix).max() < 1e-14
-
-
-def test_tangent_project_output_properties():
-    rng = np.random.default_rng(9)
-    for dim, rank in ((3, 1), (3, 2), (4, 2)):
-        basis_vecs = np.linalg.qr(
-            rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-        )[0]
-        p = basis_vecs @ basis_vecs.conj().T
-        b = random_hermitian(rng, dim)
-        out = tangent_project(b, p).matrix
-        q = np.eye(dim) - p
-        assert abs(np.trace(out @ p).real) < 1e-10
-        assert np.abs(q @ out @ q).max() < 1e-10
-        # projecting twice changes nothing
-        again = tangent_project(out, p).matrix
-        assert np.abs(again - out).max() < 1e-10
-
-
-def test_tangent_project_rejects_non_projector():
-    with pytest.raises(InvalidProjector):
-        tangent_project(SX, np.diag([0.5, 0.5]))
-    with pytest.raises(InvalidProjector):
-        tangent_project(SX, np.array([[1.0, 0.2], [0.0, 0.0]]))
 
 
 def test_project_to_density_fixed_point():
@@ -217,35 +173,6 @@ def test_project_to_density_output_is_valid():
         w = np.linalg.eigvalsh(out.matrix)
         assert w.min() >= -1e-12
         assert abs(np.trace(out.matrix).real - 1.0) < 1e-12
-
-
-def test_hermitian_basis_orthonormal_and_complete():
-    for dim in (2, 3, 4):
-        basis = hermitian_basis(dim)
-        assert len(basis.elements) == dim * dim
-        mats = [b.matrix for b in basis.elements]
-        gram = np.array(
-            [[np.trace(a @ b).real for b in mats] for a in mats]
-        )
-        assert np.abs(gram - np.eye(dim * dim)).max() < 1e-12
-        assert np.allclose(mats[0], np.eye(dim) / np.sqrt(dim), atol=1e-14)
-        for m in mats[1:]:
-            assert abs(np.trace(m).real) < 1e-13
-
-
-def test_hermitian_basis_expand_example():
-    basis = hermitian_basis(2)
-    coeffs = basis.expand(SX)
-    assert np.allclose(coeffs, [0.0, np.sqrt(2.0), 0.0, 0.0], atol=1e-14)
-
-
-def test_hermitian_basis_roundtrip():
-    rng = np.random.default_rng(31)
-    for dim in (2, 3):
-        basis = hermitian_basis(dim)
-        h = random_hermitian(rng, dim)
-        back = basis.reconstruct(basis.expand(h)).matrix
-        assert np.abs(back - h).max() < 1e-12
 
 
 def test_random_step_builder_is_trace_preserving():

@@ -220,7 +220,8 @@ def test_validation_and_the_passes_apply_one_rule_set(case):
 
 
 REMOVED = (
-    "forward_step", "backward_step", "backward_batch", "FilterTrace", "HermitianBasis"
+    "forward_step", "backward_step", "backward_batch", "FilterTrace", "HermitianBasis",
+    "hermitian_basis", "tangent_project", "frobenius", "InvalidProjector", "SolveOptions",
 )
 
 
@@ -231,9 +232,8 @@ def test_public_names_resolve_once_and_removed_names_are_gone():
         getattr(trajtomo, name)
     for name in REMOVED:
         assert name not in names and not hasattr(trajtomo, name)
-    # the two classes stay as return types
+    # FilterTrace stays as a return type
     assert type(trajtomo.forward_run(
         trajtomo.povm_family({"g": np.diag([1.0, 0.0]), "e": np.diag([0.0, 1.0])}),
         DiscreteRecord(0, ("g",)), np.eye(2) / 2,
     )).__name__ == "FilterTrace"
-    assert type(trajtomo.hermitian_basis(2)).__name__ == "HermitianBasis"
