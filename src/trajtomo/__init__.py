@@ -18,7 +18,6 @@ command line wraps the full loop.
 """
 from . import config, confidence, continuous, errors, filtering, maxlike, models
 from . import operators, qubit
-from .config import *
 from .errors import *
 from .operators import *
 from .filtering import *
@@ -32,7 +31,6 @@ __version__ = "0.1.0"
 
 # every public name is declared once, in the __all__ of the module defining it
 __all__ = [
-    *config.__all__,
     *errors.__all__,
     *operators.__all__,
     *filtering.__all__,

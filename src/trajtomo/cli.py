@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as tio
-from .config import DEFAULT
+from .config import KKT_TOL
 from .confidence import build_r_matrix
 from .continuous import (
     SMEModel,
@@ -78,6 +78,11 @@ def _parse_start_times(arg: str) -> list[int]:
         raise ValueError("--start-times is empty")
     if any(s < 0 for s in starts):
         raise ValueError("start times must be nonnegative")
+    repeated = sorted({s for s in starts if starts.count(s) > 1})
+    if repeated:
+        raise ValueError(
+            "start times must be distinct; repeated: " + ",".join(map(str, repeated))
+        )
     return starts
 
 
@@ -365,7 +370,6 @@ def _cmd_tomography(args) -> int:
             print(f"problem: {p}", file=sys.stderr)
         return 1
     observables = _parse_observables(args.observables, model.dim)
-    tol = DEFAULT if args.kkt_tol is None else DEFAULT.with_(kkt=args.kkt_tol)
     if isinstance(model, KrausFamily):
         effects_by_start = backward_sweep_batch(model, records, starts)
     else:
@@ -376,7 +380,9 @@ def _cmd_tomography(args) -> int:
     sidecar_states: dict[str, dict] = {}
     for t in starts:
         effects = effects_by_start[t]
-        result = solve_maxlike(effects, max_iterations=args.max_iterations, tol=tol)
+        result = solve_maxlike(
+            effects, max_iterations=args.max_iterations, kkt_tol=args.kkt_tol
+        )
         if not result.certified:
             print(
                 f"warning: t={t} stopped after {result.n_iterations} iterations "
@@ -384,7 +390,7 @@ def _cmd_tomography(args) -> int:
                 f"{result.kkt.threshold:.3e})",
                 file=sys.stderr,
             )
-        r_matrix = build_r_matrix(result.rho, effects, tol=tol)
+        r_matrix = build_r_matrix(result.rho, effects)
         diag = {
             "rank": result.rank,
             "lambda": result.lagrange_multiplier,
@@ -492,12 +498,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also report forward-filtered ensemble averages as ensemble:<name> rows",
     )
     tom.add_argument(
-        "--kkt-tol", type=float, default=None,
-        help="override the per-record optimality tolerance (default 1e-7)",
+        "--kkt-tol", type=float, default=KKT_TOL,
+        help="per-record optimality residual at which the solver certifies "
+        f"(default {KKT_TOL:g}; finite and positive)",
     )
     tom.add_argument(
         "--max-iterations", type=int, default=10_000,
-        help="iteration cap for the likelihood solver",
+        help="iteration cap for the likelihood solver (default 10000; "
+        "nonnegative)",
     )
     tom.set_defaults(func=_cmd_tomography)
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import RANK_REL, SINGULAR_REL
 from .errors import DegenerateTrace, EffectiveSampleSizeTooLow, Unidentifiable
 from .filtering import _coords, stack_effects
 from .maxlike import _grad_matrix, _traces
@@ -52,10 +52,10 @@ __all__ = [
 _NULL_OVERLAP = 1e-6  # relative weight along unconstrained directions that we tolerate
 
 
-def _support(mat: np.ndarray, tol: Tolerances):
+def _support(mat: np.ndarray):
     """Eigendecomposition split into support and kernel of a state."""
     w, v = np.linalg.eigh(mat)
-    eps = tol.rank_rel * max(float(w[-1]), 0.0)
+    eps = RANK_REL * max(float(w[-1]), 0.0)
     keep = w > eps
     return w, v, keep
 
@@ -84,7 +84,7 @@ def _eigenbasis_tangent(v: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return out
 
 
-def tangent_basis(rho, *, tol: Tolerances = DEFAULT) -> np.ndarray:
+def tangent_basis(rho) -> np.ndarray:
     """Orthonormal Hermitian basis of the feasible directions at a state.
 
     A direction X is feasible when it is traceless and has no component in
@@ -95,7 +95,7 @@ def tangent_basis(rho, *, tol: Tolerances = DEFAULT) -> np.ndarray:
     every pair (j < k) with j or k in the support, then the r - 1
     traceless diagonals on the support, rotated back.
     """
-    _, v, keep = _support(as_matrix(rho), tol)
+    _, v, keep = _support(as_matrix(rho))
     return _eigenbasis_tangent(v, keep)
 
 
@@ -133,14 +133,14 @@ def _pinv_quadratic(w: np.ndarray, q: np.ndarray, u: np.ndarray) -> float:
     eigenvectors q, the error-bar quadratic form of an observable with
     tangent coefficients u.
 
-    Eigenvalues up to DEFAULT.singular_rel times the largest count as
+    Eigenvalues up to SINGULAR_REL times the largest count as
     zero modes.  Raises Unidentifiable when u has more than _NULL_OVERLAP
     relative weight along them.
     """
     norm = float(np.linalg.norm(u))
     if norm == 0.0:
         return 0.0
-    cut = DEFAULT.singular_rel * max(float(w[-1]), 0.0)
+    cut = SINGULAR_REL * max(float(w[-1]), 0.0)
     live = w > cut
     proj = q.T @ u
     dead = float(np.linalg.norm(proj[~live]))
@@ -194,7 +194,7 @@ class RMatrix:
         return ObservableInterval(label, mean, self.variance(observable))
 
 
-def build_r_matrix(rho, effects, *, tol: Tolerances = DEFAULT) -> RMatrix:
+def build_r_matrix(rho, effects) -> RMatrix:
     """Assemble the stiffness form at a reconstructed state.
 
     The boundary piece uses D projected onto the kernel of rho: at an
@@ -202,7 +202,7 @@ def build_r_matrix(rho, effects, *, tol: Tolerances = DEFAULT) -> RMatrix:
     this changes nothing analytically but stops optimizer residue from
     being amplified by the pseudoinverse.
     """
-    state = rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho, tol=tol)
+    state = rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
     mat = state.matrix
     e, _ = stack_effects(effects)
     if e.shape[0] == 0:
@@ -211,7 +211,7 @@ def build_r_matrix(rho, effects, *, tol: Tolerances = DEFAULT) -> RMatrix:
     traces = _traces(e_flat, mat)
     if traces.min() <= 0.0:
         raise DegenerateTrace("state assigns zero probability to some record")
-    split = _support(mat, tol)
+    split = _support(mat)
     basis = _eigenbasis_tangent(split[1], split[2])
     r, _, lam = _stiffness_form(mat, e_flat, traces, basis, split)
     return RMatrix(state, basis, r, lam)
@@ -291,7 +291,6 @@ def posterior_variance_mc(
     seed: int = 0,
     prior="flat",
     ess_min: float = 100.0,
-    tol: Tolerances = DEFAULT,
 ) -> MCEstimate:
     """Posterior spread of tr(rho A) by importance sampling over states.
 
@@ -322,7 +321,7 @@ def posterior_variance_mc(
     if dim > 3:
         raise ValueError("Monte Carlo cross-check supports dimension <= 3")
     center_mat = as_matrix(center)
-    DensityMatrix(center_mat, tol=tol)
+    DensityMatrix(center_mat)
     # at a full-rank state every traceless direction is tangent: the
     # generalized Gell-Mann set without the identity
     traceless = _eigenbasis_tangent(np.eye(dim), np.ones(dim, dtype=bool))
@@ -338,7 +337,7 @@ def posterior_variance_mc(
     if n and traces0.min() <= 0.0:
         raise DegenerateTrace("center assigns zero probability to some record")
     r_full, g, _ = _stiffness_form(
-        center_mat, e_flat, traces0, traceless, _support(center_mat, tol)
+        center_mat, e_flat, traces0, traceless, _support(center_mat)
     )
     h, u = np.linalg.eigh(r_full)
 

@@ -1,51 +1,32 @@
-"""Shared numerical tolerances.
+"""Shared numerical thresholds.
 
-All thresholds that decide "is this still a state" or "has this converged"
-live in one record so that the whole pipeline agrees on them.
+Every number that decides "is this still a state", "is this outcome
+impossible", "what is the rank" or "has this converged" is fixed here, so
+the whole pipeline agrees on them.  None is a public setting; only the
+solver's certification threshold can be overridden per call, through
+``solve_maxlike(kkt_tol=...)``.
 """
-from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
-__all__ = ["DEFAULT", "Tolerances"]
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical tolerances used across the package.
-
-    Attributes:
-        psd: eigenvalues of states and effects may dip to -psd before the
-            object is rejected.  Chosen well above accumulated roundoff of
-            long Kraus products but far below any physical population.
-        trace: admissible deviation of a state or effect trace from one.
-        kraus_trace: admissible deviation of a Kraus step from trace
-            preservation, summed over outcomes.
-        prob_floor: a step probability at or below this value counts as
-            an impossible outcome.
-        kkt: optimality residual per record; the solver certifies at
-            kkt * n_records.
-        rank_rel: eigenvalues below rank_rel * max_eigenvalue count as
-            zero when ranking a reconstructed state.
-        singular_rel: singular values below singular_rel * largest are
-            treated as exact zeros in pseudo-inverses, separating flat
-            likelihood directions from roundoff.
-        eig_clip: eigenvalues in (-eig_clip, -psd) found during time
-            stepping are treated as integration roundoff and projected
-            away; anything below -eig_clip is a hard step failure.
-    """
-
-    psd: float = 1e-10
-    trace: float = 1e-10
-    kraus_trace: float = 1e-9
-    prob_floor: float = 1e-300
-    kkt: float = 1e-7
-    rank_rel: float = 1e-8
-    singular_rel: float = 1e-10
-    eig_clip: float = 1e-6
-
-    def with_(self, **kwargs) -> "Tolerances":
-        return replace(self, **kwargs)
-
-
-DEFAULT = Tolerances()
+# Eigenvalues of states and effects may dip to -PSD_TOL before the object
+# is rejected: well above accumulated roundoff of long Kraus products but
+# far below any physical population.
+PSD_TOL = 1e-10
+# Admissible deviation of a state or effect trace from one.
+TRACE_TOL = 1e-10
+# Admissible deviation of a Kraus step from trace preservation, summed
+# over outcomes.
+KRAUS_TRACE_TOL = 1e-9
+# A step probability at or below this value counts as an impossible outcome.
+PROB_FLOOR = 1e-300
+# Optimality residual per record; the solver certifies at KKT_TOL * n_records.
+KKT_TOL = 1e-7
+# Eigenvalues below RANK_REL * max_eigenvalue count as zero when ranking a
+# reconstructed state.
+RANK_REL = 1e-8
+# Singular values below SINGULAR_REL * largest are treated as exact zeros
+# in pseudo-inverses, separating flat likelihood directions from roundoff.
+SINGULAR_REL = 1e-10
+# Eigenvalues in (-EIG_CLIP, -PSD_TOL) found during time stepping are
+# treated as integration roundoff and projected away; anything below
+# -EIG_CLIP is a hard step failure.
+EIG_CLIP = 1e-6

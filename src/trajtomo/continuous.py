@@ -39,7 +39,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import ndtr, ndtri
 
-from .config import DEFAULT, Tolerances
+from .config import EIG_CLIP, PSD_TOL
 from .errors import StepSizeTooLarge
 from .filtering import (
     AdjointResult,
@@ -450,7 +450,6 @@ def simulate_sme(
     rng_seed: int,
     *,
     keep_mean: bool = False,
-    tol: Tolerances = DEFAULT,
 ):
     """Draw signal records from the model's exact outcome law.
 
@@ -482,7 +481,7 @@ def simulate_sme(
     total = model.n_steps
     final = _filter(
         partial(_sme_step, model, draw), d, np.full(n_records, total),
-        np.arange(n_records), rho0, (total,), check=_band_check, tol=tol,
+        np.arange(n_records), rho0, (total,), check=_band_check,
     )[total]
     records = RecordBatch(
         signals, np.full(n_records, total), np.arange(n_records), dt=model.dt
@@ -493,28 +492,22 @@ def simulate_sme(
     return records
 
 
-def forward_filter(
-    model: SMEModel,
-    record: ContinuousRecord,
-    rho0,
-    *,
-    tol: Tolerances = DEFAULT,
-) -> FilterTrace:
+def forward_filter(model: SMEModel, record: ContinuousRecord, rho0) -> FilterTrace:
     """Condition an initial state on a measured record, step by step.
 
     log_prob is the log density of the record relative to pure noise;
     only differences between candidate initial states are meaningful.
     """
     _checked_signals(model, [record])
-    rho = rho0 if isinstance(rho0, DensityMatrix) else DensityMatrix(rho0, tol=tol)
+    rho = rho0 if isinstance(rho0, DensityMatrix) else DensityMatrix(rho0)
     states, probs = [rho], []
-    for _, mat, p in _signal_steps(model, record, rho.matrix, adjoint=False, tol=tol):
-        states.append(DensityMatrix(mat, tol=tol))
+    for _, mat, p in _signal_steps(model, record, rho.matrix, adjoint=False):
+        states.append(DensityMatrix(mat))
         probs.append(p)
     return FilterTrace(tuple(states), tuple(probs), sum(map(math.log, probs)))
 
 
-def _signal_steps(model: SMEModel, record: ContinuousRecord, x, *, adjoint, tol):
+def _signal_steps(model: SMEModel, record: ContinuousRecord, x, *, adjoint):
     """The step-by-step recursion of a signal record in Kraus form."""
     base, stack, resid = _step_ops(model)
 
@@ -524,7 +517,7 @@ def _signal_steps(model: SMEModel, record: ContinuousRecord, x, *, adjoint, tol)
         )
 
     return _step_by_step(
-        apply, len(record), x, record.id, adjoint=adjoint, check=_band_check, tol=tol
+        apply, len(record), x, record.id, adjoint=adjoint, check=_band_check
     )
 
 
@@ -533,8 +526,6 @@ def forward_filter_batch(
     records: RecordBatch | Sequence[ContinuousRecord],
     rho0,
     at: Sequence[int],
-    *,
-    tol: Tolerances = DEFAULT,
 ) -> dict[int, np.ndarray]:
     """Conditional states of many records at selected times, batched.
 
@@ -546,17 +537,11 @@ def forward_filter_batch(
     batch = _checked_signals(model, records)
     step = partial(_sme_step, model, lambda t, _: batch.data[:, t])
     return _filter(
-        step, model.dim, batch.lengths, batch.record_ids, rho0, at,
-        check=_band_check, tol=tol,
+        step, model.dim, batch.lengths, batch.record_ids, rho0, at, check=_band_check,
     )
 
 
-def backward_continuous(
-    model: SMEModel,
-    record: ContinuousRecord,
-    *,
-    tol: Tolerances = DEFAULT,
-) -> AdjointResult:
+def backward_continuous(model: SMEModel, record: ContinuousRecord) -> AdjointResult:
     """Compress one signal record into (effect, log scale), step by step.
 
     The plain Kraus-form recursion E <- K*_dy(E) / tr(K*_dy(E)) from
@@ -566,10 +551,10 @@ def backward_continuous(
     d = model.dim
     log_c = math.log(d)
     for _, eff, c in _signal_steps(
-        model, record, np.eye(d, dtype=complex) / d, adjoint=True, tol=tol
+        model, record, np.eye(d, dtype=complex) / d, adjoint=True
     ):
         log_c += math.log(c)
-    return AdjointResult(EffectMatrix(eff, tol=tol), log_c)
+    return AdjointResult(EffectMatrix(eff), log_c)
 
 
 def backward_continuous_batch(
@@ -577,7 +562,6 @@ def backward_continuous_batch(
     records: RecordBatch | Sequence[ContinuousRecord],
     *,
     start_indices: Sequence[int] = (0,),
-    tol: Tolerances = DEFAULT,
 ) -> dict[int, EffectBatch]:
     """Adjoint effects for a batch of records, optionally at several
     suffix start times in one backward pass.
@@ -589,17 +573,11 @@ def backward_continuous_batch(
     step = partial(_sme_step, model, lambda t, _: batch.data[:, t])
     return _sweep(
         step, model.dim, batch.lengths, batch.record_ids, start_indices,
-        check=_band_check, tol=tol,
+        check=_band_check,
     )
 
 
-def lindblad_evolve(
-    model: SMEModel,
-    rho0,
-    n_steps: int | None = None,
-    *,
-    tol: Tolerances = DEFAULT,
-) -> np.ndarray:
+def lindblad_evolve(model: SMEModel, rho0, n_steps: int | None = None) -> np.ndarray:
     """Unconditional first-order evolution, shape (n_steps + 1, dim, dim).
 
     Each step adds dt * (-i[H, rho] + sum_nu (L rho L^dag
@@ -612,7 +590,7 @@ def lindblad_evolve(
     if not 1 <= total:
         raise ValueError("need at least one step")
     mat = as_matrix(rho0).astype(complex)
-    DensityMatrix(mat, tol=tol)
+    DensityMatrix(mat)
     h = model.hamiltonian
     ops = [c.operator for c in model.channels]
     damp = model._damping()
@@ -625,12 +603,12 @@ def lindblad_evolve(
         mat = mat + model.dt * inc
         mat = (mat + mat.conj().T) / 2.0
         w, v = np.linalg.eigh(mat)
-        if w[0] < -tol.eig_clip:
+        if w[0] < -EIG_CLIP:
             raise StepSizeTooLarge(
                 f"unconditional step {t} produced eigenvalue {w[0]:.3e}; "
                 "reduce dt"
             )
-        if w[0] < -tol.psd:
+        if w[0] < -PSD_TOL:
             w = np.clip(w, 0.0, None)
             w = w / w.sum()
             mat = (v * w) @ v.conj().T

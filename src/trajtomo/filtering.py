@@ -25,7 +25,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import PROB_FLOOR, PSD_TOL, TRACE_TOL
 from .errors import DimensionMismatch, UnknownOutcome, ZeroProbability
 from .operators import (
     DensityMatrix,
@@ -254,9 +254,8 @@ class EffectBatch:
     log_c: np.ndarray
     record_ids: np.ndarray
     start: InitVar[int] = 0
-    tol: InitVar[Tolerances] = DEFAULT
 
-    def __post_init__(self, start: int, tol: Tolerances) -> None:
+    def __post_init__(self, start: int) -> None:
         e = np.asarray(self.effects, dtype=complex)
         if e.ndim != 3 or e.shape[1] != e.shape[2]:
             raise DimensionMismatch(f"expected (N, d, d) effects, got {e.shape}")
@@ -278,14 +277,14 @@ class EffectBatch:
                 )
             w = np.linalg.eigvalsh(e)[:, 0]
             bad = int(np.argmin(w))
-            if w[bad] < -tol.psd:
+            if w[bad] < -PSD_TOL:
                 raise ValueError(
                     f"effect of record {ids[bad]} from start index {start} lost "
                     f"positivity (min eigenvalue {w[bad]:.3e})"
                 )
             dev = np.abs(np.einsum("nii->n", e).real - 1.0)
             bad = int(np.argmax(dev))
-            if dev[bad] > tol.trace:
+            if dev[bad] > TRACE_TOL:
                 raise ValueError(
                     f"effect of record {ids[bad]} from start index {start} has "
                     f"trace off one by {dev[bad]:.3e}"
@@ -307,46 +306,33 @@ class EffectBatch:
         return (self[i] for i in range(len(self)))
 
 
-def forward_run(
-    family: KrausFamily,
-    record: DiscreteRecord,
-    rho0,
-    *,
-    tol: Tolerances = DEFAULT,
-) -> FilterTrace:
+def forward_run(family: KrausFamily, record: DiscreteRecord, rho0) -> FilterTrace:
     """Filter a full record from initial state rho0, one step at a time."""
     _checked(family, [record])
-    rho = rho0 if isinstance(rho0, DensityMatrix) else DensityMatrix(rho0, tol=tol)
+    rho = rho0 if isinstance(rho0, DensityMatrix) else DensityMatrix(rho0)
     states, probs = [rho], []
     for _, mat, p in _step_by_step(
         lambda t, x: apply_cp_map(family, t, record.outcomes[t], x).matrix,
-        len(record), rho.matrix, record.id, adjoint=False, tol=tol,
+        len(record), rho.matrix, record.id, adjoint=False,
     ):
         states.append(_wrap_trusted(DensityMatrix, mat))
         probs.append(p)
     return FilterTrace(tuple(states), tuple(probs), sum(map(math.log, probs)))
 
 
-def backward_run(
-    family: KrausFamily,
-    record: DiscreteRecord,
-    *,
-    tol: Tolerances = DEFAULT,
-) -> AdjointResult:
+def backward_run(family: KrausFamily, record: DiscreteRecord) -> AdjointResult:
     """Compress one record into (effect, log_c) by running all steps backwards.
 
     The recursion starts from the maximally mixed effect I/dim, so log_c
     starts at log(dim) and P(record | rho) = exp(log_c) * tr(rho effect).
     """
-    return backward_sweep(family, record, (0,), tol=tol)[0]
+    return backward_sweep(family, record, (0,))[0]
 
 
 def backward_sweep(
     family: KrausFamily,
     record: DiscreteRecord,
     start_indices: Sequence[int],
-    *,
-    tol: Tolerances = DEFAULT,
 ) -> dict[int, AdjointResult]:
     """Adjoint results for several suffixes of one record in a single pass.
 
@@ -359,7 +345,7 @@ def backward_sweep(
     out: dict[int, AdjointResult] = {}
     for t, eff, c in _step_by_step(
         lambda t, x: apply_adjoint_cp_map(family, t, record.outcomes[t], x).matrix,
-        len(record), np.eye(family.dim) / family.dim, record.id, adjoint=True, tol=tol,
+        len(record), np.eye(family.dim) / family.dim, record.id, adjoint=True,
     ):
         acc += math.log(c)
         if t in wanted:
@@ -368,7 +354,7 @@ def backward_sweep(
     return out
 
 
-def _step_by_step(apply, n, x, record_id, *, adjoint, check=None, tol):
+def _step_by_step(apply, n, x, record_id, *, adjoint, check=None):
     """One record of n steps through the plain recursion, a step at a time.
 
     ``apply(t, x)`` returns step t's unnormalized K(x), or K*(x) in the
@@ -382,7 +368,7 @@ def _step_by_step(apply, n, x, record_id, *, adjoint, check=None, tol):
         c = float(new.trace().real)
         if check is not None:
             check(np.array([c]), t, [record_id])
-        if not c > tol.prob_floor:
+        if not c > PROB_FLOOR:
             raise ZeroProbability(
                 f"record {record_id} has probability {c!r} at step {t}",
                 step=t,
@@ -588,7 +574,6 @@ def _propagate(
     adjoint: bool,
     keep=frozenset(),
     check=None,
-    tol: Tolerances,
 ) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Run a record type's one-step maps over a batch of operators, in place.
 
@@ -609,7 +594,7 @@ def _propagate(
 
     ``check(traces, t, ids)``, when given, vets the active traces first.
     Raises ZeroProbability, naming the record and the step, when a trace
-    is not above ``tol.prob_floor`` (NaN included).
+    is not above ``PROB_FLOOR`` (NaN included).
     """
     dim = math.isqrt(flat.shape[1])
     shortest = lengths.min()
@@ -624,7 +609,7 @@ def _propagate(
         if check is not None:
             check(traces, t, on)
         bad = int(np.argmin(traces))
-        if not traces[bad] > tol.prob_floor:
+        if not traces[bad] > PROB_FLOOR:
             p = float(traces[bad])
             raise ZeroProbability(
                 f"record {on[bad]} has probability {p!r} at step {t}",
@@ -641,7 +626,7 @@ def _propagate(
     return snaps
 
 
-def _sweep(make_step, dim, lengths, ids, start_indices, *, check, tol):
+def _sweep(make_step, dim, lengths, ids, start_indices, *, check):
     """Effects of every record suffix starting at ``start_indices``.
 
     The shared body of the batched backward passes, where
@@ -658,17 +643,16 @@ def _sweep(make_step, dim, lengths, ids, start_indices, *, check, tol):
     flat = np.tile(_coords(np.eye(dim) / dim), (n, 1))
     snaps = _propagate(
         make_step(adjoint=True), flat, np.full(n, math.log(dim)),
-        range(span - 1, -1, -1), ids, lengths, adjoint=True, keep=wanted,
-        check=check, tol=tol,
+        range(span - 1, -1, -1), ids, lengths, adjoint=True, keep=wanted, check=check,
     )
     out = {}
     for s in map(int, start_indices):
         on, effs, lc = snaps[s]
-        out[s] = EffectBatch(_matrices(effs), lc, on, start=s, tol=tol)
+        out[s] = EffectBatch(_matrices(effs), lc, on, start=s)
     return out
 
 
-def _filter(make_step, dim, lengths, ids, rho0, at, *, check, tol):
+def _filter(make_step, dim, lengths, ids, rho0, at, *, check):
     """Conditional states after each step count in ``at``, from rho0.
 
     The shared body of the batched forward passes, where
@@ -684,12 +668,12 @@ def _filter(make_step, dim, lengths, ids, rho0, at, *, check, tol):
         if not 0 <= k <= span:
             raise ValueError(f"time index {k} outside the record span [0, {span}]")
     rho = as_matrix(rho0)
-    DensityMatrix(rho, tol=tol)
+    DensityMatrix(rho)
     n = len(ids)
     flat = np.tile(_coords(rho), (n, 1))
     snaps = _propagate(
         make_step(adjoint=False), flat, np.zeros(n), range(span), ids, lengths,
-        adjoint=False, keep=wanted, check=check, tol=tol,
+        adjoint=False, keep=wanted, check=check,
     )
     return {int(k): _matrices(snaps[int(k)][1]) for k in at}
 
@@ -700,7 +684,6 @@ def backward_sweep_batch(
     start_indices: Sequence[int],
     *,
     threads: int | None = None,
-    tol: Tolerances = DEFAULT,
 ) -> dict[int, EffectBatch]:
     """Adjoint results for several record suffixes over a whole batch.
 
@@ -712,8 +695,7 @@ def backward_sweep_batch(
     batch, codes = _checked(family, records)
     step = partial(_kraus_step, family, lambda t, _: codes[:, t])
     return _sweep(
-        step, family.dim, batch.lengths, batch.record_ids, start_indices,
-        check=None, tol=tol,
+        step, family.dim, batch.lengths, batch.record_ids, start_indices, check=None,
     )
 
 
@@ -722,8 +704,6 @@ def forward_batch(
     records: RecordBatch | Sequence[DiscreteRecord],
     rho0,
     at: Sequence[int],
-    *,
-    tol: Tolerances = DEFAULT,
 ) -> dict[int, np.ndarray]:
     """Conditional states of many records at selected times, batched.
 
@@ -736,8 +716,7 @@ def forward_batch(
     batch, codes = _checked(family, records)
     step = partial(_kraus_step, family, lambda t, _: codes[:, t])
     return _filter(
-        step, family.dim, batch.lengths, batch.record_ids, rho0, at,
-        check=None, tol=tol,
+        step, family.dim, batch.lengths, batch.record_ids, rho0, at, check=None,
     )
 
 
@@ -750,7 +729,6 @@ def sample_records(
     n_steps: int | None = None,
     interventions: Mapping[int, np.ndarray] | None = None,
     keep_mean: bool = False,
-    tol: Tolerances = DEFAULT,
 ):
     """Draw measurement records from the family's outcome law.
 
@@ -815,7 +793,7 @@ def sample_records(
 
     final = _filter(
         partial(_kraus_step, family, draw), dim, np.full(n_records, total),
-        np.arange(n_records), rho0, (total,), check=None, tol=tol,
+        np.arange(n_records), rho0, (total,), check=None,
     )[total]
     records = RecordBatch(
         codes, np.full(n_records, total), np.arange(n_records), tuple(labels)

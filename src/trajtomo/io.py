@@ -24,7 +24,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
 from .continuous import SMEModel, _signal_problems
 from .filtering import (
     ContinuousRecord,
@@ -131,7 +130,7 @@ def load_model(path) -> dict:
     return desc
 
 
-def instantiate_model(description: Mapping, *, tol: Tolerances = DEFAULT):
+def instantiate_model(description: Mapping):
     """Build the model object a description denotes.
 
     Returns an SMEModel for continuous kinds and a KrausFamily for
@@ -145,31 +144,31 @@ def instantiate_model(description: Mapping, *, tol: Tolerances = DEFAULT):
         if "phase_offsets" in params:
             params["phase_offsets"] = tuple(params["phase_offsets"])
         n_steps = params.pop("n_steps")
-        return build_qnd_family(n_steps, tol=tol, **params)
+        return build_qnd_family(n_steps, **params)
     if kind == "povm":
         elements = {
             str(y): matrix_from_json(f) for y, f in params["elements"].items()
         }
-        return povm_family(elements, n_steps=int(params.get("n_steps", 1)), tol=tol)
+        return povm_family(elements, n_steps=int(params.get("n_steps", 1)))
     raise ValueError(f"unknown model kind {kind!r}")
 
 
-def initial_state(description: Mapping, model, *, tol: Tolerances = DEFAULT):
+def initial_state(description: Mapping, model):
     """The preparation a description declares, or maximally mixed."""
     dim = model.dim
     enc = description.get("initial_state")
     if enc is None:
-        return DensityMatrix(np.eye(dim) / dim, tol=tol)
+        return DensityMatrix(np.eye(dim) / dim)
     mat = matrix_from_json(enc)
     if mat.shape != (dim, dim):
         raise ValueError(
             f"initial state has shape {mat.shape}, model dimension is {dim}"
         )
-    return DensityMatrix(mat, tol=tol)
+    return DensityMatrix(mat)
 
 
 def interventions_from_description(
-    description: Mapping, model, *, tol: Tolerances = DEFAULT
+    description: Mapping, model
 ) -> dict[int, np.ndarray]:
     """State-preparation events declared in a model description.
 
@@ -191,7 +190,7 @@ def interventions_from_description(
         kwargs = {
             k: float(ev[k]) for k in ("n_hot", "strength") if k in ev
         }
-        out[step] = injection_channel(model.dim, tol=tol, **kwargs)
+        out[step] = injection_channel(model.dim, **kwargs)
     return out
 
 

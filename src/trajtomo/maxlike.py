@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import KKT_TOL, RANK_REL
 from .errors import DegenerateLikelihood, DegenerateTrace
 from .filtering import stack_effects
 from .operators import DensityMatrix, HermitianOperator, as_matrix, project_to_density
@@ -115,15 +115,15 @@ def gradient(rho, effects) -> HermitianOperator:
     return HermitianOperator(_grad_matrix(*_checked_traces(rho, effects)))
 
 
-def kkt_certificate(rho, effects, *, tol: Tolerances = DEFAULT) -> KKTReport:
+def kkt_certificate(rho, effects) -> KKTReport:
     """Check first-order optimality of a state for the given effects."""
     e_flat, traces = _checked_traces(rho, effects)
     g = _grad_matrix(e_flat, traces)
-    return _certificate(as_matrix(rho), g, e_flat.shape[0], tol)
+    return _certificate(as_matrix(rho), g, e_flat.shape[0], KKT_TOL)
 
 
 def _certificate(
-    mat: np.ndarray, g: np.ndarray, n_records: int, tol: Tolerances
+    mat: np.ndarray, g: np.ndarray, n_records: int, kkt_tol: float
 ) -> KKTReport:
     lam = float(np.einsum("ij,ji->", mat, g).real)
     comm = mat @ g - g @ mat
@@ -131,7 +131,7 @@ def _certificate(
     g_eigs = np.linalg.eigvalsh(g)
     ascent = max(0.0, float(g_eigs[-1]) - lam)
     w, v = np.linalg.eigh(mat)
-    eps_rank = tol.rank_rel * max(w[-1], 0.0)
+    eps_rank = RANK_REL * max(w[-1], 0.0)
     support = w > eps_rank
     rank = int(support.sum())
     if rank == 0:
@@ -141,7 +141,7 @@ def _certificate(
         inner = np.linalg.eigvalsh(vr.conj().T @ g @ vr)
         support_deficit = max(0.0, lam - float(inner[0]))
     residual = max(comm_norm, ascent, support_deficit)
-    threshold = tol.kkt * max(n_records, 1)
+    threshold = kkt_tol * max(n_records, 1)
     return KKTReport(
         residual=residual,
         commutator_norm=comm_norm,
@@ -159,7 +159,7 @@ def solve_maxlike(
     *,
     rho0=None,
     max_iterations: int = 10_000,
-    tol: Tolerances = DEFAULT,
+    kkt_tol: float = KKT_TOL,
 ) -> TomographyResult:
     """Find the state maximizing the compressed-record likelihood.
 
@@ -168,8 +168,14 @@ def solve_maxlike(
     the rise in f from the per-record trace ratios.  Iterations stop as
     soon as the stationarity certificate passes; hitting the iteration cap
     returns the best state found with ``certified=False``.  ``f_history``
-    holds f at the start and after every iteration.
+    holds f at the start and after every iteration.  The certificate
+    passes at a residual of ``kkt_tol`` per record; it must be finite and
+    positive, and ``max_iterations`` nonnegative.
     """
+    if not (math.isfinite(kkt_tol) and kkt_tol > 0.0):
+        raise ValueError(f"kkt_tol must be finite and positive, got {kkt_tol!r}")
+    if max_iterations < 0:
+        raise ValueError(f"max_iterations must be nonnegative, got {max_iterations!r}")
     e, logc = stack_effects(effects)
     n = e.shape[0]
     if n == 0:
@@ -187,7 +193,7 @@ def solve_maxlike(
         mat = eye.astype(complex) / dim
     else:
         mat = as_matrix(rho0).astype(complex)
-        DensityMatrix(mat, tol=tol)
+        DensityMatrix(mat)
     f, traces = _f_and_traces(mat, e_flat, logc_sum)
     if not math.isfinite(f):
         # the interior start is safe; a user-supplied boundary start may not be
@@ -196,7 +202,7 @@ def solve_maxlike(
     g = _grad_matrix(e_flat, traces)
     history = [f]
     alpha = 1.0 / max(n, 1)
-    report = _certificate(mat, g, n, tol)
+    report = _certificate(mat, g, n, kkt_tol)
     iters = 0
     while iters < max_iterations and not report.satisfied:
         iters += 1
@@ -204,7 +210,7 @@ def solve_maxlike(
         step = alpha
         lam = report.lagrange_multiplier
         for _ in range(_MAX_BACKTRACKS):
-            cand = project_to_density(mat + step * g, tol=tol).matrix
+            cand = project_to_density(mat + step * g).matrix
             delta = cand - mat
             # the rise is summed from tr(delta E_n) / t_n, below f's roundoff,
             # and both it and the gain drop the n tr(delta) roundoff term
@@ -233,8 +239,8 @@ def solve_maxlike(
             alpha = min(step * 2.0, 1e18)
         mat, f, g, traces = cand, f_new, g_new, traces_new
         history.append(f)
-        report = _certificate(mat, g, n, tol)
-    rho = DensityMatrix(mat, tol=tol)
+        report = _certificate(mat, g, n, kkt_tol)
+    rho = DensityMatrix(mat)
     return TomographyResult(
         rho=rho,
         log_likelihood=f,

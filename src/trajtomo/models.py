@@ -21,7 +21,7 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from .config import DEFAULT, Tolerances
+from .config import KRAUS_TRACE_TOL, PSD_TOL
 from .continuous import Channel, ContinuousRecord, SMEModel
 from .errors import IncompletePOVM
 from .operators import DensityMatrix, KrausFamily
@@ -98,12 +98,7 @@ def quadrature_estimates(
 # ---------------------------------------------------------------------------
 
 
-def povm_family(
-    elements: dict[str, np.ndarray],
-    *,
-    n_steps: int = 1,
-    tol: Tolerances = DEFAULT,
-) -> KrausFamily:
+def povm_family(elements: dict[str, np.ndarray], *, n_steps: int = 1) -> KrausFamily:
     """A measurement family from POVM elements, one shot per step.
 
     Each element F must be positive semidefinite and the set must resolve
@@ -116,7 +111,7 @@ def povm_family(
         raise ValueError("POVM elements must be square matrices of equal size")
     d = next(iter(dims))[0]
     total = sum(mats.values())
-    if float(np.abs(total - np.eye(d)).max()) > tol.kraus_trace:
+    if float(np.abs(total - np.eye(d)).max()) > KRAUS_TRACE_TOL:
         raise IncompletePOVM(
             "POVM elements do not resolve the identity "
             f"(worst deviation {float(np.abs(total - np.eye(d)).max()):.3e})"
@@ -125,10 +120,10 @@ def povm_family(
     for y, f in mats.items():
         f = (f + f.conj().T) / 2.0
         w, v = np.linalg.eigh(f)
-        if w[0] < -tol.psd:
+        if w[0] < -PSD_TOL:
             raise ValueError(f"POVM element {y!r} has eigenvalue {w[0]:.3e}")
         step[y] = [(v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T]
-    return KrausFamily.repeated(d, step, n_steps, tol=tol)
+    return KrausFamily.repeated(d, step, n_steps)
 
 
 def pauli_povm() -> dict[str, np.ndarray]:
@@ -149,7 +144,7 @@ def number_operator(dim: int) -> np.ndarray:
     return np.diag(np.arange(dim, dtype=float)).astype(complex)
 
 
-def thermal_state(dim: int, n_bar: float, *, tol: Tolerances = DEFAULT) -> DensityMatrix:
+def thermal_state(dim: int, n_bar: float) -> DensityMatrix:
     """Truncated thermal state with untruncated mean occupation n_bar."""
     if n_bar < 0:
         raise ValueError("mean occupation must be nonnegative")
@@ -160,7 +155,7 @@ def thermal_state(dim: int, n_bar: float, *, tol: Tolerances = DEFAULT) -> Densi
         ratio = n_bar / (1.0 + n_bar)
         p = ratio ** np.arange(dim)
         p /= p.sum()
-    return DensityMatrix(np.diag(p), tol=tol)
+    return DensityMatrix(np.diag(p))
 
 
 def mean_photon(rho) -> float:
@@ -191,7 +186,7 @@ def kraus_to_superop(ops) -> np.ndarray:
     return sum(np.kron(k, k.conj()) for k in mats)
 
 
-def _superop_to_kraus(sup: np.ndarray, dim: int, *, tol: Tolerances) -> list[np.ndarray]:
+def _superop_to_kraus(sup: np.ndarray, dim: int) -> list[np.ndarray]:
     """Kraus decomposition of a completely positive superoperator."""
     choi = sup.reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3).reshape(
         dim * dim, dim * dim
@@ -205,7 +200,7 @@ def _superop_to_kraus(sup: np.ndarray, dim: int, *, tol: Tolerances) -> list[np.
         if mu > cut
     ]
     total = sum(k.conj().T @ k for k in ops)
-    if float(np.abs(total - np.eye(dim)).max()) > tol.kraus_trace:
+    if float(np.abs(total - np.eye(dim)).max()) > KRAUS_TRACE_TOL:
         raise ValueError("Kraus decomposition failed to preserve the trace")
     return ops
 
@@ -216,7 +211,6 @@ def thermal_relaxation_kraus(
     *,
     t_cavity: float,
     n_bath: float,
-    tol: Tolerances = DEFAULT,
 ) -> list[np.ndarray]:
     """Exact Kraus operators of thermal contact for the given duration.
 
@@ -231,7 +225,7 @@ def thermal_relaxation_kraus(
         math.sqrt(n_bath / t_cavity) * a.conj().T,
     ]
     sup = expm(_lindblad_superop(dim, ops) * duration)
-    return _superop_to_kraus(sup, dim, tol=tol)
+    return _superop_to_kraus(sup, dim)
 
 
 def injection_channel(
@@ -239,7 +233,6 @@ def injection_channel(
     *,
     n_hot: float = 4.0,
     strength: float = 0.3133,
-    tol: Tolerances = DEFAULT,
 ) -> np.ndarray:
     """Superoperator of a short hot-bath pulse that injects photons.
 
@@ -255,7 +248,7 @@ def injection_channel(
         math.sqrt(n_hot) * a.conj().T,
     ]
     sup = expm(_lindblad_superop(dim, ops) * strength)
-    _superop_to_kraus(sup, dim, tol=tol)  # validates complete positivity + trace
+    _superop_to_kraus(sup, dim)  # validates complete positivity + trace
     return sup
 
 
@@ -283,7 +276,6 @@ def build_qnd_family(
     ),
     readout_error: float = 0.05,
     detection_efficiency: float = 0.4,
-    tol: Tolerances = DEFAULT,
 ) -> KrausFamily:
     """Photon-number readout by a stream of dispersive probe atoms.
 
@@ -307,7 +299,7 @@ def build_qnd_family(
         raise ValueError("readout_error must lie in [0, 0.5]")
     dim = n_max + 1
     relax = thermal_relaxation_kraus(
-        dim, step_time, t_cavity=t_cavity, n_bath=n_bath, tol=tol
+        dim, step_time, t_cavity=t_cavity, n_bath=n_bath
     )
     n = np.arange(dim)
     steps = []
@@ -325,4 +317,4 @@ def build_qnd_family(
             }
         )
     sequence = [steps[t % len(steps)] for t in range(n_steps)]
-    return KrausFamily(dim, sequence, tol=tol)
+    return KrausFamily(dim, sequence)

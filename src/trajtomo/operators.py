@@ -10,7 +10,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import KRAUS_TRACE_TOL, PSD_TOL, TRACE_TOL
 from .errors import DimensionMismatch, UnknownOutcome
 
 __all__ = [
@@ -65,14 +65,14 @@ class HermitianOperator:
         return f"{type(self).__name__}(dim={self.dim})"
 
 
-def _check_state(m: np.ndarray, what: str, tol: Tolerances) -> None:
+def _check_state(m: np.ndarray, what: str) -> None:
     w = np.linalg.eigvalsh(m)
-    if w[0] < -tol.psd:
+    if w[0] < -PSD_TOL:
         raise ValueError(
             f"{what} must be positive semidefinite; min eigenvalue {w[0]:.3e}"
         )
     tr = m.trace().real
-    if abs(tr - 1.0) > tol.trace:
+    if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"{what} must have unit trace; got {tr!r}")
 
 
@@ -81,9 +81,9 @@ class DensityMatrix(HermitianOperator):
 
     __slots__ = ()
 
-    def __init__(self, matrix, *, tol: Tolerances = DEFAULT) -> None:
+    def __init__(self, matrix) -> None:
         super().__init__(matrix)
-        _check_state(self.matrix, "a density matrix", tol)
+        _check_state(self.matrix, "a density matrix")
 
 
 class EffectMatrix(HermitianOperator):
@@ -94,9 +94,9 @@ class EffectMatrix(HermitianOperator):
 
     __slots__ = ()
 
-    def __init__(self, matrix, *, tol: Tolerances = DEFAULT) -> None:
+    def __init__(self, matrix) -> None:
         super().__init__(matrix)
-        _check_state(self.matrix, "an effect matrix", tol)
+        _check_state(self.matrix, "an effect matrix")
 
 
 def _wrap_trusted(cls, matrix: np.ndarray):
@@ -128,8 +128,6 @@ class KrausFamily:
         self,
         dim: int,
         steps: Sequence[Mapping[str, Iterable[np.ndarray]]],
-        *,
-        tol: Tolerances = DEFAULT,
     ) -> None:
         self.dim = int(dim)
         if self.dim < 2:
@@ -141,7 +139,7 @@ class KrausFamily:
         for step in steps:
             if id(step) not in index:
                 index[id(step)] = len(distinct)
-                distinct.append(_validated_step(self.dim, step, tol))
+                distinct.append(_validated_step(self.dim, step))
         self._distinct = tuple(distinct)
         self._schedule = np.array([index[id(step)] for step in steps], dtype=np.intp)
         self._schedule.flags.writeable = False
@@ -152,11 +150,9 @@ class KrausFamily:
         dim: int,
         step: Mapping[str, Iterable[np.ndarray]],
         n_steps: int,
-        *,
-        tol: Tolerances = DEFAULT,
     ) -> "KrausFamily":
         """A family applying the same step ``n_steps`` times."""
-        return cls(dim, [step] * int(n_steps), tol=tol)
+        return cls(dim, [step] * int(n_steps))
 
     @property
     def n_steps(self) -> int:
@@ -189,7 +185,7 @@ class KrausFamily:
         return f"KrausFamily(dim={self.dim}, n_steps={self.n_steps})"
 
 
-def _validated_step(dim: int, step, tol: Tolerances) -> dict:
+def _validated_step(dim: int, step) -> dict:
     """One step as {label: read-only operators}, checked for shapes and
     trace preservation."""
     out: dict[str, tuple[np.ndarray, ...]] = {}
@@ -212,7 +208,7 @@ def _validated_step(dim: int, step, tol: Tolerances) -> dict:
         raise ValueError("a step needs at least one outcome")
     total = sum(m.conj().T @ m for ops in out.values() for m in ops)
     err = np.abs(total - np.eye(dim)).max()
-    if err > tol.kraus_trace:
+    if err > KRAUS_TRACE_TOL:
         raise ValueError(f"Kraus step is not trace preserving; deviation {err:.3e}")
     return out
 
@@ -258,7 +254,7 @@ def _project_simplex(w: np.ndarray) -> np.ndarray:
     return np.maximum(w + tau, 0.0)
 
 
-def project_to_density(x, *, tol: Tolerances = DEFAULT) -> DensityMatrix:
+def project_to_density(x) -> DensityMatrix:
     """Closest density matrix in Frobenius norm.
 
     Diagonalize, project the spectrum onto the probability simplex, and

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import PSD_TOL
 from .confidence import _pinv_quadratic
 from .errors import DegenerateTrace
 from .operators import DensityMatrix, as_matrix
@@ -67,12 +67,12 @@ def to_bloch(rho) -> np.ndarray:
     return np.array([np.einsum("ij,ji->", s, mat).real for s in PAULIS])
 
 
-def from_bloch(v, *, tol: Tolerances = DEFAULT) -> DensityMatrix:
+def from_bloch(v) -> DensityMatrix:
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise ValueError("expected three Bloch components")
     mat = (np.eye(2) + v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z) / 2.0
-    return DensityMatrix(mat, tol=tol)
+    return DensityMatrix(mat)
 
 
 def effects_to_bloch(effects) -> np.ndarray:
@@ -101,13 +101,7 @@ def lambda_bloch(v, bloch_effects) -> float:
     return float(np.asarray(v, dtype=float) @ gradient_bloch(v, bloch_effects))
 
 
-def variance_bloch(
-    v,
-    bloch_effects,
-    observable,
-    *,
-    tol: Tolerances = DEFAULT,
-) -> float:
+def variance_bloch(v, bloch_effects, observable) -> float:
     """Squared error bar of v . a at a Bloch-coordinate maximizer.
 
     In the interior the stiffness is the 3 x 3 negative Hessian
@@ -125,7 +119,7 @@ def variance_bloch(
     if e.ndim != 2 or e.shape[1] != 3:
         raise ValueError("bloch_effects must have shape (N, 3)")
     speed = float(np.linalg.norm(v))
-    if speed > 1.0 + tol.psd:
+    if speed > 1.0 + PSD_TOL:
         raise ValueError("Bloch vector lies outside the sphere")
     if 1.0 - speed >= _BOUNDARY_GAP:
         denom = 1.0 + e @ v

@@ -211,6 +211,63 @@ def test_unknown_observable_exits_2(tmp_path, capsys):
                 "--out", tmp_path / "o.csv", "--observables", "q"]) == 2
 
 
+def qnd_archive(tmp_path):
+    """40 photon-counting records of 40 steps; solves there take 12-19 iterations."""
+    model, recs = tmp_path / "model.json", tmp_path / "recs.jsonl"
+    save_model(model, "qnd", {"n_steps": 40, "n_max": 3})
+    assert run(["simulate", "--model", model, "--records", recs,
+                "--n-trajectories", 40, "--seed", 1]) == 0
+    return model, recs
+
+
+def solve_states(model, recs, out, *options):
+    assert run(["tomography", "--model", model, "--records", recs, "--out", out,
+                "--start-times", "0,10", *options]) == 0
+    return json.loads(out.with_suffix(".state.json").read_text())["states"]
+
+
+def test_max_iterations_reaches_the_solver(tmp_path, capsys):
+    model, recs = qnd_archive(tmp_path)
+    capsys.readouterr()
+    states = solve_states(model, recs, tmp_path / "o.csv", "--max-iterations", 1)
+    err = capsys.readouterr().err
+    for t, st in states.items():
+        assert (st["n_iterations"], st["certified"]) == (1, False)
+        assert f"warning: t={t} stopped after 1 iterations" in err
+
+
+def test_loose_kkt_tol_certifies_no_later_than_the_default(tmp_path, capsys):
+    model, recs = qnd_archive(tmp_path)
+    default = solve_states(model, recs, tmp_path / "a.csv")
+    loose = solve_states(model, recs, tmp_path / "b.csv", "--kkt-tol", 1e-3)
+    assert "warning" not in capsys.readouterr().err
+    for t in default:
+        assert default[t]["certified"] and loose[t]["certified"]
+        assert loose[t]["n_iterations"] <= default[t]["n_iterations"]
+    # the looser threshold is reached: it certifies strictly earlier somewhere
+    assert sum(st["n_iterations"] for st in loose.values()) < sum(
+        st["n_iterations"] for st in default.values()
+    )
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--kkt-tol", "0", "kkt_tol must be finite and positive"),
+    ("--kkt-tol", "-1", "kkt_tol must be finite and positive"),
+    ("--kkt-tol", "nan", "kkt_tol must be finite and positive"),
+    ("--max-iterations", "-3", "max_iterations must be nonnegative"),
+    ("--start-times", "0,10,0", "start times must be distinct; repeated: 0"),
+])
+def test_bad_solver_options_and_repeated_starts_exit_2(
+    tmp_path, capsys, option, value, message
+):
+    model, recs = qnd_archive(tmp_path)
+    out = tmp_path / "o.csv"
+    assert run(["tomography", "--model", model, "--records", recs, "--out", out,
+                option, value]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists() and not out.with_suffix(".state.json").exists()
+
+
 def test_observable_from_file(tmp_path):
     model = tmp_path / "model.json"
     povm_model(model)

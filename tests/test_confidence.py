@@ -7,7 +7,6 @@ from scipy.integrate import quad
 
 from conftest import random_density, random_hermitian
 from trajtomo import (
-    DEFAULT,
     DegenerateTrace,
     EffectiveSampleSizeTooLow,
     RMatrix,
@@ -19,6 +18,7 @@ from trajtomo import (
     tangent_basis,
 )
 from trajtomo.confidence import _stiffness_form, _support
+from trajtomo.config import RANK_REL
 
 GROUND = np.diag([1.0, 0.0]).astype(complex)
 EXCITED = np.diag([0.0, 1.0]).astype(complex)
@@ -124,7 +124,7 @@ def check_tangent_basis(rho, rank):
     n = rho.shape[0]
     # the support split the old construction used: eigenvalues above the cut
     w, v = np.linalg.eigh(rho)
-    assert (w > DEFAULT.rank_rel * w[-1]).sum() == rank
+    assert (w > RANK_REL * w[-1]).sum() == rank
     p = v[:, n - rank :] @ v[:, n - rank :].conj().T
     basis = tangent_basis(rho)
     assert basis.shape == (n * n - (n - rank) ** 2 - 1, n, n)
@@ -161,16 +161,16 @@ def test_closed_form_basis_at_degenerate_and_near_cut_spectra():
         check_tangent_basis(state_with_spectrum(rng, spectrum), rank)
     # an eigenvalue a factor 1 +- 1e-3 from the rank cut lands on its side
     for factor, rank in ((1.0 + 1e-3, 4), (1.0 - 1e-3, 3)):
-        spectrum = [0.5, 0.3, 0.2, factor * DEFAULT.rank_rel * 0.5, 0.0, 0.0]
+        spectrum = [0.5, 0.3, 0.2, factor * RANK_REL * 0.5, 0.0, 0.0]
         check_tangent_basis(state_with_spectrum(rng, spectrum), rank)
 
 
-def gram_schmidt_tangent_basis(rho, tol=DEFAULT):
+def gram_schmidt_tangent_basis(rho):
     """The tangent basis as built before the closed form: every Gell-Mann
     element projected onto the tangent space, then Gram-Schmidt."""
     n = rho.shape[0]
     w, v = np.linalg.eigh(rho)
-    keep = w > tol.rank_rel * max(float(w[-1]), 0.0)
+    keep = w > RANK_REL * max(float(w[-1]), 0.0)
     p = v[:, keep] @ v[:, keep].conj().T
     p = (p + p.conj().T) / 2.0
     out = []
@@ -222,7 +222,7 @@ def test_variance_matches_gram_schmidt_basis():
             e_flat = effects.reshape(n_eff, -1)
             traces = np.einsum("nij,ji->n", effects, mat).real
             ref_r, _, lam = _stiffness_form(
-                mat, e_flat, traces, ref_basis, _support(mat, DEFAULT)
+                mat, e_flat, traces, ref_basis, _support(mat)
             )
             ref = RMatrix(result.rho, ref_basis, ref_r, lam)
             assert r.tangent_dim == ref.tangent_dim

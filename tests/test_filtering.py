@@ -24,7 +24,7 @@ from trajtomo import (
     sample_records,
     stack_effects,
 )
-from trajtomo.config import DEFAULT
+import trajtomo.filtering
 
 PROJECTIVE = {
     "g": [np.diag([1.0, 0.0]).astype(complex)],
@@ -358,14 +358,13 @@ def test_batch_errors_name_the_record_and_step(mixed):
     assert (info.value.record_id, info.value.step) == (7, 1)
 
 
-def test_sample_records_zero_probability_names_the_record_and_step():
+def test_sample_records_zero_probability_names_the_record_and_step(monkeypatch):
     # every outcome probability is 0.3 or 0.7, so a 0.5 floor rejects the first "g"
+    monkeypatch.setattr(trajtomo.filtering, "PROB_FLOOR", 0.5)
     fam = KrausFamily.repeated(2, PROJECTIVE, 2)
     message = r"^record \d+ has probability 0\.3\d* at step 0$"
     with pytest.raises(ZeroProbability, match=message):
-        sample_records(
-            fam, np.diag([0.3, 0.7]), 50, rng_seed=5, tol=DEFAULT.with_(prob_floor=0.5)
-        )
+        sample_records(fam, np.diag([0.3, 0.7]), 50, rng_seed=5)
 
 
 def test_backward_sweep_batch_matches_scalar_sweep():

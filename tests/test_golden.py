@@ -20,8 +20,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trajtomo import DEFAULT, from_bloch, thermal_state
+from trajtomo import from_bloch, thermal_state
 from trajtomo.cli import main
+from trajtomo.config import KKT_TOL
 from trajtomo.io import matrix_to_json, save_model
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -85,7 +86,7 @@ def _close(new: float, old: float, bound: float) -> bool:
 def test_tomography_matches_golden(name, tmp_path, capsys):
     out = tmp_path / f"{name}.csv"
     _tomography(name, out)
-    threshold = DEFAULT.kkt * CASES[name]["n_records"]
+    threshold = KKT_TOL * CASES[name]["n_records"]
     kkt_bound = KKT_REL * threshold
 
     want_rows = _read_csv(_paths(GOLDEN, name)["csv"])

@@ -260,3 +260,36 @@ def test_solutions_cover_both_ranks():
         assert res.n_records == n
         assert res.kkt.residual <= 1e-7 * n
         assert abs(res.lagrange_multiplier - n) <= 1e-6 * n
+
+
+@pytest.mark.parametrize(
+    "options",
+    [{"kkt_tol": 0.0}, {"kkt_tol": -1.0}, {"kkt_tol": math.nan}, {"kkt_tol": math.inf},
+     {"max_iterations": -1}],
+)
+def test_bad_solver_options_raise(options):
+    with pytest.raises(ValueError, match=next(iter(options))):
+        solve_maxlike([GROUND] * 3 + [EXCITED] * 7, **options)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known stall, ROADMAP item 2: projected gradient with BB steps creeps "
+    "along the boundary and stops at the iteration cap, rank 2, residual 24.5 "
+    "times the threshold",
+)
+def test_near_diagonal_dimension_eight_instance_certifies():
+    # 250 effects (1 - eps)|k><k| + eps W / tr W: k ~ exp(-0.6 k), W = A A* for
+    # a complex Gaussian A; every k is drawn first, then the A's
+    dim, n, eps = 8, 250, 0.01
+    rng = np.random.default_rng(18)
+    p = np.exp(-0.6 * np.arange(dim))
+    ks = rng.choice(dim, size=n, p=p / p.sum())
+    effects = []
+    for k in ks:
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        w = a @ a.conj().T
+        e = eps * w / w.trace().real
+        e[k, k] += 1.0 - eps
+        effects.append(e)
+    assert solve_maxlike(np.stack(effects)).certified

@@ -222,6 +222,7 @@ def test_validation_and_the_passes_apply_one_rule_set(case):
 REMOVED = (
     "forward_step", "backward_step", "backward_batch", "FilterTrace", "HermitianBasis",
     "hermitian_basis", "tangent_project", "frobenius", "InvalidProjector", "SolveOptions",
+    "Tolerances", "DEFAULT",
 )
 
 
