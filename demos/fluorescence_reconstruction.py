@@ -11,7 +11,7 @@ from trajtomo import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    backward_continuous_batch,
+    backward_sweep_batch,
     build_fluorescence_model,
     build_r_matrix,
     from_bloch,
@@ -39,7 +39,7 @@ print(f"raw signal average over the window: x ~ {raw_xy[0]:+.3f}, "
 # One backward pass serves every start time: the effect for start s
 # summarizes the record from step s to the end.
 starts = list(range(0, 26, 5))
-effects = backward_continuous_batch(model, records, start_indices=starts)
+effects = backward_sweep_batch(model, records, start_indices=starts)
 
 reference = lindblad_evolve(model, plus, n_steps=max(starts))
 

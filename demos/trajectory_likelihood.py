@@ -9,7 +9,7 @@ for several candidate initial states.
 import numpy as np
 
 from trajtomo import (
-    backward_run,
+    backward_sweep,
     build_qnd_family,
     forward_run,
     mean_photon,
@@ -32,7 +32,7 @@ for k, rec in enumerate(records):
     print(f"record {k}: outcomes {''.join(o[0] for o in rec.outcomes[:20])}... ")
 
     # Backward pass: one sweep, independent of any initial state.
-    adj = backward_run(family, rec)
+    adj = backward_sweep(family, rec, (0,))[0]
     evals = np.linalg.eigvalsh(adj.effect.matrix)
     print(f"  compressed effect spectrum: {np.round(evals, 4)}, "
           f"log_c = {adj.log_c:+.4f}")

@@ -23,15 +23,7 @@ import numpy as np
 from . import io as tio
 from .config import KKT_TOL
 from .confidence import build_r_matrix
-from .continuous import (
-    SMEModel,
-    adjoint_cp_map_continuous,
-    backward_continuous_batch,
-    cp_map_continuous,
-    forward_filter,
-    forward_filter_batch,
-    simulate_sme,
-)
+from .continuous import adjoint_cp_map_continuous, cp_map_continuous, simulate_sme
 from .errors import (
     DegenerateLikelihood,
     DegenerateTrace,
@@ -45,13 +37,12 @@ from .errors import (
 )
 from .filtering import (
     DiscreteRecord,
-    backward_run,
     backward_sweep_batch,
     forward_batch,
     forward_run,
     sample_records,
 )
-from .maxlike import solve_maxlike
+from .maxlike import _check_options, solve_maxlike
 from .models import number_operator, povm_family
 from .operators import KrausFamily, apply_adjoint_cp_map, apply_cp_map
 from .qubit import PAULIS, effects_to_bloch, to_bloch, variance_bloch
@@ -190,16 +181,12 @@ def _check_adjoint_identity(model, rng: np.random.Generator) -> float:
 def _check_duality(model, records, rng: np.random.Generator) -> float:
     """Worst gap between the batched backward pass and the step-by-step
     forward filter, over sampled records and random states."""
-    if isinstance(model, KrausFamily):
-        compress, forward = backward_sweep_batch, forward_run
-    else:
-        compress, forward = backward_continuous_batch, forward_filter
     sample = records[:20]
     worst = 0.0
-    for rec, adj in zip(sample, compress(model, sample, start_indices=(0,))[0]):
+    for rec, adj in zip(sample, backward_sweep_batch(model, sample)[0]):
         for _ in range(5):
             rho = _random_state(rng, model.dim)
-            fwd = forward(model, rec, rho).log_prob
+            fwd = forward_run(model, rec, rho).log_prob
             bwd = adj.log_c + math.log(
                 float(np.einsum("ij,ji->", rho, adj.effect.matrix).real)
             )
@@ -215,7 +202,7 @@ def _binomial_suite() -> tuple[float, float]:
     family = povm_family({"g": ground, "e": excited})
     records = [DiscreteRecord(i, ("g",)) for i in range(30)]
     records += [DiscreteRecord(30 + i, ("e",)) for i in range(70)]
-    effects = [backward_run(family, r).effect for r in records]
+    effects = backward_sweep_batch(family, records)[0]
     result = solve_maxlike(effects)
     p = float(result.rho.matrix[1, 1].real)
     fisher = 4.0 * p * (1.0 - p) / len(records)
@@ -320,11 +307,7 @@ def _cmd_validate(args) -> int:
 
 
 def _ensemble_rows(model, desc, records, starts, observables) -> list[dict]:
-    rho0 = tio.initial_state(desc, model)
-    if isinstance(model, KrausFamily):
-        filtered = forward_batch(model, records, rho0, starts)
-    else:
-        filtered = forward_filter_batch(model, records, rho0, starts)
+    filtered = forward_batch(model, records, tio.initial_state(desc, model), starts)
     lengths = records.lengths
     rows = []
     for t in starts:
@@ -355,9 +338,12 @@ def _ensemble_rows(model, desc, records, starts, observables) -> list[dict]:
 def _cmd_tomography(args) -> int:
     desc = tio.load_model(args.model)
     model = tio.instantiate_model(desc)
+    # every argument that the records do not bear on is checked before the read
+    starts = _parse_start_times(args.start_times)
+    observables = _parse_observables(args.observables, model.dim)
+    _check_options(args.max_iterations, args.kkt_tol)
     meta, records = tio.read_records(args.records)
     problems = tio.validate_records(desc, model, meta, records)
-    starts = _parse_start_times(args.start_times)
     span = int(records.lengths.max())
     for s in starts:
         if s >= span:
@@ -369,13 +355,7 @@ def _cmd_tomography(args) -> int:
         for p in problems:
             print(f"problem: {p}", file=sys.stderr)
         return 1
-    observables = _parse_observables(args.observables, model.dim)
-    if isinstance(model, KrausFamily):
-        effects_by_start = backward_sweep_batch(model, records, starts)
-    else:
-        effects_by_start = backward_continuous_batch(
-            model, records, start_indices=starts
-        )
+    effects_by_start = backward_sweep_batch(model, records, starts)
     rows: list[dict] = []
     sidecar_states: dict[str, dict] = {}
     for t in starts:

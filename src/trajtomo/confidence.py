@@ -36,9 +36,9 @@ import numpy as np
 
 from .config import RANK_REL, SINGULAR_REL
 from .errors import DegenerateTrace, EffectiveSampleSizeTooLow, Unidentifiable
-from .filtering import _coords, stack_effects
+from .filtering import stack_effects
 from .maxlike import _grad_matrix, _traces
-from .operators import DensityMatrix, as_matrix
+from .operators import DensityMatrix, _coords, as_matrix
 
 __all__ = [
     "tangent_basis",

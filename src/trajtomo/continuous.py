@@ -31,8 +31,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
-from typing import Sequence
 
 import numpy as np
 
@@ -41,20 +39,8 @@ from scipy.special import ndtr, ndtri
 
 from .config import EIG_CLIP, PSD_TOL
 from .errors import StepSizeTooLarge
-from .filtering import (
-    AdjointResult,
-    ContinuousRecord,
-    EffectBatch,
-    FilterTrace,
-    RecordBatch,
-    _coords,
-    _filter,
-    _matrices,
-    _real_map,
-    _step_by_step,
-    _sweep,
-)
-from .operators import DensityMatrix, EffectMatrix, as_matrix
+from .filtering import ContinuousRecord, RecordBatch, _filter
+from .operators import DensityMatrix, _coords, _kraus_form, _matrices, _real_map, as_matrix
 
 __all__ = [
     "Channel",
@@ -64,14 +50,21 @@ __all__ = [
     "cp_map_continuous",
     "adjoint_cp_map_continuous",
     "simulate_sme",
-    "forward_filter",
-    "forward_filter_batch",
-    "backward_continuous",
-    "backward_continuous_batch",
     "lindblad_evolve",
 ]
 
 _TRACE_BAND = 0.5  # |step trace - 1| beyond this means dt cannot resolve the dynamics
+
+
+def _band_check(traces: np.ndarray, t: int, ids) -> None:
+    dev = np.abs(traces - 1.0)
+    worst = int(np.argmax(dev))
+    if dev[worst] > _TRACE_BAND:
+        raise StepSizeTooLarge(
+            f"step {t} of record {ids[worst]} changed the trace by "
+            f"{dev[worst]:.3f}; dt is too large for this model or the record "
+            "does not belong to it"
+        )
 
 
 @dataclass(frozen=True)
@@ -95,7 +88,15 @@ class Channel:
 
 @dataclass(frozen=True)
 class SMEModel:
-    """Hamiltonian, channels and time grid of a diffusive monitoring run."""
+    """Hamiltonian, channels and time grid of a diffusive monitoring run.
+
+    Answers the record passes of ``trajtomo.filtering`` for signal
+    records through the same private members as ``KrausFamily``; a
+    signal step's trace must stay within ``_TRACE_BAND`` of one.
+    """
+
+    _record_type = "continuous"  # the record archives this model reads
+    _trace_check = staticmethod(_band_check)
 
     hamiltonian: np.ndarray
     channels: tuple[Channel, ...]
@@ -156,6 +157,63 @@ class SMEModel:
     def duration(self) -> float:
         return self.dt * self.n_steps
 
+    def _read(self, batch: RecordBatch):
+        """The step-map inputs of a RecordBatch, which are its signal
+        increments, and its records' problems.
+
+        A grid step other than the model's, or a channel count other than
+        its monitored count, is shared by the whole batch and so is one
+        problem, named after the first record; otherwise a record may have
+        more steps than the model defines.  Problems come as the exceptions
+        a pass raises, at most one per record, in record order.
+        """
+        if not len(batch):
+            return batch.data, []
+        if batch.dt is None:
+            raise TypeError("a signal model needs signal records, not outcomes")
+        ids, lengths = batch.record_ids, batch.lengths
+        n_mon, k = len(self.monitored), batch.data.shape[2]
+        if not math.isclose(batch.dt, self.dt, rel_tol=1e-9, abs_tol=0.0):
+            why = f"was taken on a {batch.dt} s grid but the model steps by {self.dt} s"
+        elif k != n_mon:
+            why = f"carries {k} signal channels but the model monitors {n_mon}"
+        else:
+            return batch.data, [ValueError(
+                f"record {ids[n]} has {lengths[n]} steps but the model defines "
+                f"{self.n_steps}"
+            ) for n in np.flatnonzero(lengths > self.n_steps)]
+        return batch.data, [ValueError(f"record {ids[0]} {why}")]
+
+    def _step(self, increments, *, adjoint: bool):
+        """The batched step map for signal records.
+
+        ``increments(t, flat)`` returns every record's signal increments at
+        step t, shape (N, n_monitored); the coordinate rows of the active X
+        become those of K_dy(X), or K*_dy(X) in the adjoint direction,
+        through the expansion of ``_superoperators``: one real product of
+        the rows with the stacked maps, weighted by phi(dy).
+        """
+        right, pairs = _superoperators(self, adjoint=adjoint)
+        k = self.dim**2
+        n_terms = right.shape[1] // k
+
+        def apply(t, flat, act):
+            dy = increments(t, flat)[act]
+            x = flat[act]
+            phi = np.concatenate(
+                [np.ones((len(x), 1)), dy, dy[:, pairs[:, 0]] * dy[:, pairs[:, 1]]],
+                axis=1,
+            )
+            return np.matmul(phi[:, None, :], (x @ right).reshape(-1, n_terms, k))[:, 0]
+
+        return apply
+
+    def _kraus_ops(self, record):
+        """Step t's Kraus operators (M_dy, *undetected residue) for the
+        increments ``record`` has there."""
+        base, stack, resid = _step_ops(self)
+        return lambda t: (_stochastic_m(base, stack, record.increments[t]), *resid)
+
 
 def _step_ops(model: SMEModel):
     """(deterministic part of M, stacked sqrt(eta) L for monitored channels,
@@ -195,42 +253,6 @@ def _step_ops(model: SMEModel):
     return base, stack, resid
 
 
-def _signal_problems(model: SMEModel, batch: RecordBatch) -> list:
-    """The rules that signal records must meet, applied to a batch.
-
-    A grid step other than the model's, or a channel count other than
-    its monitored count, is shared by the whole batch and so is one
-    problem, named after the first record; otherwise a record may have
-    more steps than the model defines.  Problems come as the exceptions
-    a pass raises, at most one per record, in record order.
-    """
-    if not len(batch):
-        return []
-    if batch.dt is None:
-        raise TypeError("a signal model needs signal records, not outcomes")
-    ids, lengths = batch.record_ids, batch.lengths
-    n_mon, k = len(model.monitored), batch.data.shape[2]
-    if not math.isclose(batch.dt, model.dt, rel_tol=1e-9, abs_tol=0.0):
-        why = f"was taken on a {batch.dt} s grid but the model steps by {model.dt} s"
-    elif k != n_mon:
-        why = f"carries {k} signal channels but the model monitors {n_mon}"
-    else:
-        return [ValueError(
-            f"record {ids[n]} has {lengths[n]} steps but the model defines "
-            f"{model.n_steps}"
-        ) for n in np.flatnonzero(lengths > model.n_steps)]
-    return [ValueError(f"record {ids[0]} {why}")]
-
-
-def _checked_signals(model: SMEModel, records) -> RecordBatch:
-    """The batch of ``records``; raises its first problem against the model."""
-    batch = RecordBatch.from_records(records)
-    problems = _signal_problems(model, batch)
-    if problems:
-        raise problems[0]
-    return batch
-
-
 def build_m(model: SMEModel, dy) -> np.ndarray:
     """The stochastic Kraus operator M for one step with increments dy."""
     return _stochastic_m(*_step_ops(model)[:2], dy)
@@ -249,31 +271,13 @@ def _stochastic_m(base, stack, dy) -> np.ndarray:
 def cp_map_continuous(model: SMEModel, dy, rho) -> np.ndarray:
     """Unnormalized one-step update K_dy(rho)."""
     base, stack, resid = _step_ops(model)
-    return _kraus_form(_stochastic_m(base, stack, dy), resid, as_matrix(rho), False)
+    return _kraus_form((_stochastic_m(base, stack, dy), *resid), as_matrix(rho), False)
 
 
 def adjoint_cp_map_continuous(model: SMEModel, dy, effect) -> np.ndarray:
     """Unnormalized adjoint update K_dy^*(E)."""
     base, stack, resid = _step_ops(model)
-    return _kraus_form(_stochastic_m(base, stack, dy), resid, as_matrix(effect), True)
-
-
-def _kraus_form(m, resid, x, adjoint: bool) -> np.ndarray:
-    """M X M^dag + sum_k R_k X R_k^dag, or the adjoint with each factor's
-    dagger on the left, for the undetected residue R_k."""
-    return sum(k.conj().T @ x @ k if adjoint else k @ x @ k.conj().T
-               for k in (m, *resid))
-
-
-def _band_check(traces: np.ndarray, t: int, ids) -> None:
-    dev = np.abs(traces - 1.0)
-    worst = int(np.argmax(dev))
-    if dev[worst] > _TRACE_BAND:
-        raise StepSizeTooLarge(
-            f"step {t} of record {ids[worst]} changed the trace by "
-            f"{dev[worst]:.3f}; dt is too large for this model or the record "
-            "does not belong to it"
-        )
+    return _kraus_form((_stochastic_m(base, stack, dy), *resid), as_matrix(effect), True)
 
 
 def _superoperators(model: SMEModel, *, adjoint: bool):
@@ -289,7 +293,7 @@ def _superoperators(model: SMEModel, *, adjoint: bool):
     + B (x) conj(S_v) from the monitored operators S_v, and the pair
     terms S_v (x) conj(S_w) (plus the swapped term when v != w).  Each
     A_m preserves Hermiticity, so it acts on the real coordinates of
-    ``filtering._basis`` as a real map R_m, and K*_dy acts as R_m^T,
+    ``operators._basis`` as a real map R_m, and K*_dy acts as R_m^T,
     since phi is real.  Coordinate rows x times the returned
     (d^2, M d^2) real matrix give every x @ R_m^T (x @ R_m in the
     adjoint direction) in one product.
@@ -306,31 +310,6 @@ def _superoperators(model: SMEModel, *, adjoint: bool):
     maps = [_real_map(a) for a in terms]
     right = np.concatenate([r if adjoint else r.T for r in maps], axis=1)
     return right, np.array(pairs, dtype=int).reshape(-1, 2)
-
-
-def _sme_step(model: SMEModel, increments, *, adjoint: bool):
-    """The driver's step map for signal records.
-
-    ``increments(t, flat)`` returns every record's signal increments at
-    step t, shape (N, n_monitored); the coordinate rows of the active X
-    become those of K_dy(X), or K*_dy(X) in the adjoint direction,
-    through the expansion of ``_superoperators``: one real product of
-    the rows with the stacked maps, weighted by phi(dy).
-    """
-    right, pairs = _superoperators(model, adjoint=adjoint)
-    k = model.dim**2
-    n_terms = right.shape[1] // k
-
-    def apply(t, flat, act):
-        dy = increments(t, flat)[act]
-        x = flat[act]
-        phi = np.concatenate(
-            [np.ones((len(x), 1)), dy, dy[:, pairs[:, 0]] * dy[:, pairs[:, 1]]],
-            axis=1,
-        )
-        return np.matmul(phi[:, None, :], (x @ right).reshape(-1, n_terms, k))[:, 0]
-
-    return apply
 
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -463,7 +442,6 @@ def simulate_sme(
     """
     if n_records < 1:
         raise ValueError("need at least one record")
-    d = model.dim
     base, stack, resid = _step_ops(model)
     n_mon = stack.shape[0]
     quadratics = _signal_quadratics(base, stack, resid)
@@ -480,8 +458,7 @@ def simulate_sme(
 
     total = model.n_steps
     final = _filter(
-        partial(_sme_step, model, draw), d, np.full(n_records, total),
-        np.arange(n_records), rho0, (total,), check=_band_check,
+        model, draw, np.full(n_records, total), np.arange(n_records), rho0, (total,)
     )[total]
     records = RecordBatch(
         signals, np.full(n_records, total), np.arange(n_records), dt=model.dt
@@ -490,91 +467,6 @@ def simulate_sme(
         means = _matrices(np.stack(means))
         return records, np.concatenate([means, final.mean(axis=0)[None]])
     return records
-
-
-def forward_filter(model: SMEModel, record: ContinuousRecord, rho0) -> FilterTrace:
-    """Condition an initial state on a measured record, step by step.
-
-    log_prob is the log density of the record relative to pure noise;
-    only differences between candidate initial states are meaningful.
-    """
-    _checked_signals(model, [record])
-    rho = rho0 if isinstance(rho0, DensityMatrix) else DensityMatrix(rho0)
-    states, probs = [rho], []
-    for _, mat, p in _signal_steps(model, record, rho.matrix, adjoint=False):
-        states.append(DensityMatrix(mat))
-        probs.append(p)
-    return FilterTrace(tuple(states), tuple(probs), sum(map(math.log, probs)))
-
-
-def _signal_steps(model: SMEModel, record: ContinuousRecord, x, *, adjoint):
-    """The step-by-step recursion of a signal record in Kraus form."""
-    base, stack, resid = _step_ops(model)
-
-    def apply(t, x):
-        return _kraus_form(
-            _stochastic_m(base, stack, record.increments[t]), resid, x, adjoint
-        )
-
-    return _step_by_step(
-        apply, len(record), x, record.id, adjoint=adjoint, check=_band_check
-    )
-
-
-def forward_filter_batch(
-    model: SMEModel,
-    records: RecordBatch | Sequence[ContinuousRecord],
-    rho0,
-    at: Sequence[int],
-) -> dict[int, np.ndarray]:
-    """Conditional states of many records at selected times, batched.
-
-    ``at`` holds step counts (0 is the initial state).  Records may
-    differ in length: the states after k steps are those of the records
-    with at least k steps, in record order.  Returns (n, dim, dim)
-    arrays.
-    """
-    batch = _checked_signals(model, records)
-    step = partial(_sme_step, model, lambda t, _: batch.data[:, t])
-    return _filter(
-        step, model.dim, batch.lengths, batch.record_ids, rho0, at, check=_band_check,
-    )
-
-
-def backward_continuous(model: SMEModel, record: ContinuousRecord) -> AdjointResult:
-    """Compress one signal record into (effect, log scale), step by step.
-
-    The plain Kraus-form recursion E <- K*_dy(E) / tr(K*_dy(E)) from
-    I/dim: the reference that the batched pass is checked against.
-    """
-    _checked_signals(model, [record])
-    d = model.dim
-    log_c = math.log(d)
-    for _, eff, c in _signal_steps(
-        model, record, np.eye(d, dtype=complex) / d, adjoint=True
-    ):
-        log_c += math.log(c)
-    return AdjointResult(EffectMatrix(eff), log_c)
-
-
-def backward_continuous_batch(
-    model: SMEModel,
-    records: RecordBatch | Sequence[ContinuousRecord],
-    *,
-    start_indices: Sequence[int] = (0,),
-) -> dict[int, EffectBatch]:
-    """Adjoint effects for a batch of records, optionally at several
-    suffix start times in one backward pass.
-
-    Records may differ in length; the effects at start s are those of
-    the records longer than s, in record order.
-    """
-    batch = _checked_signals(model, records)
-    step = partial(_sme_step, model, lambda t, _: batch.data[:, t])
-    return _sweep(
-        step, model.dim, batch.lengths, batch.record_ids, start_indices,
-        check=_band_check,
-    )
 
 
 def lindblad_evolve(model: SMEModel, rho0, n_steps: int | None = None) -> np.ndarray:

@@ -13,27 +13,31 @@ happens once, not once per likelihood evaluation.
 
 Records travel as one RecordBatch of arrays, from the samplers and the
 archive reader to every batched pass; DiscreteRecord and
-ContinuousRecord are the per-record views it hands out.
+ContinuousRecord are the per-record views it hands out.  Every pass
+takes either model type, a KrausFamily for discrete outcomes or an
+SMEModel for diffusive signals: the model checks the records and
+supplies the step map, through the private methods the two classes share.
 """
 from __future__ import annotations
 
 import math
 import operator
 from dataclasses import InitVar, dataclass
-from functools import cache, partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .config import PROB_FLOOR, PSD_TOL, TRACE_TOL
-from .errors import DimensionMismatch, UnknownOutcome, ZeroProbability
+from .errors import DimensionMismatch, ZeroProbability
 from .operators import (
     DensityMatrix,
     EffectMatrix,
     KrausFamily,
-    apply_adjoint_cp_map,
-    apply_cp_map,
     as_matrix,
+    _coords,
+    _kraus_form,
+    _matrices,
+    _real_map,
     _wrap_trusted,
 )
 
@@ -43,7 +47,6 @@ __all__ = [
     "AdjointResult",
     "EffectBatch",
     "forward_run",
-    "backward_run",
     "backward_sweep",
     "backward_sweep_batch",
     "log_likelihood",
@@ -306,73 +309,79 @@ class EffectBatch:
         return (self[i] for i in range(len(self)))
 
 
-def forward_run(family: KrausFamily, record: DiscreteRecord, rho0) -> FilterTrace:
-    """Filter a full record from initial state rho0, one step at a time."""
-    _checked(family, [record])
-    rho = rho0 if isinstance(rho0, DensityMatrix) else DensityMatrix(rho0)
+def forward_run(model, record, rho0) -> FilterTrace:
+    """Filter one record from initial state rho0, one step at a time.
+
+    ``model`` is a KrausFamily with a DiscreteRecord, or an SMEModel with
+    a ContinuousRecord.  log_prob is the log probability of the outcomes,
+    or for signals their log density relative to pure noise, where only
+    differences between candidate initial states are meaningful.  The
+    step-by-step reference of ``forward_batch``.
+    """
+    _checked(model, [record])
+    rho = _initial_state(model, rho0)
     states, probs = [rho], []
-    for _, mat, p in _step_by_step(
-        lambda t, x: apply_cp_map(family, t, record.outcomes[t], x).matrix,
-        len(record), rho.matrix, record.id, adjoint=False,
-    ):
-        states.append(_wrap_trusted(DensityMatrix, mat))
+    for _, mat, p in _step_by_step(model, record, rho.matrix, adjoint=False):
+        states.append(DensityMatrix(mat))
         probs.append(p)
     return FilterTrace(tuple(states), tuple(probs), sum(map(math.log, probs)))
 
 
-def backward_run(family: KrausFamily, record: DiscreteRecord) -> AdjointResult:
-    """Compress one record into (effect, log_c) by running all steps backwards.
-
-    The recursion starts from the maximally mixed effect I/dim, so log_c
-    starts at log(dim) and P(record | rho) = exp(log_c) * tr(rho effect).
-    """
-    return backward_sweep(family, record, (0,))[0]
-
-
 def backward_sweep(
-    family: KrausFamily,
-    record: DiscreteRecord,
-    start_indices: Sequence[int],
+    model, record, start_indices: Sequence[int]
 ) -> dict[int, AdjointResult]:
-    """Adjoint results for several suffixes of one record in a single pass.
+    """Adjoint results for several suffixes of one record, one step at a time.
 
-    ``start_indices[k] = s`` asks for the effect summarizing outcomes
-    s, s+1, ..., end; the full record corresponds to s = 0.
+    ``start_indices[k] = s`` asks for the effect summarizing steps s,
+    s+1, ..., end; the full record corresponds to s = 0.  The recursion
+    E <- K*(E) / tr(K*(E)) starts from the maximally mixed effect I/dim,
+    so log_c starts at log(dim) and P(suffix | rho) = exp(log_c) *
+    tr(rho effect).  ``model`` and ``record`` pair as in ``forward_run``;
+    the step-by-step reference of ``backward_sweep_batch``.
     """
-    _checked(family, [record])
+    _checked(model, [record])
     wanted = _check_starts(start_indices, len(record))
-    acc = 0.0
-    out: dict[int, AdjointResult] = {}
-    for t, eff, c in _step_by_step(
-        lambda t, x: apply_adjoint_cp_map(family, t, record.outcomes[t], x).matrix,
-        len(record), np.eye(family.dim) / family.dim, record.id, adjoint=True,
-    ):
-        acc += math.log(c)
+    log_c, out = math.log(model.dim), {}
+    x = np.eye(model.dim) / model.dim
+    for t, eff, c in _step_by_step(model, record, x, adjoint=True):
+        log_c += math.log(c)
         if t in wanted:
-            eff = _wrap_trusted(EffectMatrix, eff)
-            out[t] = AdjointResult(eff, math.log(family.dim) + acc)
+            out[t] = AdjointResult(EffectMatrix(eff), log_c)
     return out
 
 
-def _step_by_step(apply, n, x, record_id, *, adjoint, check=None):
-    """One record of n steps through the plain recursion, a step at a time.
+def _initial_state(model, rho0) -> DensityMatrix:
+    """rho0 as a DensityMatrix, refused unless it has the model's dimension."""
+    rho = rho0 if isinstance(rho0, DensityMatrix) else DensityMatrix(rho0)
+    if rho.dim != model.dim:
+        raise DimensionMismatch(
+            f"initial state has dimension {rho.dim}, the model has {model.dim}"
+        )
+    return rho
 
-    ``apply(t, x)`` returns step t's unnormalized K(x), or K*(x) in the
-    adjoint direction, where the steps run from the last.  Each image is
-    divided by its trace; yields (t, image, trace) per step.  The
-    references that the batched passes are checked against.  ``check``
-    and the zero-probability test are those of ``_propagate``.
+
+def _step_by_step(model, record, x, *, adjoint):
+    """One record through the plain Kraus-form recursion, a step at a time.
+
+    Step t applies the model's Kraus operators for the record's outcome
+    or increments there, as K(X) = sum M X M*, or K*(X) = sum M* X M in
+    the adjoint direction, where the steps run from the last.  Each image
+    is divided by its trace; yields (t, image, trace) per step.  The
+    references that the batched passes are checked against: complex
+    matrices, independent of ``_propagate`` but with the same trace check
+    and zero-probability test.
     """
-    for t in reversed(range(n)) if adjoint else range(n):
-        new = apply(t, x)
+    ops, check = model._kraus_ops(record), model._trace_check
+    for t in reversed(range(len(record))) if adjoint else range(len(record)):
+        new = _kraus_form(ops(t), x, adjoint)
         c = float(new.trace().real)
         if check is not None:
-            check(np.array([c]), t, [record_id])
+            check(np.array([c]), t, [record.id])
         if not c > PROB_FLOOR:
             raise ZeroProbability(
-                f"record {record_id} has probability {c!r} at step {t}",
+                f"record {record.id} has probability {c!r} at step {t}",
                 step=t,
-                record_id=record_id,
+                record_id=record.id,
             )
         x = new / c
         yield t, x, c
@@ -431,136 +440,14 @@ def _check_starts(start_indices: Sequence[int], n: int) -> frozenset[int]:
     return out
 
 
-@cache
-def _basis(dim: int) -> np.ndarray:
-    """Rows vec(B_k) of an orthonormal basis of the Hermitian matrices.
-
-    The diagonal matrix units E_ii come first, then for each j < k
-    (E_jk + E_kj)/sqrt(2) and i(E_kj - E_jk)/sqrt(2).  The batched
-    passes carry a Hermitian X as its real coordinates x_k = tr(B_k X),
-    so that X = sum_k x_k B_k and tr X is the sum of the first dim
-    coordinates.  Matrix units keep the zeros of sparse Kraus operators
-    exact, so a step of probability zero still traces to exactly zero.
-    """
-    j, k = np.triu_indices(dim, 1)
-    pair, half = dim + 2 * np.arange(len(j)), 1.0 / math.sqrt(2.0)
-    rows = np.zeros((dim * dim, dim, dim), dtype=complex)
-    rows[np.arange(dim), np.arange(dim), np.arange(dim)] = 1.0
-    rows[pair, j, k] = rows[pair, k, j] = half
-    rows[pair + 1, j, k], rows[pair + 1, k, j] = -1j * half, 1j * half
-    rows = rows.reshape(dim * dim, dim * dim)
-    rows.flags.writeable = False
-    return rows
-
-
-def _coords(mats) -> np.ndarray:
-    """Rows Re tr(B_k A) of (..., d, d) matrices A, shape (..., d^2).
-
-    For Hermitian A these are its coordinates; for any A the row c gives
-    Re tr(A X) = c . x for a Hermitian X with coordinates x.
-    """
-    a = np.asarray(mats)
-    d = a.shape[-1]
-    return (a.reshape(a.shape[:-2] + (d * d,)) @ _basis(d).conj().T).real
-
-
-def _matrices(coords: np.ndarray) -> np.ndarray:
-    """The (..., d, d) Hermitian matrices of coordinate rows (..., d^2)."""
-    d = math.isqrt(coords.shape[-1])
-    return (coords @ _basis(d)).reshape(coords.shape[:-1] + (d, d))
-
-
-def _real_map(sup: np.ndarray) -> np.ndarray:
-    """R[k, l] = tr(B_k K(B_l)) for a Hermiticity-preserving K with
-    row-major vec(K(X)) = sup @ vec(X).
-
-    Coordinate rows x map to x @ R.T under K and to x @ R under its
-    adjoint K*, since the basis is real-orthonormal under tr(A B).
-    """
-    b = _basis(math.isqrt(sup.shape[0]))
-    return (b.conj() @ sup @ b.T).real
-
-
-def _superops(family: KrausFamily, *, adjoint: bool) -> list[list[np.ndarray]]:
-    """Maps of each distinct step, in its outcome order, with coordinate
-    rows x of X going to x @ map for K_y(X), or K*_y(X) in the adjoint
-    direction; step t's maps are entry ``family._schedule[t]``."""
-    table = []
-    for step in family._distinct:
-        sup = [_real_map(sum(np.kron(m, m.conj()) for m in ops)) for ops in step.values()]
-        table.append(sup if adjoint else [r.T for r in sup])
-    return table
-
-
-def _outcome_codes(family: KrausFamily, batch: RecordBatch):
-    """The rules that discrete records must meet, applied to a batch.
-
-    Returns each record's index into ``family.outcomes(t)`` at every
-    step t (-1 past its end), looked up in a table of one row per
-    distinct step, and the records' problems, as the
-    exceptions a pass raises, in record order: too many steps, or else
-    the first label that its step does not define.
-    """
-    if batch.dt is not None:
-        raise TypeError("a Kraus family needs discrete records, not signals")
-    span = min(batch.data.shape[1], family.n_steps)
-    table = []
-    for step in family._distinct:
-        known = {y: i for i, y in enumerate(step)}
-        # -2 marks a label the step does not define; the last entry is
-        # where the -1 past a record's end lands
-        table.append([known.get(y, -2) for y in batch.labels] + [-1])
-    table = np.array(table, dtype=np.int16)
-    codes = table[family._schedule[:span], batch.data[:, :span]]
-    ids, lengths = batch.record_ids, batch.lengths
-    unknown = codes == -2
-    long = lengths > family.n_steps
-    problems = []
-    for n in np.flatnonzero(long | unknown.any(axis=1)):
-        if long[n]:
-            problems.append(ValueError(
-                f"record {ids[n]} has {lengths[n]} outcomes but the family "
-                f"defines only {family.n_steps} steps"
-            ))
-        else:
-            t = int(np.argmax(unknown[n]))
-            problems.append(UnknownOutcome(
-                f"unknown outcome {batch.labels[batch.data[n, t]]!r} of record "
-                f"{ids[n]} is not defined at step {t}"
-            ))
-    return codes, problems
-
-
-def _checked(family: KrausFamily, records) -> tuple[RecordBatch, np.ndarray]:
-    """The batch of ``records`` and its family codes; raises its first problem."""
+def _checked(model, records) -> tuple[RecordBatch, np.ndarray]:
+    """The batch of ``records`` and the model's step-map inputs for it;
+    raises the first problem the model finds in its records."""
     batch = RecordBatch.from_records(records)
-    codes, problems = _outcome_codes(family, batch)
+    inputs, problems = model._read(batch)
     if problems:
         raise problems[0]
-    return batch, codes
-
-
-def _kraus_step(family: KrausFamily, outcomes, *, adjoint: bool):
-    """The driver's step map for discrete outcomes.
-
-    ``outcomes(t, flat)`` returns every record's outcome code at step t
-    (-1 for a record that has ended, which matches no label); each
-    record's coordinate row is replaced by that of K_y(X), or K*_y(X) in
-    the adjoint direction, one masked real product per label, and the
-    active rows are returned as a view of ``flat`` when every record is
-    active.
-    """
-    maps, schedule = _superops(family, adjoint=adjoint), family._schedule
-
-    def apply(t, flat, act):
-        codes = outcomes(t, flat)
-        for i, r in enumerate(maps[schedule[t]]):
-            mask = codes == i
-            if mask.any():
-                flat[mask] = flat[mask] @ r
-        return flat[act]
-
-    return apply
+    return batch, inputs
 
 
 def _propagate(
@@ -578,8 +465,8 @@ def _propagate(
     """Run a record type's one-step maps over a batch of operators, in place.
 
     Row n of the real array ``flat`` holds the coordinates of record
-    ids[n]'s d x d Hermitian operator in the basis of ``_basis``, so its
-    trace is the sum of the first d columns; callers convert to and from
+    ids[n]'s d x d Hermitian operator in the basis of ``operators._basis``,
+    so its trace is the sum of the first d columns; callers convert to and from
     complex matrices only at the start and at the kept snapshots.  For
     each t in ``steps`` the records with more than t steps (``lengths``
     holds the step counts) are active, and ``apply(t, flat, act)``
@@ -626,14 +513,15 @@ def _propagate(
     return snaps
 
 
-def _sweep(make_step, dim, lengths, ids, start_indices, *, check):
+def _sweep(model, inputs, lengths, ids, start_indices):
     """Effects of every record suffix starting at ``start_indices``.
 
-    The shared body of the batched backward passes, where
-    ``make_step(adjoint=True)`` gives the record type's step map.  The
-    effects at start s are those of the records longer than s, in record
-    order.
+    The body of ``backward_sweep_batch``: ``inputs(t, flat)`` gives the
+    model's step map every record's outcome codes or increments at step
+    t.  The effects at start s are those of the records longer than s,
+    in record order.
     """
+    dim = model.dim
     if not len(ids):
         empty = np.zeros((0, dim, dim))
         return {int(s): EffectBatch(empty, (), ()) for s in start_indices}
@@ -642,8 +530,9 @@ def _sweep(make_step, dim, lengths, ids, start_indices, *, check):
     n = len(ids)
     flat = np.tile(_coords(np.eye(dim) / dim), (n, 1))
     snaps = _propagate(
-        make_step(adjoint=True), flat, np.full(n, math.log(dim)),
-        range(span - 1, -1, -1), ids, lengths, adjoint=True, keep=wanted, check=check,
+        model._step(inputs, adjoint=True), flat, np.full(n, math.log(dim)),
+        range(span - 1, -1, -1), ids, lengths, adjoint=True, keep=wanted,
+        check=model._trace_check,
     )
     out = {}
     for s in map(int, start_indices):
@@ -652,14 +541,15 @@ def _sweep(make_step, dim, lengths, ids, start_indices, *, check):
     return out
 
 
-def _filter(make_step, dim, lengths, ids, rho0, at, *, check):
+def _filter(model, inputs, lengths, ids, rho0, at):
     """Conditional states after each step count in ``at``, from rho0.
 
-    The shared body of the batched forward passes, where
-    ``make_step(adjoint=False)`` gives the record type's step map.  The
-    states after k steps are those of the records with at least k steps,
-    in record order, as (n, dim, dim) arrays.
+    The body of ``forward_batch`` and of the samplers, whose ``inputs(t,
+    flat)`` draws step t's outcomes or increments from the states in
+    ``flat``.  The states after k steps are those of the records with at
+    least k steps, in record order, as (n, dim, dim) arrays.
     """
+    dim = model.dim
     if not len(ids):
         return {int(k): np.zeros((0, dim, dim)) for k in at}
     span = int(lengths.max())
@@ -667,56 +557,51 @@ def _filter(make_step, dim, lengths, ids, rho0, at, *, check):
     for k in wanted:
         if not 0 <= k <= span:
             raise ValueError(f"time index {k} outside the record span [0, {span}]")
-    rho = as_matrix(rho0)
-    DensityMatrix(rho)
+    _initial_state(model, rho0)
     n = len(ids)
-    flat = np.tile(_coords(rho), (n, 1))
+    flat = np.tile(_coords(as_matrix(rho0)), (n, 1))
     snaps = _propagate(
-        make_step(adjoint=False), flat, np.zeros(n), range(span), ids, lengths,
-        adjoint=False, keep=wanted, check=check,
+        model._step(inputs, adjoint=False), flat, np.zeros(n), range(span), ids,
+        lengths, adjoint=False, keep=wanted, check=model._trace_check,
     )
     return {int(k): _matrices(snaps[int(k)][1]) for k in at}
 
 
 def backward_sweep_batch(
-    family: KrausFamily,
-    records: RecordBatch | Sequence[DiscreteRecord],
-    start_indices: Sequence[int],
+    model,
+    records,
+    start_indices: Sequence[int] = (0,),
     *,
     threads: int | None = None,
 ) -> dict[int, EffectBatch]:
     """Adjoint results for several record suffixes over a whole batch.
 
+    ``model`` is a KrausFamily with discrete records or an SMEModel with
+    signal records, given as a RecordBatch or a sequence of record views.
     Records may differ in length: the effects at start s are those of
     the records longer than s, in record order, and every start must lie
     before the end of the longest record.  All records run in one masked
     pass.  ``threads`` is accepted for older callers and ignored.
     """
-    batch, codes = _checked(family, records)
-    step = partial(_kraus_step, family, lambda t, _: codes[:, t])
+    batch, inputs = _checked(model, records)
     return _sweep(
-        step, family.dim, batch.lengths, batch.record_ids, start_indices, check=None,
+        model, lambda t, _: inputs[:, t], batch.lengths, batch.record_ids, start_indices
     )
 
 
-def forward_batch(
-    family: KrausFamily,
-    records: RecordBatch | Sequence[DiscreteRecord],
-    rho0,
-    at: Sequence[int],
-) -> dict[int, np.ndarray]:
+def forward_batch(model, records, rho0, at: Sequence[int]) -> dict[int, np.ndarray]:
     """Conditional states of many records at selected times, batched.
 
+    ``model`` and ``records`` pair as in ``backward_sweep_batch``.
     ``at`` holds step counts: entry k means the state after conditioning
-    on outcomes 0..k-1, so 0 is the initial state.  Records may differ in
+    on steps 0..k-1, so 0 is the initial state.  Records may differ in
     length: the states after k steps are those of the records with at
     least k steps, in record order, and k may not exceed the longest
     record.  Returns arrays of shape (n, dim, dim) per requested time.
     """
-    batch, codes = _checked(family, records)
-    step = partial(_kraus_step, family, lambda t, _: codes[:, t])
+    batch, inputs = _checked(model, records)
     return _filter(
-        step, family.dim, batch.lengths, batch.record_ids, rho0, at, check=None,
+        model, lambda t, _: inputs[:, t], batch.lengths, batch.record_ids, rho0, at
     )
 
 
@@ -792,8 +677,7 @@ def sample_records(
         return idx
 
     final = _filter(
-        partial(_kraus_step, family, draw), dim, np.full(n_records, total),
-        np.arange(n_records), rho0, (total,), check=None,
+        family, draw, np.full(n_records, total), np.arange(n_records), rho0, (total,)
     )[total]
     records = RecordBatch(
         codes, np.full(n_records, total), np.arange(n_records), tuple(labels)

@@ -24,14 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .continuous import SMEModel, _signal_problems
-from .filtering import (
-    ContinuousRecord,
-    DiscreteRecord,
-    RecordBatch,
-    _outcome_codes,
-    _pack,
-)
+from .filtering import ContinuousRecord, DiscreteRecord, RecordBatch, _pack
 from .models import (
     build_fluorescence_model,
     build_qnd_family,
@@ -209,10 +202,16 @@ def write_records(
     """Write records as JSON Lines with a leading metadata object.
 
     ``records`` is a RecordBatch or a sequence of record views.
+    ``metadata`` adds keys to the header, but none that the header holds
+    itself: format, version, record_type, n_records, model_hash, model.
     """
     batch = RecordBatch.from_records(records)
     if not len(batch):
         raise ValueError("refusing to write an empty record archive")
+    header = {"format", "version", "record_type", "n_records", "model_hash", "model"}
+    clash = sorted(header.intersection(metadata or ()))
+    if clash:
+        raise ValueError(f"metadata keys {clash} are written by the archive header")
     record_type = "discrete" if batch.dt is None else "continuous"
     meta = {
         "format": RECORDS_FORMAT,
@@ -314,25 +313,20 @@ def validate_records(
             f"archive was produced from a different model (hash {declared[:12]}.. "
             f"!= {actual[:12]}..)"
         )
+    record_type = getattr(model, "_record_type", None)
+    if record_type is None:
+        return problems + [f"unsupported model type {type(model).__name__}"]
+    if metadata.get("record_type") != record_type:
+        kind = {"discrete": "discrete", "continuous": "signal"}[record_type]
+        return problems + [f"{record_type} model but archive is not of {kind} records"]
     batch = RecordBatch.from_records(records)
-    if isinstance(model, KrausFamily):
-        if metadata.get("record_type") != "discrete":
-            problems.append("discrete model but archive is not of discrete records")
-            return problems
-        found = _outcome_codes(model, batch)[1]
-    elif isinstance(model, SMEModel):
-        if metadata.get("record_type") != "continuous":
-            problems.append("continuous model but archive is not of signal records")
-            return problems
-        found = _signal_problems(model, batch)
-        finite = np.isfinite(batch.data).all(axis=tuple(range(1, batch.data.ndim)))
-        found += [
-            ValueError(f"record {rid} contains non-finite increments")
-            for rid in batch.record_ids[~finite]
-        ]
-    else:
-        problems.append(f"unsupported model type {type(model).__name__}")
-        return problems
+    found = model._read(batch)[1]
+    # outcome codes are integers, so only signal increments can fail this
+    finite = np.isfinite(batch.data).all(axis=tuple(range(1, batch.data.ndim)))
+    found += [
+        ValueError(f"record {rid} contains non-finite increments")
+        for rid in batch.record_ids[~finite]
+    ]
     return problems + [str(problem) for problem in found]
 
 

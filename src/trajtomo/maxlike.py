@@ -154,6 +154,15 @@ def _certificate(
     )
 
 
+def _check_options(max_iterations: int, kkt_tol: float) -> None:
+    """Refuse a ``kkt_tol`` that is not finite and positive, or a negative
+    ``max_iterations``; the command line checks its options with it too."""
+    if not (math.isfinite(kkt_tol) and kkt_tol > 0.0):
+        raise ValueError(f"kkt_tol must be finite and positive, got {kkt_tol!r}")
+    if max_iterations < 0:
+        raise ValueError(f"max_iterations must be nonnegative, got {max_iterations!r}")
+
+
 def solve_maxlike(
     effects,
     *,
@@ -172,10 +181,7 @@ def solve_maxlike(
     passes at a residual of ``kkt_tol`` per record; it must be finite and
     positive, and ``max_iterations`` nonnegative.
     """
-    if not (math.isfinite(kkt_tol) and kkt_tol > 0.0):
-        raise ValueError(f"kkt_tol must be finite and positive, got {kkt_tol!r}")
-    if max_iterations < 0:
-        raise ValueError(f"max_iterations must be nonnegative, got {max_iterations!r}")
+    _check_options(max_iterations, kkt_tol)
     e, logc = stack_effects(effects)
     n = e.shape[0]
     if n == 0:

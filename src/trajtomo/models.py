@@ -71,6 +71,9 @@ def build_fluorescence_model(
     sqrt(2 t1 / efficiency) * mean(dy_1) / dt estimates x averaged over
     the window, not x(0); at the defaults that average is about 0.54 x(0).
     """
+    for name, value in (("t1", t1), ("tphi", tphi)):
+        if not value > 0:
+            raise ValueError(f"{name} must be positive, got {value!r}")
     lower = math.sqrt(1.0 / (2.0 * t1)) * (SIGMA_X - 1j * SIGMA_Y) / 2.0
     dephase = math.sqrt(1.0 / (2.0 * tphi)) * SIGMA_Z
     return SMEModel(
@@ -219,6 +222,10 @@ def thermal_relaxation_kraus(
     is the exact exponential of this generator, so the decomposition is
     trace preserving to machine precision regardless of duration.
     """
+    if not t_cavity > 0:
+        raise ValueError(f"t_cavity must be positive, got {t_cavity!r}")
+    if not n_bath >= 0:
+        raise ValueError(f"n_bath must be nonnegative, got {n_bath!r}")
     a = _lowering(dim)
     ops = [
         math.sqrt((1.0 + n_bath) / t_cavity) * a,
@@ -297,6 +304,10 @@ def build_qnd_family(
         raise ValueError("detection_efficiency must lie in (0, 1]")
     if not 0.0 <= readout_error <= 0.5:
         raise ValueError("readout_error must lie in [0, 0.5]")
+    if not step_time >= 0:
+        raise ValueError(f"step_time must be nonnegative, got {step_time!r}")
+    if not len(phase_offsets):
+        raise ValueError("phase_offsets must hold at least one offset")
     dim = n_max + 1
     relax = thermal_relaxation_kraus(
         dim, step_time, t_cavity=t_cavity, n_bath=n_bath

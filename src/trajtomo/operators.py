@@ -1,11 +1,15 @@
 """Hermitian-operator algebra for trajectory tomography.
 
-Density matrices, measurement effects, time-indexed Kraus families and
-the projection onto the state set.  The Frobenius inner product
-<A, B> = tr(A B) (real for Hermitian arguments) is the metric everywhere.
+Density matrices, measurement effects, time-indexed Kraus families, the
+projection onto the state set, and the real coordinates in an
+orthonormal Hermitian basis that the batched passes run on.  The
+Frobenius inner product <A, B> = tr(A B) (real for Hermitian arguments)
+is the metric everywhere.
 """
 from __future__ import annotations
 
+import math
+from functools import cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -120,9 +124,16 @@ class KrausFamily:
     in order of first appearance, however often it is passed by identity
     (periodic models); the read-only ``_schedule[t]`` indexes step t's
     entry, so per-step tables are built once per distinct step.
+
+    The record passes of ``trajtomo.filtering`` ask the model which
+    records it accepts (``_read``), how a batch steps (``_step``,
+    ``_trace_check``) and how one record steps (``_kraus_ops``);
+    ``SMEModel`` answers the same for signal records.
     """
 
     __slots__ = ("dim", "_distinct", "_schedule")
+    _record_type = "discrete"  # the record archives this model reads
+    _trace_check = None  # step traces are outcome probabilities, not near one
 
     def __init__(
         self,
@@ -184,6 +195,82 @@ class KrausFamily:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"KrausFamily(dim={self.dim}, n_steps={self.n_steps})"
 
+    def _read(self, batch):
+        """The step-map inputs of a RecordBatch, and its records' problems.
+
+        Returns each record's index into ``outcomes(t)`` at every step t
+        (-1 past its end), looked up in a table of one row per distinct
+        step, and the records' problems, as the exceptions a pass raises,
+        in record order: too many steps, or else the first label that its
+        step does not define.
+        """
+        if batch.dt is not None:
+            raise TypeError("a Kraus family needs discrete records, not signals")
+        span = min(batch.data.shape[1], self.n_steps)
+        table = []
+        for step in self._distinct:
+            known = {y: i for i, y in enumerate(step)}
+            # -2 marks a label the step does not define; the last entry is
+            # where the -1 past a record's end lands
+            table.append([known.get(y, -2) for y in batch.labels] + [-1])
+        table = np.array(table, dtype=np.int16)
+        codes = table[self._schedule[:span], batch.data[:, :span]]
+        ids, lengths = batch.record_ids, batch.lengths
+        unknown = codes == -2
+        long = lengths > self.n_steps
+        problems = []
+        for n in np.flatnonzero(long | unknown.any(axis=1)):
+            if long[n]:
+                problems.append(ValueError(
+                    f"record {ids[n]} has {lengths[n]} outcomes but the family "
+                    f"defines only {self.n_steps} steps"
+                ))
+            else:
+                t = int(np.argmax(unknown[n]))
+                problems.append(UnknownOutcome(
+                    f"unknown outcome {batch.labels[batch.data[n, t]]!r} of record "
+                    f"{ids[n]} is not defined at step {t}"
+                ))
+        return codes, problems
+
+    def _superops(self, *, adjoint: bool) -> list[list[np.ndarray]]:
+        """Maps of each distinct step, in its outcome order, with coordinate
+        rows x of X going to x @ map for K_y(X), or K*_y(X) in the adjoint
+        direction; step t's maps are entry ``_schedule[t]``."""
+        table = []
+        for step in self._distinct:
+            sup = [
+                _real_map(sum(np.kron(m, m.conj()) for m in ops)) for ops in step.values()
+            ]
+            table.append(sup if adjoint else [r.T for r in sup])
+        return table
+
+    def _step(self, outcomes, *, adjoint: bool):
+        """The batched step map for discrete outcomes.
+
+        ``outcomes(t, flat)`` returns every record's outcome code at step t
+        (-1 for a record that has ended, which matches no label); each
+        record's coordinate row is replaced by that of K_y(X), or K*_y(X) in
+        the adjoint direction, one masked real product per label, and the
+        active rows are returned as a view of ``flat`` when every record is
+        active.
+        """
+        maps, schedule = self._superops(adjoint=adjoint), self._schedule
+
+        def apply(t, flat, act):
+            codes = outcomes(t, flat)
+            for i, r in enumerate(maps[schedule[t]]):
+                mask = codes == i
+                if mask.any():
+                    flat[mask] = flat[mask] @ r
+            return flat[act]
+
+        return apply
+
+    def _kraus_ops(self, record):
+        """Step t's Kraus operators for the outcome ``record`` has there."""
+        return lambda t: self.operators(t, record.outcomes[t])
+
 
 def _validated_step(dim: int, step) -> dict:
     """One step as {label: read-only operators}, checked for shapes and
@@ -215,32 +302,79 @@ def _validated_step(dim: int, step) -> dict:
 
 def apply_cp_map(family: KrausFamily, t: int, outcome: str, x) -> HermitianOperator:
     """Evaluate K_{y,t}(X) = sum_k M X M* for the given step and outcome."""
-    mat = as_matrix(x)
-    if mat.shape != (family.dim, family.dim):
-        raise DimensionMismatch(
-            f"operand has shape {mat.shape}, family dimension is {family.dim}"
-        )
-    ops = family.operators(t, outcome)
-    acc = np.zeros_like(mat)
-    for m in ops:
-        acc += m @ mat @ m.conj().T
-    return HermitianOperator(acc)
+    return _apply(family, t, outcome, x, adjoint=False)
 
 
 def apply_adjoint_cp_map(
     family: KrausFamily, t: int, outcome: str, x
 ) -> HermitianOperator:
     """Evaluate the Heisenberg-picture map K*_{y,t}(X) = sum_k M* X M."""
+    return _apply(family, t, outcome, x, adjoint=True)
+
+
+def _apply(family: KrausFamily, t: int, outcome: str, x, *, adjoint: bool):
     mat = as_matrix(x)
     if mat.shape != (family.dim, family.dim):
         raise DimensionMismatch(
             f"operand has shape {mat.shape}, family dimension is {family.dim}"
         )
-    ops = family.operators(t, outcome)
-    acc = np.zeros_like(mat)
-    for m in ops:
-        acc += m.conj().T @ mat @ m
-    return HermitianOperator(acc)
+    return HermitianOperator(_kraus_form(family.operators(t, outcome), mat, adjoint))
+
+
+def _kraus_form(ops, x: np.ndarray, adjoint: bool) -> np.ndarray:
+    """sum_k M X M* over the Kraus operators M, or sum_k M* X M in the
+    adjoint direction."""
+    return sum(m.conj().T @ x @ m if adjoint else m @ x @ m.conj().T for m in ops)
+
+
+@cache
+def _basis(dim: int) -> np.ndarray:
+    """Rows vec(B_k) of an orthonormal basis of the Hermitian matrices.
+
+    The diagonal matrix units E_ii come first, then for each j < k
+    (E_jk + E_kj)/sqrt(2) and i(E_kj - E_jk)/sqrt(2).  The batched
+    passes carry a Hermitian X as its real coordinates x_k = tr(B_k X),
+    so that X = sum_k x_k B_k and tr X is the sum of the first dim
+    coordinates.  Matrix units keep the zeros of sparse Kraus operators
+    exact, so a step of probability zero still traces to exactly zero.
+    """
+    j, k = np.triu_indices(dim, 1)
+    pair, half = dim + 2 * np.arange(len(j)), 1.0 / math.sqrt(2.0)
+    rows = np.zeros((dim * dim, dim, dim), dtype=complex)
+    rows[np.arange(dim), np.arange(dim), np.arange(dim)] = 1.0
+    rows[pair, j, k] = rows[pair, k, j] = half
+    rows[pair + 1, j, k], rows[pair + 1, k, j] = -1j * half, 1j * half
+    rows = rows.reshape(dim * dim, dim * dim)
+    rows.flags.writeable = False
+    return rows
+
+
+def _coords(mats) -> np.ndarray:
+    """Rows Re tr(B_k A) of (..., d, d) matrices A, shape (..., d^2).
+
+    For Hermitian A these are its coordinates; for any A the row c gives
+    Re tr(A X) = c . x for a Hermitian X with coordinates x.
+    """
+    a = np.asarray(mats)
+    d = a.shape[-1]
+    return (a.reshape(a.shape[:-2] + (d * d,)) @ _basis(d).conj().T).real
+
+
+def _matrices(coords: np.ndarray) -> np.ndarray:
+    """The (..., d, d) Hermitian matrices of coordinate rows (..., d^2)."""
+    d = math.isqrt(coords.shape[-1])
+    return (coords @ _basis(d)).reshape(coords.shape[:-1] + (d, d))
+
+
+def _real_map(sup: np.ndarray) -> np.ndarray:
+    """R[k, l] = tr(B_k K(B_l)) for a Hermiticity-preserving K with
+    row-major vec(K(X)) = sup @ vec(X).
+
+    Coordinate rows x map to x @ R.T under K and to x @ R under its
+    adjoint K*, since the basis is real-orthonormal under tr(A B).
+    """
+    b = _basis(math.isqrt(sup.shape[0]))
+    return (b.conj() @ sup @ b.T).real
 
 
 def _project_simplex(w: np.ndarray) -> np.ndarray:

@@ -31,15 +31,12 @@ from trajtomo import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    backward_continuous,
-    backward_continuous_batch,
-    backward_run,
+    backward_sweep,
     backward_sweep_batch,
     build_fluorescence_model,
     build_qnd_family,
     build_r_matrix,
     effects_to_bloch,
-    forward_filter,
     forward_run,
     from_bloch,
     injection_channel,
@@ -125,7 +122,7 @@ def test_criterion_01_forward_backward_duality():
             ops_per_outcome=int(rng.integers(1, 3)),
         )
         [rec] = sample_records(fam, random_density(rng, dim), 1, int(rng.integers(2**31)))
-        adj = backward_run(fam, rec)
+        adj = backward_sweep(fam, rec, (0,))[0]
         for _ in range(20):
             rho = random_density(rng, dim)
             lhs = forward_run(fam, rec, rho).log_prob
@@ -138,10 +135,10 @@ def test_criterion_01_forward_backward_duality():
     records = simulate_sme(model, from_bloch((1.0, 0.0, 0.0)), 50, 20260111)
     worst_c = 0.0
     for rec in records:
-        adj = backward_continuous(model, rec)
+        adj = backward_sweep(model, rec, (0,))[0]
         for _ in range(20):
             rho = random_density(rng, 2)
-            lhs = forward_filter(model, rec, rho).log_prob
+            lhs = forward_run(model, rec, rho).log_prob
             rhs = adj.log_c + math.log(
                 np.einsum("ij,ji->", rho, adj.effect.matrix).real
             )
@@ -364,7 +361,7 @@ def fluorescence_run():
     model = build_fluorescence_model(**FLUOR_PARAMS)
     plus = from_bloch((1.0, 0.0, 0.0))
     records = simulate_sme(model, plus, 40_000, FLUOR_SEED)
-    effs = backward_continuous_batch(model, records, start_indices=range(26))
+    effs = backward_sweep_batch(model, records, start_indices=range(26))
     rmats = {}
     for s in range(26):
         res = _solve(effs[s], f"fluorescence start {s}")
@@ -446,7 +443,7 @@ def test_criterion_07_interval_coverage():
     hits = 0
     for rep, seed in enumerate(seeds):
         records = simulate_sme(model, plus, 2_000, int(seed))
-        effects = backward_continuous_batch(model, records)[0]
+        effects = backward_sweep_batch(model, records)[0]
         res = _solve(effects, f"coverage rep {rep}")
         iv = build_r_matrix(res.rho, effects).interval(SIGMA_X, "x")
         hits += abs(iv.mean - 1.0) <= iv.half_width_95

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import trajtomo.io
 from trajtomo import (
     ContinuousRecord,
     DiscreteRecord,
@@ -202,6 +203,26 @@ def test_intervention_outside_the_model_exits_2(tmp_path, capsys, step):
     assert not recs.exists()
 
 
+@pytest.mark.parametrize("kind, parameters, name", [
+    ("qnd", {"t_cavity": 0}, "t_cavity must be positive"),
+    ("qnd", {"n_bath": -0.1}, "n_bath must be nonnegative"),
+    ("qnd", {"step_time": -1e-6}, "step_time must be nonnegative"),
+    ("qnd", {"phase_offsets": []}, "phase_offsets must hold at least one offset"),
+    ("fluorescence", {"t1": 0}, "t1 must be positive"),
+    ("fluorescence", {"tphi": 0}, "tphi must be positive"),
+])
+def test_bad_model_parameters_exit_2_naming_the_parameter(
+    tmp_path, capsys, kind, parameters, name
+):
+    model, recs = tmp_path / "model.json", tmp_path / "recs.jsonl"
+    save_model(model, kind, {"n_steps": 4, **parameters})
+    assert run(["simulate", "--model", model, "--records", recs]) == 2
+    assert f"error: {name}" in capsys.readouterr().err
+    assert run(["validate", "--model", model]) == 2
+    assert f"error: {name}" in capsys.readouterr().err
+    assert not recs.exists()
+
+
 def test_unknown_observable_exits_2(tmp_path, capsys):
     model = tmp_path / "model.json"
     povm_model(model)
@@ -256,12 +277,21 @@ def test_loose_kkt_tol_certifies_no_later_than_the_default(tmp_path, capsys):
     ("--kkt-tol", "nan", "kkt_tol must be finite and positive"),
     ("--max-iterations", "-3", "max_iterations must be nonnegative"),
     ("--start-times", "0,10,0", "start times must be distinct; repeated: 0"),
+    ("--start-times", "0,b", "--start-times must be comma-separated integers"),
+    ("--observables", "n,q", "unknown observable 'q'"),
+    ("--observables", "x", "observable 'x' needs a qubit model"),
+    ("--observables", "p4", "population 'p4' exceeds dimension 4"),
 ])
 def test_bad_solver_options_and_repeated_starts_exit_2(
-    tmp_path, capsys, option, value, message
+    tmp_path, capsys, monkeypatch, option, value, message
 ):
     model, recs = qnd_archive(tmp_path)
     out = tmp_path / "o.csv"
+
+    def read_records(path):
+        raise AssertionError("the archive was read before the arguments were checked")
+
+    monkeypatch.setattr(trajtomo.io, "read_records", read_records)
     assert run(["tomography", "--model", model, "--records", recs, "--out", out,
                 option, value]) == 2
     assert message in capsys.readouterr().err

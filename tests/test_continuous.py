@@ -14,13 +14,13 @@ from trajtomo import (
     StepSizeTooLarge,
     ZeroProbability,
     adjoint_cp_map_continuous,
-    backward_continuous,
-    backward_continuous_batch,
+    backward_sweep,
+    backward_sweep_batch,
     build_fluorescence_model,
     build_m,
     cp_map_continuous,
-    forward_filter,
-    forward_filter_batch,
+    forward_batch,
+    forward_run,
     from_bloch,
     lindblad_evolve,
     simulate_sme,
@@ -139,7 +139,7 @@ def test_unmonitored_filter_matches_closed_form_decay():
     n = 1000
     model = decay_model(dt=1.0 / n, n_steps=n)  # unit decay rate, run to t = 1
     rec = ContinuousRecord(0, model.dt, np.zeros((n, 0)))
-    trace = forward_filter(model, rec, EXCITED)
+    trace = forward_run(model, rec, EXCITED)
     p_e = trace.states[-1].matrix[0, 0].real
     assert p_e == pytest.approx(math.exp(-1.0), rel=1e-3)
     # the unconditional stepper is a different first-order scheme; the two
@@ -221,16 +221,16 @@ def test_filter_rejects_absurd_record():
     model = two_channel_model()
     bad = ContinuousRecord(0, model.dt, np.full((12, 2), 50.0))
     with pytest.raises(StepSizeTooLarge):
-        forward_filter(model, bad, EXCITED)
+        forward_run(model, bad, EXCITED)
 
 
 def test_filter_rejects_grid_mismatch():
     model = two_channel_model(dt=1e-3)
     rec = ContinuousRecord(0, 1.5e-3, np.zeros((12, 2)))
     with pytest.raises(ValueError, match="grid"):
-        forward_filter(model, rec, EXCITED)
+        forward_run(model, rec, EXCITED)
     with pytest.raises(ValueError, match="grid"):
-        backward_continuous(model, rec)
+        backward_sweep(model, rec, (0,))
 
 
 def test_unstable_unconditional_step_raises():
@@ -244,7 +244,7 @@ def test_backward_effects_are_valid():
     model = two_channel_model()
     records = simulate_sme(model, EXCITED, 6, rng_seed=21)
     for rec in records:
-        adj = backward_continuous(model, rec)
+        adj = backward_sweep(model, rec, (0,))[0]
         e = adj.effect.matrix
         assert np.abs(e - e.conj().T).max() < 1e-12
         assert np.linalg.eigvalsh(e).min() > -1e-12
@@ -257,10 +257,10 @@ def test_forward_backward_duality():
     model = two_channel_model(n_steps=30)
     records = simulate_sme(model, EXCITED, 5, rng_seed=5)
     for rec in records:
-        adj = backward_continuous(model, rec)
+        adj = backward_sweep(model, rec, (0,))[0]
         for _ in range(10):
             rho = random_density(rng, 2)
-            fwd = forward_filter(model, rec, rho).log_prob
+            fwd = forward_run(model, rec, rho).log_prob
             back = adj.log_c + math.log(
                 np.trace(rho @ adj.effect.matrix).real
             )
@@ -270,15 +270,15 @@ def test_forward_backward_duality():
 def test_backward_batch_matches_scalar_and_suffix():
     model = two_channel_model(n_steps=8)
     records = simulate_sme(model, EXCITED, 4, rng_seed=13)
-    out = backward_continuous_batch(model, records, start_indices=(0, 5))
+    out = backward_sweep_batch(model, records, start_indices=(0, 5))
     assert [len(v) for v in out.values()] == [4, 4]
     for rec, adj in zip(records, out[0]):
-        solo = backward_continuous(model, rec)
+        solo = backward_sweep(model, rec, (0,))[0]
         assert np.abs(adj.effect.matrix - solo.effect.matrix).max() < 1e-12
         assert adj.log_c == pytest.approx(solo.log_c, abs=1e-12)
     for rec, adj in zip(records, out[5]):
         tail = ContinuousRecord(rec.id, rec.dt, rec.increments[5:])
-        solo = backward_continuous(model, tail)
+        solo = backward_sweep(model, tail, (0,))[0]
         assert np.abs(adj.effect.matrix - solo.effect.matrix).max() < 1e-12
         assert adj.log_c == pytest.approx(solo.log_c, abs=1e-12)
 
@@ -287,13 +287,13 @@ def test_backward_batch_mixed_lengths():
     model = two_channel_model(n_steps=8)
     records = simulate_sme(model, EXCITED, 2, rng_seed=13)
     short = ContinuousRecord(9, records[0].dt, records[0].increments[:4])
-    out = backward_continuous_batch(
+    out = backward_sweep_batch(
         model, [records[0], short, records[1]], start_indices=(0, 6)
     )
     assert len(out[0]) == 3
     assert len(out[6]) == 2  # the four-step record has no step 6
     assert list(out[6].record_ids) == [records[0].id, records[1].id]
-    solo = backward_continuous(model, short)
+    solo = backward_sweep(model, short, (0,))[0]
     mixed = out[0][1]
     assert np.abs(mixed.effect.matrix - solo.effect.matrix).max() < 1e-12
     assert mixed.log_c == pytest.approx(solo.log_c, abs=1e-12)
@@ -304,12 +304,12 @@ def test_forward_batch_mixed_lengths():
     records = simulate_sme(model, EXCITED, 2, rng_seed=17)
     short = ContinuousRecord(9, records[0].dt, records[0].increments[:4])
     batch = [records[0], short, records[1]]
-    out = forward_filter_batch(model, batch, EXCITED, at=(0, 4, 6, 8))
+    out = forward_batch(model, batch, EXCITED, at=(0, 4, 6, 8))
     # the state after k steps exists for every record with at least k steps
     assert [len(out[k]) for k in (0, 4, 6, 8)] == [3, 3, 2, 2]
     for k, members in ((4, batch), (6, records), (8, records)):
         for got, rec in zip(out[k], members):
-            want = forward_filter(model, rec, EXCITED).states[k].matrix
+            want = forward_run(model, rec, EXCITED).states[k].matrix
             assert np.abs(got - want).max() < 1e-12
 
 
@@ -318,17 +318,17 @@ def test_batch_matches_step_by_step_reference_on_fluorescence():
     plus = from_bloch((1.0, 0.0, 0.0))
     records = simulate_sme(model, plus, 200, rng_seed=2718)
     starts = range(26)  # the start times of the fluorescence runs
-    out = backward_continuous_batch(model, records, start_indices=starts)
-    for s in starts:
-        for rec, adj in zip(records, out[s]):
-            tail = ContinuousRecord(rec.id, rec.dt, rec.increments[s:])
-            ref = backward_continuous(model, tail)
+    out = backward_sweep_batch(model, records, starts)
+    for i, rec in enumerate(records):
+        refs = backward_sweep(model, rec, starts)
+        for s in starts:
+            adj, ref = out[s][i], refs[s]
             assert np.abs(adj.effect.matrix - ref.effect.matrix).max() <= 1e-12
             assert abs(adj.log_c - ref.log_c) <= 1e-12 * max(1.0, abs(ref.log_c))
     steps = range(model.n_steps + 1)
-    states = forward_filter_batch(model, records, plus, at=steps)
+    states = forward_batch(model, records, plus, at=steps)
     for i, rec in enumerate(records):
-        trace = forward_filter(model, rec, plus)
+        trace = forward_run(model, rec, plus)
         for k in steps:
             assert np.abs(states[k][i] - trace.states[k].matrix).max() <= 1e-12
 
@@ -347,23 +347,23 @@ def test_step_errors_name_record_and_step():
         bad = ContinuousRecord(7, model.dt, sig)
         batch = [records[0], bad, records[2]]
         with pytest.raises(error, match=message):
-            backward_continuous_batch(model, batch)
+            backward_sweep_batch(model, batch)
         with pytest.raises(error, match=message):
-            forward_filter_batch(model, batch, EXCITED, at=(0,))
+            forward_batch(model, batch, EXCITED, at=(0,))
         with pytest.raises(error, match=message):
-            backward_continuous(model, bad)
+            backward_sweep(model, bad, (0,))
         with pytest.raises(error, match=message):
-            forward_filter(model, bad, EXCITED)
+            forward_run(model, bad, EXCITED)
 
 
 def test_forward_batch_matches_scalar():
     model = two_channel_model(n_steps=10)
     records = simulate_sme(model, EXCITED, 3, rng_seed=31)
-    out = forward_filter_batch(model, records, EXCITED, at=(0, 4, 10))
+    out = forward_batch(model, records, EXCITED, at=(0, 4, 10))
     assert set(out) == {0, 4, 10}
     for i, rec in enumerate(records):
-        trace = forward_filter(model, rec, EXCITED)
+        trace = forward_run(model, rec, EXCITED)
         for k in (0, 4, 10):
             assert np.abs(out[k][i] - trace.states[k].matrix).max() < 1e-12
     with pytest.raises(ValueError):
-        forward_filter_batch(model, records, EXCITED, at=(11,))
+        forward_batch(model, records, EXCITED, at=(11,))

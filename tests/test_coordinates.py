@@ -19,20 +19,16 @@ from trajtomo import (
     adjoint_cp_map_continuous,
     apply_adjoint_cp_map,
     apply_cp_map,
-    backward_continuous,
-    backward_continuous_batch,
     backward_sweep,
     backward_sweep_batch,
     cp_map_continuous,
     forward_batch,
-    forward_filter,
-    forward_filter_batch,
     forward_run,
     sample_records,
     simulate_sme,
 )
 from trajtomo.continuous import _superoperators
-from trajtomo.filtering import _basis, _coords, _matrices, _real_map, _superops
+from trajtomo.operators import _basis, _coords, _matrices, _real_map
 
 DIMS = (2, 3, 8)
 TOL = 1e-13
@@ -61,8 +57,8 @@ def test_step_maps_are_real_and_reproduce_the_kraus_maps(dim):
     rng = np.random.default_rng(400 + dim)
     step = random_step(rng, dim, n_outcomes=3, ops_per_outcome=3)
     fam = KrausFamily(dim, [step])
-    forward = _superops(fam, adjoint=False)[0]
-    adjoint = _superops(fam, adjoint=True)[0]
+    forward = fam._superops(adjoint=False)[0]
+    adjoint = fam._superops(adjoint=True)[0]
     b = _basis(dim)
     for i, (y, ops) in enumerate(step.items()):
         sup = sum(np.kron(m, m.conj()) for m in ops)
@@ -111,6 +107,25 @@ def test_signal_step_maps_reproduce_the_kraus_maps(dim):
             assert np.abs(got - want).max() <= TOL * _scale(want)
 
 
+def check_passes_against_the_references(model, recs, rho, starts, at):
+    """Both batched passes over mixed-length records, for either model
+    type, against the step-by-step references record by record."""
+    sweep = backward_sweep_batch(model, recs, starts)
+    for s in starts:
+        covering = [r for r in recs if len(r) > s]
+        assert sweep[s].record_ids.tolist() == [r.id for r in covering]
+        for rec, adj in zip(covering, sweep[s]):
+            want = backward_sweep(model, rec, (s,))[s]
+            assert np.abs(adj.effect.matrix - want.effect.matrix).max() < 1e-12
+            assert adj.log_c == pytest.approx(want.log_c, rel=1e-12, abs=1e-12)
+    states = forward_batch(model, recs, rho, at)
+    for k in at:
+        covering = [r for r in recs if len(r) >= k]
+        for state, rec in zip(states[k], covering):
+            want = forward_run(model, rec, rho).states[k].matrix
+            assert np.abs(state - want).max() < 1e-12
+
+
 @pytest.mark.parametrize("dim", DIMS)
 def test_discrete_passes_on_mixed_lengths_match_the_references(dim):
     rng = np.random.default_rng(600 + dim)
@@ -123,22 +138,9 @@ def test_discrete_passes_on_mixed_lengths_match_the_references(dim):
         DiscreteRecord(r.id, r.outcomes[:n])
         for r, n in zip(sample_records(fam, rho, 9, rng_seed=dim), lengths)
     ]
-    starts = (0, 2, n_steps - 1)
-    sweep = backward_sweep_batch(fam, recs, starts)
-    for s in starts:
-        covering = [r for r in recs if len(r) > s]
-        assert sweep[s].record_ids.tolist() == [r.id for r in covering]
-        for rec, adj in zip(covering, sweep[s]):
-            want = backward_sweep(fam, rec, (s,))[s]
-            assert np.abs(adj.effect.matrix - want.effect.matrix).max() < 1e-12
-            assert adj.log_c == pytest.approx(want.log_c, rel=1e-12, abs=1e-12)
-    at = (0, 1, 4, n_steps)
-    states = forward_batch(fam, recs, rho, at)
-    for k in at:
-        covering = [r for r in recs if len(r) >= k]
-        for state, rec in zip(states[k], covering):
-            want = forward_run(fam, rec, rho).states[k].matrix
-            assert np.abs(state - want).max() < 1e-12
+    check_passes_against_the_references(
+        fam, recs, rho, (0, 2, n_steps - 1), (0, 1, 4, n_steps)
+    )
 
 
 @pytest.mark.parametrize("dim", DIMS)
@@ -153,24 +155,9 @@ def test_signal_passes_on_mixed_lengths_match_the_references(dim):
         ContinuousRecord(r.id, r.dt, r.increments[:n])
         for r, n in zip(simulate_sme(model, rho, 7, rng_seed=dim), lengths)
     ]
-    starts = (0, 3, n_steps - 1)
-    sweep = backward_continuous_batch(model, recs, start_indices=starts)
-    for s in starts:
-        covering = [r for r in recs if len(r) > s]
-        assert sweep[s].record_ids.tolist() == [r.id for r in covering]
-        for rec, adj in zip(covering, sweep[s]):
-            want = backward_continuous(
-                model, ContinuousRecord(rec.id, rec.dt, rec.increments[s:])
-            )
-            assert np.abs(adj.effect.matrix - want.effect.matrix).max() < 1e-12
-            assert adj.log_c == pytest.approx(want.log_c, rel=1e-12, abs=1e-12)
-    at = (0, 2, n_steps)
-    states = forward_filter_batch(model, recs, rho, at)
-    for k in at:
-        covering = [r for r in recs if len(r) >= k]
-        for state, rec in zip(states[k], covering):
-            want = forward_filter(model, rec, rho).states[k].matrix
-            assert np.abs(state - want).max() < 1e-12
+    check_passes_against_the_references(
+        model, recs, rho, (0, 3, n_steps - 1), (0, 2, n_steps)
+    )
 
 
 @pytest.mark.parametrize("dim", DIMS)
@@ -203,7 +190,7 @@ def test_sampler_means_match_the_step_by_step_states(dim):
     model = random_model(rng, dim, n_steps)
     recs, means = simulate_sme(model, rho, 6, rng_seed=dim, keep_mean=True)
     want = np.mean(
-        [[s.matrix for s in forward_filter(model, rec, rho).states] for rec in recs],
+        [[s.matrix for s in forward_run(model, rec, rho).states] for rec in recs],
         axis=0,
     )
     assert np.abs(means - want).max() < 1e-12

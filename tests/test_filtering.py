@@ -7,18 +7,17 @@ import pytest
 from conftest import random_density, random_family
 from trajtomo import (
     AdjointResult,
+    ContinuousRecord,
+    DimensionMismatch,
     DiscreteRecord,
     EffectBatch,
     KrausFamily,
     UnknownOutcome,
     ZeroProbability,
-    backward_continuous_batch,
-    backward_run,
     backward_sweep,
     backward_sweep_batch,
     build_fluorescence_model,
     forward_batch,
-    forward_filter_batch,
     forward_run,
     log_likelihood,
     sample_records,
@@ -105,7 +104,7 @@ def test_log_prob_is_concave_in_the_state():
 
 def test_backward_identity_family():
     fam = KrausFamily.repeated(3, {"only": [np.eye(3, dtype=complex)]}, 4)
-    adj = backward_run(fam, DiscreteRecord(0, ("only",) * 4))
+    adj = backward_sweep(fam, DiscreteRecord(0, ("only",) * 4), (0,))[0]
     assert np.abs(adj.effect.matrix - np.eye(3) / 3.0).max() < 1e-14
     assert adj.log_c == pytest.approx(math.log(3.0), abs=1e-14)
 
@@ -114,7 +113,7 @@ def test_backward_effect_is_normalized_and_psd():
     rng = np.random.default_rng(103)
     fam = random_family(rng, 4, 10, n_outcomes=2, ops_per_outcome=2)
     outcomes = tuple(fam.outcomes(t)[int(rng.integers(2))] for t in range(10))
-    adj = backward_run(fam, DiscreteRecord(0, outcomes))
+    adj = backward_sweep(fam, DiscreteRecord(0, outcomes), (0,))[0]
     w = np.linalg.eigvalsh(adj.effect.matrix)
     assert w.min() >= -1e-12
     assert np.trace(adj.effect.matrix).real == pytest.approx(1.0, abs=1e-12)
@@ -126,7 +125,7 @@ def test_forward_backward_duality():
         fam = random_family(rng, dim, 12, n_outcomes=3)
         outcomes = tuple(fam.outcomes(t)[int(rng.integers(3))] for t in range(12))
         rec = DiscreteRecord(0, outcomes)
-        adj = backward_run(fam, rec)
+        adj = backward_sweep(fam, rec, (0,))[0]
         for _ in range(20):
             rho = random_density(rng, dim)
             fwd = forward_run(fam, rec, rho).log_prob
@@ -156,7 +155,7 @@ def test_backward_sweep_matches_suffix_runs():
     rec = DiscreteRecord(0, outcomes)
     sweep = backward_sweep(fam, rec, (0, 3, 7))
     for s in (0, 3, 7):
-        tail = backward_run(fam.suffix(s), DiscreteRecord(0, outcomes[s:]))
+        tail = backward_sweep(fam.suffix(s), DiscreteRecord(0, outcomes[s:]), (0,))[0]
         assert np.abs(sweep[s].effect.matrix - tail.effect.matrix).max() < 1e-12
         assert sweep[s].log_c == pytest.approx(tail.log_c, abs=1e-10)
 
@@ -168,7 +167,7 @@ def test_log_likelihood_helper():
         DiscreteRecord(i, tuple(fam.outcomes(t)[int(rng.integers(2))] for t in range(5)))
         for i in range(6)
     ]
-    adjs = [backward_run(fam, r) for r in recs]
+    adjs = [backward_sweep(fam, r, (0,))[0] for r in recs]
     rho = random_density(rng, 2)
     want = sum(forward_run(fam, r, rho).log_prob for r in recs)
     got = sum(a.log_c for a in adjs) + log_likelihood(
@@ -184,7 +183,7 @@ def test_stack_effects_accepts_mixed_inputs():
     rng = np.random.default_rng(107)
     fam = random_family(rng, 2, 3)
     rec = DiscreteRecord(0, tuple(fam.outcomes(t)[0] for t in range(3)))
-    adj = backward_run(fam, rec)
+    adj = backward_sweep(fam, rec, (0,))[0]
     e, logc = stack_effects([adj, adj.effect, adj.effect.matrix])
     assert e.shape == (3, 2, 2)
     assert np.abs(e - e[0]).max() < 1e-15
@@ -242,7 +241,7 @@ def test_backward_batch_matches_scalar():
     ]
     batch = backward_sweep_batch(fam, recs, (0,))[0]
     for rec, adj in zip(recs, batch):
-        single = backward_run(fam, rec)
+        single = backward_sweep(fam, rec, (0,))[0]
         assert np.abs(adj.effect.matrix - single.effect.matrix).max() < 1e-12
         assert adj.log_c == pytest.approx(single.log_c, abs=1e-10)
 
@@ -265,7 +264,7 @@ def test_backward_batch_mixed_lengths():
     batch = backward_sweep_batch(fam, recs, (0,))[0]
     assert batch.record_ids.tolist() == [r.id for r in recs]
     for rec, adj in zip(recs, batch):
-        single = backward_run(fam, rec)
+        single = backward_sweep(fam, rec, (0,))[0]
         assert np.abs(adj.effect.matrix - single.effect.matrix).max() < 1e-12
         assert adj.log_c == pytest.approx(single.log_c, rel=1e-12)
 
@@ -303,19 +302,24 @@ def test_forward_batch_mixed_lengths_matches_scalar_filter():
 
 
 def test_empty_batches_give_empty_results():
-    fam = KrausFamily.repeated(2, PROJECTIVE, 6)
-    model = build_fluorescence_model(n_steps=6)
     rho = np.eye(2) / 2
-    for sweep in (
-        backward_sweep_batch(fam, [], (0, 3)),
-        backward_continuous_batch(model, [], start_indices=(0, 3)),
-    ):
+    for model in (KrausFamily.repeated(2, PROJECTIVE, 6), build_fluorescence_model(n_steps=6)):
+        sweep = backward_sweep_batch(model, [], (0, 3))
         assert list(sweep) == [0, 3] and sweep[3].effects.shape == (0, 2, 2)
-    for states in (
-        forward_batch(fam, [], rho, (0, 2)),
-        forward_filter_batch(model, [], rho, (0, 2)),
-    ):
+        states = forward_batch(model, [], rho, (0, 2))
         assert list(states) == [0, 2] and states[2].shape == (0, 2, 2)
+
+
+def test_forward_passes_refuse_an_initial_state_of_another_dimension():
+    signals = build_fluorescence_model(n_steps=3)
+    for model, rec in (
+        (KrausFamily.repeated(2, PROJECTIVE, 3), DiscreteRecord(0, ("g", "e", "g"))),
+        (signals, ContinuousRecord(0, signals.dt, np.zeros((3, 2)))),
+    ):
+        for run in (lambda: forward_run(model, rec, np.eye(3) / 3),
+                    lambda: forward_batch(model, [rec], np.eye(3) / 3, (0,))):
+            with pytest.raises(DimensionMismatch, match="dimension 3, the model has 2"):
+                run()
 
 
 @pytest.mark.parametrize("mixed", [False, True], ids=["equal", "mixed"])

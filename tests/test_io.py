@@ -139,6 +139,19 @@ def test_write_records_rejects_bad_input(tmp_path):
         write_records(tmp_path / "x.jsonl", [object()])
 
 
+@pytest.mark.parametrize("key", [
+    "format", "version", "record_type", "n_records", "model_hash", "model",
+])
+def test_write_records_refuses_metadata_that_overrides_the_header(tmp_path, key):
+    # n_records=3 on five records, or a record_type that is not theirs, would
+    # otherwise write an archive that read_records refuses
+    path = tmp_path / "x.jsonl"
+    records = [DiscreteRecord(i, ("g",)) for i in range(5)]
+    with pytest.raises(ValueError, match=f"metadata keys \\['{key}'\\]"):
+        write_records(path, records, metadata={key: 3, "note": "x"})
+    assert not path.exists()
+
+
 def test_read_records_rejects_corrupt_archives(tmp_path):
     p = tmp_path / "x.jsonl"
     p.write_text('{"something": "else"}\n')

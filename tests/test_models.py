@@ -10,7 +10,7 @@ from trajtomo import (
     DiscreteRecord,
     IncompletePOVM,
     apply_cp_map,
-    backward_run,
+    backward_sweep,
     build_fluorescence_model,
     build_qnd_family,
     forward_run,
@@ -90,7 +90,7 @@ def test_povm_family_effects_match_elements():
     fam = povm_family(elements)
     assert set(fam.outcomes(0)) == set(elements)
     for name, f in elements.items():
-        adj = backward_run(fam, DiscreteRecord(0, (name,)))
+        adj = backward_sweep(fam, DiscreteRecord(0, (name,)), (0,))[0]
         scale = np.trace(f).real
         assert np.abs(adj.effect.matrix - f / scale).max() < 1e-12
         assert math.exp(adj.log_c) == pytest.approx(scale, rel=1e-12)

@@ -11,12 +11,12 @@ from trajtomo import (
     DiscreteRecord,
     RecordBatch,
     UnknownOutcome,
-    backward_continuous_batch,
+    backward_sweep,
     backward_sweep_batch,
     build_fluorescence_model,
     build_qnd_family,
     forward_batch,
-    forward_filter_batch,
+    forward_run,
     from_bloch,
     injection_channel,
     sample_records,
@@ -109,31 +109,25 @@ def _qnd_injection(seed):
     )
     rel = [-1.3, -1.0, -0.75, -0.5, -0.3, -0.15] + [0.1 * k for k in range(16)]
     starts = [1_000 + round(r * 65e-3 / 86e-6) for r in rel]
-    return (
-        batch,
-        lambda recs: backward_sweep_batch(fam, recs, starts),
-        lambda recs: forward_batch(fam, recs, background, starts),
-    )
+    return fam, batch, background, starts
 
 
 def _fluorescence_cli(seed):
     # the command-line benchmark's shape: 2 000 records of 46 steps, 26 starts
     model = build_fluorescence_model()
-    batch = simulate_sme(model, PLUS, 2_000, seed)
-    return (
-        batch,
-        lambda recs: backward_continuous_batch(model, recs, start_indices=range(26)),
-        lambda recs: forward_filter_batch(model, recs, PLUS, range(26)),
-    )
+    return model, simulate_sme(model, PLUS, 2_000, seed), PLUS, range(26)
 
 
 @pytest.mark.parametrize("seed", [7, 8])
 @pytest.mark.parametrize("shape", [_qnd_injection, _fluorescence_cli],
                          ids=["qnd_injection", "fluorescence_cli"])
 def test_sampler_batch_and_its_views_give_identical_outputs(shape, seed, tmp_path):
-    batch, backward, forward = shape(seed)
+    model, batch, rho0, starts = shape(seed)
     views = list(batch)
-    for run in (backward, forward):
+    for run in (
+        lambda recs: backward_sweep_batch(model, recs, starts),
+        lambda recs: forward_batch(model, recs, rho0, starts),
+    ):
         got, want = run(batch), run(views)
         assert list(got) == list(want)
         for t in got:
@@ -160,19 +154,12 @@ def _discrete_case(bad):
     desc = {"kind": "qnd", "parameters": {"n_steps": 4, "n_max": 3}}
     fam = instantiate_model(desc)
     good = DiscreteRecord(3, ("g", "e", "g"))
-    return desc, fam, [good, bad], {"record_type": "discrete"}, (
-        lambda recs: backward_sweep_batch(fam, recs, (0,)),
-        lambda recs: forward_batch(fam, recs, np.eye(fam.dim) / fam.dim, (0,)),
-    )
+    return desc, fam, [good, bad], {"record_type": "discrete"}
 
 
 def _signal_case(records):
     desc = {"kind": "fluorescence", "parameters": {"n_steps": 4}}
-    model = instantiate_model(desc)
-    return desc, model, records, {"record_type": "continuous"}, (
-        lambda recs: backward_continuous_batch(model, recs),
-        lambda recs: forward_filter_batch(model, recs, PLUS, (0,)),
-    )
+    return desc, instantiate_model(desc), records, {"record_type": "continuous"}
 
 
 DT = build_fluorescence_model(n_steps=4).dt
@@ -208,21 +195,30 @@ RULE_CASES = {
 
 @pytest.mark.parametrize("case", list(RULE_CASES))
 def test_validation_and_the_passes_apply_one_rule_set(case):
-    (desc, model, records, meta, passes), error, named = RULE_CASES[case]
+    (desc, model, records, meta), error, named = RULE_CASES[case]
     problems = validate_records(desc, model, meta, records)
     assert problems and _named(problems[0]) == named
-    for run in passes:
-        for recs in (records, RecordBatch.from_records(records)):
-            with pytest.raises(error) as info:
-                run(recs)
-            assert _named(str(info.value)) == named
-            assert str(info.value) == problems[0]
+    rho = np.eye(model.dim) / model.dim
+    # the named record alone breaks the step-by-step references the same way
+    [bad] = [r for r in records if r.id == named[0]]
+    runs = [lambda: backward_sweep(model, bad, (0,)), lambda: forward_run(model, bad, rho)]
+    for recs in (records, RecordBatch.from_records(records)):
+        runs += [
+            lambda recs=recs: backward_sweep_batch(model, recs),
+            lambda recs=recs: forward_batch(model, recs, rho, (0,)),
+        ]
+    for run in runs:
+        with pytest.raises(error) as info:
+            run()
+        assert _named(str(info.value)) == named
+        assert str(info.value) == problems[0]
 
 
 REMOVED = (
     "forward_step", "backward_step", "backward_batch", "FilterTrace", "HermitianBasis",
     "hermitian_basis", "tangent_project", "frobenius", "InvalidProjector", "SolveOptions",
-    "Tolerances", "DEFAULT",
+    "Tolerances", "DEFAULT", "backward_run", "backward_continuous",
+    "backward_continuous_batch", "forward_filter", "forward_filter_batch",
 )
 
 
