@@ -17,7 +17,7 @@ from trajtomo import (
     from_bloch,
     lindblad_evolve,
     quadrature_estimates,
-    simulate_sme,
+    sample_records,
     solve_maxlike,
 )
 
@@ -28,7 +28,7 @@ print(f"model: T1 window of {model.n_steps} steps x {model.dt * 1e9:.0f} ns, "
       f"{len(model.channels)} decay channels")
 
 plus = from_bloch((1.0, 0.0, 0.0))
-records = simulate_sme(model, plus, N_RECORDS, rng_seed=2026)
+records = sample_records(model, plus, N_RECORDS, rng_seed=2026)
 
 # The rescaled signal average estimates (x, y) without any model, but it
 # averages over the whole window, so the decay drags x well below x(0).

@@ -23,7 +23,6 @@ import numpy as np
 from . import io as tio
 from .config import KKT_TOL
 from .confidence import build_r_matrix
-from .continuous import adjoint_cp_map_continuous, cp_map_continuous, simulate_sme
 from .errors import (
     DegenerateLikelihood,
     DegenerateTrace,
@@ -129,18 +128,13 @@ def _parse_observables(arg: str | None, dim: int) -> list[tuple[str, np.ndarray]
 def _cmd_simulate(args) -> int:
     desc = tio.load_model(args.model)
     model = tio.instantiate_model(desc)
-    rho0 = tio.initial_state(desc, model)
-    if isinstance(model, KrausFamily):
-        interventions = tio.interventions_from_description(desc, model)
-        records = sample_records(
-            model,
-            rho0,
-            args.n_trajectories,
-            args.seed,
-            interventions=interventions or None,
-        )
-    else:
-        records = simulate_sme(model, rho0, args.n_trajectories, args.seed)
+    records = sample_records(
+        model,
+        tio.initial_state(desc, model),
+        args.n_trajectories,
+        args.seed,
+        interventions=tio.interventions_from_description(desc, model),
+    )
     tio.write_records(
         args.records, records, model_description=desc, metadata={"seed": args.seed}
     )
@@ -163,16 +157,12 @@ def _check_adjoint_identity(model, rng: np.random.Generator) -> float:
         b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         b = b + b.conj().T
         if isinstance(model, KrausFamily):
-            pairs = [
-                (apply_cp_map(model, 0, y, a).matrix,
-                 apply_adjoint_cp_map(model, 0, y, b).matrix)
-                for y in model.outcomes(0)
-            ]
-        else:
-            dy = rng.normal(0.0, math.sqrt(model.dt), size=len(model.monitored))
-            pairs = [(cp_map_continuous(model, dy, a),
-                      adjoint_cp_map_continuous(model, dy, b))]
-        for ka, kb in pairs:
+            ys = model.outcomes(0)
+        else:  # one draw of signal increments
+            ys = [rng.normal(0.0, math.sqrt(model.dt), size=len(model.monitored))]
+        for y in ys:
+            ka = apply_cp_map(model, 0, y, a).matrix
+            kb = apply_adjoint_cp_map(model, 0, y, b).matrix
             gap = np.einsum("ij,ji->", ka, b) - np.einsum("ij,ji->", a, kb)
             worst = max(worst, abs(gap.real) / (np.linalg.norm(a) * np.linalg.norm(b)))
     return float(worst)

@@ -35,7 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RANK_REL, SINGULAR_REL
-from .errors import DegenerateTrace, EffectiveSampleSizeTooLow, Unidentifiable
+from .errors import (
+    DegenerateTrace,
+    DimensionMismatch,
+    EffectiveSampleSizeTooLow,
+    Unidentifiable,
+)
 from .filtering import stack_effects
 from .maxlike import _grad_matrix, _traces
 from .operators import DensityMatrix, _coords, as_matrix
@@ -207,6 +212,10 @@ def build_r_matrix(rho, effects) -> RMatrix:
     e, _ = stack_effects(effects)
     if e.shape[0] == 0:
         raise ValueError("no effects given")
+    if state.dim != e.shape[1]:
+        raise DimensionMismatch(
+            f"state has dimension {state.dim}, the effects have {e.shape[1]}"
+        )
     e_flat = e.reshape(e.shape[0], -1)
     traces = _traces(e_flat, mat)
     if traces.min() <= 0.0:

@@ -14,8 +14,8 @@ where dy_nu is the measured signal increment over the step.  The model
 assigns the increments the probability density tr(K_dy(rho)) N(dy; 0, dt),
 a Gaussian tilted by a nonnegative quadratic in dy; to first order in dt
 this is dy_nu = sqrt(eta_nu) tr((L_nu + L_nu^dag) rho) dt + dW with dW of
-variance dt.  simulate_sme draws from the exact tilted law so that the
-simulator and the filter describe the same process at any step size.
+variance dt.  ``sample_records`` draws from the exact tilted law so that
+the simulator and the filter describe the same process at any step size.
 tr(K_dy(rho)) is the likelihood density of the increment relative to pure
 noise, so records compress to (effect, log scale) pairs exactly as in the
 discrete-outcome case, and the same reconstruction stack applies
@@ -39,17 +39,13 @@ from scipy.special import ndtr, ndtri
 
 from .config import EIG_CLIP, PSD_TOL
 from .errors import StepSizeTooLarge
-from .filtering import ContinuousRecord, RecordBatch, _filter
-from .operators import DensityMatrix, _coords, _kraus_form, _matrices, _real_map, as_matrix
+from .filtering import ContinuousRecord, RecordBatch, _initial_state
+from .operators import _coords, _real_map
 
 __all__ = [
     "Channel",
     "SMEModel",
     "ContinuousRecord",
-    "build_m",
-    "cp_map_continuous",
-    "adjoint_cp_map_continuous",
-    "simulate_sme",
     "lindblad_evolve",
 ]
 
@@ -78,6 +74,8 @@ class Channel:
         op = np.array(self.operator, dtype=complex)
         if op.ndim != 2 or op.shape[0] != op.shape[1]:
             raise ValueError("channel operator must be a square matrix")
+        if not np.isfinite(op).all():
+            raise ValueError("channel operator must be finite")
         op.flags.writeable = False
         object.__setattr__(self, "operator", op)
         eta = float(self.efficiency)
@@ -90,9 +88,11 @@ class Channel:
 class SMEModel:
     """Hamiltonian, channels and time grid of a diffusive monitoring run.
 
-    Answers the record passes of ``trajtomo.filtering`` for signal
-    records through the same private members as ``KrausFamily``; a
-    signal step's trace must stay within ``_TRACE_BAND`` of one.
+    Answers the record passes and the sampler of ``trajtomo.filtering``
+    for signal records through the same private members as
+    ``KrausFamily`` (``_read``, ``_step``, ``_trace_check``,
+    ``_kraus_ops``, ``_ops``, ``_sampler``); a signal step's trace must
+    stay within ``_TRACE_BAND`` of one.
     """
 
     _record_type = "continuous"  # the record archives this model reads
@@ -107,6 +107,8 @@ class SMEModel:
         h = np.array(self.hamiltonian, dtype=complex)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ValueError("hamiltonian must be a square matrix")
+        if not np.isfinite(h).all():
+            raise ValueError("hamiltonian must be finite")
         if float(np.abs(h - h.conj().T).max()) > 1e-12 * max(
             1.0, float(np.abs(h).max())
         ):
@@ -214,6 +216,32 @@ class SMEModel:
         base, stack, resid = _step_ops(self)
         return lambda t: (_stochastic_m(base, stack, record.increments[t]), *resid)
 
+    def _ops(self, t: int, dy) -> tuple[np.ndarray, ...]:
+        """The Kraus operators (M_dy, *undetected residue) of a step with
+        signal increments dy, the same at every step t."""
+        base, stack, resid = _step_ops(self)
+        return (_stochastic_m(base, stack, dy), *resid)
+
+    def _sampler(self, rng: np.random.Generator, n_records: int):
+        """The increment draw of ``filtering.sample_records``.
+
+        Returns ``draw(t, flat)``, which draws every record's step-t
+        increments from the exact one-step law of the states with
+        coordinate rows ``flat``, stores them in the returned (n_records,
+        n_steps, n_monitored) signal array and returns them; and the
+        RecordBatch keywords.
+        """
+        base, stack, resid = _step_ops(self)
+        quadratics = _signal_quadratics(base, stack, resid)
+        signals = np.empty((n_records, self.n_steps, len(stack)))
+
+        def draw(t, flat):
+            if len(stack):
+                signals[:, t, :] = _draw_increments(rng, flat @ quadratics, self.dt)
+            return signals[:, t, :]
+
+        return draw, signals, {"dt": self.dt}
+
 
 def _step_ops(model: SMEModel):
     """(deterministic part of M, stacked sqrt(eta) L for monitored channels,
@@ -253,11 +281,6 @@ def _step_ops(model: SMEModel):
     return base, stack, resid
 
 
-def build_m(model: SMEModel, dy) -> np.ndarray:
-    """The stochastic Kraus operator M for one step with increments dy."""
-    return _stochastic_m(*_step_ops(model)[:2], dy)
-
-
 def _stochastic_m(base, stack, dy) -> np.ndarray:
     """M = base + sum_v dy_v stack_v, from ``_step_ops``' first two parts."""
     dy = np.asarray(dy, dtype=float)
@@ -266,18 +289,6 @@ def _stochastic_m(base, stack, dy) -> np.ndarray:
     if stack.shape[0]:
         return base + np.einsum("v,vij->ij", dy, stack)
     return base
-
-
-def cp_map_continuous(model: SMEModel, dy, rho) -> np.ndarray:
-    """Unnormalized one-step update K_dy(rho)."""
-    base, stack, resid = _step_ops(model)
-    return _kraus_form((_stochastic_m(base, stack, dy), *resid), as_matrix(rho), False)
-
-
-def adjoint_cp_map_continuous(model: SMEModel, dy, effect) -> np.ndarray:
-    """Unnormalized adjoint update K_dy^*(E)."""
-    base, stack, resid = _step_ops(model)
-    return _kraus_form((_stochastic_m(base, stack, dy), *resid), as_matrix(effect), True)
 
 
 def _superoperators(model: SMEModel, *, adjoint: bool):
@@ -422,53 +433,6 @@ def _draw_increments(rng, coeffs, dt):
     return math.sqrt(dt) * np.einsum("nvk,nk->nv", rot, coords)
 
 
-def simulate_sme(
-    model: SMEModel,
-    rho0,
-    n_records: int,
-    rng_seed: int,
-    *,
-    keep_mean: bool = False,
-):
-    """Draw signal records from the model's exact outcome law.
-
-    Each step samples the increments from the tilted-Gaussian density
-    tr(K_dy rho) N(dy; 0, dt) and conditions the state on the draw, so
-    the records are distributed exactly as the filter assumes at the
-    model's own step size.  Returns the records as a RecordBatch; with
-    keep_mean also the ensemble average of the conditional states after
-    each step, shape (n_steps + 1, dim, dim), which converges to the
-    unconditional master-equation solution.
-    """
-    if n_records < 1:
-        raise ValueError("need at least one record")
-    base, stack, resid = _step_ops(model)
-    n_mon = stack.shape[0]
-    quadratics = _signal_quadratics(base, stack, resid)
-    rng = np.random.default_rng(rng_seed)
-    signals = np.empty((n_records, model.n_steps, n_mon))
-    means = []
-
-    def draw(t, flat):
-        if keep_mean:
-            means.append(flat.mean(axis=0))
-        if n_mon:
-            signals[:, t, :] = _draw_increments(rng, flat @ quadratics, model.dt)
-        return signals[:, t, :]
-
-    total = model.n_steps
-    final = _filter(
-        model, draw, np.full(n_records, total), np.arange(n_records), rho0, (total,)
-    )[total]
-    records = RecordBatch(
-        signals, np.full(n_records, total), np.arange(n_records), dt=model.dt
-    )
-    if keep_mean:
-        means = _matrices(np.stack(means))
-        return records, np.concatenate([means, final.mean(axis=0)[None]])
-    return records
-
-
 def lindblad_evolve(model: SMEModel, rho0, n_steps: int | None = None) -> np.ndarray:
     """Unconditional first-order evolution, shape (n_steps + 1, dim, dim).
 
@@ -481,8 +445,7 @@ def lindblad_evolve(model: SMEModel, rho0, n_steps: int | None = None) -> np.nda
     total = model.n_steps if n_steps is None else int(n_steps)
     if not 1 <= total:
         raise ValueError("need at least one step")
-    mat = as_matrix(rho0).astype(complex)
-    DensityMatrix(mat)
+    mat = _initial_state(model, rho0).matrix
     h = model.hamiltonian
     ops = [c.operator for c in model.channels]
     damp = model._damping()

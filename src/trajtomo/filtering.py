@@ -11,12 +11,15 @@ for every candidate initial state rho.  That factorization is what makes
 maximum-likelihood search over rho cheap: the expensive per-record pass
 happens once, not once per likelihood evaluation.
 
-Records travel as one RecordBatch of arrays, from the samplers and the
+Records travel as one RecordBatch of arrays, from the sampler and the
 archive reader to every batched pass; DiscreteRecord and
-ContinuousRecord are the per-record views it hands out.  Every pass
-takes either model type, a KrausFamily for discrete outcomes or an
-SMEModel for diffusive signals: the model checks the records and
-supplies the step map, through the private methods the two classes share.
+ContinuousRecord are the per-record views it hands out.  Every pass,
+and the sampler, takes either model type, a KrausFamily for discrete
+outcomes or an SMEModel for diffusive signals, through the private
+methods the two classes share: ``_read`` checks a batch and gives its
+step-map inputs, ``_step`` and ``_trace_check`` step a batch,
+``_kraus_ops`` and ``_ops`` give one step's Kraus operators, and
+``_sampler`` draws the records.
 """
 from __future__ import annotations
 
@@ -32,7 +35,6 @@ from .errors import DimensionMismatch, ZeroProbability
 from .operators import (
     DensityMatrix,
     EffectMatrix,
-    KrausFamily,
     as_matrix,
     _coords,
     _kraus_form,
@@ -513,41 +515,14 @@ def _propagate(
     return snaps
 
 
-def _sweep(model, inputs, lengths, ids, start_indices):
-    """Effects of every record suffix starting at ``start_indices``.
-
-    The body of ``backward_sweep_batch``: ``inputs(t, flat)`` gives the
-    model's step map every record's outcome codes or increments at step
-    t.  The effects at start s are those of the records longer than s,
-    in record order.
-    """
-    dim = model.dim
-    if not len(ids):
-        empty = np.zeros((0, dim, dim))
-        return {int(s): EffectBatch(empty, (), ()) for s in start_indices}
-    span = int(lengths.max())
-    wanted = _check_starts(start_indices, span)
-    n = len(ids)
-    flat = np.tile(_coords(np.eye(dim) / dim), (n, 1))
-    snaps = _propagate(
-        model._step(inputs, adjoint=True), flat, np.full(n, math.log(dim)),
-        range(span - 1, -1, -1), ids, lengths, adjoint=True, keep=wanted,
-        check=model._trace_check,
-    )
-    out = {}
-    for s in map(int, start_indices):
-        on, effs, lc = snaps[s]
-        out[s] = EffectBatch(_matrices(effs), lc, on, start=s)
-    return out
-
-
 def _filter(model, inputs, lengths, ids, rho0, at):
     """Conditional states after each step count in ``at``, from rho0.
 
-    The body of ``forward_batch`` and of the samplers, whose ``inputs(t,
-    flat)`` draws step t's outcomes or increments from the states in
-    ``flat``.  The states after k steps are those of the records with at
-    least k steps, in record order, as (n, dim, dim) arrays.
+    The body of ``forward_batch`` and of ``sample_records``, whose
+    ``inputs(t, flat)`` draws step t's outcomes or increments from the
+    states in ``flat``.  The states after k steps are those of the
+    records with at least k steps, in record order, as (n, dim, dim)
+    arrays.
     """
     dim = model.dim
     if not len(ids):
@@ -584,9 +559,24 @@ def backward_sweep_batch(
     pass.  ``threads`` is accepted for older callers and ignored.
     """
     batch, inputs = _checked(model, records)
-    return _sweep(
-        model, lambda t, _: inputs[:, t], batch.lengths, batch.record_ids, start_indices
+    dim, ids, lengths = model.dim, batch.record_ids, batch.lengths
+    if not len(ids):
+        empty = np.zeros((0, dim, dim))
+        return {int(s): EffectBatch(empty, (), ()) for s in start_indices}
+    span = int(lengths.max())
+    wanted = _check_starts(start_indices, span)
+    n = len(ids)
+    flat = np.tile(_coords(np.eye(dim) / dim), (n, 1))
+    snaps = _propagate(
+        model._step(lambda t, _: inputs[:, t], adjoint=True), flat,
+        np.full(n, math.log(dim)), range(span - 1, -1, -1), ids, lengths,
+        adjoint=True, keep=wanted, check=model._trace_check,
     )
+    out = {}
+    for s in map(int, start_indices):
+        on, effs, lc = snaps[s]
+        out[s] = EffectBatch(_matrices(effs), lc, on, start=s)
+    return out
 
 
 def forward_batch(model, records, rho0, at: Sequence[int]) -> dict[int, np.ndarray]:
@@ -606,22 +596,23 @@ def forward_batch(model, records, rho0, at: Sequence[int]) -> dict[int, np.ndarr
 
 
 def sample_records(
-    family: KrausFamily,
+    model,
     rho0,
     n_records: int,
     rng_seed: int,
     *,
-    n_steps: int | None = None,
     interventions: Mapping[int, np.ndarray] | None = None,
     keep_mean: bool = False,
 ):
-    """Draw measurement records from the family's outcome law.
+    """Draw measurement records from the model's own outcome law.
 
-    Every trajectory starts at rho0; at each step the next outcome is drawn
-    with probability tr(K_y(rho)) and the state is conditioned on it.
+    ``model`` is a KrausFamily, which draws outcome labels, or an
+    SMEModel, which draws signal increments from the exact tilted
+    Gaussian law of its steps.  Every trajectory starts at rho0, runs
+    the model's n_steps and is conditioned on each draw.
     ``interventions`` optionally maps a step index to a (dim^2, dim^2)
-    channel acting on vec(rho), applied to all trajectories just before
-    that step (state preparation events inside a record).
+    channel acting on row-major vec(rho), applied to all trajectories
+    just before that step (state preparation events inside a record).
 
     Returns the records as a RecordBatch; with ``keep_mean`` also the
     ensemble average state after each step as an (n_steps+1, dim, dim)
@@ -629,59 +620,34 @@ def sample_records(
     """
     if n_records < 1:
         raise ValueError("need at least one record")
-    total = family.n_steps if n_steps is None else int(n_steps)
-    if not 1 <= total <= family.n_steps:
-        raise ValueError(f"n_steps must be in [1, {family.n_steps}]")
-    interventions = interventions or {}
-    for t in interventions:
-        if not 0 <= t < family.n_steps:
+    dim, total = model.dim, model.n_steps
+    channels = {}
+    for t, sup in (interventions or {}).items():
+        if not 0 <= t < total:
             raise ValueError(
-                f"intervention at step {t} lies outside the family's steps "
-                f"[0, {family.n_steps})"
+                f"intervention at step {t} lies outside the model's steps [0, {total})"
             )
-    dim, schedule = family.dim, family._schedule[:total]
-    rng = np.random.default_rng(rng_seed)
-    # coordinates of the weight operators Q_y = sum_k M* M of each distinct
-    # step, one column per outcome, so that coordinate rows times them give
-    # tr(rho Q_y)
-    weights = [
-        _coords(np.stack([sum(m.conj().T @ m for m in ops) for ops in step.values()])).T
-        for step in family._distinct
-    ]
-    # outcome i of step t is recorded as relabel[schedule[t], i], the labels
-    # numbered in order of first appearance over the sampled steps
-    labels: dict[str, int] = {}
-    relabel = np.zeros((len(family._distinct), max(map(len, family._distinct))), int)
-    firsts = np.unique(schedule, return_index=True)[1]
-    for k in schedule[np.sort(firsts)]:
-        step = family._distinct[k]
-        relabel[k, : len(step)] = [labels.setdefault(y, len(labels)) for y in step]
-    codes = np.empty((n_records, total), np.min_scalar_type(-max(len(labels), 1)))
+        sup = np.asarray(sup, dtype=complex)
+        if sup.shape != (dim * dim, dim * dim):
+            raise DimensionMismatch(
+                f"intervention at step {t} has shape {sup.shape}, the model needs "
+                f"{(dim * dim, dim * dim)}"
+            )
+        channels[t] = _real_map(sup).T
+    step_draw, data, kind = model._sampler(np.random.default_rng(rng_seed), n_records)
     means = []
 
     def draw(t, flat):
         if keep_mean:
             means.append(flat.mean(axis=0))
-        if t in interventions:
-            sup = np.asarray(interventions[t], dtype=complex)
-            flat[:] = flat @ _real_map(sup).T
+        if t in channels:
+            flat[:] = flat @ channels[t]
             flat /= flat[:, :dim].sum(axis=1, keepdims=True)
-        w = weights[schedule[t]]
-        probs = flat @ w
-        np.clip(probs, 0.0, None, out=probs)
-        probs /= probs.sum(axis=1, keepdims=True)
-        u = rng.random(n_records)
-        idx = (probs.cumsum(axis=1) < u[:, None]).sum(axis=1)
-        idx = np.minimum(idx, w.shape[1] - 1)
-        codes[:, t] = relabel[schedule[t], idx]
-        return idx
+        return step_draw(t, flat)
 
-    final = _filter(
-        family, draw, np.full(n_records, total), np.arange(n_records), rho0, (total,)
-    )[total]
-    records = RecordBatch(
-        codes, np.full(n_records, total), np.arange(n_records), tuple(labels)
-    )
+    lengths, ids = np.full(n_records, total), np.arange(n_records)
+    final = _filter(model, draw, lengths, ids, rho0, (total,))[total]
+    records = RecordBatch(data, lengths, ids, **kind)
     if keep_mean:
         means = _matrices(np.stack(means))
         return records, np.concatenate([means, final.mean(axis=0)[None]])

@@ -166,8 +166,9 @@ def interventions_from_description(
     """State-preparation events declared in a model description.
 
     Each entry {"step": t, "kind": "injection", ...} becomes a channel
-    superoperator applied before step t during simulation.  Only
-    discrete models support interventions.
+    superoperator applied before step t during simulation.  Model files
+    declare them for discrete models only, although ``sample_records``
+    applies them to either model type.
     """
     events = description.get("interventions", ())
     if not events:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import KKT_TOL, RANK_REL
-from .errors import DegenerateLikelihood, DegenerateTrace
+from .errors import DegenerateLikelihood, DegenerateTrace, DimensionMismatch
 from .filtering import stack_effects
 from .operators import DensityMatrix, HermitianOperator, as_matrix, project_to_density
 
@@ -199,6 +199,10 @@ def solve_maxlike(
         mat = eye.astype(complex) / dim
     else:
         mat = as_matrix(rho0).astype(complex)
+        if mat.shape != (dim, dim):
+            raise DimensionMismatch(
+                f"initial state has shape {mat.shape}, the effects have dimension {dim}"
+            )
         DensityMatrix(mat)
     f, traces = _f_and_traces(mat, e_flat, logc_sum)
     if not math.isfinite(f):

@@ -149,8 +149,8 @@ def number_operator(dim: int) -> np.ndarray:
 
 def thermal_state(dim: int, n_bar: float) -> DensityMatrix:
     """Truncated thermal state with untruncated mean occupation n_bar."""
-    if n_bar < 0:
-        raise ValueError("mean occupation must be nonnegative")
+    if not 0 <= n_bar < math.inf:
+        raise ValueError(f"n_bar must be finite and nonnegative, got {n_bar!r}")
     if n_bar == 0:
         p = np.zeros(dim)
         p[0] = 1.0
@@ -249,6 +249,9 @@ def injection_channel(
     fixed completely positive trace-preserving map, it commutes with
     ensemble averaging, so reference curves stay exact.
     """
+    for name, value in (("n_hot", n_hot), ("strength", strength)):
+        if not 0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
     a = _lowering(dim)
     ops = [
         math.sqrt(1.0 + n_hot) * a,

@@ -70,6 +70,9 @@ class HermitianOperator:
 
 
 def _check_state(m: np.ndarray, what: str) -> None:
+    # NaN fails every comparison below, and may stall the eigensolver
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} must be finite")
     w = np.linalg.eigvalsh(m)
     if w[0] < -PSD_TOL:
         raise ValueError(
@@ -127,8 +130,10 @@ class KrausFamily:
 
     The record passes of ``trajtomo.filtering`` ask the model which
     records it accepts (``_read``), how a batch steps (``_step``,
-    ``_trace_check``) and how one record steps (``_kraus_ops``);
-    ``SMEModel`` answers the same for signal records.
+    ``_trace_check``), how one record steps (``_kraus_ops``), what one
+    step's Kraus operators are (``_ops``, for ``apply_cp_map``) and how
+    to draw records (``_sampler``); ``SMEModel`` answers the same for
+    signal records.
     """
 
     __slots__ = ("dim", "_distinct", "_schedule")
@@ -182,6 +187,8 @@ class KrausFamily:
             raise UnknownOutcome(
                 f"outcome {outcome!r} is not defined at step {t}"
             ) from None
+
+    _ops = operators  # one step's Kraus operators, as ``SMEModel._ops`` gives them
 
     def suffix(self, start: int) -> "KrausFamily":
         """The family restricted to steps ``start`` .. end (shares operators)."""
@@ -271,6 +278,47 @@ class KrausFamily:
         """Step t's Kraus operators for the outcome ``record`` has there."""
         return lambda t: self.operators(t, record.outcomes[t])
 
+    def _sampler(self, rng: np.random.Generator, n_records: int):
+        """The outcome draw of ``filtering.sample_records``.
+
+        Returns ``draw(t, flat)``, which draws every record's step-t outcome
+        from the coordinate rows ``flat`` of their states, one uniform per
+        record, stores its code in the returned (n_records, n_steps) code
+        matrix and returns its index into ``outcomes(t)``; and the
+        RecordBatch keywords, whose labels are numbered in order of first
+        appearance over the steps.
+        """
+        schedule = self._schedule
+        # coordinates of the weight operators Q_y = sum_k M* M of each distinct
+        # step, one column per outcome, so that coordinate rows times them give
+        # tr(rho Q_y)
+        weights = [
+            _coords(np.stack([sum(m.conj().T @ m for m in ops) for ops in s.values()])).T
+            for s in self._distinct
+        ]
+        # outcome i of step t is recorded as relabel[schedule[t], i]
+        labels: dict[str, int] = {}
+        relabel = np.zeros((len(self._distinct), max(map(len, self._distinct))), int)
+        firsts = np.unique(schedule, return_index=True)[1]
+        for k in schedule[np.sort(firsts)]:
+            step = self._distinct[k]
+            relabel[k, : len(step)] = [labels.setdefault(y, len(labels)) for y in step]
+        code_type = np.min_scalar_type(-max(len(labels), 1))
+        codes = np.empty((n_records, len(schedule)), code_type)
+
+        def draw(t, flat):
+            w = weights[schedule[t]]
+            probs = flat @ w
+            np.clip(probs, 0.0, None, out=probs)
+            probs /= probs.sum(axis=1, keepdims=True)
+            u = rng.random(n_records)
+            idx = (probs.cumsum(axis=1) < u[:, None]).sum(axis=1)
+            idx = np.minimum(idx, w.shape[1] - 1)
+            codes[:, t] = relabel[schedule[t], idx]
+            return idx
+
+        return draw, codes, {"labels": tuple(labels)}
+
 
 def _validated_step(dim: int, step) -> dict:
     """One step as {label: read-only operators}, checked for shapes and
@@ -285,6 +333,8 @@ def _validated_step(dim: int, step) -> dict:
                     f"Kraus operator for outcome {label!r} has shape "
                     f"{m.shape}, expected {(dim, dim)}"
                 )
+            if not np.isfinite(m).all():
+                raise ValueError(f"Kraus operator for outcome {label!r} is not finite")
             m = m.copy()
             m.setflags(write=False)
             mats.append(m)
@@ -295,30 +345,31 @@ def _validated_step(dim: int, step) -> dict:
         raise ValueError("a step needs at least one outcome")
     total = sum(m.conj().T @ m for ops in out.values() for m in ops)
     err = np.abs(total - np.eye(dim)).max()
-    if err > KRAUS_TRACE_TOL:
+    if not err <= KRAUS_TRACE_TOL:
         raise ValueError(f"Kraus step is not trace preserving; deviation {err:.3e}")
     return out
 
 
-def apply_cp_map(family: KrausFamily, t: int, outcome: str, x) -> HermitianOperator:
-    """Evaluate K_{y,t}(X) = sum_k M X M* for the given step and outcome."""
-    return _apply(family, t, outcome, x, adjoint=False)
+def apply_cp_map(model, t: int, y, x) -> HermitianOperator:
+    """Evaluate K_{y,t}(X) = sum_k M X M* for step t and the record's value y
+    there: an outcome label for a KrausFamily, the vector of signal
+    increments for an SMEModel."""
+    return _apply(model, t, y, x, adjoint=False)
 
 
-def apply_adjoint_cp_map(
-    family: KrausFamily, t: int, outcome: str, x
-) -> HermitianOperator:
-    """Evaluate the Heisenberg-picture map K*_{y,t}(X) = sum_k M* X M."""
-    return _apply(family, t, outcome, x, adjoint=True)
+def apply_adjoint_cp_map(model, t: int, y, x) -> HermitianOperator:
+    """Evaluate the Heisenberg-picture map K*_{y,t}(X) = sum_k M* X M; y as
+    in ``apply_cp_map``."""
+    return _apply(model, t, y, x, adjoint=True)
 
 
-def _apply(family: KrausFamily, t: int, outcome: str, x, *, adjoint: bool):
+def _apply(model, t: int, y, x, *, adjoint: bool):
     mat = as_matrix(x)
-    if mat.shape != (family.dim, family.dim):
+    if mat.shape != (model.dim, model.dim):
         raise DimensionMismatch(
-            f"operand has shape {mat.shape}, family dimension is {family.dim}"
+            f"operand has shape {mat.shape}, model dimension is {model.dim}"
         )
-    return HermitianOperator(_kraus_form(family.operators(t, outcome), mat, adjoint))
+    return HermitianOperator(_kraus_form(model._ops(t, y), mat, adjoint))
 
 
 def _kraus_form(ops, x: np.ndarray, adjoint: bool) -> np.ndarray:

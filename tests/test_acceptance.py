@@ -47,7 +47,6 @@ from trajtomo import (
     pauli_povm,
     posterior_variance_mc,
     sample_records,
-    simulate_sme,
     solve_maxlike,
     thermal_decay_curve,
     thermal_state,
@@ -132,7 +131,7 @@ def test_criterion_01_forward_backward_duality():
             worst_d = max(worst_d, abs(lhs - rhs))
 
     model = build_fluorescence_model()
-    records = simulate_sme(model, from_bloch((1.0, 0.0, 0.0)), 50, 20260111)
+    records = sample_records(model, from_bloch((1.0, 0.0, 0.0)), 50, 20260111)
     worst_c = 0.0
     for rec in records:
         adj = backward_sweep(model, rec, (0,))[0]
@@ -360,7 +359,7 @@ def fluorescence_run():
     t0 = time.perf_counter()
     model = build_fluorescence_model(**FLUOR_PARAMS)
     plus = from_bloch((1.0, 0.0, 0.0))
-    records = simulate_sme(model, plus, 40_000, FLUOR_SEED)
+    records = sample_records(model, plus, 40_000, FLUOR_SEED)
     effs = backward_sweep_batch(model, records, start_indices=range(26))
     rmats = {}
     for s in range(26):
@@ -442,7 +441,7 @@ def test_criterion_07_interval_coverage():
     seeds = np.random.default_rng(COVERAGE_SEED).integers(2**31, size=200)
     hits = 0
     for rep, seed in enumerate(seeds):
-        records = simulate_sme(model, plus, 2_000, int(seed))
+        records = sample_records(model, plus, 2_000, int(seed))
         effects = backward_sweep_batch(model, records)[0]
         res = _solve(effects, f"coverage rep {rep}")
         iv = build_r_matrix(res.rho, effects).interval(SIGMA_X, "x")

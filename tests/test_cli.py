@@ -19,7 +19,6 @@ from trajtomo import (
     forward_run,
     from_bloch,
     sample_records,
-    simulate_sme,
     solve_maxlike,
 )
 from trajtomo.cli import main
@@ -210,6 +209,8 @@ def test_intervention_outside_the_model_exits_2(tmp_path, capsys, step):
     ("qnd", {"phase_offsets": []}, "phase_offsets must hold at least one offset"),
     ("fluorescence", {"t1": 0}, "t1 must be positive"),
     ("fluorescence", {"tphi": 0}, "tphi must be positive"),
+    ("qnd", {"phase_per_photon": float("nan")},
+     "Kraus operator for outcome 'g' is not finite"),
 ])
 def test_bad_model_parameters_exit_2_naming_the_parameter(
     tmp_path, capsys, kind, parameters, name
@@ -355,7 +356,7 @@ def test_ensemble_average_rows(tmp_path):
 def test_mixed_length_signal_archive_with_ensemble_average(tmp_path, capsys):
     model = tmp_path / "model.json"
     desc = save_model(model, "fluorescence", {"n_steps": 12})
-    full = simulate_sme(
+    full = sample_records(
         build_fluorescence_model(n_steps=12), from_bloch((1.0, 0.0, 0.0)), 40, 5
     )
     records = [

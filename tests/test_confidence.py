@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from conftest import random_density, random_hermitian
 from trajtomo import (
     DegenerateTrace,
+    DimensionMismatch,
     EffectiveSampleSizeTooLow,
     RMatrix,
     Unidentifiable,
@@ -459,3 +460,9 @@ def test_mc_rejects_large_dimensions():
     effects = [random_density(rng, 4)]
     with pytest.raises(ValueError):
         posterior_variance_mc(effects, np.eye(4), np.eye(4) / 4.0)
+
+
+def test_build_r_matrix_refuses_a_state_of_another_dimension():
+    effects = np.stack([GROUND, EXCITED, np.eye(2) / 2])
+    with pytest.raises(DimensionMismatch, match="dimension 3, the effects have 2"):
+        build_r_matrix(np.eye(3) / 3, effects)

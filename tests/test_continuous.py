@@ -10,20 +10,20 @@ from conftest import random_density
 from trajtomo import (
     Channel,
     ContinuousRecord,
+    DimensionMismatch,
     SMEModel,
     StepSizeTooLarge,
     ZeroProbability,
-    adjoint_cp_map_continuous,
+    apply_adjoint_cp_map,
+    apply_cp_map,
     backward_sweep,
     backward_sweep_batch,
     build_fluorescence_model,
-    build_m,
-    cp_map_continuous,
     forward_batch,
     forward_run,
     from_bloch,
     lindblad_evolve,
-    simulate_sme,
+    sample_records,
 )
 
 SM = np.array([[0, 0], [1, 0]], dtype=complex)  # lowers |e> (index 0) to |g>
@@ -76,6 +76,10 @@ def test_model_validation():
         SMEModel(np.array([[0, 1], [0, 0]]), (), dt=1e-3, n_steps=5)
     with pytest.raises(ValueError):
         SMEModel(np.zeros((2, 2)), (), dt=1e-3, n_steps=0)
+    with pytest.raises(ValueError, match="hamiltonian must be finite"):
+        SMEModel(np.diag([0.0, math.nan]), (), dt=1e-3, n_steps=5)
+    with pytest.raises(ValueError, match="channel operator must be finite"):
+        Channel(np.full((2, 2), math.inf))
     model = two_channel_model()
     assert model.monitored == (0, 1)
     assert model.dim == 2
@@ -92,14 +96,14 @@ def test_build_m_deterministic_part():
     # matches the first-order expression I - dt L^dag L / 2 up to O(dt^2)
     model = decay_model(dt=1e-3, n_steps=5)
     want = np.diag([math.sqrt(1.0 - 1e-3), 1.0]).astype(complex)
-    assert np.abs(build_m(model, np.zeros(0)) - want).max() < 1e-15
+    assert np.abs(continuous._step_ops(model)[0] - want).max() < 1e-15
     first_order = np.eye(2) - 0.5 * 1e-3 * SM.conj().T @ SM
     assert np.abs(want - first_order).max() < 2e-7
     mon = decay_model(dt=1e-3, n_steps=5, efficiency=0.36)
-    got = build_m(mon, np.array([0.25]))
+    got = mon._ops(0, np.array([0.25]))[0]
     assert np.abs(got - (want + 0.25 * 0.6 * SM)).max() < 1e-14
     with pytest.raises(ValueError):
-        build_m(mon, np.zeros(2))
+        apply_cp_map(mon, 0, np.zeros(2), EXCITED)
 
 
 @pytest.mark.parametrize("dt", [1e-3, 1e-2])
@@ -116,9 +120,9 @@ def ident_defect(model):
     total = np.zeros((model.dim, model.dim), dtype=complex)
     for s1 in (-root, root):
         for s2 in (-root, root):
-            total += adjoint_cp_map_continuous(
-                model, np.array([s1, s2]), np.eye(model.dim)
-            ) / 4.0
+            total += apply_adjoint_cp_map(
+                model, 0, np.array([s1, s2]), np.eye(model.dim)
+            ).matrix / 4.0
     return float(np.abs(total - np.eye(model.dim)).max())
 
 
@@ -130,8 +134,8 @@ def test_adjoint_pairing_identity():
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         eff = a @ a.conj().T
         dy = rng.standard_normal(2) * math.sqrt(model.dt)
-        lhs = np.trace(eff @ cp_map_continuous(model, dy, rho))
-        rhs = np.trace(adjoint_cp_map_continuous(model, dy, eff) @ rho)
+        lhs = np.trace(eff @ apply_cp_map(model, 0, dy, rho).matrix)
+        rhs = np.trace(apply_adjoint_cp_map(model, 0, dy, eff).matrix @ rho)
         assert abs(lhs - rhs) < 1e-11 * abs(lhs)
 
 
@@ -156,7 +160,7 @@ def test_simulated_increments_follow_the_signal_law():
         n_steps=50,
     )
     plus = np.full((2, 2), 0.5, dtype=complex)
-    records = simulate_sme(model, plus, 20_000, rng_seed=77)
+    records = sample_records(model, plus, 20_000, rng_seed=77)
     first = np.array([r.increments[0, 0] for r in records])
     # step-0 drift is tr(rho (L + L^dag)) dt = 2 dt for L = sx at |+>
     drift = 2.0 * model.dt
@@ -211,7 +215,7 @@ def test_tilted_quantile_converges_per_lane(monkeypatch):
 
 def test_simulate_keep_mean_tracks_unconditional_solution():
     model = decay_model(dt=0.02, n_steps=60, efficiency=0.4)
-    records, means = simulate_sme(model, EXCITED, 400, rng_seed=9, keep_mean=True)
+    records, means = sample_records(model, EXCITED, 400, rng_seed=9, keep_mean=True)
     assert means.shape == (61, 2, 2)
     uncond = lindblad_evolve(model, EXCITED)
     assert np.abs(means - uncond).max() < 0.05
@@ -233,6 +237,11 @@ def test_filter_rejects_grid_mismatch():
         backward_sweep(model, rec, (0,))
 
 
+def test_lindblad_evolve_refuses_an_initial_state_of_another_dimension():
+    with pytest.raises(DimensionMismatch, match="dimension 3, the model has 2"):
+        lindblad_evolve(two_channel_model(), np.eye(3) / 3)
+
+
 def test_unstable_unconditional_step_raises():
     with pytest.warns(RuntimeWarning):
         model = decay_model(dt=2.5, n_steps=4)
@@ -242,7 +251,7 @@ def test_unstable_unconditional_step_raises():
 
 def test_backward_effects_are_valid():
     model = two_channel_model()
-    records = simulate_sme(model, EXCITED, 6, rng_seed=21)
+    records = sample_records(model, EXCITED, 6, rng_seed=21)
     for rec in records:
         adj = backward_sweep(model, rec, (0,))[0]
         e = adj.effect.matrix
@@ -255,7 +264,7 @@ def test_backward_effects_are_valid():
 def test_forward_backward_duality():
     rng = np.random.default_rng(433)
     model = two_channel_model(n_steps=30)
-    records = simulate_sme(model, EXCITED, 5, rng_seed=5)
+    records = sample_records(model, EXCITED, 5, rng_seed=5)
     for rec in records:
         adj = backward_sweep(model, rec, (0,))[0]
         for _ in range(10):
@@ -269,7 +278,7 @@ def test_forward_backward_duality():
 
 def test_backward_batch_matches_scalar_and_suffix():
     model = two_channel_model(n_steps=8)
-    records = simulate_sme(model, EXCITED, 4, rng_seed=13)
+    records = sample_records(model, EXCITED, 4, rng_seed=13)
     out = backward_sweep_batch(model, records, start_indices=(0, 5))
     assert [len(v) for v in out.values()] == [4, 4]
     for rec, adj in zip(records, out[0]):
@@ -285,7 +294,7 @@ def test_backward_batch_matches_scalar_and_suffix():
 
 def test_backward_batch_mixed_lengths():
     model = two_channel_model(n_steps=8)
-    records = simulate_sme(model, EXCITED, 2, rng_seed=13)
+    records = sample_records(model, EXCITED, 2, rng_seed=13)
     short = ContinuousRecord(9, records[0].dt, records[0].increments[:4])
     out = backward_sweep_batch(
         model, [records[0], short, records[1]], start_indices=(0, 6)
@@ -301,7 +310,7 @@ def test_backward_batch_mixed_lengths():
 
 def test_forward_batch_mixed_lengths():
     model = two_channel_model(n_steps=8)
-    records = simulate_sme(model, EXCITED, 2, rng_seed=17)
+    records = sample_records(model, EXCITED, 2, rng_seed=17)
     short = ContinuousRecord(9, records[0].dt, records[0].increments[:4])
     batch = [records[0], short, records[1]]
     out = forward_batch(model, batch, EXCITED, at=(0, 4, 6, 8))
@@ -316,7 +325,7 @@ def test_forward_batch_mixed_lengths():
 def test_batch_matches_step_by_step_reference_on_fluorescence():
     model = build_fluorescence_model()
     plus = from_bloch((1.0, 0.0, 0.0))
-    records = simulate_sme(model, plus, 200, rng_seed=2718)
+    records = sample_records(model, plus, 200, rng_seed=2718)
     starts = range(26)  # the start times of the fluorescence runs
     out = backward_sweep_batch(model, records, starts)
     for i, rec in enumerate(records):
@@ -335,7 +344,7 @@ def test_batch_matches_step_by_step_reference_on_fluorescence():
 
 def test_step_errors_name_record_and_step():
     model = two_channel_model()
-    records = simulate_sme(model, EXCITED, 3, rng_seed=23)
+    records = sample_records(model, EXCITED, 3, rng_seed=23)
     # NaN fails every comparison, so only a "not above the floor" test
     # catches it
     for value, error, message in (
@@ -358,7 +367,7 @@ def test_step_errors_name_record_and_step():
 
 def test_forward_batch_matches_scalar():
     model = two_channel_model(n_steps=10)
-    records = simulate_sme(model, EXCITED, 3, rng_seed=31)
+    records = sample_records(model, EXCITED, 3, rng_seed=31)
     out = forward_batch(model, records, EXCITED, at=(0, 4, 10))
     assert set(out) == {0, 4, 10}
     for i, rec in enumerate(records):

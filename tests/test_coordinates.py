@@ -16,16 +16,13 @@ from trajtomo import (
     DiscreteRecord,
     KrausFamily,
     SMEModel,
-    adjoint_cp_map_continuous,
     apply_adjoint_cp_map,
     apply_cp_map,
     backward_sweep,
     backward_sweep_batch,
-    cp_map_continuous,
     forward_batch,
     forward_run,
     sample_records,
-    simulate_sme,
 )
 from trajtomo.continuous import _superoperators
 from trajtomo.operators import _basis, _coords, _matrices, _real_map
@@ -95,15 +92,14 @@ def test_signal_step_maps_reproduce_the_kraus_maps(dim):
     rng = np.random.default_rng(500 + dim)
     model = random_model(rng, dim, 4)
     k = dim * dim
-    for adjoint, reference in ((False, cp_map_continuous),
-                               (True, adjoint_cp_map_continuous)):
+    for adjoint, reference in ((False, apply_cp_map), (True, apply_adjoint_cp_map)):
         right, pairs = _superoperators(model, adjoint=adjoint)
         assert right.dtype == float and right.shape[0] == k
         for x in (random_hermitian(rng, dim), random_density(rng, dim)):
             dy = rng.standard_normal(2) * math.sqrt(model.dt)
             phi = np.concatenate([[1.0], dy, dy[pairs[:, 0]] * dy[pairs[:, 1]]])
             got = _matrices(phi @ (_coords(x) @ right).reshape(-1, k))
-            want = reference(model, dy, x)
+            want = reference(model, 0, dy, x).matrix
             assert np.abs(got - want).max() <= TOL * _scale(want)
 
 
@@ -153,7 +149,7 @@ def test_signal_passes_on_mixed_lengths_match_the_references(dim):
     lengths[0] = n_steps
     recs = [
         ContinuousRecord(r.id, r.dt, r.increments[:n])
-        for r, n in zip(simulate_sme(model, rho, 7, rng_seed=dim), lengths)
+        for r, n in zip(sample_records(model, rho, 7, rng_seed=dim), lengths)
     ]
     check_passes_against_the_references(
         model, recs, rho, (0, 3, n_steps - 1), (0, 2, n_steps)
@@ -170,28 +166,23 @@ def test_sampler_means_match_the_step_by_step_states(dim):
     # mean at step 2 is taken
     channel = random_step(rng, dim, 1, 3)["y0"]
     sup = sum(np.kron(m, m.conj()) for m in channel)
-    recs, means = sample_records(
-        fam, rho, 12, rng_seed=dim, interventions={2: sup}, keep_mean=True
-    )
-    assert means.shape == (n_steps + 1, dim, dim)
-    want = np.zeros_like(means)
-    for rec in recs:
-        x = rho
-        for t, y in enumerate(rec.outcomes):
-            want[t] += x
-            if t == 2:
-                x = sum(m @ x @ m.conj().T for m in channel)
+    signals = random_model(rng, dim, n_steps)
+    for model, n, values in ((fam, 12, lambda r: r.outcomes),
+                             (signals, 6, lambda r: r.increments)):
+        recs, means = sample_records(
+            model, rho, n, rng_seed=dim, interventions={2: sup}, keep_mean=True
+        )
+        assert means.shape == (n_steps + 1, dim, dim)
+        want = np.zeros_like(means)
+        for rec in recs:
+            x = rho
+            for t, y in enumerate(values(rec)):
+                want[t] += x
+                if t == 2:
+                    x = sum(m @ x @ m.conj().T for m in channel)
+                    x = x / x.trace().real
+                x = apply_cp_map(model, t, y, x).matrix
                 x = x / x.trace().real
-            x = apply_cp_map(fam, t, y, x).matrix
-            x = x / x.trace().real
-        want[n_steps] += x
-    assert np.abs(means - want / len(recs)).max() < 1e-12
-
-    model = random_model(rng, dim, n_steps)
-    recs, means = simulate_sme(model, rho, 6, rng_seed=dim, keep_mean=True)
-    want = np.mean(
-        [[s.matrix for s in forward_run(model, rec, rho).states] for rec in recs],
-        axis=0,
-    )
-    assert np.abs(means - want).max() < 1e-12
+            want[n_steps] += x
+        assert np.abs(means - want / len(recs)).max() < 1e-12
 

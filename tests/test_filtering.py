@@ -427,6 +427,15 @@ def test_sample_records_interventions():
             sample_records(fam, np.eye(2) / 2, 5, 3, interventions={step: superop})
 
 
+def test_sample_records_refuses_an_intervention_of_another_dimension():
+    # the one sampler checks interventions for either model type
+    message = r"intervention at step 1 has shape \(9, 9\)"
+    for model in (KrausFamily.repeated(2, PROJECTIVE, 3),
+                  build_fluorescence_model(n_steps=3)):
+        with pytest.raises(DimensionMismatch, match=message):
+            sample_records(model, np.eye(2) / 2, 5, 3, interventions={1: np.eye(9)})
+
+
 def test_sample_records_numbers_labels_by_first_appearance_on_a_suffix():
     # the suffix starts on a step whose labels differ from the family's first
     other = {"c": [np.diag([0.0, 1.0]).astype(complex)],

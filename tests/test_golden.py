@@ -1,12 +1,15 @@
 """Cross-version regression check against committed golden outputs.
 
-The archives under tests/data/golden/ are fixed inputs.  Rerunning
-``tomography`` on them must reproduce the committed CSV and state
-sidecar: ranks, certification flags and iteration counts exactly, every
-other number to 1e-10 relative (absolute below magnitude one), and the
-KKT residual, a cancellation residual, to 1e-6 of its certification
-threshold.  Refactors that change the floating-point summation order of
-the compression or the solver must stay inside these bounds.
+The archives under tests/data/golden/ are fixed inputs, and rerunning
+``simulate`` with the case's seed must reproduce them: the photon-counting
+archive byte for byte, the signal archive's header and ids exactly and its
+increments to SIGNAL_ABS.  Rerunning ``tomography`` on them must reproduce
+the committed CSV and state sidecar: ranks, certification flags and
+iteration counts exactly, every other number to 1e-10 relative (absolute
+below magnitude one), and the KKT residual, a cancellation residual, to
+1e-6 of its certification threshold.  Refactors that change the
+floating-point summation order of the compression or the solver must
+stay inside these bounds.
 
 Run this file as a script to rebuild the golden files from the current
 code; do that only for a deliberate change of results, and say so.
@@ -28,6 +31,9 @@ from trajtomo.io import matrix_to_json, save_model
 GOLDEN = Path(__file__).parent / "data" / "golden"
 REL = 1e-10
 KKT_REL = 1e-6  # of the certification threshold
+# the increments were drawn before the tilted-Gaussian quantile was last
+# rewritten, which moved them by up to 8.0e-16
+SIGNAL_ABS = 1e-14
 
 CASES = {
     "fluorescence": {
@@ -82,6 +88,29 @@ def _close(new: float, old: float, bound: float) -> bool:
     return abs(new - old) <= bound
 
 
+def _simulate(name: str, model: Path, out: Path) -> int:
+    case = CASES[name]
+    return main([
+        "simulate", "--model", str(model), "--records", str(out),
+        "--n-trajectories", str(case["n_records"]), "--seed", str(case["seed"]),
+    ])
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_simulate_reproduces_the_golden_archive(name, tmp_path):
+    p, out = _paths(GOLDEN, name), tmp_path / f"{name}.records.jsonl"
+    assert _simulate(name, p["model"], out) == 0
+    if name == "qnd":
+        assert out.read_bytes() == p["records"].read_bytes()
+        return
+    got, want = out.read_text().splitlines(), p["records"].read_text().splitlines()
+    assert got[0] == want[0] and len(got) == len(want)
+    for new, old in zip(map(json.loads, got[1:]), map(json.loads, want[1:])):
+        assert (new["id"], new["dt"]) == (old["id"], old["dt"])
+        drift = np.abs(np.array(new["increments"]) - np.array(old["increments"]))
+        assert drift.max() <= SIGNAL_ABS, f"record {old['id']}"
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_tomography_matches_golden(name, tmp_path, capsys):
     out = tmp_path / f"{name}.csv"
@@ -125,10 +154,7 @@ def _regenerate() -> None:
     for name, case in CASES.items():
         p = _paths(GOLDEN, name)
         save_model(p["model"], name, case["parameters"], **case["extras"]())
-        code = main([
-            "simulate", "--model", str(p["model"]), "--records", str(p["records"]),
-            "--n-trajectories", str(case["n_records"]), "--seed", str(case["seed"]),
-        ])
+        code = _simulate(name, p["model"], p["records"])
         if code:
             raise SystemExit(code)
         _tomography(name, p["csv"])

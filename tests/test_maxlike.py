@@ -8,6 +8,7 @@ from conftest import random_density, random_traceless
 from trajtomo import (
     DegenerateLikelihood,
     DegenerateTrace,
+    DimensionMismatch,
     backward_sweep_batch,
     build_qnd_family,
     gradient,
@@ -293,3 +294,9 @@ def test_near_diagonal_dimension_eight_instance_certifies():
         e[k, k] += 1.0 - eps
         effects.append(e)
     assert solve_maxlike(np.stack(effects)).certified
+
+
+def test_solve_maxlike_refuses_a_start_of_another_dimension():
+    effects = np.stack([GROUND, EXCITED, np.eye(2) / 2])
+    with pytest.raises(DimensionMismatch, match="effects have dimension 2"):
+        solve_maxlike(effects, rho0=np.eye(3) / 3)

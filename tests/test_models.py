@@ -265,3 +265,17 @@ def test_injection_channel_adds_about_one_photon():
         out = (sup @ start.reshape(-1).astype(complex)).reshape(dim, dim)
         gain = mean_photon(out) - mean_photon(start)
         assert 0.9 < gain < 1.2
+
+
+def test_non_finite_parameters_are_refused_naming_them():
+    # NaN fails every comparison, so each check must be one that NaN fails
+    for build, message in (
+        (lambda: build_qnd_family(3, phase_per_photon=math.nan),
+         "Kraus operator for outcome 'g' is not finite"),
+        (lambda: thermal_state(4, math.nan), "n_bar must be finite"),
+        (lambda: thermal_state(4, math.inf), "n_bar must be finite"),
+        (lambda: injection_channel(4, n_hot=math.nan), "n_hot must be finite"),
+        (lambda: injection_channel(4, strength=math.nan), "strength must be finite"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build()

@@ -49,18 +49,28 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([0.7, 0.7]))
     with pytest.raises(DimensionMismatch):
         DensityMatrix(np.zeros((2, 3)))
+    # NaN passes the eigenvalue and trace tests, which compare
+    with pytest.raises(ValueError, match="must be finite"):
+        DensityMatrix(np.diag([np.nan, 0.5, 0.5]))
 
 
 def test_effect_matrix_validation():
     EffectMatrix(np.diag([0.5, 0.5]))
     with pytest.raises(ValueError):
         EffectMatrix(np.diag([1.5, -0.5]))
+    with pytest.raises(ValueError, match="must be finite"):
+        EffectMatrix(np.diag([np.nan, 0.5]))
 
 
 def test_kraus_family_rejects_non_trace_preserving():
     bad = {"g": [np.diag([1.0, 0.0])], "e": [np.diag([0.0, 0.9])]}
     with pytest.raises(ValueError):
         KrausFamily(2, [bad])
+    # NaN fails the trace test's comparison, so a non-finite operator is
+    # refused on its own, naming its outcome
+    nan = {"g": [np.diag([1.0, np.nan])], "e": PROJECTIVE["e"]}
+    with pytest.raises(ValueError, match="outcome 'g' is not finite"):
+        KrausFamily(2, [nan])
 
 
 def test_kraus_family_accessors():
