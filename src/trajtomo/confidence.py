@@ -23,9 +23,9 @@ R is written in a tangent basis built in closed form from one
 eigendecomposition of rho (see tangent_basis), whose split into support
 and kernel also feeds the boundary piece.
 
-An independent Monte Carlo estimate of the same posterior variance (flat
-or Bures-like prior, importance sampling over the full state set) is
-provided for cross-checking in low dimension.
+An independent Monte Carlo estimate of the same posterior variance
+(flat prior, importance sampling over the full state set) is provided
+for cross-checking in low dimension.
 """
 from __future__ import annotations
 
@@ -34,15 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RANK_REL, SINGULAR_REL
-from .errors import (
-    DegenerateTrace,
-    DimensionMismatch,
-    EffectiveSampleSizeTooLow,
-    Unidentifiable,
-)
-from .filtering import stack_effects
-from .maxlike import _grad_matrix, _traces
+from .config import SINGULAR_REL
+from .errors import DegenerateTrace, EffectiveSampleSizeTooLow, Unidentifiable
+from .filtering import _of_dim, _stack_effects
+from .maxlike import _grad_matrix, _support, _traces
 from .operators import DensityMatrix, _coords, as_matrix
 
 __all__ = [
@@ -55,14 +50,10 @@ __all__ = [
 ]
 
 _NULL_OVERLAP = 1e-6  # relative weight along unconstrained directions that we tolerate
-
-
-def _support(mat: np.ndarray):
-    """Eigendecomposition split into support and kernel of a state."""
-    w, v = np.linalg.eigh(mat)
-    eps = RANK_REL * max(float(w[-1]), 0.0)
-    keep = w > eps
-    return w, v, keep
+# effective sample size below which the importance weights count as
+# degenerate: a posterior variance from ess draws has a relative error of
+# about sqrt(2 / ess), 14% at 100, the coarsest a cross-check can use
+_ESS_MIN = 100.0
 
 
 def _eigenbasis_tangent(v: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -181,7 +172,7 @@ class RMatrix:
 
     def _coefficients(self, observable) -> np.ndarray:
         flat = self.basis.reshape(self.tangent_dim, -1)
-        return _traces(flat, as_matrix(observable))
+        return _traces(flat, _of_dim(observable, self.rho.dim, "observable"))
 
     def variance(self, observable) -> float:
         """Squared error bar <A_par, R^{-1} A_par> for tr(rho A).
@@ -193,10 +184,9 @@ class RMatrix:
         return _pinv_quadratic(self._eigvals, self._eigvecs, a)
 
     def interval(self, observable, label: str = "") -> ObservableInterval:
-        mean = float(
-            np.einsum("ij,ji->", as_matrix(observable), self.rho.matrix).real
-        )
-        return ObservableInterval(label, mean, self.variance(observable))
+        mat = _of_dim(observable, self.rho.dim, "observable")
+        mean = float(np.einsum("ij,ji->", mat, self.rho.matrix).real)
+        return ObservableInterval(label, mean, self.variance(mat))
 
 
 def build_r_matrix(rho, effects) -> RMatrix:
@@ -209,13 +199,10 @@ def build_r_matrix(rho, effects) -> RMatrix:
     """
     state = rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
     mat = state.matrix
-    e, _ = stack_effects(effects)
+    e, _ = _stack_effects(effects)
     if e.shape[0] == 0:
         raise ValueError("no effects given")
-    if state.dim != e.shape[1]:
-        raise DimensionMismatch(
-            f"state has dimension {state.dim}, the effects have {e.shape[1]}"
-        )
+    _of_dim(state, e.shape[1], "state")
     e_flat = e.reshape(e.shape[0], -1)
     traces = _traces(e_flat, mat)
     if traces.min() <= 0.0:
@@ -276,21 +263,6 @@ class MCEstimate:
     n_valid: int
 
 
-def _log_prior(kind, samples_flat: np.ndarray, dim: int) -> np.ndarray:
-    if callable(kind):
-        return np.asarray(kind(samples_flat.reshape(-1, dim, dim)), dtype=float)
-    if kind == "flat":
-        return np.zeros(samples_flat.shape[0])
-    if kind == "bures-like":
-        mats = samples_flat.reshape(-1, dim, dim)
-        w = np.linalg.eigvalsh(mats)
-        out = np.full(w.shape[0], -np.inf)
-        ok = w[:, 0] > 0.0
-        out[ok] = -0.5 * np.log(w[ok]).sum(axis=1)
-        return out
-    raise ValueError(f"unknown prior {kind!r}")
-
-
 def posterior_variance_mc(
     effects,
     observable,
@@ -298,8 +270,6 @@ def posterior_variance_mc(
     *,
     n_samples: int = 200_000,
     seed: int = 0,
-    prior="flat",
-    ess_min: float = 100.0,
 ) -> MCEstimate:
     """Posterior spread of tr(rho A) by importance sampling over states.
 
@@ -312,24 +282,27 @@ def posterior_variance_mc(
     get widths set by the linear decay rate of the likelihood, capped at
     the state-set diameter) and 10% a uniform ball large enough to cover
     the whole state set.  Draws landing outside the positive cone are
-    discarded; the rest are reweighted by prior * likelihood / proposal.
+    discarded; the rest are reweighted by likelihood / proposal, which
+    makes the prior flat on the state set.
 
     Exact up to sampling noise, hence the cross-check role.  Supported
     for dimension <= 3, where the acceptance rate of the ball component
     stays workable.
 
-    Raises EffectiveSampleSizeTooLow when the weights degenerate.
+    Raises EffectiveSampleSizeTooLow when the effective sample size of
+    the weights falls below _ESS_MIN.
     """
     if n_samples < 10_000:
         raise ValueError("need at least 10000 samples for a usable estimate")
-    e, logc = stack_effects(effects)
+    e, logc = _stack_effects(effects)
     n = e.shape[0]
     dim = e.shape[1] if n else as_matrix(center).shape[0]
     if n == 0:
         e = np.zeros((0, dim, dim), dtype=complex)
     if dim > 3:
         raise ValueError("Monte Carlo cross-check supports dimension <= 3")
-    center_mat = as_matrix(center)
+    center_mat = _of_dim(center, dim, "center")
+    a = _of_dim(observable, dim, "observable")
     DensityMatrix(center_mat)
     # at a full-rank state every traceless direction is tangent: the
     # generalized Gell-Mann set without the identity
@@ -400,7 +373,6 @@ def posterior_variance_mc(
     )
     log_q = np.log(0.9 * np.exp(log_gauss) + 0.1 * math.exp(-log_ball_vol))
 
-    a = as_matrix(observable)
     phi = np.einsum("sij,...ji->s...", mats, a).real
 
     log_like = np.zeros(n_valid)
@@ -417,7 +389,7 @@ def posterior_variance_mc(
             ll[bad] = -np.inf
             log_like[lo:hi] = ll
 
-    log_w = log_like + _log_prior(prior, mats.reshape(n_valid, -1), dim) - log_q
+    log_w = log_like - log_q
     finite = np.isfinite(log_w)
     if not finite.any():
         raise EffectiveSampleSizeTooLow("all importance weights vanished")
@@ -425,9 +397,9 @@ def posterior_variance_mc(
     weights = np.where(finite, np.exp(log_w), 0.0)
     total = float(weights.sum())
     ess = total**2 / float((weights**2).sum())
-    if ess < ess_min:
+    if ess < _ESS_MIN:
         raise EffectiveSampleSizeTooLow(
-            f"effective sample size {ess:.1f} below the floor {ess_min:g}", ess=ess
+            f"effective sample size {ess:.1f} below the floor {_ESS_MIN:g}", ess=ess
         )
     norm_w = weights / total
     mean = norm_w @ phi

@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -155,10 +156,6 @@ class SMEModel:
             i for i, c in enumerate(self.channels) if c.efficiency > 0.0
         )
 
-    @property
-    def duration(self) -> float:
-        return self.dt * self.n_steps
-
     def _read(self, batch: RecordBatch):
         """The step-map inputs of a RecordBatch, which are its signal
         increments, and its records' problems.
@@ -213,13 +210,13 @@ class SMEModel:
     def _kraus_ops(self, record):
         """Step t's Kraus operators (M_dy, *undetected residue) for the
         increments ``record`` has there."""
-        base, stack, resid = _step_ops(self)
+        base, stack, resid = self._step_ops
         return lambda t: (_stochastic_m(base, stack, record.increments[t]), *resid)
 
     def _ops(self, t: int, dy) -> tuple[np.ndarray, ...]:
         """The Kraus operators (M_dy, *undetected residue) of a step with
         signal increments dy, the same at every step t."""
-        base, stack, resid = _step_ops(self)
+        base, stack, resid = self._step_ops
         return (_stochastic_m(base, stack, dy), *resid)
 
     def _sampler(self, rng: np.random.Generator, n_records: int):
@@ -231,7 +228,7 @@ class SMEModel:
         n_steps, n_monitored) signal array and returns them; and the
         RecordBatch keywords.
         """
-        base, stack, resid = _step_ops(self)
+        base, stack, resid = self._step_ops
         quadratics = _signal_quadratics(base, stack, resid)
         signals = np.empty((n_records, self.n_steps, len(stack)))
 
@@ -242,8 +239,17 @@ class SMEModel:
 
         return draw, signals, {"dt": self.dt}
 
+    @cached_property
+    def _step_ops(self):
+        """``_build_step_ops`` of the model, built on first use and read
+        only; a model whose dt is too large for them is still constructed."""
+        base, stack, resid = _build_step_ops(self)
+        for op in (base, stack, *resid):
+            op.flags.writeable = False
+        return base, stack, resid
 
-def _step_ops(model: SMEModel):
+
+def _build_step_ops(model: SMEModel):
     """(deterministic part of M, stacked sqrt(eta) L for monitored channels,
     Kraus operators of the undetected residue).
 
@@ -282,7 +288,8 @@ def _step_ops(model: SMEModel):
 
 
 def _stochastic_m(base, stack, dy) -> np.ndarray:
-    """M = base + sum_v dy_v stack_v, from ``_step_ops``' first two parts."""
+    """M = base + sum_v dy_v stack_v, from ``_build_step_ops``' first two
+    parts."""
     dy = np.asarray(dy, dtype=float)
     if dy.shape != (stack.shape[0],):
         raise ValueError(f"expected {stack.shape[0]} signal increments")
@@ -309,7 +316,7 @@ def _superoperators(model: SMEModel, *, adjoint: bool):
     (d^2, M d^2) real matrix give every x @ R_m^T (x @ R_m in the
     adjoint direction) in one product.
     """
-    base, stack, resid = _step_ops(model)
+    base, stack, resid = model._step_ops
     terms = [np.kron(base, base.conj()) + sum(np.kron(k, k.conj()) for k in resid)]
     terms += [np.kron(s, base.conj()) + np.kron(base, s.conj()) for s in stack]
     pairs = [(v, w) for v in range(len(stack)) for w in range(v, len(stack))]

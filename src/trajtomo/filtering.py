@@ -52,7 +52,6 @@ __all__ = [
     "backward_sweep",
     "backward_sweep_batch",
     "log_likelihood",
-    "stack_effects",
     "forward_batch",
     "sample_records",
 ]
@@ -273,27 +272,13 @@ class EffectBatch:
                 f"got {log_c.shape} and {ids.shape}"
             )
         if e.shape[0]:
-            finite = np.isfinite(e).all(axis=(1, 2)) & np.isfinite(log_c)
-            bad = int(np.argmin(finite))
-            if not finite[bad]:
-                raise ValueError(
-                    f"effect of record {ids[bad]} from start index {start} is "
-                    "not finite"
-                )
-            w = np.linalg.eigvalsh(e)[:, 0]
-            bad = int(np.argmin(w))
-            if w[bad] < -PSD_TOL:
-                raise ValueError(
-                    f"effect of record {ids[bad]} from start index {start} lost "
-                    f"positivity (min eigenvalue {w[bad]:.3e})"
-                )
-            dev = np.abs(np.einsum("nii->n", e).real - 1.0)
+            def where(k):
+                return f"effect of record {ids[k]} from start index {start}"
+
+            dev = np.abs(_check_effects(e, where, np.isfinite(log_c)) - 1.0)
             bad = int(np.argmax(dev))
             if dev[bad] > TRACE_TOL:
-                raise ValueError(
-                    f"effect of record {ids[bad]} from start index {start} has "
-                    f"trace off one by {dev[bad]:.3e}"
-                )
+                raise ValueError(f"{where(bad)} has trace off one by {dev[bad]:.3e}")
         for name, arr in (("effects", e), ("log_c", log_c), ("record_ids", ids)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -395,38 +380,82 @@ def log_likelihood(rho, effects) -> float:
     Returns -inf when some tr(rho E) is not strictly positive: the state
     assigns zero probability to at least one record.
     """
-    e, logc = stack_effects(effects)
-    mat = as_matrix(rho)
+    e, logc = _stack_effects(effects)
     if e.shape[0] == 0:
         return 0.0
+    mat = _of_dim(rho, e.shape[1], "state")
     traces = np.einsum("nij,ji->n", e, mat).real
     if traces.min() <= 0.0:
         return -math.inf
     return float(logc.sum() + np.log(traces).sum())
 
 
-def stack_effects(effects) -> tuple[np.ndarray, np.ndarray]:
+def _of_dim(x, dim: int, what: str) -> np.ndarray:
+    """The matrix, or (m, d, d) stack, behind x, refused unless its
+    matrices are dim x dim, the dimension of the effects."""
+    mat = as_matrix(x)
+    if mat.shape[-2:] != (dim, dim):
+        raise DimensionMismatch(
+            f"{what} has shape {mat.shape}, the effects have dimension {dim}"
+        )
+    return mat
+
+
+def _stack_effects(effects) -> tuple[np.ndarray, np.ndarray]:
     """Stack a sequence of effects into (N, d, d) plus their log scales.
 
     An EffectBatch hands over its own read-only arrays without copying.
     Otherwise accepts a sequence of AdjointResult (contributing its
-    log_c), EffectMatrix or plain Hermitian arrays (contributing
-    log_c = 0).
+    log_c), EffectMatrix or plain arrays (contributing log_c = 0).  A
+    plain array is checked here, as the others were when built: it must
+    be finite, with a positive trace and no eigenvalue of its Hermitian
+    part below -PSD_TOL times that trace; it need not have unit trace.
     """
     if isinstance(effects, EffectBatch):
         return effects.effects, effects.log_c
-    mats = []
-    logc = []
+    mats, logc, plain = [], [], []
     for item in effects:
         if isinstance(item, AdjointResult):
             mats.append(item.effect.matrix)
             logc.append(item.log_c)
         else:
+            plain.append(not isinstance(item, EffectMatrix))
             mats.append(as_matrix(item))
             logc.append(0.0)
     if not mats:
         return np.zeros((0, 0, 0), dtype=complex), np.zeros(0)
-    return np.stack(mats), np.asarray(logc, dtype=float)
+    e = np.stack(mats)
+    if e.ndim != 3 or e.shape[1] != e.shape[2]:
+        raise DimensionMismatch(f"expected (N, d, d) effects, got {e.shape}")
+    index = np.flatnonzero(plain)
+    if index.size:
+        sub = e[index]
+        _check_effects(
+            (sub + sub.conj().transpose(0, 2, 1)) / 2.0, lambda k: f"effect {index[k]}"
+        )
+    return e, np.asarray(logc, dtype=float)
+
+
+def _check_effects(e: np.ndarray, name, finite=True) -> np.ndarray:
+    """Refuse an effect of the Hermitian (N, d, d) stack e, naming effect k
+    as name(k), that is not finite (or has a false entry in ``finite``),
+    has a trace at or below zero or has an eigenvalue below -PSD_TOL
+    times its trace; returns the traces."""
+    finite = np.isfinite(e).all(axis=(1, 2)) & finite
+    bad = int(np.argmin(finite))
+    if not finite[bad]:
+        raise ValueError(f"{name(bad)} is not finite")
+    tr = np.einsum("nii->n", e).real
+    bad = int(np.argmin(tr))
+    if not tr[bad] > 0.0:
+        raise ValueError(f"{name(bad)} has trace {tr[bad]:.3e}, not positive")
+    w = np.linalg.eigvalsh(e)[:, 0]
+    bad = int(np.argmin(w / tr))
+    if w[bad] < -PSD_TOL * tr[bad]:
+        raise ValueError(
+            f"{name(bad)} is not positive semidefinite (min eigenvalue {w[bad]:.3e})"
+        )
+    return tr
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import KKT_TOL, RANK_REL
-from .errors import DegenerateLikelihood, DegenerateTrace, DimensionMismatch
-from .filtering import stack_effects
-from .operators import DensityMatrix, HermitianOperator, as_matrix, project_to_density
+from .errors import DegenerateLikelihood, DegenerateTrace
+from .filtering import _of_dim, _stack_effects
+from .operators import DensityMatrix, HermitianOperator, project_to_density
 
 __all__ = [
     "KKTReport",
@@ -101,25 +101,39 @@ def _grad_matrix(e_flat: np.ndarray, traces: np.ndarray) -> np.ndarray:
 
 
 def _checked_traces(rho, effects):
-    """Flattened effect stack and tr(rho E_n), refusing a zero trace."""
-    e, _ = stack_effects(effects)
+    """The state's matrix, the flattened effect stack and tr(rho E_n),
+    refusing a zero trace."""
+    e, _ = _stack_effects(effects)
+    if e.shape[0] == 0:
+        raise ValueError("no effects given")
+    mat = _of_dim(rho, e.shape[1], "state")
     e_flat = e.reshape(e.shape[0], -1)
-    traces = _traces(e_flat, as_matrix(rho))
+    traces = _traces(e_flat, mat)
     if traces.min() <= 0.0:
         raise DegenerateTrace("state assigns zero probability to some record")
-    return e_flat, traces
+    return mat, e_flat, traces
 
 
 def gradient(rho, effects) -> HermitianOperator:
     """Likelihood gradient sum_n E_n / tr(rho E_n) at the given state."""
-    return HermitianOperator(_grad_matrix(*_checked_traces(rho, effects)))
+    _, e_flat, traces = _checked_traces(rho, effects)
+    return HermitianOperator(_grad_matrix(e_flat, traces))
 
 
 def kkt_certificate(rho, effects) -> KKTReport:
     """Check first-order optimality of a state for the given effects."""
-    e_flat, traces = _checked_traces(rho, effects)
+    mat, e_flat, traces = _checked_traces(rho, effects)
     g = _grad_matrix(e_flat, traces)
-    return _certificate(as_matrix(rho), g, e_flat.shape[0], KKT_TOL)
+    return _certificate(mat, g, e_flat.shape[0], KKT_TOL)
+
+
+def _support(mat: np.ndarray):
+    """Eigendecomposition (w, v) of a state and the mask of its support,
+    the eigenvalues above RANK_REL times the largest: the rank rule of
+    both the certificate and the stiffness form."""
+    w, v = np.linalg.eigh(mat)
+    eps = RANK_REL * max(float(w[-1]), 0.0)
+    return w, v, w > eps
 
 
 def _certificate(
@@ -130,9 +144,7 @@ def _certificate(
     comm_norm = float(np.linalg.norm(comm))
     g_eigs = np.linalg.eigvalsh(g)
     ascent = max(0.0, float(g_eigs[-1]) - lam)
-    w, v = np.linalg.eigh(mat)
-    eps_rank = RANK_REL * max(w[-1], 0.0)
-    support = w > eps_rank
+    _, v, support = _support(mat)
     rank = int(support.sum())
     if rank == 0:
         support_deficit = math.inf
@@ -166,23 +178,23 @@ def _check_options(max_iterations: int, kkt_tol: float) -> None:
 def solve_maxlike(
     effects,
     *,
-    rho0=None,
     max_iterations: int = 10_000,
     kkt_tol: float = KKT_TOL,
 ) -> TomographyResult:
     """Find the state maximizing the compressed-record likelihood.
 
-    Projected gradient ascent with a Barzilai-Borwein step proposal and a
-    monotone backtracking line search, whose sufficient-increase test sums
-    the rise in f from the per-record trace ratios.  Iterations stop as
-    soon as the stationarity certificate passes; hitting the iteration cap
-    returns the best state found with ``certified=False``.  ``f_history``
-    holds f at the start and after every iteration.  The certificate
-    passes at a residual of ``kkt_tol`` per record; it must be finite and
-    positive, and ``max_iterations`` nonnegative.
+    Projected gradient ascent from I/d with a Barzilai-Borwein step
+    proposal and a monotone backtracking line search, whose
+    sufficient-increase test sums the rise in f from the per-record trace
+    ratios.  Iterations stop as soon as the stationarity certificate
+    passes; hitting the iteration cap returns the best state found with
+    ``certified=False``.  ``f_history`` holds f at the start and after
+    every iteration.  The certificate passes at a residual of ``kkt_tol``
+    per record; it must be finite and positive, and ``max_iterations``
+    nonnegative.
     """
     _check_options(max_iterations, kkt_tol)
-    e, logc = stack_effects(effects)
+    e, logc = _stack_effects(effects)
     n = e.shape[0]
     if n == 0:
         raise ValueError("no effects given")
@@ -195,20 +207,9 @@ def solve_maxlike(
         )
     logc_sum = float(logc.sum())
     e_flat = e.reshape(n, -1)
-    if rho0 is None:
-        mat = eye.astype(complex) / dim
-    else:
-        mat = as_matrix(rho0).astype(complex)
-        if mat.shape != (dim, dim):
-            raise DimensionMismatch(
-                f"initial state has shape {mat.shape}, the effects have dimension {dim}"
-            )
-        DensityMatrix(mat)
+    # every effect has a positive trace, so f is finite at I/d
+    mat = eye.astype(complex) / dim
     f, traces = _f_and_traces(mat, e_flat, logc_sum)
-    if not math.isfinite(f):
-        # the interior start is safe; a user-supplied boundary start may not be
-        mat = eye.astype(complex) / dim
-        f, traces = _f_and_traces(mat, e_flat, logc_sum)
     g = _grad_matrix(e_flat, traces)
     history = [f]
     alpha = 1.0 / max(n, 1)

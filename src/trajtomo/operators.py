@@ -62,9 +62,6 @@ class HermitianOperator:
     def trace(self) -> float:
         return float(self.matrix.trace().real)
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(dim={self.dim})"
 

@@ -6,21 +6,17 @@ log((1 + v . e) / 2).  Everything the general machinery does with d x d
 matrices reduces to three-vector algebra here, which makes this module
 both a fast path and an independent check of the operator-space code.
 
-Conventions that matter for factors of two:
-
-* observables are passed as Bloch component vectors a, meaning the
-  operator A = a1 sx + a2 sy + a3 sz, whose mean is v . a.  If you work
-  with half-weighted combinations A = (a . sigma) / 2, divide variances
-  from this module by 4.
-* the Bloch gradient g = sum_n e_n / (1 + v . e_n) is half the Bloch
-  image of the operator-space gradient, and the boundary multiplier
-  v . g is half the record count at a pure maximizer for the same
-  reason.  Identical variances still come out of both paths because the
-  factor cancels between the stiffness form and the coefficients.
+Observables are passed as Bloch component vectors a, meaning the
+operator A = a1 sx + a2 sy + a3 sz, whose mean is v . a.  If you work
+with half-weighted combinations A = (a . sigma) / 2, divide variances
+from this module by 4.  The Bloch gradient g = sum_n e_n / (1 + v . e_n)
+that ``variance_bloch`` forms is half the Bloch image of the
+operator-space gradient, and its boundary multiplier v . g is half the
+record count at a pure maximizer for the same reason.  Identical
+variances still come out of both paths because the factor cancels
+between the stiffness form and the coefficients.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -28,7 +24,7 @@ from .config import PSD_TOL
 from .confidence import _pinv_quadratic
 from .errors import DegenerateTrace
 from .operators import DensityMatrix, as_matrix
-from .filtering import stack_effects
+from .filtering import _stack_effects
 
 __all__ = [
     "SIGMA_X",
@@ -39,8 +35,6 @@ __all__ = [
     "to_bloch",
     "from_bloch",
     "effects_to_bloch",
-    "gradient_bloch",
-    "lambda_bloch",
     "variance_bloch",
 ]
 
@@ -77,28 +71,12 @@ def from_bloch(v) -> DensityMatrix:
 
 def effects_to_bloch(effects) -> np.ndarray:
     """Bloch vectors of a sequence of trace-one qubit effects, shape (N, 3)."""
-    e, _ = stack_effects(effects)
+    e, _ = _stack_effects(effects)
     if e.shape[0] == 0:
         return np.zeros((0, 3))
     if e.shape[1] != 2:
         raise ValueError("Bloch coordinates are defined for qubits only")
     return np.einsum("kij,nji->nk", np.stack(PAULIS), e).real
-
-
-def gradient_bloch(v, bloch_effects) -> np.ndarray:
-    """Bloch-coordinate likelihood gradient sum_n e_n / (1 + v . e_n)."""
-    v = np.asarray(v, dtype=float)
-    e = np.asarray(bloch_effects, dtype=float)
-    denom = 1.0 + e @ v
-    if denom.min() <= 0.0:
-        raise DegenerateTrace("state assigns zero probability to some record")
-    return (e / denom[:, None]).sum(axis=0)
-
-
-def lambda_bloch(v, bloch_effects) -> float:
-    """The boundary multiplier v . g; equals half the record count at a
-    pure maximizer aligned with its own gradient."""
-    return float(np.asarray(v, dtype=float) @ gradient_bloch(v, bloch_effects))
 
 
 def variance_bloch(v, bloch_effects, observable) -> float:

@@ -1,4 +1,5 @@
 """Error bars: tangent geometry, stiffness form, Monte Carlo cross-check."""
+import inspect
 import math
 
 import numpy as np
@@ -13,12 +14,17 @@ from trajtomo import (
     RMatrix,
     Unidentifiable,
     build_r_matrix,
+    gradient,
+    kkt_certificate,
+    log_likelihood,
     number_operator,
     posterior_variance_mc,
     solve_maxlike,
     tangent_basis,
 )
-from trajtomo.confidence import _stiffness_form, _support
+import trajtomo.confidence
+from trajtomo.confidence import _stiffness_form
+from trajtomo.maxlike import _support
 from trajtomo.config import RANK_REL
 
 GROUND = np.diag([1.0, 0.0]).astype(complex)
@@ -406,19 +412,6 @@ def test_mc_gap_to_analytic_shrinks_with_data():
     assert gaps[2] < 0.15
 
 
-def test_mc_prior_robustness():
-    n = 400
-    effects = [GROUND] * n
-    result = solve_maxlike(effects)
-    flat = posterior_variance_mc(
-        effects, SX, result.rho, n_samples=300_000, seed=4, prior="flat"
-    )
-    bures = posterior_variance_mc(
-        effects, SX, result.rho, n_samples=300_000, seed=5, prior="bures-like"
-    )
-    assert flat.variance == pytest.approx(bures.variance, rel=0.10)
-
-
 def test_mc_observable_stack_matches_single_calls():
     rng = np.random.default_rng(305)
     effects = np.stack(
@@ -440,14 +433,45 @@ def test_mc_observable_stack_matches_single_calls():
             assert abs(getattr(stacked, field)[k] - want) <= 1e-12 * abs(want)
 
 
-def test_mc_effective_sample_size_floor():
+def test_mc_effective_sample_size_floor(monkeypatch):
     effects = [GROUND] * 30
     result = solve_maxlike(effects)
+    monkeypatch.setattr(trajtomo.confidence, "_ESS_MIN", 1e12)
     with pytest.raises(EffectiveSampleSizeTooLow) as info:
-        posterior_variance_mc(
-            effects, SX, result.rho, n_samples=10_000, seed=6, ess_min=1e12
-        )
+        posterior_variance_mc(effects, SX, result.rho, n_samples=10_000, seed=6)
     assert info.value.ess > 0.0
+
+
+def test_mc_has_no_prior_or_floor_option():
+    params = inspect.signature(posterior_variance_mc).parameters
+    assert "prior" not in params and "ess_min" not in params
+
+
+_THREE = np.eye(3) / 3
+_DIMENSION_CASES = {
+    "log_likelihood": lambda effects, r: log_likelihood(_THREE, effects),
+    "gradient": lambda effects, r: gradient(_THREE, effects),
+    "kkt_certificate": lambda effects, r: kkt_certificate(_THREE, effects),
+    "variance": lambda effects, r: r.variance(_THREE),
+    "interval": lambda effects, r: r.interval(_THREE),
+    "mc_observable": lambda effects, r: posterior_variance_mc(
+        effects, _THREE, r.rho, n_samples=10_000
+    ),
+    "mc_observable_stack": lambda effects, r: posterior_variance_mc(
+        effects, np.stack([_THREE, _THREE]), r.rho, n_samples=10_000
+    ),
+    "mc_center": lambda effects, r: posterior_variance_mc(
+        effects, SX, _THREE, n_samples=10_000
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DIMENSION_CASES))
+def test_operand_of_another_dimension_is_refused(case):
+    effects = np.stack([GROUND, EXCITED, np.eye(2) / 2])
+    r = build_r_matrix(solve_maxlike(effects).rho, effects)
+    with pytest.raises(DimensionMismatch, match="the effects have dimension 2"):
+        _DIMENSION_CASES[case](effects, r)
 
 
 def test_mc_rejects_tiny_sample_budgets():
@@ -464,5 +488,5 @@ def test_mc_rejects_large_dimensions():
 
 def test_build_r_matrix_refuses_a_state_of_another_dimension():
     effects = np.stack([GROUND, EXCITED, np.eye(2) / 2])
-    with pytest.raises(DimensionMismatch, match="dimension 3, the effects have 2"):
+    with pytest.raises(DimensionMismatch, match="the effects have dimension 2"):
         build_r_matrix(np.eye(3) / 3, effects)

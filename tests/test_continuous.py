@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.special import ndtr, ndtri
 
 import trajtomo.continuous as continuous
@@ -83,7 +84,6 @@ def test_model_validation():
     model = two_channel_model()
     assert model.monitored == (0, 1)
     assert model.dim == 2
-    assert model.duration == pytest.approx(12e-3)
 
 
 def test_coarse_grid_warns():
@@ -96,7 +96,7 @@ def test_build_m_deterministic_part():
     # matches the first-order expression I - dt L^dag L / 2 up to O(dt^2)
     model = decay_model(dt=1e-3, n_steps=5)
     want = np.diag([math.sqrt(1.0 - 1e-3), 1.0]).astype(complex)
-    assert np.abs(continuous._step_ops(model)[0] - want).max() < 1e-15
+    assert np.abs(model._step_ops[0] - want).max() < 1e-15
     first_order = np.eye(2) - 0.5 * 1e-3 * SM.conj().T @ SM
     assert np.abs(want - first_order).max() < 2e-7
     mon = decay_model(dt=1e-3, n_steps=5, efficiency=0.36)
@@ -247,6 +247,21 @@ def test_unstable_unconditional_step_raises():
         model = decay_model(dt=2.5, n_steps=4)
     with pytest.raises(StepSizeTooLarge):
         lindblad_evolve(model, EXCITED)
+
+
+def test_step_operators_are_built_once_per_model(monkeypatch):
+    calls = []
+
+    def counting_expm(a):
+        calls.append(a)
+        return expm(a)
+
+    monkeypatch.setattr(continuous, "expm", counting_expm)
+    model = build_fluorescence_model()
+    dy = np.zeros(len(model.monitored))
+    for t in range(50):
+        apply_cp_map(model, t, dy, EXCITED)
+    assert len(calls) == 1
 
 
 def test_backward_effects_are_valid():

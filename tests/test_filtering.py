@@ -21,9 +21,9 @@ from trajtomo import (
     forward_run,
     log_likelihood,
     sample_records,
-    stack_effects,
 )
 import trajtomo.filtering
+from trajtomo.filtering import _stack_effects
 
 PROJECTIVE = {
     "g": [np.diag([1.0, 0.0]).astype(complex)],
@@ -184,7 +184,7 @@ def test_stack_effects_accepts_mixed_inputs():
     fam = random_family(rng, 2, 3)
     rec = DiscreteRecord(0, tuple(fam.outcomes(t)[0] for t in range(3)))
     adj = backward_sweep(fam, rec, (0,))[0]
-    e, logc = stack_effects([adj, adj.effect, adj.effect.matrix])
+    e, logc = _stack_effects([adj, adj.effect, adj.effect.matrix])
     assert e.shape == (3, 2, 2)
     assert np.abs(e - e[0]).max() < 1e-15
     assert logc[0] == pytest.approx(adj.log_c)
@@ -205,7 +205,7 @@ def test_effect_batch_is_an_array_view_with_per_record_access():
     assert batch.effects.shape == (5, 2, 2) and batch.log_c.shape == (5,)
     assert list(batch.record_ids) == [r.id for r in recs]
     assert not batch.effects.flags.writeable
-    e, logc = stack_effects(batch)
+    e, logc = _stack_effects(batch)
     assert e is batch.effects and logc is batch.log_c
     adj = batch[-1]
     assert isinstance(adj, AdjointResult)
@@ -217,7 +217,9 @@ def test_effect_batch_is_an_array_view_with_per_record_access():
 def test_effect_batch_positivity_error_names_record_and_start():
     good = np.eye(2) / 2
     bad = np.array([[1.2, 0.0], [0.0, -0.2]])
-    with pytest.raises(ValueError, match="record 9 from start index 4 lost positivity"):
+    with pytest.raises(
+        ValueError, match="record 9 from start index 4 is not positive semidefinite"
+    ):
         EffectBatch(np.stack([good, bad]), [0.0, 0.0], [3, 9], start=4)
 
 

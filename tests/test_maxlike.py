@@ -1,4 +1,5 @@
 """Likelihood maximization: gradients, optima, certificates, oracles."""
+import inspect
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from conftest import random_density, random_traceless
 from trajtomo import (
     DegenerateLikelihood,
     DegenerateTrace,
-    DimensionMismatch,
     backward_sweep_batch,
     build_qnd_family,
     gradient,
@@ -94,15 +94,16 @@ def test_gradient_matches_finite_differences():
 
 def test_gradient_kernels_agree():
     # the public gradient, the certificate and the solver's own gradient
-    # share one trace kernel; all three must match a per-effect reference
+    # at its I/d start share one trace kernel; all three must match a
+    # per-effect reference
     rng = np.random.default_rng(208)
     dim, n = 4, 120
     effects = np.stack([random_density(rng, dim) for _ in range(n)])
-    rho = random_density(rng, dim)
+    rho = np.eye(dim, dtype=complex) / dim
     ref = sum(e / np.trace(rho @ e).real for e in effects)
     scale = np.linalg.norm(ref)
     g_public = gradient(rho, effects).matrix
-    start = solve_maxlike(effects, rho0=rho, max_iterations=0)
+    start = solve_maxlike(effects, max_iterations=0)
     assert start.n_iterations == 0
     g_solver = start.gradient.matrix
     assert np.linalg.norm(g_public - ref) <= 1e-13 * scale
@@ -243,13 +244,6 @@ def test_certifies_qnd_starts_at_roundoff_floor():
         assert result.kkt.residual <= result.kkt.threshold
 
 
-def test_bad_start_state_recovers():
-    # a start assigning zero likelihood must not wedge the solver
-    result = solve_maxlike([GROUND] * 30, rho0=EXCITED)
-    assert np.abs(result.rho.matrix - GROUND).max() < 1e-7
-    assert result.certified
-
-
 def test_solutions_cover_both_ranks():
     rng = np.random.default_rng(207)
     mixed = np.stack([random_density(rng, 2) for _ in range(60)])
@@ -296,7 +290,20 @@ def test_near_diagonal_dimension_eight_instance_certifies():
     assert solve_maxlike(np.stack(effects)).certified
 
 
-def test_solve_maxlike_refuses_a_start_of_another_dimension():
-    effects = np.stack([GROUND, EXCITED, np.eye(2) / 2])
-    with pytest.raises(DimensionMismatch, match="effects have dimension 2"):
-        solve_maxlike(effects, rho0=np.eye(3) / 3)
+def test_solver_has_no_start_option():
+    assert "rho0" not in inspect.signature(solve_maxlike).parameters
+
+
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        (np.zeros((2, 2)), "effect 1 has trace 0.000e[+]00, not positive"),
+        (np.diag([-0.5, 1.5]), "effect 1 is not positive semidefinite"),
+        (np.diag([math.nan, 1.0]), "effect 1 is not finite"),
+        (-GROUND, "effect 1 has trace -1.000e[+]00"),
+    ],
+)
+def test_plain_effects_are_checked_naming_their_index(bad, match):
+    effects = np.stack([GROUND, bad, EXCITED])
+    with pytest.raises(ValueError, match=match):
+        solve_maxlike(effects)

@@ -4,14 +4,10 @@ import pytest
 
 from conftest import random_density, random_pure
 from trajtomo import (
-    DegenerateTrace,
     Unidentifiable,
     build_r_matrix,
     effects_to_bloch,
     from_bloch,
-    gradient,
-    gradient_bloch,
-    lambda_bloch,
     pauli_combination,
     solve_maxlike,
     to_bloch,
@@ -51,38 +47,6 @@ def test_effects_to_bloch():
     got = effects_to_bloch(effects)
     want = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.4, 0.0, 0.0]])
     assert np.abs(got - want).max() < 1e-14
-
-
-def test_gradient_bloch_trivial_cases():
-    e = np.zeros((5, 3))
-    assert np.abs(gradient_bloch(np.zeros(3), e) - 0.0).max() < 1e-15
-    e = np.tile([0.0, 0.0, 1.0], (4, 1))
-    v = np.array([0.0, 0.0, 0.5])
-    # each term is e / (1 + 0.5)
-    assert np.abs(gradient_bloch(v, e) - [0, 0, 4 / 1.5]).max() < 1e-12
-
-
-def test_gradient_bloch_matches_operator_gradient():
-    rng = np.random.default_rng(402)
-    effects = np.stack([random_density(rng, 2) for _ in range(30)])
-    e_bloch = effects_to_bloch(effects)
-    v = to_bloch(random_density(rng, 2))
-    g_op = gradient(from_bloch(v), effects).matrix
-    g_b = gradient_bloch(v, e_bloch)
-    # trace-one effects give G = s I + g . sigma with s = sum_n 1/(1 + v.e_n),
-    # so the Pauli overlaps tr(G sigma_k) recover 2 g_k
-    back = np.array([np.trace(g_op @ s).real for s in (SX, SY, SZ)]) / 2.0
-    assert np.abs(back - g_b).max() < 1e-10
-    # and tr(rho G) = s + v . g ties the operator multiplier to lambda_bloch
-    lam_op = np.trace(from_bloch(v).matrix @ g_op).real
-    s = float((1.0 / (1.0 + e_bloch @ v)).sum())
-    assert lambda_bloch(v, e_bloch) == pytest.approx(lam_op - s, abs=1e-9)
-
-
-def test_gradient_bloch_degenerate_trace():
-    e = np.tile([0.0, 0.0, 1.0], (3, 1))
-    with pytest.raises(DegenerateTrace):
-        gradient_bloch(np.array([0.0, 0.0, -1.0]), e)
 
 
 def test_variance_agrees_with_generic_path_interior():
