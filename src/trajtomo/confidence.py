@@ -37,7 +37,7 @@ import numpy as np
 from .config import SINGULAR_REL
 from .errors import DegenerateTrace, EffectiveSampleSizeTooLow, Unidentifiable
 from .filtering import _of_dim, _stack_effects
-from .maxlike import _grad_matrix, _support, _traces
+from .maxlike import _checked_traces, _grad_matrix, _support, _traces
 from .operators import DensityMatrix, _coords, as_matrix
 
 __all__ = [
@@ -198,15 +198,7 @@ def build_r_matrix(rho, effects) -> RMatrix:
     being amplified by the pseudoinverse.
     """
     state = rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
-    mat = state.matrix
-    e, _ = _stack_effects(effects)
-    if e.shape[0] == 0:
-        raise ValueError("no effects given")
-    _of_dim(state, e.shape[1], "state")
-    e_flat = e.reshape(e.shape[0], -1)
-    traces = _traces(e_flat, mat)
-    if traces.min() <= 0.0:
-        raise DegenerateTrace("state assigns zero probability to some record")
+    mat, e_flat, traces = _checked_traces(state, effects)
     split = _support(mat)
     basis = _eigenbasis_tangent(split[1], split[2])
     r, _, lam = _stiffness_form(mat, e_flat, traces, basis, split)

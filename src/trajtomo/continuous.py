@@ -91,9 +91,9 @@ class SMEModel:
 
     Answers the record passes and the sampler of ``trajtomo.filtering``
     for signal records through the same private members as
-    ``KrausFamily`` (``_read``, ``_step``, ``_trace_check``,
-    ``_kraus_ops``, ``_ops``, ``_sampler``); a signal step's trace must
-    stay within ``_TRACE_BAND`` of one.
+    ``KrausFamily`` (``_read``, ``_step``, ``_trace_check``, ``_ops``,
+    ``_sampler``, which draws from the adjoint step maps of ``_step``);
+    a signal step's trace must stay within ``_TRACE_BAND`` of one.
     """
 
     _record_type = "continuous"  # the record archives this model reads
@@ -207,17 +207,15 @@ class SMEModel:
 
         return apply
 
-    def _kraus_ops(self, record):
-        """Step t's Kraus operators (M_dy, *undetected residue) for the
-        increments ``record`` has there."""
-        base, stack, resid = self._step_ops
-        return lambda t: (_stochastic_m(base, stack, record.increments[t]), *resid)
-
     def _ops(self, t: int, dy) -> tuple[np.ndarray, ...]:
         """The Kraus operators (M_dy, *undetected residue) of a step with
-        signal increments dy, the same at every step t."""
+        signal increments dy, the same at every step t, where M_dy = base
+        + sum_v dy_v stack_v from ``_build_step_ops``' first two parts."""
         base, stack, resid = self._step_ops
-        return (_stochastic_m(base, stack, dy), *resid)
+        dy = np.asarray(dy, dtype=float)
+        if dy.shape != stack.shape[:1]:
+            raise ValueError(f"expected {stack.shape[0]} signal increments")
+        return (base + np.einsum("v,vij->ij", dy, stack) if len(dy) else base, *resid)
 
     def _sampler(self, rng: np.random.Generator, n_records: int):
         """The increment draw of ``filtering.sample_records``.
@@ -228,14 +226,16 @@ class SMEModel:
         n_steps, n_monitored) signal array and returns them; and the
         RecordBatch keywords.
         """
-        base, stack, resid = self._step_ops
-        quadratics = _signal_quadratics(base, stack, resid)
-        signals = np.empty((n_records, self.n_steps, len(stack)))
+        right, pairs = _superoperators(self, adjoint=True)
+        # columns A_m*(I), whose products with rows rho give the coefficients
+        # of tr K_dy(rho) = sum_m phi_m(dy) tr(rho A_m*(I))
+        weights = (_coords(np.eye(self.dim)) @ right).reshape(-1, self.dim**2).T
+        signals = np.empty((n_records, self.n_steps, len(self.monitored)))
 
         def draw(t, flat):
-            if len(stack):
-                signals[:, t, :] = _draw_increments(rng, flat @ quadratics, self.dt)
-            return signals[:, t, :]
+            if len(pairs):
+                signals[:, t] = _draw_increments(rng, flat @ weights, pairs, self.dt)
+            return signals[:, t]
 
         return draw, signals, {"dt": self.dt}
 
@@ -285,17 +285,6 @@ def _build_step_ops(model: SMEModel):
         if c.efficiency < 1.0
     ]
     return base, stack, resid
-
-
-def _stochastic_m(base, stack, dy) -> np.ndarray:
-    """M = base + sum_v dy_v stack_v, from ``_build_step_ops``' first two
-    parts."""
-    dy = np.asarray(dy, dtype=float)
-    if dy.shape != (stack.shape[0],):
-        raise ValueError(f"expected {stack.shape[0]} signal increments")
-    if stack.shape[0]:
-        return base + np.einsum("v,vij->ij", dy, stack)
-    return base
 
 
 def _superoperators(model: SMEModel, *, adjoint: bool):
@@ -387,42 +376,23 @@ def _tilted_normal_ppf(u, a, b, c):
     return out
 
 
-def _signal_quadratics(base, stack, resid) -> np.ndarray:
-    """Coordinate columns whose products with states give the outcome
-    density coefficients.
-
-    The one-step density of the increments is
-    (a + b . dy + dy^T C dy) N(dy; 0, dt I) with a = tr(rho T0),
-    b_v = tr(rho T1_v) and C_vw = tr(rho T2_vw), where T0 = B*B
-    + sum_k R_k* R_k, T1_v = 2 B* S_v and T2_vw = S_w* S_v.  Returns
-    the (d^2, 1 + k + k^2) ``_coords`` of T0, the T1_v and the T2_vw in
-    row-major order, as columns: coordinate rows of rho times it give
-    (a, b, C) with the real parts taken.
-    """
-    t0 = base.conj().T @ base
-    for k in resid:
-        t0 = t0 + k.conj().T @ k
-    t1 = [2.0 * base.conj().T @ s for s in stack]
-    t2 = [sw.conj().T @ sv for sv in stack for sw in stack]
-    return _coords(np.stack([t0, *t1, *t2])).T
-
-
-def _draw_increments(rng, coeffs, dt):
+def _draw_increments(rng, coeffs, pairs, dt):
     """Sample signal increments from the exact one-step outcome law.
 
-    ``coeffs`` holds each record's (a, b, C) of ``_signal_quadratics``,
-    shape (N, 1 + k + k^2).  The density is a Gaussian N(0, dt I)
-    tilted by the nonnegative quadratic tr(K_dy rho); rotating to the
-    eigenbasis of its quadratic part makes the coordinates conditionally
-    one dimensional, each an analytic tilted-Gaussian quantile.
-    Consumes exactly one uniform per coordinate per record, so the draw
-    is reproducible by seed.
+    ``coeffs`` holds each record's (a, b_v, p_j) of the one-step density
+    (a + b . dy + sum_j p_j dy_v dy_w) N(dy; 0, dt I), (v, w) = ``pairs[j]``,
+    one per term of ``_superoperators``.  The quadratic tr(K_dy rho) is
+    nonnegative; rotating to the eigenbasis of its symmetric part C
+    (C_vv = p, C_vw = C_wv = p / 2) makes the coordinates conditionally
+    one dimensional, each an analytic tilted-Gaussian quantile.  Consumes
+    exactly one uniform per coordinate per record, so the draw is
+    reproducible by seed.
     """
-    n = coeffs.shape[0]
-    k = math.isqrt(coeffs.shape[1] - 1)
-    a, b = coeffs[:, 0], coeffs[:, 1 : k + 1]
-    quad = coeffs[:, k + 1 :].reshape(n, k, k)
-    quad = 0.5 * (quad + quad.transpose(0, 2, 1))
+    n, k = coeffs.shape[0], coeffs.shape[1] - 1 - len(pairs)
+    a, b, p = coeffs[:, 0], coeffs[:, 1 : k + 1], coeffs[:, k + 1 :] / 2.0
+    quad = np.zeros((n, k, k))
+    quad[:, pairs[:, 0], pairs[:, 1]] = p
+    quad[:, pairs[:, 1], pairs[:, 0]] += p
     eigs, rot = np.linalg.eigh(quad)
     eigs = np.clip(eigs, 0.0, None)
     # unit-variance coordinates x, dy = sqrt(dt) rot x

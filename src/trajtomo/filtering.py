@@ -17,9 +17,9 @@ ContinuousRecord are the per-record views it hands out.  Every pass,
 and the sampler, takes either model type, a KrausFamily for discrete
 outcomes or an SMEModel for diffusive signals, through the private
 methods the two classes share: ``_read`` checks a batch and gives its
-step-map inputs, ``_step`` and ``_trace_check`` step a batch,
-``_kraus_ops`` and ``_ops`` give one step's Kraus operators, and
-``_sampler`` draws the records.
+step-map inputs, ``_step`` and ``_trace_check`` step a batch, ``_ops``
+gives one step's Kraus operators, and ``_sampler`` draws the records
+from the same adjoint step maps.
 """
 from __future__ import annotations
 
@@ -30,12 +30,13 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .config import PROB_FLOOR, PSD_TOL, TRACE_TOL
+from .config import PROB_FLOOR
 from .errors import DimensionMismatch, ZeroProbability
 from .operators import (
     DensityMatrix,
     EffectMatrix,
     as_matrix,
+    _check_positive,
     _coords,
     _kraus_form,
     _matrices,
@@ -51,7 +52,6 @@ __all__ = [
     "forward_run",
     "backward_sweep",
     "backward_sweep_batch",
-    "log_likelihood",
     "forward_batch",
     "sample_records",
 ]
@@ -272,13 +272,10 @@ class EffectBatch:
                 f"got {log_c.shape} and {ids.shape}"
             )
         if e.shape[0]:
-            def where(k):
-                return f"effect of record {ids[k]} from start index {start}"
-
-            dev = np.abs(_check_effects(e, where, np.isfinite(log_c)) - 1.0)
-            bad = int(np.argmax(dev))
-            if dev[bad] > TRACE_TOL:
-                raise ValueError(f"{where(bad)} has trace off one by {dev[bad]:.3e}")
+            _check_positive(
+                e, lambda k: f"effect of record {ids[k]} from start index {start}",
+                np.isfinite(log_c), unit_trace=True,
+            )
         for name, arr in (("effects", e), ("log_c", log_c), ("record_ids", ids)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -358,9 +355,10 @@ def _step_by_step(model, record, x, *, adjoint):
     matrices, independent of ``_propagate`` but with the same trace check
     and zero-probability test.
     """
-    ops, check = model._kraus_ops(record), model._trace_check
+    check = model._trace_check
+    y = record.outcomes if isinstance(record, DiscreteRecord) else record.increments
     for t in reversed(range(len(record))) if adjoint else range(len(record)):
-        new = _kraus_form(ops(t), x, adjoint)
+        new = _kraus_form(model._ops(t, y[t]), x, adjoint)
         c = float(new.trace().real)
         if check is not None:
             check(np.array([c]), t, [record.id])
@@ -372,22 +370,6 @@ def _step_by_step(model, record, x, *, adjoint):
             )
         x = new / c
         yield t, x, c
-
-
-def log_likelihood(rho, effects) -> float:
-    """Total log likelihood sum_n [log c_n + log tr(rho E_n)].
-
-    Returns -inf when some tr(rho E) is not strictly positive: the state
-    assigns zero probability to at least one record.
-    """
-    e, logc = _stack_effects(effects)
-    if e.shape[0] == 0:
-        return 0.0
-    mat = _of_dim(rho, e.shape[1], "state")
-    traces = np.einsum("nij,ji->n", e, mat).real
-    if traces.min() <= 0.0:
-        return -math.inf
-    return float(logc.sum() + np.log(traces).sum())
 
 
 def _of_dim(x, dim: int, what: str) -> np.ndarray:
@@ -405,57 +387,36 @@ def _stack_effects(effects) -> tuple[np.ndarray, np.ndarray]:
     """Stack a sequence of effects into (N, d, d) plus their log scales.
 
     An EffectBatch hands over its own read-only arrays without copying.
-    Otherwise accepts a sequence of AdjointResult (contributing its
-    log_c), EffectMatrix or plain arrays (contributing log_c = 0).  A
-    plain array is checked here, as the others were when built: it must
-    be finite, with a positive trace and no eigenvalue of its Hermitian
-    part below -PSD_TOL times that trace; it need not have unit trace.
+    Otherwise accepts an (N, d, d) array, or a sequence of AdjointResult
+    (contributing its log_c), EffectMatrix or plain arrays (contributing
+    log_c = 0).  Plain arrays are checked here, an (N, d, d) array as one
+    block, as the others were when built, by ``_check_positive`` on
+    their Hermitian parts; they need not have unit trace.
     """
     if isinstance(effects, EffectBatch):
         return effects.effects, effects.log_c
-    mats, logc, plain = [], [], []
-    for item in effects:
-        if isinstance(item, AdjointResult):
-            mats.append(item.effect.matrix)
-            logc.append(item.log_c)
-        else:
-            plain.append(not isinstance(item, EffectMatrix))
-            mats.append(as_matrix(item))
-            logc.append(0.0)
-    if not mats:
-        return np.zeros((0, 0, 0), dtype=complex), np.zeros(0)
-    e = np.stack(mats)
+    if isinstance(effects, np.ndarray):
+        e = np.asarray(effects, dtype=complex)
+        logc, plain = np.zeros(e.shape[:1]), np.arange(e.shape[0])
+    else:
+        mats, logc, plain = [], [], []
+        for n, item in enumerate(effects):
+            adj = isinstance(item, AdjointResult)
+            mats.append(item.effect.matrix if adj else as_matrix(item))
+            logc.append(item.log_c if adj else 0.0)
+            if not (adj or isinstance(item, EffectMatrix)):
+                plain.append(n)
+        if not mats:
+            return np.zeros((0, 0, 0), dtype=complex), np.zeros(0)
+        e, logc, plain = np.stack(mats), np.array(logc), np.array(plain, int)
     if e.ndim != 3 or e.shape[1] != e.shape[2]:
         raise DimensionMismatch(f"expected (N, d, d) effects, got {e.shape}")
-    index = np.flatnonzero(plain)
-    if index.size:
-        sub = e[index]
-        _check_effects(
-            (sub + sub.conj().transpose(0, 2, 1)) / 2.0, lambda k: f"effect {index[k]}"
+    if plain.size:
+        sub = e[plain]
+        _check_positive(
+            (sub + sub.conj().transpose(0, 2, 1)) / 2.0, lambda k: f"effect {plain[k]}"
         )
-    return e, np.asarray(logc, dtype=float)
-
-
-def _check_effects(e: np.ndarray, name, finite=True) -> np.ndarray:
-    """Refuse an effect of the Hermitian (N, d, d) stack e, naming effect k
-    as name(k), that is not finite (or has a false entry in ``finite``),
-    has a trace at or below zero or has an eigenvalue below -PSD_TOL
-    times its trace; returns the traces."""
-    finite = np.isfinite(e).all(axis=(1, 2)) & finite
-    bad = int(np.argmin(finite))
-    if not finite[bad]:
-        raise ValueError(f"{name(bad)} is not finite")
-    tr = np.einsum("nii->n", e).real
-    bad = int(np.argmin(tr))
-    if not tr[bad] > 0.0:
-        raise ValueError(f"{name(bad)} has trace {tr[bad]:.3e}, not positive")
-    w = np.linalg.eigvalsh(e)[:, 0]
-    bad = int(np.argmin(w / tr))
-    if w[bad] < -PSD_TOL * tr[bad]:
-        raise ValueError(
-            f"{name(bad)} is not positive semidefinite (min eigenvalue {w[bad]:.3e})"
-        )
-    return tr
+    return e, logc
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ __all__ = [
     "TomographyResult",
     "gradient",
     "kkt_certificate",
+    "log_likelihood",
     "solve_maxlike",
 ]
 
@@ -91,6 +92,19 @@ def _f_and_traces(mat: np.ndarray, e_flat: np.ndarray, logc_sum: float):
     if traces.min() <= 0.0:
         return -math.inf, traces
     return float(logc_sum + np.log(traces).sum()), traces
+
+
+def log_likelihood(rho, effects) -> float:
+    """Total log likelihood sum_n [log c_n + log tr(rho E_n)].
+
+    Returns -inf when some tr(rho E) is not strictly positive: the state
+    assigns zero probability to at least one record.
+    """
+    e, logc = _stack_effects(effects)
+    if e.shape[0] == 0:
+        return 0.0
+    mat = _of_dim(rho, e.shape[1], "state")
+    return _f_and_traces(mat, e.reshape(e.shape[0], -1), float(logc.sum()))[0]
 
 
 def _grad_matrix(e_flat: np.ndarray, traces: np.ndarray) -> np.ndarray:
@@ -200,7 +214,8 @@ def solve_maxlike(
         raise ValueError("no effects given")
     dim = e.shape[1]
     eye = np.eye(dim)
-    if float(np.abs(e - eye / dim).max()) <= 1e-12:
+    unit = e / np.einsum("nii->n", e).real[:, None, None]
+    if float(np.abs(unit - eye / dim).max()) <= 1e-12:
         raise DegenerateLikelihood(
             "every effect is maximally mixed; the likelihood does not depend "
             "on the state"

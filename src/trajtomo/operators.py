@@ -59,25 +59,36 @@ class HermitianOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def trace(self) -> float:
-        return float(self.matrix.trace().real)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(dim={self.dim})"
 
 
-def _check_state(m: np.ndarray, what: str) -> None:
+def _check_positive(e: np.ndarray, name, finite=True, unit_trace=False) -> None:
+    """The one validity rule of states and effects: refuse a matrix of the
+    Hermitian (N, d, d) stack e, naming matrix k as name(k), that is not
+    finite (or has a false entry in ``finite``), has a trace at or below
+    zero, has an eigenvalue below -PSD_TOL times its trace or, with
+    ``unit_trace``, a trace off one by more than TRACE_TOL."""
     # NaN fails every comparison below, and may stall the eigensolver
-    if not np.isfinite(m).all():
-        raise ValueError(f"{what} must be finite")
-    w = np.linalg.eigvalsh(m)
-    if w[0] < -PSD_TOL:
+    finite = np.isfinite(e).all(axis=(1, 2)) & finite
+    bad = int(np.argmin(finite))
+    if not finite[bad]:
+        raise ValueError(f"{name(bad)} is not finite")
+    tr = np.einsum("nii->n", e).real
+    bad = int(np.argmin(tr))
+    if not tr[bad] > 0.0:
+        raise ValueError(f"{name(bad)} has trace {tr[bad]:.3e}, not positive")
+    w = np.linalg.eigvalsh(e)[:, 0]
+    bad = int(np.argmin(w / tr))
+    if w[bad] < -PSD_TOL * tr[bad]:
         raise ValueError(
-            f"{what} must be positive semidefinite; min eigenvalue {w[0]:.3e}"
+            f"{name(bad)} is not positive semidefinite (min eigenvalue {w[bad]:.3e})"
         )
-    tr = m.trace().real
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"{what} must have unit trace; got {tr!r}")
+    if unit_trace:
+        dev = np.abs(tr - 1.0)
+        bad = int(np.argmax(dev))
+        if dev[bad] > TRACE_TOL:
+            raise ValueError(f"{name(bad)} has trace off one by {dev[bad]:.3e}")
 
 
 class DensityMatrix(HermitianOperator):
@@ -87,7 +98,9 @@ class DensityMatrix(HermitianOperator):
 
     def __init__(self, matrix) -> None:
         super().__init__(matrix)
-        _check_state(self.matrix, "a density matrix")
+        _check_positive(
+            self.matrix[None], lambda _: "a density matrix", unit_trace=True
+        )
 
 
 class EffectMatrix(HermitianOperator):
@@ -100,18 +113,16 @@ class EffectMatrix(HermitianOperator):
 
     def __init__(self, matrix) -> None:
         super().__init__(matrix)
-        _check_state(self.matrix, "an effect matrix")
+        _check_positive(
+            self.matrix[None], lambda _: "an effect matrix", unit_trace=True
+        )
 
 
 def _wrap_trusted(cls, matrix: np.ndarray):
     """Construct a state-like object whose batch was already validated."""
     obj = cls.__new__(cls)
-    m = np.array(matrix, dtype=complex)
-    m += m.conj().T
-    m *= 0.5
-    m.setflags(write=False)
     # bypass per-object validation; callers vouch for PSD and trace
-    HermitianOperator.matrix.__set__(obj, m)
+    HermitianOperator.__init__(obj, matrix)
     return obj
 
 
@@ -127,10 +138,10 @@ class KrausFamily:
 
     The record passes of ``trajtomo.filtering`` ask the model which
     records it accepts (``_read``), how a batch steps (``_step``,
-    ``_trace_check``), how one record steps (``_kraus_ops``), what one
-    step's Kraus operators are (``_ops``, for ``apply_cp_map``) and how
-    to draw records (``_sampler``); ``SMEModel`` answers the same for
-    signal records.
+    ``_trace_check``), what one step's Kraus operators are (``_ops``, for
+    the step-by-step references and ``apply_cp_map``) and how to draw
+    records (``_sampler``, from the adjoint step maps of ``_step``);
+    ``SMEModel`` answers the same for signal records.
     """
 
     __slots__ = ("dim", "_distinct", "_schedule")
@@ -271,10 +282,6 @@ class KrausFamily:
 
         return apply
 
-    def _kraus_ops(self, record):
-        """Step t's Kraus operators for the outcome ``record`` has there."""
-        return lambda t: self.operators(t, record.outcomes[t])
-
     def _sampler(self, rng: np.random.Generator, n_records: int):
         """The outcome draw of ``filtering.sample_records``.
 
@@ -285,14 +292,9 @@ class KrausFamily:
         RecordBatch keywords, whose labels are numbered in order of first
         appearance over the steps.
         """
-        schedule = self._schedule
-        # coordinates of the weight operators Q_y = sum_k M* M of each distinct
-        # step, one column per outcome, so that coordinate rows times them give
-        # tr(rho Q_y)
-        weights = [
-            _coords(np.stack([sum(m.conj().T @ m for m in ops) for ops in s.values()])).T
-            for s in self._distinct
-        ]
+        schedule, eye = self._schedule, _coords(np.eye(self.dim))
+        # columns K*_y(I) per outcome, whose products with rows rho give tr K_y(rho)
+        weights = [(eye @ np.stack(maps)).T for maps in self._superops(adjoint=True)]
         # outcome i of step t is recorded as relabel[schedule[t], i]
         labels: dict[str, int] = {}
         relabel = np.zeros((len(self._distinct), max(map(len, self._distinct))), int)

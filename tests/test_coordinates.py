@@ -20,10 +20,13 @@ from trajtomo import (
     apply_cp_map,
     backward_sweep,
     backward_sweep_batch,
+    build_fluorescence_model,
+    build_qnd_family,
     forward_batch,
     forward_run,
     sample_records,
 )
+from trajtomo import continuous
 from trajtomo.continuous import _superoperators
 from trajtomo.operators import _basis, _coords, _matrices, _real_map
 
@@ -186,3 +189,57 @@ def test_sampler_means_match_the_step_by_step_states(dim):
             want[n_steps] += x
         assert np.abs(means - want / len(recs)).max() < 1e-12
 
+
+def test_outcome_sampler_weighs_each_outcome_by_its_step_trace():
+    # the sampler's coefficients are the products its draw takes with the
+    # states' coordinate rows, one column per outcome of step t
+    fam = build_qnd_family(4)
+    rng = np.random.default_rng(901)
+    rhos = np.stack([random_density(rng, fam.dim) for _ in range(5)])
+    draw, _, _ = fam._sampler(np.random.default_rng(0), len(rhos))
+    seen = []
+
+    class Rows(np.ndarray):
+        """State rows that keep each product the draw takes with them."""
+
+        def __matmul__(self, other):
+            seen.append(np.asarray(self) @ other)
+            return seen[-1].copy()
+
+    for t in range(fam.n_steps):
+        seen.clear()
+        draw(t, _coords(rhos).view(Rows))
+        (probs,) = seen
+        want = [
+            [apply_cp_map(fam, t, y, rho).matrix.trace().real for y in fam.outcomes(t)]
+            for rho in rhos
+        ]
+        assert np.abs(probs - want).max() <= TOL
+
+
+@pytest.mark.parametrize("model", ["fluorescence", "random"])
+def test_signal_sampler_draws_from_the_step_trace_quadratic(model, monkeypatch):
+    rng = np.random.default_rng(902)
+    model = (
+        build_fluorescence_model() if model == "fluorescence"
+        else random_model(rng, 3, 2)
+    )
+    k = len(model.monitored)
+    seen = []
+
+    def spy(rng, coeffs, pairs, dt):
+        seen.append((coeffs, pairs))
+        return np.zeros((len(coeffs), k))
+
+    monkeypatch.setattr(continuous, "_draw_increments", spy)
+    rhos = np.stack([random_density(rng, model.dim) for _ in range(5)])
+    draw, _, _ = model._sampler(np.random.default_rng(0), len(rhos))
+    draw(0, _coords(rhos))
+    ((coeffs, pairs),) = seen
+    a, b, p = coeffs[:, 0], coeffs[:, 1 : k + 1], coeffs[:, k + 1 :]
+    for n, rho in enumerate(rhos):
+        for _ in range(4):
+            dy = rng.standard_normal(k) * 3.0 * math.sqrt(model.dt)
+            got = a[n] + b[n] @ dy + p[n] @ (dy[pairs[:, 0]] * dy[pairs[:, 1]])
+            want = apply_cp_map(model, 0, dy, rho).matrix.trace().real
+            assert abs(got - want) <= TOL

@@ -189,6 +189,9 @@ def test_stack_effects_accepts_mixed_inputs():
     assert np.abs(e - e[0]).max() < 1e-15
     assert logc[0] == pytest.approx(adj.log_c)
     assert logc[1] == 0.0 and logc[2] == 0.0
+    # a plain array is checked at its own index, after any AdjointResult
+    with pytest.raises(ValueError, match="effect 2 is not positive semidefinite"):
+        _stack_effects([adj, adj.effect, np.diag([1.5, -0.5])])
 
 
 def test_effect_batch_is_an_array_view_with_per_record_access():

@@ -213,6 +213,21 @@ def test_degenerate_likelihood_raises():
         solve_maxlike([np.eye(2) / 2.0] * 10)
 
 
+@pytest.mark.parametrize("scales", [[3.7] * 5, [1.0, 3.7, 0.2, 12.0]])
+def test_scaled_maximally_mixed_effects_are_degenerate(scales):
+    # a likelihood that does not depend on the state is refused at any scale
+    with pytest.raises(DegenerateLikelihood):
+        solve_maxlike([s * np.eye(2) / 2.0 for s in scales])
+
+
+def test_scaled_effects_give_the_same_certified_state():
+    effects = np.stack(PAULI_POVM[:4] + [GROUND / 2, EXCITED / 3])
+    want = solve_maxlike(effects)
+    got = solve_maxlike(3.7 * effects)
+    assert want.certified and got.certified
+    assert np.abs(got.rho.matrix - want.rho.matrix).max() < 1e-8
+
+
 def test_iteration_cap_returns_uncertified():
     rng = np.random.default_rng(206)
     effects = np.stack([random_density(rng, 3) for _ in range(50)])

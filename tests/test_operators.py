@@ -12,12 +12,14 @@ from conftest import (
 from trajtomo import (
     DensityMatrix,
     DimensionMismatch,
+    EffectBatch,
     EffectMatrix,
     HermitianOperator,
     KrausFamily,
     apply_adjoint_cp_map,
     apply_cp_map,
     project_to_density,
+    solve_maxlike,
 )
 
 PROJECTIVE = {
@@ -32,7 +34,7 @@ def test_hermitian_operator_symmetrizes():
     assert np.array_equal(op.matrix, op.matrix.conj().T)
     assert np.allclose(op.matrix, (raw + raw.conj().T) / 2.0)
     assert op.dim == 2
-    assert op.trace() == pytest.approx(0.0)
+    assert op.matrix.trace() == pytest.approx(0.0)
 
 
 def test_hermitian_operator_matrix_is_read_only():
@@ -50,7 +52,7 @@ def test_density_matrix_validation():
     with pytest.raises(DimensionMismatch):
         DensityMatrix(np.zeros((2, 3)))
     # NaN passes the eigenvalue and trace tests, which compare
-    with pytest.raises(ValueError, match="must be finite"):
+    with pytest.raises(ValueError, match="is not finite"):
         DensityMatrix(np.diag([np.nan, 0.5, 0.5]))
 
 
@@ -58,8 +60,32 @@ def test_effect_matrix_validation():
     EffectMatrix(np.diag([0.5, 0.5]))
     with pytest.raises(ValueError):
         EffectMatrix(np.diag([1.5, -0.5]))
-    with pytest.raises(ValueError, match="must be finite"):
+    with pytest.raises(ValueError, match="is not finite"):
         EffectMatrix(np.diag([np.nan, 0.5]))
+
+
+@pytest.mark.parametrize(
+    "enter",
+    [
+        DensityMatrix,
+        EffectMatrix,
+        lambda m: EffectBatch(m[None], [0.0], [0]),
+        lambda m: solve_maxlike(np.stack([np.eye(2) / 2, m])),
+    ],
+    ids=["DensityMatrix", "EffectMatrix", "EffectBatch", "plain stack"],
+)
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        (np.diag([np.nan, 1.0]), "is not finite"),
+        (np.diag([0.5, -0.5]), "has trace 0.000e[+]00, not positive"),
+        (np.diag([1.5, -0.5]), "is not positive semidefinite"),
+    ],
+    ids=["non-finite", "zero trace", "not PSD"],
+)
+def test_one_validity_rule_guards_states_and_effects(enter, bad, match):
+    with pytest.raises(ValueError, match=match):
+        enter(bad.astype(complex))
 
 
 def test_kraus_family_rejects_non_trace_preserving():
