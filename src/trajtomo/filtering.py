@@ -387,28 +387,24 @@ def _stack_effects(effects) -> tuple[np.ndarray, np.ndarray]:
     """Stack a sequence of effects into (N, d, d) plus their log scales.
 
     An EffectBatch hands over its own read-only arrays without copying.
-    Otherwise accepts an (N, d, d) array, or a sequence of AdjointResult
-    (contributing its log_c), EffectMatrix or plain arrays (contributing
-    log_c = 0).  Plain arrays are checked here, an (N, d, d) array as one
-    block, as the others were when built, by ``_check_positive`` on
-    their Hermitian parts; they need not have unit trace.
+    Otherwise accepts a sequence of AdjointResult (contributing its
+    log_c), EffectMatrix or plain arrays (contributing log_c = 0).  The
+    plain arrays are checked here, together, as the others were when
+    built, by ``_check_positive`` on their Hermitian parts; they need not
+    have unit trace.
     """
     if isinstance(effects, EffectBatch):
         return effects.effects, effects.log_c
-    if isinstance(effects, np.ndarray):
-        e = np.asarray(effects, dtype=complex)
-        logc, plain = np.zeros(e.shape[:1]), np.arange(e.shape[0])
-    else:
-        mats, logc, plain = [], [], []
-        for n, item in enumerate(effects):
-            adj = isinstance(item, AdjointResult)
-            mats.append(item.effect.matrix if adj else as_matrix(item))
-            logc.append(item.log_c if adj else 0.0)
-            if not (adj or isinstance(item, EffectMatrix)):
-                plain.append(n)
-        if not mats:
-            return np.zeros((0, 0, 0), dtype=complex), np.zeros(0)
-        e, logc, plain = np.stack(mats), np.array(logc), np.array(plain, int)
+    mats, logc, plain = [], [], []
+    for n, item in enumerate(effects):
+        adj = isinstance(item, AdjointResult)
+        mats.append(item.effect.matrix if adj else as_matrix(item))
+        logc.append(item.log_c if adj else 0.0)
+        if not (adj or isinstance(item, EffectMatrix)):
+            plain.append(n)
+    if not mats:
+        return np.zeros((0, 0, 0), dtype=complex), np.zeros(0)
+    e, plain = np.stack(mats), np.array(plain, int)
     if e.ndim != 3 or e.shape[1] != e.shape[2]:
         raise DimensionMismatch(f"expected (N, d, d) effects, got {e.shape}")
     if plain.size:
@@ -416,7 +412,7 @@ def _stack_effects(effects) -> tuple[np.ndarray, np.ndarray]:
         _check_positive(
             (sub + sub.conj().transpose(0, 2, 1)) / 2.0, lambda k: f"effect {plain[k]}"
         )
-    return e, logc
+    return e, np.array(logc)
 
 
 # ---------------------------------------------------------------------------
