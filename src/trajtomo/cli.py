@@ -161,8 +161,8 @@ def _check_adjoint_identity(model, rng: np.random.Generator) -> float:
         else:  # one draw of signal increments
             ys = [rng.normal(0.0, math.sqrt(model.dt), size=len(model.monitored))]
         for y in ys:
-            ka = apply_cp_map(model, 0, y, a).matrix
-            kb = apply_adjoint_cp_map(model, 0, y, b).matrix
+            ka = apply_cp_map(model, 0, y, a)
+            kb = apply_adjoint_cp_map(model, 0, y, b)
             gap = np.einsum("ij,ji->", ka, b) - np.einsum("ij,ji->", a, kb)
             worst = max(worst, abs(gap.real) / (np.linalg.norm(a) * np.linalg.norm(b)))
     return float(worst)

@@ -41,7 +41,7 @@ from scipy.special import ndtr, ndtri
 from .config import EIG_CLIP, PSD_TOL
 from .errors import StepSizeTooLarge
 from .filtering import ContinuousRecord, RecordBatch, _initial_state
-from .operators import _coords, _real_map
+from .operators import _coords, _real_map, _step_index
 
 __all__ = [
     "Channel",
@@ -209,8 +209,10 @@ class SMEModel:
 
     def _ops(self, t: int, dy) -> tuple[np.ndarray, ...]:
         """The Kraus operators (M_dy, *undetected residue) of a step with
-        signal increments dy, the same at every step t, where M_dy = base
-        + sum_v dy_v stack_v from ``_build_step_ops``' first two parts."""
+        signal increments dy, the same at every step t in [0, n_steps),
+        where M_dy = base + sum_v dy_v stack_v from ``_build_step_ops``'
+        first two parts."""
+        _step_index(t, self.n_steps)
         base, stack, resid = self._step_ops
         dy = np.asarray(dy, dtype=float)
         if dy.shape != stack.shape[:1]:

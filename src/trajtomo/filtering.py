@@ -34,7 +34,6 @@ from .config import PROB_FLOOR
 from .errors import DimensionMismatch, ZeroProbability
 from .operators import (
     DensityMatrix,
-    EffectMatrix,
     as_matrix,
     _check_positive,
     _coords,
@@ -237,7 +236,7 @@ class FilterTrace:
 class AdjointResult:
     """Backward recursion output: P(record | rho) = exp(log_c) * tr(rho effect)."""
 
-    effect: EffectMatrix
+    effect: DensityMatrix
     log_c: float
 
 
@@ -285,9 +284,7 @@ class EffectBatch:
 
     def __getitem__(self, i) -> AdjointResult:
         i = operator.index(i)
-        return AdjointResult(
-            _wrap_trusted(EffectMatrix, self.effects[i]), float(self.log_c[i])
-        )
+        return AdjointResult(_wrap_trusted(self.effects[i]), float(self.log_c[i]))
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
@@ -320,8 +317,10 @@ def backward_sweep(
     s+1, ..., end; the full record corresponds to s = 0.  The recursion
     E <- K*(E) / tr(K*(E)) starts from the maximally mixed effect I/dim,
     so log_c starts at log(dim) and P(suffix | rho) = exp(log_c) *
-    tr(rho effect).  ``model`` and ``record`` pair as in ``forward_run``;
-    the step-by-step reference of ``backward_sweep_batch``.
+    tr(rho effect).  Each start's result is checked as the batched
+    sweep's are, as the one entry of an EffectBatch.  ``model`` and
+    ``record`` pair as in ``forward_run``; the step-by-step reference of
+    ``backward_sweep_batch``.
     """
     _checked(model, [record])
     wanted = _check_starts(start_indices, len(record))
@@ -330,7 +329,7 @@ def backward_sweep(
     for t, eff, c in _step_by_step(model, record, x, adjoint=True):
         log_c += math.log(c)
         if t in wanted:
-            out[t] = AdjointResult(EffectMatrix(eff), log_c)
+            out[t] = EffectBatch(eff[None], [log_c], [record.id], start=t)[0]
     return out
 
 
@@ -388,10 +387,10 @@ def _stack_effects(effects) -> tuple[np.ndarray, np.ndarray]:
 
     An EffectBatch hands over its own read-only arrays without copying.
     Otherwise accepts a sequence of AdjointResult (contributing its
-    log_c), EffectMatrix or plain arrays (contributing log_c = 0).  The
-    plain arrays are checked here, together, as the others were when
-    built, by ``_check_positive`` on their Hermitian parts; they need not
-    have unit trace.
+    log_c), whose effects were checked when built, and matrices
+    (DensityMatrix or plain arrays, contributing log_c = 0).  The
+    matrices are checked here, together, by ``_check_positive`` on their
+    Hermitian parts; they need not have unit trace.
     """
     if isinstance(effects, EffectBatch):
         return effects.effects, effects.log_c
@@ -400,7 +399,7 @@ def _stack_effects(effects) -> tuple[np.ndarray, np.ndarray]:
         adj = isinstance(item, AdjointResult)
         mats.append(item.effect.matrix if adj else as_matrix(item))
         logc.append(item.log_c if adj else 0.0)
-        if not (adj or isinstance(item, EffectMatrix)):
+        if not adj:
             plain.append(n)
     if not mats:
         return np.zeros((0, 0, 0), dtype=complex), np.zeros(0)

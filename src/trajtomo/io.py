@@ -166,9 +166,9 @@ def interventions_from_description(
     """State-preparation events declared in a model description.
 
     Each entry {"step": t, "kind": "injection", ...} becomes a channel
-    superoperator applied before step t during simulation.  Model files
-    declare them for discrete models only, although ``sample_records``
-    applies them to either model type.
+    superoperator applied before step t during simulation; a step takes
+    at most one.  Model files declare them for discrete models only,
+    although ``sample_records`` applies them to either model type.
     """
     events = description.get("interventions", ())
     if not events:
@@ -178,6 +178,8 @@ def interventions_from_description(
     out: dict[int, np.ndarray] = {}
     for ev in events:
         step = int(ev["step"])
+        if step in out:
+            raise ValueError(f"two interventions at step {step}; a step takes one")
         kind = ev.get("kind", "injection")
         if kind != "injection":
             raise ValueError(f"unknown intervention kind {kind!r}")

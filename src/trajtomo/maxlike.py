@@ -22,7 +22,7 @@ import numpy as np
 from .config import KKT_TOL, RANK_REL
 from .errors import DegenerateLikelihood, DegenerateTrace
 from .filtering import _of_dim, _stack_effects
-from .operators import DensityMatrix, HermitianOperator, project_to_density
+from .operators import DensityMatrix, _hermitian, project_to_density
 
 __all__ = [
     "KKTReport",
@@ -64,7 +64,7 @@ class KKTReport:
 class TomographyResult:
     rho: DensityMatrix
     log_likelihood: float
-    gradient: HermitianOperator
+    gradient: np.ndarray
     kkt: KKTReport
     n_records: int
     n_iterations: int
@@ -128,10 +128,11 @@ def _checked_traces(rho, effects):
     return mat, e_flat, traces
 
 
-def gradient(rho, effects) -> HermitianOperator:
-    """Likelihood gradient sum_n E_n / tr(rho E_n) at the given state."""
+def gradient(rho, effects) -> np.ndarray:
+    """Likelihood gradient sum_n E_n / tr(rho E_n) at the given state, as
+    a read-only Hermitian matrix."""
     _, e_flat, traces = _checked_traces(rho, effects)
-    return HermitianOperator(_grad_matrix(e_flat, traces))
+    return _hermitian(_grad_matrix(e_flat, traces))
 
 
 def kkt_certificate(rho, effects) -> KKTReport:
@@ -270,7 +271,7 @@ def solve_maxlike(
     return TomographyResult(
         rho=rho,
         log_likelihood=f,
-        gradient=HermitianOperator(g),
+        gradient=_hermitian(g),
         kkt=report,
         n_records=n,
         n_iterations=iters,

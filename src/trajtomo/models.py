@@ -24,7 +24,7 @@ from scipy.linalg import expm
 from .config import KRAUS_TRACE_TOL, PSD_TOL
 from .continuous import Channel, ContinuousRecord, SMEModel
 from .errors import IncompletePOVM
-from .operators import DensityMatrix, KrausFamily
+from .operators import DensityMatrix, KrausFamily, as_matrix
 from .qubit import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 __all__ = [
@@ -162,7 +162,7 @@ def thermal_state(dim: int, n_bar: float) -> DensityMatrix:
 
 
 def mean_photon(rho) -> float:
-    mat = np.asarray(getattr(rho, "matrix", rho))
+    mat = as_matrix(rho)
     return float(np.einsum("ii,i->", mat, np.arange(mat.shape[0])).real)
 
 

@@ -9,6 +9,7 @@ is the metric everywhere.
 from __future__ import annotations
 
 import math
+import operator
 from functools import cache
 from typing import Iterable, Mapping, Sequence
 
@@ -18,9 +19,7 @@ from .config import KRAUS_TRACE_TOL, PSD_TOL, TRACE_TOL
 from .errors import DimensionMismatch, UnknownOutcome
 
 __all__ = [
-    "HermitianOperator",
     "DensityMatrix",
-    "EffectMatrix",
     "KrausFamily",
     "apply_cp_map",
     "apply_adjoint_cp_map",
@@ -30,37 +29,26 @@ __all__ = [
 
 def as_matrix(x) -> np.ndarray:
     """Return the complex matrix behind an operator-like object."""
-    if isinstance(x, HermitianOperator):
+    if isinstance(x, DensityMatrix):
         return x.matrix
     return np.asarray(x, dtype=complex)
 
 
-class HermitianOperator:
-    """A square complex matrix, symmetrized to (M + M*)/2 at construction.
+def _hermitian(matrix) -> np.ndarray:
+    """The read-only (M + M*)/2 of a square complex matrix M.
 
-    Symmetrizing here quashes the Hermiticity drift that long products of
+    Symmetrizing quashes the Hermiticity drift that long products of
     Kraus maps would otherwise accumulate; downstream code may rely on
-    ``matrix`` being exactly equal to its conjugate transpose up to the
+    the result being exactly equal to its conjugate transpose up to the
     symmetrization roundoff.
     """
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix) -> None:
-        m = np.array(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-        m += m.conj().T
-        m *= 0.5
-        m.setflags(write=False)
-        self.matrix = m
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(dim={self.dim})"
+    m = np.array(matrix, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    m += m.conj().T
+    m *= 0.5
+    m.setflags(write=False)
+    return m
 
 
 def _check_positive(e: np.ndarray, name, finite=True, unit_trace=False) -> None:
@@ -91,39 +79,45 @@ def _check_positive(e: np.ndarray, name, finite=True, unit_trace=False) -> None:
             raise ValueError(f"{name(bad)} has trace off one by {dev[bad]:.3e}")
 
 
-class DensityMatrix(HermitianOperator):
-    """Unit-trace positive semidefinite Hermitian matrix."""
+class DensityMatrix:
+    """Unit-trace positive semidefinite Hermitian matrix.
 
-    __slots__ = ()
+    The type of states and of the trace-one effects that summarize
+    records, which enter the likelihood the same way, as tr(rho E).
+    ``matrix`` is symmetrized to (M + M*)/2 at construction, checked by
+    ``_check_positive`` and read-only after.
+    """
+
+    __slots__ = ("matrix",)
 
     def __init__(self, matrix) -> None:
-        super().__init__(matrix)
+        self.matrix = _hermitian(matrix)
         _check_positive(
             self.matrix[None], lambda _: "a density matrix", unit_trace=True
         )
 
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
 
-class EffectMatrix(HermitianOperator):
-    """Trace-one positive semidefinite matrix summarizing one record.
-
-    Normalizing effects to unit trace keeps backward recursions scale free;
-    the discarded scale lives in a separate log factor."""
-
-    __slots__ = ()
-
-    def __init__(self, matrix) -> None:
-        super().__init__(matrix)
-        _check_positive(
-            self.matrix[None], lambda _: "an effect matrix", unit_trace=True
-        )
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"DensityMatrix(dim={self.dim})"
 
 
-def _wrap_trusted(cls, matrix: np.ndarray):
-    """Construct a state-like object whose batch was already validated."""
-    obj = cls.__new__(cls)
+def _wrap_trusted(matrix: np.ndarray) -> DensityMatrix:
+    """A DensityMatrix of a matrix whose batch was already validated."""
+    obj = DensityMatrix.__new__(DensityMatrix)
     # bypass per-object validation; callers vouch for PSD and trace
-    HermitianOperator.__init__(obj, matrix)
+    obj.matrix = _hermitian(matrix)
     return obj
+
+
+def _step_index(t, n_steps: int) -> int:
+    """Step index t of a model with n_steps steps, refused outside [0, n_steps)."""
+    t = operator.index(t)
+    if not 0 <= t < n_steps:
+        raise ValueError(f"step index {t} outside [0, {n_steps})")
+    return t
 
 
 class KrausFamily:
@@ -183,7 +177,7 @@ class KrausFamily:
         return len(self._schedule)
 
     def step(self, t: int) -> Mapping[str, tuple[np.ndarray, ...]]:
-        return self._distinct[self._schedule[t]]
+        return self._distinct[self._schedule[_step_index(t, self.n_steps)]]
 
     def outcomes(self, t: int) -> tuple[str, ...]:
         return tuple(self.step(t).keys())
@@ -197,15 +191,6 @@ class KrausFamily:
             ) from None
 
     _ops = operators  # one step's Kraus operators, as ``SMEModel._ops`` gives them
-
-    def suffix(self, start: int) -> "KrausFamily":
-        """The family restricted to steps ``start`` .. end (shares operators)."""
-        if not 0 <= start < self.n_steps:
-            raise ValueError(f"start index {start} outside [0, {self.n_steps})")
-        out = KrausFamily.__new__(KrausFamily)
-        out.dim, out._distinct = self.dim, self._distinct
-        out._schedule = self._schedule[start:]
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"KrausFamily(dim={self.dim}, n_steps={self.n_steps})"
@@ -349,14 +334,15 @@ def _validated_step(dim: int, step) -> dict:
     return out
 
 
-def apply_cp_map(model, t: int, y, x) -> HermitianOperator:
+def apply_cp_map(model, t: int, y, x) -> np.ndarray:
     """Evaluate K_{y,t}(X) = sum_k M X M* for step t and the record's value y
     there: an outcome label for a KrausFamily, the vector of signal
-    increments for an SMEModel."""
+    increments for an SMEModel.  Returns the image symmetrized to
+    (K + K*)/2, as a read-only array."""
     return _apply(model, t, y, x, adjoint=False)
 
 
-def apply_adjoint_cp_map(model, t: int, y, x) -> HermitianOperator:
+def apply_adjoint_cp_map(model, t: int, y, x) -> np.ndarray:
     """Evaluate the Heisenberg-picture map K*_{y,t}(X) = sum_k M* X M; y as
     in ``apply_cp_map``."""
     return _apply(model, t, y, x, adjoint=True)
@@ -368,7 +354,7 @@ def _apply(model, t: int, y, x, *, adjoint: bool):
         raise DimensionMismatch(
             f"operand has shape {mat.shape}, model dimension is {model.dim}"
         )
-    return HermitianOperator(_kraus_form(model._ops(t, y), mat, adjoint))
+    return _hermitian(_kraus_form(model._ops(t, y), mat, adjoint))
 
 
 def _kraus_form(ops, x: np.ndarray, adjoint: bool) -> np.ndarray:
@@ -449,4 +435,4 @@ def project_to_density(x) -> DensityMatrix:
     w, v = np.linalg.eigh(m)
     lam = _project_simplex(w)
     out = (v * lam) @ v.conj().T
-    return _wrap_trusted(DensityMatrix, out)
+    return _wrap_trusted(out)

@@ -61,3 +61,8 @@ def random_family(rng, dim, n_steps, n_outcomes=2, ops_per_outcome=1):
         dim,
         [random_step(rng, dim, n_outcomes, ops_per_outcome) for _ in range(n_steps)],
     )
+
+
+def suffix(fam, start):
+    """The KrausFamily of steps start, start + 1, ... of ``fam``."""
+    return KrausFamily(fam.dim, [fam.step(t) for t in range(start, fam.n_steps)])

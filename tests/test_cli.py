@@ -202,6 +202,20 @@ def test_intervention_outside_the_model_exits_2(tmp_path, capsys, step):
     assert not recs.exists()
 
 
+def test_repeated_intervention_step_exits_2(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    save_model(
+        model, "qnd", {"n_steps": 20, "n_max": 2},
+        interventions=[{"step": 3, "kind": "injection"},
+                       {"step": 3, "kind": "injection", "strength": 0.2}],
+    )
+    recs = tmp_path / "recs.jsonl"
+    assert run(["simulate", "--model", model, "--records", recs,
+                "--n-trajectories", 5]) == 2
+    assert "two interventions at step 3" in capsys.readouterr().err
+    assert not recs.exists()
+
+
 @pytest.mark.parametrize("kind, parameters, name", [
     ("qnd", {"t_cavity": 0}, "t_cavity must be positive"),
     ("qnd", {"n_bath": -0.1}, "n_bath must be nonnegative"),

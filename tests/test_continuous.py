@@ -122,7 +122,7 @@ def ident_defect(model):
         for s2 in (-root, root):
             total += apply_adjoint_cp_map(
                 model, 0, np.array([s1, s2]), np.eye(model.dim)
-            ).matrix / 4.0
+            ) / 4.0
     return float(np.abs(total - np.eye(model.dim)).max())
 
 
@@ -134,8 +134,8 @@ def test_adjoint_pairing_identity():
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         eff = a @ a.conj().T
         dy = rng.standard_normal(2) * math.sqrt(model.dt)
-        lhs = np.trace(eff @ apply_cp_map(model, 0, dy, rho).matrix)
-        rhs = np.trace(apply_adjoint_cp_map(model, 0, dy, eff).matrix @ rho)
+        lhs = np.trace(eff @ apply_cp_map(model, 0, dy, rho))
+        rhs = np.trace(apply_adjoint_cp_map(model, 0, dy, eff) @ rho)
         assert abs(lhs - rhs) < 1e-11 * abs(lhs)
 
 
@@ -259,7 +259,7 @@ def test_step_operators_are_built_once_per_model(monkeypatch):
     monkeypatch.setattr(continuous, "expm", counting_expm)
     model = build_fluorescence_model()
     dy = np.zeros(len(model.monitored))
-    for t in range(50):
+    for t in range(model.n_steps):
         apply_cp_map(model, t, dy, EXCITED)
     assert len(calls) == 1
 

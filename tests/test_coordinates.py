@@ -67,10 +67,10 @@ def test_step_maps_are_real_and_reproduce_the_kraus_maps(dim):
         r = _real_map(sup)
         assert np.array_equal(forward[i], r.T) and np.array_equal(adjoint[i], r)
         for x in (random_hermitian(rng, dim), random_density(rng, dim)):
-            want = apply_cp_map(fam, 0, y, x).matrix
+            want = apply_cp_map(fam, 0, y, x)
             got = _matrices(_coords(x) @ forward[i])
             assert np.abs(got - want).max() <= TOL * _scale(want)
-            want = apply_adjoint_cp_map(fam, 0, y, x).matrix
+            want = apply_adjoint_cp_map(fam, 0, y, x)
             got = _matrices(_coords(x) @ adjoint[i])
             assert np.abs(got - want).max() <= TOL * _scale(want)
 
@@ -102,7 +102,7 @@ def test_signal_step_maps_reproduce_the_kraus_maps(dim):
             dy = rng.standard_normal(2) * math.sqrt(model.dt)
             phi = np.concatenate([[1.0], dy, dy[pairs[:, 0]] * dy[pairs[:, 1]]])
             got = _matrices(phi @ (_coords(x) @ right).reshape(-1, k))
-            want = reference(model, 0, dy, x).matrix
+            want = reference(model, 0, dy, x)
             assert np.abs(got - want).max() <= TOL * _scale(want)
 
 
@@ -184,7 +184,7 @@ def test_sampler_means_match_the_step_by_step_states(dim):
                 if t == 2:
                     x = sum(m @ x @ m.conj().T for m in channel)
                     x = x / x.trace().real
-                x = apply_cp_map(model, t, y, x).matrix
+                x = apply_cp_map(model, t, y, x)
                 x = x / x.trace().real
             want[n_steps] += x
         assert np.abs(means - want / len(recs)).max() < 1e-12
@@ -211,7 +211,7 @@ def test_outcome_sampler_weighs_each_outcome_by_its_step_trace():
         draw(t, _coords(rhos).view(Rows))
         (probs,) = seen
         want = [
-            [apply_cp_map(fam, t, y, rho).matrix.trace().real for y in fam.outcomes(t)]
+            [apply_cp_map(fam, t, y, rho).trace().real for y in fam.outcomes(t)]
             for rho in rhos
         ]
         assert np.abs(probs - want).max() <= TOL
@@ -241,5 +241,5 @@ def test_signal_sampler_draws_from_the_step_trace_quadratic(model, monkeypatch):
         for _ in range(4):
             dy = rng.standard_normal(k) * 3.0 * math.sqrt(model.dt)
             got = a[n] + b[n] @ dy + p[n] @ (dy[pairs[:, 0]] * dy[pairs[:, 1]])
-            want = apply_cp_map(model, 0, dy, rho).matrix.trace().real
+            want = apply_cp_map(model, 0, dy, rho).trace().real
             assert abs(got - want) <= TOL

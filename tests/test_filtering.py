@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_density, random_family
+from conftest import random_density, random_family, suffix
 from trajtomo import (
     AdjointResult,
     ContinuousRecord,
@@ -155,7 +155,7 @@ def test_backward_sweep_matches_suffix_runs():
     rec = DiscreteRecord(0, outcomes)
     sweep = backward_sweep(fam, rec, (0, 3, 7))
     for s in (0, 3, 7):
-        tail = backward_sweep(fam.suffix(s), DiscreteRecord(0, outcomes[s:]), (0,))[0]
+        tail = backward_sweep(suffix(fam, s), DiscreteRecord(0, outcomes[s:]), (0,))[0]
         assert np.abs(sweep[s].effect.matrix - tail.effect.matrix).max() < 1e-12
         assert sweep[s].log_c == pytest.approx(tail.log_c, abs=1e-10)
 
@@ -447,8 +447,8 @@ def test_sample_records_numbers_labels_by_first_appearance_on_a_suffix():
              "d": [np.diag([1.0, 0.0]).astype(complex)]}
     fam = KrausFamily(2, [PROJECTIVE, other, PROJECTIVE, other, other])
     for family, labels in ((fam, ("g", "e", "c", "d")),
-                           (fam.suffix(1), ("c", "d", "g", "e")),
-                           (fam.suffix(3), ("c", "d"))):
+                           (suffix(fam, 1), ("c", "d", "g", "e")),
+                           (suffix(fam, 3), ("c", "d"))):
         recs = sample_records(family, np.eye(2) / 2, 40, rng_seed=8)
         assert recs.labels == labels
         assert set(recs.data.ravel().tolist()) == set(range(len(labels)))

@@ -283,6 +283,10 @@ def test_interventions_from_description():
         interventions_from_description(
             dict(desc, interventions=[{"step": 0, "kind": "reset"}]), model
         )
+    # a second event at one step would silently replace the first
+    twice = [{"step": 2, "kind": "injection"}, {"step": 2, "strength": 0.2}]
+    with pytest.raises(ValueError, match="two interventions at step 2"):
+        interventions_from_description(dict(desc, interventions=twice), model)
     fl = {"kind": "fluorescence", "parameters": {}}
     sme = instantiate_model(fl)
     with pytest.raises(ValueError, match="discrete"):

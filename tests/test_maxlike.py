@@ -80,7 +80,7 @@ def test_gradient_matches_finite_differences():
     for dim in (2, 3):
         effects = np.stack([random_density(rng, dim) for _ in range(40)])
         rho = random_density(rng, dim)
-        g = gradient(rho, effects).matrix
+        g = gradient(rho, effects)
         for _ in range(8):
             b = random_traceless(rng, dim)
             b /= np.linalg.norm(b)
@@ -102,10 +102,10 @@ def test_gradient_kernels_agree():
     rho = np.eye(dim, dtype=complex) / dim
     ref = sum(e / np.trace(rho @ e).real for e in effects)
     scale = np.linalg.norm(ref)
-    g_public = gradient(rho, effects).matrix
+    g_public = gradient(rho, effects)
     start = solve_maxlike(effects, max_iterations=0)
     assert start.n_iterations == 0
-    g_solver = start.gradient.matrix
+    g_solver = start.gradient
     assert np.linalg.norm(g_public - ref) <= 1e-13 * scale
     assert np.linalg.norm(g_solver - g_public) <= 1e-13 * scale
     report = kkt_certificate(rho, effects)
@@ -137,7 +137,7 @@ def test_pure_instance_reaches_boundary():
     assert np.abs(result.rho.matrix - GROUND).max() < 1e-7
     assert result.rank == 1
     assert result.lagrange_multiplier == pytest.approx(n, abs=1e-6 * n)
-    g = gradient(result.rho, [GROUND] * n).matrix
+    g = gradient(result.rho, [GROUND] * n)
     assert np.abs(g - n * GROUND).max() < 1e-5
 
 

@@ -212,7 +212,7 @@ def test_unread_step_preserves_photon_distribution():
     rho = np.diag(p / p.sum()).astype(complex)
     total = np.zeros((8, 8), dtype=complex)
     for y in fam.outcomes(0):
-        total += apply_cp_map(fam, 0, y, rho).matrix
+        total += apply_cp_map(fam, 0, y, rho)
     assert np.abs(total - rho).max() < 1e-12
 
 

@@ -8,16 +8,18 @@ from conftest import (
     random_hermitian,
     random_pure,
     random_step,
+    suffix,
 )
 from trajtomo import (
     DensityMatrix,
     DimensionMismatch,
     EffectBatch,
-    EffectMatrix,
-    HermitianOperator,
     KrausFamily,
     apply_adjoint_cp_map,
     apply_cp_map,
+    build_fluorescence_model,
+    build_qnd_family,
+    gradient,
     project_to_density,
     solve_maxlike,
 )
@@ -29,18 +31,64 @@ PROJECTIVE = {
 
 
 def test_hermitian_operator_symmetrizes():
+    # a state and a one-step image are both stored as (M + M*)/2
+    raw = np.array([[0.6, 0.1 + 0.05j], [0.1 - 0.03j, 0.4]])
+    rho = DensityMatrix(raw)
+    assert np.array_equal(rho.matrix, rho.matrix.conj().T)
+    assert np.allclose(rho.matrix, (raw + raw.conj().T) / 2.0)
+    assert rho.dim == 2
     raw = np.array([[1.0, 2.0 + 0.5j], [2.0 - 0.3j, -1.0]])
-    op = HermitianOperator(raw)
-    assert np.array_equal(op.matrix, op.matrix.conj().T)
-    assert np.allclose(op.matrix, (raw + raw.conj().T) / 2.0)
-    assert op.dim == 2
-    assert op.matrix.trace() == pytest.approx(0.0)
+    out = apply_cp_map(KrausFamily.repeated(2, {"id": [np.eye(2)]}, 1), 0, "id", raw)
+    assert np.array_equal(out, out.conj().T)
+    assert np.allclose(out, (raw + raw.conj().T) / 2.0)
+    assert out.trace() == pytest.approx(0.0)
 
 
 def test_hermitian_operator_matrix_is_read_only():
-    op = HermitianOperator(np.eye(2))
+    rho = DensityMatrix(np.eye(2) / 2)
     with pytest.raises(ValueError):
-        op.matrix[0, 0] = 5.0
+        rho.matrix[0, 0] = 5.0
+
+
+# exact dyadic inputs keep every value below free of roundoff, so each
+# result must equal its symmetrized literal bit for bit
+_X = np.array([[0.5, 0.25 + 0.5j], [0.75 - 0.25j, 0.5]])
+_IDENTITY = KrausFamily.repeated(2, {"id": [np.eye(2)]}, 1)
+_E = [np.array([[0.75, 0.25j], [-0.25j, 0.25]]), np.diag([0.5, 0.5])]
+_PROJ = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+
+
+@pytest.mark.parametrize("compute, want", [
+    (lambda: apply_cp_map(_IDENTITY, 0, "id", _X),
+     [[0.5, 0.5 + 0.375j], [0.5 - 0.375j, 0.5]]),
+    (lambda: apply_adjoint_cp_map(_IDENTITY, 0, "id", _X),
+     [[0.5, 0.5 + 0.375j], [0.5 - 0.375j, 0.5]]),
+    (lambda: gradient(np.eye(2) / 2, _E), [[2.5, 0.5j], [-0.5j, 1.5]]),
+    (lambda: solve_maxlike(_PROJ).gradient, [[2.0, 0.0], [0.0, 2.0]]),
+], ids=["apply_cp_map", "apply_adjoint_cp_map", "gradient", "TomographyResult"])
+def test_computed_operators_are_read_only_arrays(compute, want):
+    out = compute()
+    assert type(out) is np.ndarray and out.dtype == complex
+    assert np.array_equal(out, np.array(want, dtype=complex))
+    with pytest.raises(ValueError):
+        out[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("model, y", [
+    (build_qnd_family(8, n_max=3), "g"),
+    (build_fluorescence_model(), np.zeros(2)),
+], ids=["KrausFamily", "SMEModel"])
+def test_step_index_outside_the_model_is_refused(model, y):
+    x, n = np.eye(model.dim) / model.dim, model.n_steps
+    calls = [apply_cp_map, apply_adjoint_cp_map]
+    if isinstance(model, KrausFamily):
+        calls += [lambda m, t, y, x: m.step(t), lambda m, t, y, x: m.outcomes(t),
+                  lambda m, t, y, x: m.operators(t, y)]
+    for t in (-1, n, 10**6):
+        for call in calls:
+            with pytest.raises(ValueError, match=rf"step index {t} outside \[0, {n}\)"):
+                call(model, t, y, x)
+    apply_cp_map(model, n - 1, y, x)
 
 
 def test_density_matrix_validation():
@@ -56,23 +104,14 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([np.nan, 0.5, 0.5]))
 
 
-def test_effect_matrix_validation():
-    EffectMatrix(np.diag([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        EffectMatrix(np.diag([1.5, -0.5]))
-    with pytest.raises(ValueError, match="is not finite"):
-        EffectMatrix(np.diag([np.nan, 0.5]))
-
-
 @pytest.mark.parametrize(
     "enter",
     [
         DensityMatrix,
-        EffectMatrix,
         lambda m: EffectBatch(m[None], [0.0], [0]),
         lambda m: solve_maxlike(np.stack([np.eye(2) / 2, m])),
     ],
-    ids=["DensityMatrix", "EffectMatrix", "EffectBatch", "plain stack"],
+    ids=["DensityMatrix", "EffectBatch", "plain stack"],
 )
 @pytest.mark.parametrize(
     "bad, match",
@@ -105,10 +144,10 @@ def test_kraus_family_accessors():
     assert fam.n_steps == 4
     assert fam.outcomes(2) == ("g", "e")
     assert len(fam.operators(0, "g")) == 1
-    tail = fam.suffix(3)
+    tail = suffix(fam, 3)
     assert tail.n_steps == 1
     with pytest.raises(ValueError):
-        fam.suffix(4)
+        suffix(fam, 4)
 
 
 def test_kraus_family_stores_each_step_once():
@@ -116,10 +155,10 @@ def test_kraus_family_stores_each_step_once():
     fam = KrausFamily(2, [PROJECTIVE, swap, PROJECTIVE, swap, swap])
     assert fam.step(0) is fam.step(2) and fam.step(1) is fam.step(3) is fam.step(4)
     assert fam.outcomes(3) == ("a",) and fam.outcomes(2) == ("g", "e")
-    tail = fam.suffix(1)
+    tail = suffix(fam, 1)
     assert tail.n_steps == 4
-    assert tail.step(0) is fam.step(1) and tail.step(1) is fam.step(0)
-    assert tail.outcomes(3) == ("a",)
+    assert tail.step(0) is tail.step(2) is tail.step(3)
+    assert tail.outcomes(1) == ("g", "e") and tail.outcomes(3) == ("a",)
 
 
 def test_kraus_family_unknown_outcome():
@@ -133,7 +172,7 @@ def test_kraus_family_unknown_outcome():
 def test_cp_map_projective_example():
     fam = KrausFamily.repeated(2, PROJECTIVE, 1)
     out = apply_cp_map(fam, 0, "g", np.eye(2) / 2.0)
-    assert np.allclose(out.matrix, np.diag([0.5, 0.0]), atol=1e-15)
+    assert np.allclose(out, np.diag([0.5, 0.0]), atol=1e-15)
 
 
 def test_cp_map_matches_naive_sum():
@@ -144,7 +183,7 @@ def test_cp_map_matches_naive_sum():
         for t in range(3):
             for y in fam.outcomes(t):
                 naive = sum(m @ x @ m.conj().T for m in fam.operators(t, y))
-                got = apply_cp_map(fam, t, y, x).matrix
+                got = apply_cp_map(fam, t, y, x)
                 assert np.abs(got - naive).max() < 1e-12
 
 
@@ -163,8 +202,8 @@ def test_adjoint_identity():
             b = random_hermitian(rng, dim)
             scale = np.linalg.norm(a) * np.linalg.norm(b)
             for y in fam.outcomes(0):
-                lhs = np.trace(apply_cp_map(fam, 0, y, a).matrix @ b).real
-                rhs = np.trace(a @ apply_adjoint_cp_map(fam, 0, y, b).matrix).real
+                lhs = np.trace(apply_cp_map(fam, 0, y, a) @ b).real
+                rhs = np.trace(a @ apply_adjoint_cp_map(fam, 0, y, b)).real
                 assert abs(lhs - rhs) <= 1e-11 * scale
 
 
@@ -172,7 +211,7 @@ def test_unread_adjoint_map_is_unital():
     rng = np.random.default_rng(6)
     fam = random_family(rng, 3, 1, n_outcomes=4)
     total = sum(
-        apply_adjoint_cp_map(fam, 0, y, np.eye(3)).matrix for y in fam.outcomes(0)
+        apply_adjoint_cp_map(fam, 0, y, np.eye(3)) for y in fam.outcomes(0)
     )
     assert np.abs(total - np.eye(3)).max() < 1e-12
 

@@ -219,13 +219,14 @@ REMOVED = (
     "Tolerances", "DEFAULT", "backward_run", "backward_continuous",
     "backward_continuous_batch", "forward_filter", "forward_filter_batch",
     "simulate_sme", "cp_map_continuous", "adjoint_cp_map_continuous", "build_m",
-    "gradient_bloch", "lambda_bloch", "stack_effects",
+    "gradient_bloch", "lambda_bloch", "stack_effects", "HermitianOperator",
+    "EffectMatrix",
 )
 
 
 def test_public_names_resolve_once_and_removed_names_are_gone():
     names = trajtomo.__all__
-    assert len(names) == len(set(names)) == 64
+    assert len(names) == len(set(names)) == 62
     for name in names:
         getattr(trajtomo, name)
     for name in REMOVED:
