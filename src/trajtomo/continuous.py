@@ -35,9 +35,6 @@ from functools import cached_property
 
 import numpy as np
 
-from scipy.linalg import expm
-from scipy.special import ndtr, ndtri
-
 from .config import EIG_CLIP, PSD_TOL
 from .errors import StepSizeTooLarge
 from .filtering import ContinuousRecord, RecordBatch, _initial_state
@@ -260,7 +257,9 @@ def _build_step_ops(model: SMEModel):
     makes the one-step channel trace preserving exactly, so the signal
     densities integrate to one for every state.  Without that, maximum
     likelihood over long records drifts toward states whose leftover
-    normalization defect is largest.
+    normalization defect is largest.  Both factors are taken exactly from
+    the eigendecompositions of the Hermitian H and sum L^dag L; for H = 0
+    the unitary factor is exactly the identity.
     """
     d = model.dim
     damp = model._damping()
@@ -272,7 +271,9 @@ def _build_step_ops(model: SMEModel):
             "factor is not defined"
         )
     root = (vecs * np.sqrt(scaled)) @ vecs.conj().T
-    base = expm(-1j * model.dt * model.hamiltonian) @ root
+    h = model.hamiltonian
+    energies, modes = np.linalg.eigh((h + h.conj().T) / 2.0)
+    base = ((modes * np.exp(-1j * model.dt * energies)) @ modes.conj().T) @ root
     mon = model.monitored
     if mon:
         stack = np.stack(
@@ -324,6 +325,114 @@ def _superoperators(model: SMEModel, *, adjoint: bool):
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _EPS = float(np.finfo(float).eps)
 
+# (numerator, denominator) coefficients of rational approximations, from
+# the highest power down.  Cody (Math. Comp. 23, 631 (1969)), for y >= 0:
+# erf(y) = y R(y^2) up to y = 0.46875, erfc(y) = exp(-y^2) R(y) up to 4
+# and erfc(y) = exp(-y^2) (1/sqrt(pi) - w R(w)) / y, w = 1/y^2, beyond.
+_ERF = (
+    (1.85777706184603153e-1, 3.16112374387056560e0, 1.13864154151050156e2,
+     3.77485237685302021e2, 3.20937758913846947e3),
+    (1.0, 2.36012909523441209e1, 2.44024637934444173e2, 1.28261652607737228e3,
+     2.84423683343917062e3),
+)
+_ERFC = (
+    (2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e0,
+     6.61191906371416295e1, 2.98635138197400131e2, 8.81952221241769090e2,
+     1.71204761263407058e3, 2.05107837782607147e3, 1.23033935479799725e3),
+    (1.0, 1.57449261107098347e1, 1.17693950891312499e2, 5.37181101862009858e2,
+     1.62138957456669019e3, 3.29079923573345963e3, 4.36261909014324716e3,
+     3.43936767414372164e3, 1.23033935480374942e3),
+)
+_ERFC_FAR = (
+    (1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
+     1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4),
+    (1.0, 2.56852019228982242e0, 1.87295284992346725e0, 5.27905102951428412e-1,
+     6.05183413124413191e-2, 2.33520497626869185e-3),
+)
+# Wichura's AS241 (Appl. Stat. 37, 477 (1988)): with q = u - 1/2 the
+# quantile is q R(0.180625 - q^2) for |q| <= 0.425; beyond, with
+# r = sqrt(-log min(u, 1 - u)), it is +-R(r - 1.6) for r <= 5 and
+# +-R(r - 5) above.
+_AS241_CENTRAL = (
+    (2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
+     4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
+     1.3314166789178437745e2, 3.3871328727963666080e0),
+    (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
+     2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
+     4.2313330701600911252e1, 1.0),
+)
+_AS241_NEAR = (
+    (7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
+     1.27045825245236838258e0, 3.64784832476320460504e0, 5.76949722146069140550e0,
+     4.63033784615654529590e0, 1.42343711074968357734e0),
+    (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+     1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e0,
+     2.05319162663775882187e0, 1.0),
+)
+_AS241_FAR = (
+    (2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+     2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e0,
+     5.46378491116411436990e0, 6.65790464350110377720e0),
+    (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+     7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+     5.99832206555887937690e-1, 1.0),
+)
+
+
+def _rational(coeffs, x):
+    """R(x) of a (numerator, denominator) pair of equally long tuples."""
+    num, den = coeffs
+    p, q = num[0] * x, den[0] * x
+    for a, b in zip(num[1:-1], den[1:-1]):
+        p += a
+        p *= x
+        q += b
+        q *= x
+    p += num[-1]
+    q += den[-1]
+    p /= q
+    return p
+
+
+def _ndtr(x: np.ndarray) -> np.ndarray:
+    """Standard normal CDF of a finite 1-d array, from Cody's erf and erfc.
+
+    Both rational branches run on every lane and np.where picks one; the
+    asymptotic erfc runs only on the lanes with |x| / sqrt(2) > 4.  The
+    factor exp(-x^2 / 2) is taken plainly, as SciPy's ndtr takes it, so
+    the left tail carries the same relative error of about x^2 eps / 2
+    (4.5e-15 at x = -9, the farthest ``_tilted_normal_ppf`` looks).
+    """
+    z = x * math.sqrt(0.5)
+    y = np.abs(z)
+    y2 = y * y
+    central = _rational(_ERF, y2)
+    central *= 0.5 * z
+    central += 0.5
+    half = _rational(_ERFC, y)
+    far = y > 4.0
+    if far.any():
+        yf = y[far]
+        w = 1.0 / (yf * yf)
+        half[far] = (1.0 / math.sqrt(math.pi) - w * _rational(_ERFC_FAR, w)) / yf
+    half *= 0.5 * np.exp(-y2)
+    return np.where(y <= 0.46875, central, np.where(x < 0.0, half, 1.0 - half))
+
+
+def _ndtri(u: np.ndarray) -> np.ndarray:
+    """Standard normal quantile of a 1-d array in (0, 1), Wichura's AS241."""
+    q = u - 0.5
+    out = q * _rational(_AS241_CENTRAL, 0.180625 - q * q)
+    tail = np.abs(q) > 0.425
+    if tail.any():
+        qt = q[tail]
+        r = np.sqrt(-np.log(np.where(qt < 0.0, u[tail], 1.0 - u[tail])))
+        size = np.where(
+            r <= 5.0, _rational(_AS241_NEAR, r - 1.6), _rational(_AS241_FAR, r - 5.0)
+        )
+        out[tail] = np.copysign(size, qt)
+    return out
+
 
 def _tilted_normal_ppf(u, a, b, c):
     """Quantiles of the density (a + b x + c x^2) phi(x) / (a + c).
@@ -333,10 +442,12 @@ def _tilted_normal_ppf(u, a, b, c):
 
         F(x) = [a Phi(x) - b phi(x) + c (Phi(x) - x phi(x))] / (a + c)
 
-    is monotone and available in closed form.  Inverted by bracketed
-    Newton iteration from the untilted quantile ndtri(u), on [-9, 9]:
-    the bracket shrinks on the sign of F(x) - u, and a step that leaves
-    it or is not finite bisects instead.  F(x) - u is taken on the
+    is monotone and available in closed form, Phi being ``_ndtr``.
+    Inverted by bracketed Newton iteration from the untilted quantile
+    ``_ndtri(u)``, on [-9, 9]: the bracket shrinks on the sign of
+    F(x) - u, and a step that leaves it or is not finite bisects
+    instead.  The seed needs no more than AS241's accuracy, since Newton
+    converges on its own.  F(x) - u is taken on the
     smaller tail (1 - u minus the mass above x when x > 0), so it keeps
     its relative accuracy as u approaches 1.  A lane stops, keeping its
     current x, once |F(x) - u| <= 1e-15 or the Newton step or the
@@ -345,7 +456,7 @@ def _tilted_normal_ppf(u, a, b, c):
     lanes still running are iterated, for at most 60 passes.
     """
     u = np.clip(u, 1e-16, 1.0 - 1e-16)
-    out = np.clip(ndtri(u), -9.0, 9.0)
+    out = np.clip(_ndtri(u), -9.0, 9.0)
     lane = np.arange(u.size)
     x, norm = out.copy(), a + c
     lo = np.full(u.shape, -9.0)
@@ -353,7 +464,7 @@ def _tilted_normal_ppf(u, a, b, c):
     for _ in range(60):
         phi = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
         up, size = x > 0.0, np.abs(x)
-        tail = ndtr(-size)
+        tail = _ndtr(-size)
         mass = (a * tail + np.where(up, b, -b) * phi + c * (tail + size * phi)) / norm
         err = np.where(up, (1.0 - u) - mass, mass - u)
         hi = np.where(err > 0.0, np.minimum(hi, x), hi)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import expm
 
 from .config import KRAUS_TRACE_TOL, PSD_TOL
 from .continuous import Channel, ContinuousRecord, SMEModel
@@ -189,19 +188,70 @@ def kraus_to_superop(ops) -> np.ndarray:
     return sum(np.kron(k, k.conj()) for k in mats)
 
 
+# Pade-13 numerator coefficients of exp; exp(A) = (V - U)^-1 (V + U) with U
+# the odd and V the even part, accurate to double precision for ||A||_1 up
+# to _THETA_13 (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).
+_PADE_13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA_13 = 5.371920351148152
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a finite square matrix by Pade-13 scaling and squaring.
+
+    One fixed order: a is scaled by 2^-s, s = ceil(log2(||a||_1 /
+    theta_13)), and the approximant squared s times.  Every step is a
+    product, a sum or one LU solve, so entries that the block structure
+    of a keeps zero stay exactly zero.
+    """
+    b = _PADE_13
+    norm = float(np.abs(a).sum(axis=0).max())
+    s = max(0, math.ceil(math.log2(norm / _THETA_13))) if norm > 0 else 0
+    a = a / 2.0**s
+    eye = np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
 def _superop_to_kraus(sup: np.ndarray, dim: int) -> list[np.ndarray]:
-    """Kraus decomposition of a completely positive superoperator."""
-    choi = sup.reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3).reshape(
-        dim * dim, dim * dim
-    )
+    """Kraus decomposition of a completely positive superoperator.
+
+    The Choi matrix is eigendecomposed one connected block of its exact
+    nonzero pattern at a time, so each Kraus operator is supported on one
+    block and zeros that the channel's symmetry fixes stay exact: every
+    operator of a phase-covariant channel shifts the level by one amount.
+    """
+    n = dim * dim
+    choi = sup.reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3).reshape(n, n)
     choi = (choi + choi.conj().T) / 2.0
-    w, v = np.linalg.eigh(choi)
-    cut = 1e-12 * max(float(w[-1]), 0.0)
-    ops = [
-        math.sqrt(float(mu)) * v[:, k].reshape(dim, dim)
-        for k, mu in enumerate(w)
-        if mu > cut
-    ]
+    # label every index with the smallest index of its connected block
+    linked, label = choi != 0, np.arange(n)
+    while True:
+        lower = np.minimum(label, np.where(linked, label, n).min(axis=1))
+        if np.array_equal(lower, label):
+            break
+        label = lower
+    blocks = [np.flatnonzero(label == k) for k in np.unique(label)]
+    eigs = [np.linalg.eigh(choi[np.ix_(idx, idx)]) for idx in blocks]
+    cut = 1e-12 * max(max(float(w[-1]) for w, _ in eigs), 0.0)
+    ops = []
+    for idx, (w, v) in zip(blocks, eigs):
+        for k in np.flatnonzero(w > cut):
+            op = np.zeros(n, dtype=complex)
+            op[idx] = math.sqrt(float(w[k])) * v[:, k]
+            ops.append(op.reshape(dim, dim))
     total = sum(k.conj().T @ k for k in ops)
     if float(np.abs(total - np.eye(dim)).max()) > KRAUS_TRACE_TOL:
         raise ValueError("Kraus decomposition failed to preserve the trace")
@@ -224,14 +274,15 @@ def thermal_relaxation_kraus(
     """
     if not t_cavity > 0:
         raise ValueError(f"t_cavity must be positive, got {t_cavity!r}")
-    if not n_bath >= 0:
-        raise ValueError(f"n_bath must be nonnegative, got {n_bath!r}")
+    for name, value in (("duration", duration), ("n_bath", n_bath)):
+        if not 0 <= value < math.inf:
+            raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
     a = _lowering(dim)
     ops = [
         math.sqrt((1.0 + n_bath) / t_cavity) * a,
         math.sqrt(n_bath / t_cavity) * a.conj().T,
     ]
-    sup = expm(_lindblad_superop(dim, ops) * duration)
+    sup = _expm(_lindblad_superop(dim, ops) * duration)
     return _superop_to_kraus(sup, dim)
 
 
@@ -257,7 +308,7 @@ def injection_channel(
         math.sqrt(1.0 + n_hot) * a,
         math.sqrt(n_hot) * a.conj().T,
     ]
-    sup = expm(_lindblad_superop(dim, ops) * strength)
+    sup = _expm(_lindblad_superop(dim, ops) * strength)
     _superop_to_kraus(sup, dim)  # validates complete positivity + trace
     return sup
 
@@ -307,8 +358,8 @@ def build_qnd_family(
         raise ValueError("detection_efficiency must lie in (0, 1]")
     if not 0.0 <= readout_error <= 0.5:
         raise ValueError("readout_error must lie in [0, 0.5]")
-    if not step_time >= 0:
-        raise ValueError(f"step_time must be nonnegative, got {step_time!r}")
+    if not 0 <= step_time < math.inf:
+        raise ValueError(f"step_time must be nonnegative and finite, got {step_time!r}")
     if not len(phase_offsets):
         raise ValueError("phase_offsets must hold at least one offset")
     dim = n_max + 1

@@ -478,3 +478,17 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0
+
+
+def test_import_loads_no_scipy():
+    # SciPy is a test-only dependency: importing the package and its CLI
+    # must not pull it in
+    code = (
+        "import sys, trajtomo, trajtomo.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

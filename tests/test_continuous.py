@@ -191,14 +191,15 @@ def _tilted_batches(n):
 
 def test_tilted_quantile_converges_per_lane(monkeypatch):
     # F(x) = [a Phi - b phi + c (Phi - x phi)] / (a + c) in closed form;
-    # the routine calls ndtr once per pass on the lanes still running
+    # the routine calls _ndtr once per pass on the lanes still running
     calls = []
+    own_ndtr = continuous._ndtr
 
     def counting_ndtr(x):
         calls.append(np.size(x))
-        return ndtr(x)
+        return own_ndtr(x)
 
-    monkeypatch.setattr(continuous, "ndtr", counting_ndtr)
+    monkeypatch.setattr(continuous, "_ndtr", counting_ndtr)
     n = 200_000
     for name, (u, a, b, c) in _tilted_batches(n).items():
         calls.clear()
@@ -211,6 +212,39 @@ def test_tilted_quantile_converges_per_lane(monkeypatch):
         assert sum(calls) / n <= 10.0, f"{name}: {sum(calls) / n:.2f} per lane"
         if name == "c = b = 0":
             assert np.abs(x - ndtri(u)).max() <= 1e-12
+
+
+def test_ndtr_matches_scipy():
+    x = np.linspace(-38.0, 9.0, 470_001)
+    got, want = continuous._ndtr(x), ndtr(x)
+    assert (np.abs(x) > 4.0 * math.sqrt(2.0)).sum() > 100_000  # asymptotic branch
+    normal = want >= np.finfo(float).tiny
+    assert np.all(np.abs(got - want)[normal] <= 1e-14 * want[normal])
+    # below x = -37.5 both values lie in the subnormal range or at zero
+    assert x[~normal].max() < -37.5
+    assert np.all(got[~normal] < np.finfo(float).tiny)
+
+
+def test_ndtri_matches_scipy():
+    u = np.concatenate([
+        np.logspace(-300, -1, 100_000),
+        np.linspace(0.05, 0.95, 100_001),
+        1.0 - np.logspace(-16, -1, 100_000),
+    ])
+    got, want = continuous._ndtri(u), ndtri(u)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(np.abs(want), 1e-300))
+
+
+def test_step_operators_match_scipy_expm_of_the_hamiltonian():
+    rng = np.random.default_rng(17)
+    h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    h = h + h.conj().T
+    lower = np.diag([1.0, 1.0], 1).astype(complex)
+    model = SMEModel(h, (Channel(lower, 0.5),), dt=1e-3, n_steps=2)
+    base = continuous._build_step_ops(model)[0]
+    vals, vecs = np.linalg.eigh(lower.conj().T @ lower)
+    root = (vecs * np.sqrt(1.0 - model.dt * vals)) @ vecs.conj().T
+    assert np.abs(base - expm(-1j * model.dt * h) @ root).max() <= 1e-15
 
 
 def test_simulate_keep_mean_tracks_unconditional_solution():
@@ -251,12 +285,13 @@ def test_unstable_unconditional_step_raises():
 
 def test_step_operators_are_built_once_per_model(monkeypatch):
     calls = []
+    build = continuous._build_step_ops
 
-    def counting_expm(a):
-        calls.append(a)
-        return expm(a)
+    def counting_build(model):
+        calls.append(model)
+        return build(model)
 
-    monkeypatch.setattr(continuous, "expm", counting_expm)
+    monkeypatch.setattr(continuous, "_build_step_ops", counting_build)
     model = build_fluorescence_model()
     dy = np.zeros(len(model.monitored))
     for t in range(model.n_steps):

@@ -17,10 +17,13 @@ from trajtomo import (
     backward_sweep,
     backward_sweep_batch,
     build_fluorescence_model,
+    build_qnd_family,
     forward_batch,
     forward_run,
+    injection_channel,
     log_likelihood,
     sample_records,
+    thermal_state,
 )
 import trajtomo.filtering
 from trajtomo.filtering import _stack_effects
@@ -391,6 +394,20 @@ def test_backward_sweep_batch_matches_scalar_sweep():
             want = backward_sweep(fam, rec, (s,))[s]
             assert np.abs(adj.effect.matrix - want.effect.matrix).max() < 1e-12
             assert adj.log_c == pytest.approx(want.log_c, abs=1e-10)
+
+
+def test_qnd_effects_of_an_injection_run_are_exactly_diagonal():
+    # the QND steps and the pulse never mix photon-number coherence
+    # orders, so effects swept back from the identity keep exact zeros
+    fam = build_qnd_family(120)
+    records = sample_records(
+        fam, thermal_state(8, 0.06), 40, rng_seed=7,
+        interventions={60: injection_channel(8)},
+    )
+    off = ~np.eye(8, dtype=bool)
+    for start, batch in backward_sweep_batch(fam, records, (0, 59, 60, 100)).items():
+        assert np.all(batch.effects[:, off] == 0), start
+        assert np.all(np.diagonal(batch.effects, axis1=1, axis2=2).real > 0)
 
 
 def test_sample_records_frequencies():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.linalg import expm
 
 from trajtomo import (
     ContinuousRecord,
@@ -27,6 +28,7 @@ from trajtomo import (
     thermal_relaxation_kraus,
     thermal_state,
 )
+from trajtomo.models import _expm, _lindblad_superop, _lowering
 
 EXCITED = np.diag([1.0, 0.0]).astype(complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
@@ -279,3 +281,73 @@ def test_non_finite_parameters_are_refused_naming_them():
     ):
         with pytest.raises(ValueError, match=message):
             build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: thermal_relaxation_kraus(4, -1e-3, t_cavity=1.0, n_bath=0.1),
+     "duration must be nonnegative and finite"),
+    (lambda: thermal_relaxation_kraus(4, math.nan, t_cavity=1.0, n_bath=0.1),
+     "duration must be nonnegative and finite"),
+    (lambda: thermal_relaxation_kraus(4, math.inf, t_cavity=1.0, n_bath=0.1),
+     "duration must be nonnegative and finite"),
+    (lambda: thermal_relaxation_kraus(4, 0.1, t_cavity=1.0, n_bath=math.inf),
+     "n_bath must be nonnegative and finite"),
+    (lambda: thermal_relaxation_kraus(4, 0.1, t_cavity=1.0, n_bath=math.nan),
+     "n_bath must be nonnegative and finite"),
+    (lambda: build_qnd_family(3, step_time=math.inf),
+     "step_time must be nonnegative and finite"),
+    (lambda: build_qnd_family(3, step_time=math.nan),
+     "step_time must be nonnegative and finite"),
+])
+def test_relaxation_refuses_bad_parameters_by_name(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def _coherence_order(dim):
+    """i - j of each row-major index (i, j) of vec(rho)."""
+    i, j = np.divmod(np.arange(dim * dim), dim)
+    return i - j
+
+
+def _qnd_generators(dim=8):
+    a = _lowering(dim)
+    relax = _lindblad_superop(dim, [
+        math.sqrt(1.06 / 65e-3) * a, math.sqrt(0.06 / 65e-3) * a.conj().T,
+    ]) * 86e-6
+    inject = _lindblad_superop(dim, [math.sqrt(5.0) * a, 2.0 * a.conj().T]) * 0.3133
+    return {"relaxation": relax, "injection": inject}
+
+
+@pytest.mark.parametrize("norm", [1e-6, 1e-3, 0.1, 1.0, 5.0, 30.0, 100.0])
+def test_expm_matches_scipy_on_random_matrices(norm):
+    rng = np.random.default_rng(int(1e6 * norm) % 2**32)
+    for dim in (2, 5, 16):
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        a *= norm / np.abs(a).sum(axis=0).max()
+        want = expm(a)
+        assert np.abs(_expm(a) - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("name", ["relaxation", "injection"])
+def test_expm_of_the_qnd_generators_matches_scipy_and_keeps_exact_zeros(name):
+    gen = _qnd_generators()[name]
+    got, want = _expm(gen), expm(gen)
+    assert np.abs(got - want).max() <= 2e-15
+    order = _coherence_order(8)
+    off_block = order[:, None] != order[None, :]
+    assert np.all(gen[off_block] == 0)
+    assert np.all(got[off_block] == 0)
+
+
+def test_qnd_kraus_operators_each_shift_photon_number_by_one_amount():
+    fam = build_qnd_family(4)
+    n_ops = 0
+    for t in range(fam.n_steps):
+        for y in fam.outcomes(t):
+            for k in fam.operators(t, y):
+                rows, cols = np.nonzero(k)
+                assert len(set(rows - cols)) == 1, (t, y)
+                n_ops += 1
+    assert n_ops == 4 * 3 * len(thermal_relaxation_kraus(
+        8, 86e-6, t_cavity=65e-3, n_bath=0.06))
