@@ -59,6 +59,14 @@ _NUMERICAL_ERRORS = (
 )
 
 
+def _refuse_repeats(values: list, what: str) -> None:
+    """Refuse a value listed twice, naming every repeated one."""
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        listed = ",".join(map(str, repeated))
+        raise ValueError(f"{what} must be distinct; repeated: {listed}")
+
+
 def _parse_start_times(arg: str) -> list[int]:
     try:
         starts = [int(tok) for tok in arg.split(",") if tok.strip()]
@@ -68,11 +76,7 @@ def _parse_start_times(arg: str) -> list[int]:
         raise ValueError("--start-times is empty")
     if any(s < 0 for s in starts):
         raise ValueError("start times must be nonnegative")
-    repeated = sorted({s for s in starts if starts.count(s) > 1})
-    if repeated:
-        raise ValueError(
-            "start times must be distinct; repeated: " + ",".join(map(str, repeated))
-        )
+    _refuse_repeats(starts, "start times")
     return starts
 
 
@@ -122,6 +126,7 @@ def _parse_observables(arg: str | None, dim: int) -> list[tuple[str, np.ndarray]
             out.append((label, mat))
         else:
             raise ValueError(f"unknown observable {name!r}")
+    _refuse_repeats([label for label, _ in out], "observable labels")
     return out
 
 

@@ -20,7 +20,7 @@ observable A is then <A_par, R^{-1} A_par>, and a 95% interval is two
 standard deviations.
 
 R is written in a tangent basis built in closed form from one
-eigendecomposition of rho (see tangent_basis), whose split into support
+eigendecomposition of rho (``RMatrix.basis``), whose split into support
 and kernel also feeds the boundary piece.
 
 An independent Monte Carlo estimate of the same posterior variance
@@ -38,10 +38,9 @@ from .config import SINGULAR_REL
 from .errors import DegenerateTrace, EffectiveSampleSizeTooLow, Unidentifiable
 from .filtering import _of_dim, _stack_effects
 from .maxlike import _checked_traces, _grad_matrix, _support, _traces
-from .operators import DensityMatrix, _coords, as_matrix
+from .operators import DensityMatrix, _coords, _hermitian, as_matrix
 
 __all__ = [
-    "tangent_basis",
     "RMatrix",
     "build_r_matrix",
     "ObservableInterval",
@@ -57,7 +56,17 @@ _ESS_MIN = 100.0
 
 
 def _eigenbasis_tangent(v: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """tangent_basis from the eigenvectors v of rho, keep marking the support."""
+    """Orthonormal Hermitian basis of the feasible directions at a state
+    rho, from its eigenvectors v, with ``keep`` marking the support.
+
+    A direction X is feasible when it is traceless and has no component in
+    the kernel-kernel block of rho.  For an n-dimensional state of rank r
+    there are n^2 - (n - r)^2 - 1 of them, returned as a read-only
+    (m, n, n) stack.  In the eigenbasis of rho: the symmetric and
+    antisymmetric Gell-Mann element of every pair (j < k) with j or k in
+    the support, then the r - 1 traceless diagonals on the support,
+    rotated back.
+    """
     n = keep.size
     j, k = np.triu_indices(n, 1)
     live = keep[j] | keep[k]
@@ -74,25 +83,7 @@ def _eigenbasis_tangent(v: np.ndarray, keep: np.ndarray) -> np.ndarray:
     diag = np.tri(r - 1, r)
     diag[ls - 1, ls] = -ls
     b[2 * j.size :, sup, sup] = diag / np.sqrt(ls * (ls + 1.0))[:, None]
-    out = v @ b @ v.conj().T
-    out = (out + out.conj().transpose(0, 2, 1)) / 2.0
-    out.setflags(write=False)
-    return out
-
-
-def tangent_basis(rho) -> np.ndarray:
-    """Orthonormal Hermitian basis of the feasible directions at a state.
-
-    A direction X is feasible when it is traceless and has no component in
-    the kernel-kernel block of rho.  For an n-dimensional state of rank r
-    there are n^2 - (n - r)^2 - 1 of them, returned as a read-only
-    (m, n, n) stack.  Closed form from one eigendecomposition of rho: in
-    its eigenbasis, the symmetric and antisymmetric Gell-Mann element of
-    every pair (j < k) with j or k in the support, then the r - 1
-    traceless diagonals on the support, rotated back.
-    """
-    _, v, keep = _support(as_matrix(rho))
-    return _eigenbasis_tangent(v, keep)
+    return _hermitian(v @ b @ v.conj().T)
 
 
 @dataclass(frozen=True)

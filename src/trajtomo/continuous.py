@@ -38,7 +38,7 @@ import numpy as np
 from .config import EIG_CLIP, PSD_TOL
 from .errors import StepSizeTooLarge
 from .filtering import ContinuousRecord, RecordBatch, _initial_state
-from .operators import _coords, _real_map, _step_index
+from .operators import _coords, _integer, _real_map, _step_index
 
 __all__ = [
     "Channel",
@@ -123,9 +123,10 @@ class SMEModel:
         if not self.dt > 0:
             raise ValueError("dt must be positive")
         object.__setattr__(self, "dt", float(self.dt))
-        if int(self.n_steps) < 1:
+        n_steps = _integer(self.n_steps, "n_steps")
+        if n_steps < 1:
             raise ValueError("need at least one step")
-        object.__setattr__(self, "n_steps", int(self.n_steps))
+        object.__setattr__(self, "n_steps", n_steps)
         gen = -1j * h - 0.5 * self._damping()
         speed = float(np.linalg.norm(gen, 2)) * self.dt
         if speed > 0.1:
@@ -532,7 +533,7 @@ def lindblad_evolve(model: SMEModel, rho0, n_steps: int | None = None) -> np.nda
     negative eigenvalues are clipped and a violation beyond the clip
     window raises StepSizeTooLarge.
     """
-    total = model.n_steps if n_steps is None else int(n_steps)
+    total = model.n_steps if n_steps is None else _integer(n_steps, "n_steps")
     if not 1 <= total:
         raise ValueError("need at least one step")
     mat = _initial_state(model, rho0).matrix

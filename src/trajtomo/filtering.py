@@ -37,6 +37,8 @@ from .operators import (
     as_matrix,
     _check_positive,
     _coords,
+    _hermitian,
+    _integer,
     _kraus_form,
     _matrices,
     _real_map,
@@ -222,12 +224,13 @@ def _pack(records: list, where: Callable[[int], str]) -> RecordBatch:
 class FilterTrace:
     """Forward filter output.
 
-    ``states[t]`` is the conditional state before step t, so states has one
-    more entry than step_probs and ``step_probs[t]`` is the probability the
-    family assigned to outcome t given ``states[t]``.
+    ``states`` is a read-only (T+1, d, d) array whose entry t is the
+    conditional state before step t, so states has one more entry than
+    step_probs and ``step_probs[t]`` is the probability the family
+    assigned to outcome t given ``states[t]``.
     """
 
-    states: tuple[DensityMatrix, ...]
+    states: np.ndarray
     step_probs: tuple[float, ...]
     log_prob: float
 
@@ -262,7 +265,7 @@ class EffectBatch:
         e = np.asarray(self.effects, dtype=complex)
         if e.ndim != 3 or e.shape[1] != e.shape[2]:
             raise DimensionMismatch(f"expected (N, d, d) effects, got {e.shape}")
-        e = (e + e.conj().transpose(0, 2, 1)) / 2.0
+        e = _hermitian(e)
         log_c = np.array(self.log_c, dtype=float)
         ids = np.array(self.record_ids, dtype=int)
         if log_c.shape != e.shape[:1] or ids.shape != e.shape[:1]:
@@ -301,11 +304,16 @@ def forward_run(model, record, rho0) -> FilterTrace:
     """
     _checked(model, [record])
     rho = _initial_state(model, rho0)
-    states, probs = [rho], []
+    states, probs = [rho.matrix], []
     for _, mat, p in _step_by_step(model, record, rho.matrix, adjoint=False):
-        states.append(DensityMatrix(mat))
+        states.append(mat)
         probs.append(p)
-    return FilterTrace(tuple(states), tuple(probs), sum(map(math.log, probs)))
+    states = _hermitian(states)
+    _check_positive(
+        states, lambda t: f"filtered state of record {record.id} at step {t}",
+        unit_trace=True,
+    )
+    return FilterTrace(states, tuple(probs), sum(map(math.log, probs)))
 
 
 def backward_sweep(
@@ -383,35 +391,27 @@ def _of_dim(x, dim: int, what: str) -> np.ndarray:
 
 
 def _stack_effects(effects) -> tuple[np.ndarray, np.ndarray]:
-    """Stack a sequence of effects into (N, d, d) plus their log scales.
+    """The (N, d, d) effect stack and the N log scales of ``effects``.
 
     An EffectBatch hands over its own read-only arrays without copying.
-    Otherwise accepts a sequence of AdjointResult (contributing its
-    log_c), whose effects were checked when built, and matrices
-    (DensityMatrix or plain arrays, contributing log_c = 0).  The
-    matrices are checked here, together, by ``_check_positive`` on their
-    Hermitian parts; they need not have unit trace.
+    Anything else is read as one complex array of shape (N, d, d), a
+    list of matrices included, with log_c = 0; its Hermitian parts are
+    checked together by ``_check_positive`` and need not have unit trace.
     """
     if isinstance(effects, EffectBatch):
         return effects.effects, effects.log_c
-    mats, logc, plain = [], [], []
-    for n, item in enumerate(effects):
-        adj = isinstance(item, AdjointResult)
-        mats.append(item.effect.matrix if adj else as_matrix(item))
-        logc.append(item.log_c if adj else 0.0)
-        if not adj:
-            plain.append(n)
-    if not mats:
+    try:
+        e = np.asarray(effects, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise TypeError(
+            f"effects must be an EffectBatch or one (N, d, d) array: {exc}"
+        ) from None
+    if e.shape[:1] == (0,):
         return np.zeros((0, 0, 0), dtype=complex), np.zeros(0)
-    e, plain = np.stack(mats), np.array(plain, int)
     if e.ndim != 3 or e.shape[1] != e.shape[2]:
         raise DimensionMismatch(f"expected (N, d, d) effects, got {e.shape}")
-    if plain.size:
-        sub = e[plain]
-        _check_positive(
-            (sub + sub.conj().transpose(0, 2, 1)) / 2.0, lambda k: f"effect {plain[k]}"
-        )
-    return e, np.array(logc)
+    _check_positive(_hermitian(e), lambda k: f"effect {k}")
+    return e, np.zeros(len(e))
 
 
 # ---------------------------------------------------------------------------
@@ -587,8 +587,7 @@ def sample_records(
     rng_seed: int,
     *,
     interventions: Mapping[int, np.ndarray] | None = None,
-    keep_mean: bool = False,
-):
+) -> RecordBatch:
     """Draw measurement records from the model's own outcome law.
 
     ``model`` is a KrausFamily, which draws outcome labels, or an
@@ -599,15 +598,14 @@ def sample_records(
     channel acting on row-major vec(rho), applied to all trajectories
     just before that step (state preparation events inside a record).
 
-    Returns the records as a RecordBatch; with ``keep_mean`` also the
-    ensemble average state after each step as an (n_steps+1, dim, dim)
-    array.
+    Returns the records as a RecordBatch.
     """
     if n_records < 1:
         raise ValueError("need at least one record")
     dim, total = model.dim, model.n_steps
     channels = {}
     for t, sup in (interventions or {}).items():
+        t = _integer(t, "intervention step")
         if not 0 <= t < total:
             raise ValueError(
                 f"intervention at step {t} lies outside the model's steps [0, {total})"
@@ -620,20 +618,13 @@ def sample_records(
             )
         channels[t] = _real_map(sup).T
     step_draw, data, kind = model._sampler(np.random.default_rng(rng_seed), n_records)
-    means = []
 
     def draw(t, flat):
-        if keep_mean:
-            means.append(flat.mean(axis=0))
         if t in channels:
             flat[:] = flat @ channels[t]
             flat /= flat[:, :dim].sum(axis=1, keepdims=True)
         return step_draw(t, flat)
 
     lengths, ids = np.full(n_records, total), np.arange(n_records)
-    final = _filter(model, draw, lengths, ids, rho0, (total,))[total]
-    records = RecordBatch(data, lengths, ids, **kind)
-    if keep_mean:
-        means = _matrices(np.stack(means))
-        return records, np.concatenate([means, final.mean(axis=0)[None]])
-    return records
+    _filter(model, draw, lengths, ids, rho0, ())
+    return RecordBatch(data, lengths, ids, **kind)

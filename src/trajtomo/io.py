@@ -31,7 +31,7 @@ from .models import (
     injection_channel,
     povm_family,
 )
-from .operators import DensityMatrix, KrausFamily
+from .operators import DensityMatrix, KrausFamily, _integer
 
 __all__ = [
     "matrix_to_json",
@@ -142,7 +142,7 @@ def instantiate_model(description: Mapping):
         elements = {
             str(y): matrix_from_json(f) for y, f in params["elements"].items()
         }
-        return povm_family(elements, n_steps=int(params.get("n_steps", 1)))
+        return povm_family(elements, n_steps=params.get("n_steps", 1))
     raise ValueError(f"unknown model kind {kind!r}")
 
 
@@ -177,7 +177,7 @@ def interventions_from_description(
         raise ValueError("interventions are only supported for discrete models")
     out: dict[int, np.ndarray] = {}
     for ev in events:
-        step = int(ev["step"])
+        step = _integer(ev["step"], "intervention step")
         if step in out:
             raise ValueError(f"two interventions at step {step}; a step takes one")
         kind = ev.get("kind", "injection")
@@ -246,7 +246,9 @@ def read_records(path) -> tuple[dict, RecordBatch]:
 
     A malformed line raises ValueError naming its 1-based line number,
     and so does a signal record whose grid step or channel count differs
-    from the first record's.  An archive without records is refused.
+    from the first record's.  An id that an earlier record already holds
+    is refused naming both lines, since every pass names a record by its
+    id.  An archive without records is refused.
     """
     with open(path) as fh:
         lines = [
@@ -271,18 +273,30 @@ def read_records(path) -> tuple[dict, RecordBatch]:
         raise ValueError(
             f"archive declares {declared} records but contains {len(records)}"
         )
-    return meta, _pack(records, lambda i: f"{path}, line {lines[i + 1][0]}")
+    batch = _pack(records, lambda i: f"{path}, line {lines[i + 1][0]}")
+    order = np.argsort(batch.record_ids, kind="stable")
+    ids = batch.record_ids[order]
+    repeated = np.flatnonzero(ids[1:] == ids[:-1])
+    if repeated.size:
+        j, i = order[repeated[0]], order[repeated[0] + 1]
+        raise ValueError(
+            f"{path}, lines {lines[j + 1][0]} and {lines[i + 1][0]}: both hold "
+            f"record id {ids[repeated[0]]}"
+        )
+    return meta, batch
 
 
 def _discrete_record(line: str) -> DiscreteRecord:
     obj = json.loads(line)
-    return DiscreteRecord(int(obj["id"]), tuple(obj["outcomes"]))
+    return DiscreteRecord(_integer(obj["id"], "id"), tuple(obj["outcomes"]))
 
 
 def _continuous_record(line: str) -> ContinuousRecord:
     obj = json.loads(line)
     return ContinuousRecord(
-        int(obj["id"]), float(obj["dt"]), np.asarray(obj["increments"], float)
+        _integer(obj["id"], "id"),
+        float(obj["dt"]),
+        np.asarray(obj["increments"], float),
     )
 
 

@@ -23,19 +23,17 @@ import numpy as np
 from .config import KRAUS_TRACE_TOL, PSD_TOL
 from .continuous import Channel, ContinuousRecord, SMEModel
 from .errors import IncompletePOVM
-from .operators import DensityMatrix, KrausFamily, as_matrix
+from .operators import DensityMatrix, KrausFamily, _integer, as_matrix
 from .qubit import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 __all__ = [
     "build_fluorescence_model",
     "quadrature_estimates",
     "povm_family",
-    "pauli_povm",
     "number_operator",
     "thermal_state",
     "mean_photon",
     "thermal_relaxation_kraus",
-    "kraus_to_superop",
     "injection_channel",
     "thermal_decay_curve",
     "build_qnd_family",
@@ -128,15 +126,6 @@ def povm_family(elements: dict[str, np.ndarray], *, n_steps: int = 1) -> KrausFa
     return KrausFamily.repeated(d, step, n_steps)
 
 
-def pauli_povm() -> dict[str, np.ndarray]:
-    """Six-outcome qubit POVM: each Pauli eigenprojector with weight 1/3."""
-    out = {}
-    for name, s in (("x", SIGMA_X), ("y", SIGMA_Y), ("z", SIGMA_Z)):
-        out[f"{name}+"] = (np.eye(2) + s) / 6.0
-        out[f"{name}-"] = (np.eye(2) - s) / 6.0
-    return out
-
-
 # ---------------------------------------------------------------------------
 # cavity photon counting by dispersive probe atoms
 # ---------------------------------------------------------------------------
@@ -180,12 +169,6 @@ def _lindblad_superop(dim: int, ops) -> np.ndarray:
         s += np.kron(l, l.conj())
         s -= 0.5 * (np.kron(ll, eye) + np.kron(eye, ll.T))
     return s
-
-
-def kraus_to_superop(ops) -> np.ndarray:
-    """Row-major superoperator of rho -> sum_k K rho K^dag."""
-    mats = [np.asarray(k, dtype=complex) for k in ops]
-    return sum(np.kron(k, k.conj()) for k in mats)
 
 
 # Pade-13 numerator coefficients of exp; exp(A) = (V - U)^-1 (V + U) with U
@@ -352,7 +335,7 @@ def build_qnd_family(
     atoms produce the outcome 'no' and leave the cavity untouched beyond
     the thermal relaxation.
     """
-    if n_steps < 1:
+    if _integer(n_steps, "n_steps") < 1:
         raise ValueError("need at least one step")
     if not 0.0 < detection_efficiency <= 1.0:
         raise ValueError("detection_efficiency must lie in (0, 1]")

@@ -35,7 +35,8 @@ def as_matrix(x) -> np.ndarray:
 
 
 def _hermitian(matrix) -> np.ndarray:
-    """The read-only (M + M*)/2 of a square complex matrix M.
+    """The read-only (M + M*)/2 of a square complex matrix M, or of each
+    matrix of an (N, d, d) stack.
 
     Symmetrizing quashes the Hermiticity drift that long products of
     Kraus maps would otherwise accumulate; downstream code may rely on
@@ -43,9 +44,9 @@ def _hermitian(matrix) -> np.ndarray:
     symmetrization roundoff.
     """
     m = np.array(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    m += m.conj().T
+    m += np.swapaxes(m.conj(), -1, -2)
     m *= 0.5
     m.setflags(write=False)
     return m
@@ -92,6 +93,9 @@ class DensityMatrix:
 
     def __init__(self, matrix) -> None:
         self.matrix = _hermitian(matrix)
+        if self.matrix.ndim != 2:
+            shape = self.matrix.shape
+            raise DimensionMismatch(f"expected one matrix, got shape {shape}")
         _check_positive(
             self.matrix[None], lambda _: "a density matrix", unit_trace=True
         )
@@ -112,9 +116,18 @@ def _wrap_trusted(matrix: np.ndarray) -> DensityMatrix:
     return obj
 
 
+def _integer(value, name: str) -> int:
+    """value as an int, refused rather than truncated when it is not an
+    integer (a float such as 2.9 included); the error names it ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _step_index(t, n_steps: int) -> int:
     """Step index t of a model with n_steps steps, refused outside [0, n_steps)."""
-    t = operator.index(t)
+    t = _integer(t, "step index")
     if not 0 <= t < n_steps:
         raise ValueError(f"step index {t} outside [0, {n_steps})")
     return t
@@ -170,7 +183,7 @@ class KrausFamily:
         n_steps: int,
     ) -> "KrausFamily":
         """A family applying the same step ``n_steps`` times."""
-        return cls(dim, [step] * int(n_steps))
+        return cls(dim, [step] * _integer(n_steps, "n_steps"))
 
     @property
     def n_steps(self) -> int:

@@ -31,7 +31,6 @@ __all__ = [
     "SIGMA_Y",
     "SIGMA_Z",
     "PAULIS",
-    "pauli_combination",
     "to_bloch",
     "from_bloch",
     "effects_to_bloch",
@@ -44,14 +43,6 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 _BOUNDARY_GAP = 1e-6  # distance to the Bloch sphere below which the pure branch runs
-
-
-def pauli_combination(a) -> np.ndarray:
-    """The operator a1 sx + a2 sy + a3 sz."""
-    a = np.asarray(a, dtype=float)
-    if a.shape != (3,):
-        raise ValueError("expected three Bloch components")
-    return a[0] * SIGMA_X + a[1] * SIGMA_Y + a[2] * SIGMA_Z
 
 
 def to_bloch(rho) -> np.ndarray:

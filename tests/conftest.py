@@ -11,7 +11,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from trajtomo import KrausFamily
+from trajtomo import SIGMA_X, SIGMA_Y, SIGMA_Z, KrausFamily
 
 
 def random_density(rng, dim):
@@ -66,3 +66,24 @@ def random_family(rng, dim, n_steps, n_outcomes=2, ops_per_outcome=1):
 def suffix(fam, start):
     """The KrausFamily of steps start, start + 1, ... of ``fam``."""
     return KrausFamily(fam.dim, [fam.step(t) for t in range(start, fam.n_steps)])
+
+
+def pauli_combination(a):
+    """The qubit operator a1 sx + a2 sy + a3 sz of Bloch components a."""
+    a = np.asarray(a, dtype=float)
+    assert a.shape == (3,), "expected three Bloch components"
+    return a[0] * SIGMA_X + a[1] * SIGMA_Y + a[2] * SIGMA_Z
+
+
+def pauli_povm():
+    """Six-outcome qubit POVM: each Pauli eigenprojector with weight 1/3."""
+    out = {}
+    for name, s in (("x", SIGMA_X), ("y", SIGMA_Y), ("z", SIGMA_Z)):
+        out[f"{name}+"] = (np.eye(2) + s) / 6.0
+        out[f"{name}-"] = (np.eye(2) - s) / 6.0
+    return out
+
+
+def kraus_to_superop(ops):
+    """Row-major superoperator of rho -> sum_k K rho K^dag."""
+    return sum(np.kron(k, np.conj(k)) for k in np.asarray(ops, dtype=complex))

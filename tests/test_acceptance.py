@@ -26,7 +26,14 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_density, random_family, random_hermitian, random_pure
+from conftest import (
+    pauli_combination,
+    pauli_povm,
+    random_density,
+    random_family,
+    random_hermitian,
+    random_pure,
+)
 from trajtomo import (
     SIGMA_X,
     SIGMA_Y,
@@ -43,8 +50,6 @@ from trajtomo import (
     lindblad_evolve,
     mean_photon,
     number_operator,
-    pauli_combination,
-    pauli_povm,
     posterior_variance_mc,
     sample_records,
     solve_maxlike,

@@ -2,6 +2,7 @@
 import csv
 import importlib.metadata
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -164,7 +165,7 @@ def test_short_record_does_not_cap_start_times(tmp_path):
         row = next(
             r for r in rows if r["t"] == str(s) and r["observable"] == "ensemble:z"
         )
-        states = [forward_run(family, r, rho0).states[s].matrix
+        states = [forward_run(family, r, rho0).states[s]
                   for r in records if len(r) > s]
         assert len(states) == 39
         vals = np.array([st[0, 0].real - st[1, 1].real for st in states])
@@ -236,6 +237,73 @@ def test_bad_model_parameters_exit_2_naming_the_parameter(
     assert run(["validate", "--model", model]) == 2
     assert f"error: {name}" in capsys.readouterr().err
     assert not recs.exists()
+
+
+@pytest.mark.parametrize("kind, parameters, extras, message", [
+    ("qnd", {"n_steps": 20, "n_max": 2},
+     {"interventions": [{"step": 9.7, "kind": "injection"}]},
+     "intervention step must be an integer, got 9.7"),
+    ("qnd", {"n_steps": 2.9, "n_max": 2}, {}, "n_steps must be an integer, got 2.9"),
+    ("fluorescence", {"n_steps": 46.7}, {}, "n_steps must be an integer, got 46.7"),
+    ("povm", None, {}, "n_steps must be an integer, got 2.9"),
+])
+def test_non_integer_model_fields_exit_2(
+    tmp_path, capsys, kind, parameters, extras, message
+):
+    model, recs = tmp_path / "model.json", tmp_path / "recs.jsonl"
+    if kind == "povm":
+        povm_model(model, n_steps=2.9)
+    else:
+        save_model(model, kind, parameters, **extras)
+    assert run(["simulate", "--model", model, "--records", recs]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not recs.exists()
+
+
+@pytest.mark.parametrize("second, message", [
+    ('"id":0', "lines 2 and 3: both hold record id 0"),
+    ('"id":1.9', "line 3: id must be an integer, got 1.9"),
+])
+def test_archive_with_a_repeated_or_non_integer_id_exits_2(
+    tmp_path, capsys, second, message
+):
+    model, recs = tmp_path / "model.json", tmp_path / "recs.jsonl"
+    povm_model(model)
+    assert run(["simulate", "--model", model, "--records", recs,
+                "--n-trajectories", 3]) == 0
+    lines = recs.read_text().splitlines(keepends=True)
+    assert lines[2].startswith('{"id":1,')
+    lines[2] = lines[2].replace('"id":1', second, 1)
+    recs.write_text("".join(lines))
+    capsys.readouterr()
+    out = tmp_path / "o.csv"
+    assert run(["tomography", "--model", model, "--records", recs, "--out", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    assert run(["validate", "--model", model, "--records", recs]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_repeated_observable_labels_exit_2_before_the_archive_is_read(
+    tmp_path, capsys, monkeypatch
+):
+    model, recs = tmp_path / "model.json", tmp_path / "recs.jsonl"
+    povm_model(model)
+    assert run(["simulate", "--model", model, "--records", recs]) == 0
+    obs = tmp_path / "proj.json"
+    obs.write_text(json.dumps({"label": "x", "matrix": GROUND}))
+
+    def read_records(path):
+        raise AssertionError("the archive was read before the arguments were checked")
+
+    monkeypatch.setattr(trajtomo.io, "read_records", read_records)
+    out = tmp_path / "o.csv"
+    for value in ("x,x,z", f"z,x,@{obs}"):
+        assert run(["tomography", "--model", model, "--records", recs, "--out", out,
+                    "--observables", value]) == 2
+        assert ("observable labels must be distinct; repeated: x"
+                in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_unknown_observable_exits_2(tmp_path, capsys):
@@ -350,7 +418,7 @@ def test_threads_flag_does_not_change_results(tmp_path):
     means = {(int(r["t"]), r["observable"]): float(r["mean"]) for r in rows}
     z = np.diag([1.0, -1.0])
     for s in (0, 2):
-        states = [forward_run(family, r, rho0).states[s].matrix for r in records]
+        states = [forward_run(family, r, rho0).states[s] for r in records]
         want = np.mean([np.trace(st @ z).real for st in states])
         assert means[(s, "ensemble:z")] == pytest.approx(want, abs=1e-12)
 
@@ -472,10 +540,20 @@ def test_console_script_entry_point(monkeypatch, capsys):
     assert "simulate" in out and "tomography" in out
 
 
+def package_env():
+    """The environment with the directory of the imported trajtomo first on
+    the path: pytest puts src/ on its own import path only, and a child
+    interpreter must import the same package."""
+    env = dict(os.environ)
+    root = str(Path(trajtomo.io.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([root, *filter(None, [env.get("PYTHONPATH")])])
+    return env
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "trajtomo.cli", "--help"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env=package_env(),
     )
     assert proc.returncode == 0
 
@@ -488,7 +566,8 @@ def test_import_loads_no_scipy():
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env=package_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -144,12 +144,12 @@ def test_unmonitored_filter_matches_closed_form_decay():
     model = decay_model(dt=1.0 / n, n_steps=n)  # unit decay rate, run to t = 1
     rec = ContinuousRecord(0, model.dt, np.zeros((n, 0)))
     trace = forward_run(model, rec, EXCITED)
-    p_e = trace.states[-1].matrix[0, 0].real
+    p_e = trace.states[-1][0, 0].real
     assert p_e == pytest.approx(math.exp(-1.0), rel=1e-3)
     # the unconditional stepper is a different first-order scheme; the two
     # trajectories agree up to the shared discretization error O(dt)
     uncond = lindblad_evolve(model, EXCITED)
-    assert np.abs(uncond[-1] - trace.states[-1].matrix).max() < 0.1 * model.dt
+    assert np.abs(uncond[-1] - trace.states[-1]).max() < 0.1 * model.dt
 
 
 def test_simulated_increments_follow_the_signal_law():
@@ -247,10 +247,11 @@ def test_step_operators_match_scipy_expm_of_the_hamiltonian():
     assert np.abs(base - expm(-1j * model.dt * h) @ root).max() <= 1e-15
 
 
-def test_simulate_keep_mean_tracks_unconditional_solution():
+def test_simulate_mean_tracks_unconditional_solution():
     model = decay_model(dt=0.02, n_steps=60, efficiency=0.4)
-    records, means = sample_records(model, EXCITED, 400, rng_seed=9, keep_mean=True)
-    assert means.shape == (61, 2, 2)
+    records = sample_records(model, EXCITED, 400, rng_seed=9)
+    states = forward_batch(model, records, EXCITED, range(61))
+    means = np.stack([states[k].mean(axis=0) for k in range(61)])
     uncond = lindblad_evolve(model, EXCITED)
     assert np.abs(means - uncond).max() < 0.05
 
@@ -368,7 +369,7 @@ def test_forward_batch_mixed_lengths():
     assert [len(out[k]) for k in (0, 4, 6, 8)] == [3, 3, 2, 2]
     for k, members in ((4, batch), (6, records), (8, records)):
         for got, rec in zip(out[k], members):
-            want = forward_run(model, rec, EXCITED).states[k].matrix
+            want = forward_run(model, rec, EXCITED).states[k]
             assert np.abs(got - want).max() < 1e-12
 
 
@@ -389,7 +390,7 @@ def test_batch_matches_step_by_step_reference_on_fluorescence():
     for i, rec in enumerate(records):
         trace = forward_run(model, rec, plus)
         for k in steps:
-            assert np.abs(states[k][i] - trace.states[k].matrix).max() <= 1e-12
+            assert np.abs(states[k][i] - trace.states[k]).max() <= 1e-12
 
 
 def test_step_errors_name_record_and_step():
@@ -423,6 +424,6 @@ def test_forward_batch_matches_scalar():
     for i, rec in enumerate(records):
         trace = forward_run(model, rec, EXCITED)
         for k in (0, 4, 10):
-            assert np.abs(out[k][i] - trace.states[k].matrix).max() < 1e-12
+            assert np.abs(out[k][i] - trace.states[k]).max() < 1e-12
     with pytest.raises(ValueError):
         forward_batch(model, records, EXCITED, at=(11,))

@@ -121,7 +121,7 @@ def check_passes_against_the_references(model, recs, rho, starts, at):
     for k in at:
         covering = [r for r in recs if len(r) >= k]
         for state, rec in zip(states[k], covering):
-            want = forward_run(model, rec, rho).states[k].matrix
+            want = forward_run(model, rec, rho).states[k]
             assert np.abs(state - want).max() < 1e-12
 
 
@@ -165,29 +165,38 @@ def test_sampler_means_match_the_step_by_step_states(dim):
     n_steps = 5
     fam = KrausFamily(dim, [random_step(rng, dim, 3, 2) for _ in range(n_steps)])
     rho = random_density(rng, dim)
-    # an intervention before step 2 acts on every record's state after the
-    # mean at step 2 is taken
     channel = random_step(rng, dim, 1, 3)["y0"]
     sup = sum(np.kron(m, m.conj()) for m in channel)
     signals = random_model(rng, dim, n_steps)
-    for model, n, values in ((fam, 12, lambda r: r.outcomes),
-                             (signals, 6, lambda r: r.increments)):
-        recs, means = sample_records(
-            model, rho, n, rng_seed=dim, interventions={2: sup}, keep_mean=True
-        )
-        assert means.shape == (n_steps + 1, dim, dim)
-        want = np.zeros_like(means)
-        for rec in recs:
-            x = rho
-            for t, y in enumerate(values(rec)):
-                want[t] += x
-                if t == 2:
-                    x = sum(m @ x @ m.conj().T for m in channel)
-                    x = x / x.trace().real
-                x = apply_cp_map(model, t, y, x)
+    # a reset to sigma before step 0 makes the draws those from sigma itself:
+    # the same outcome codes (integers, so the bound below makes them equal),
+    # and increments up to the roundoff by which the reset's state
+    # coordinates, taken through the channel's real map, differ
+    sigma = random_density(rng, dim)
+    reset = np.outer(sigma.ravel(), np.eye(dim).ravel())
+    for model, n in ((fam, 12), (signals, 6)):
+        got = sample_records(model, rho, n, rng_seed=dim, interventions={0: reset})
+        want = sample_records(model, sigma, n, rng_seed=dim)
+        assert got.labels == want.labels
+        assert np.abs(got.data - want.data).max() <= 1e-14 * np.abs(want.data).max()
+    # with a channel before step 2, each outcome is the first whose cumulative
+    # probability reaches the record's uniform, one uniform per record and step
+    n = 12
+    recs = sample_records(fam, rho, n, rng_seed=dim, interventions={2: sup})
+    uniforms = np.random.default_rng(dim)
+    states = [rho] * n
+    for t in range(n_steps):
+        u, ys = uniforms.random(n), fam.outcomes(t)
+        for i, rec in enumerate(recs):
+            x = states[i]
+            if t == 2:
+                x = sum(m @ x @ m.conj().T for m in channel)
                 x = x / x.trace().real
-            want[n_steps] += x
-        assert np.abs(means - want / len(recs)).max() < 1e-12
+            images = [apply_cp_map(fam, t, y, x) for y in ys]
+            p = np.array([k.trace().real for k in images])
+            idx = min(int((np.cumsum(p / p.sum()) < u[i]).sum()), len(ys) - 1)
+            assert rec.outcomes[t] == ys[idx]
+            states[i] = images[idx] / images[idx].trace().real
 
 
 def test_outcome_sampler_weighs_each_outcome_by_its_step_trace():

@@ -8,6 +8,7 @@ from conftest import random_density, random_family, suffix
 from trajtomo import (
     AdjointResult,
     ContinuousRecord,
+    DensityMatrix,
     DimensionMismatch,
     DiscreteRecord,
     EffectBatch,
@@ -50,20 +51,36 @@ def test_record_needs_outcomes():
     assert len(DiscreteRecord(0, ("g", "e"))) == 2
 
 
+def test_forward_run_states_are_one_read_only_array():
+    # bit for bit the matrices of one DensityMatrix per step
+    fluorescence = build_fluorescence_model(n_steps=8)
+    qnd = build_qnd_family(6, n_max=3)
+    for model, rho in ((fluorescence, np.array([[0.5, 0.5], [0.5, 0.5]])),
+                       (qnd, thermal_state(4, 0.3).matrix)):
+        rec = sample_records(model, rho, 1, rng_seed=5)[0]
+        states = forward_run(model, rec, rho).states
+        assert states.shape == (len(rec) + 1, model.dim, model.dim)
+        assert not states.flags.writeable
+        start = DensityMatrix(rho).matrix
+        steps = trajtomo.filtering._step_by_step(model, rec, start, adjoint=False)
+        want = [start] + [DensityMatrix(x).matrix for _, x, _ in steps]
+        assert np.array_equal(states, want)
+
+
 def test_forward_identity_family():
     fam = KrausFamily.repeated(2, IDENTITY_STEP, 5)
     rho = np.diag([0.3, 0.7])
     trace = forward_run(fam, DiscreteRecord(0, ("only",) * 5), rho)
     assert trace.log_prob == pytest.approx(0.0, abs=1e-14)
     assert all(p == pytest.approx(1.0, abs=1e-14) for p in trace.step_probs)
-    assert np.abs(trace.states[-1].matrix - rho).max() < 1e-14
+    assert np.abs(trace.states[-1] - rho).max() < 1e-14
 
 
 def test_forward_projective_example():
     fam = KrausFamily.repeated(2, PROJECTIVE, 3)
     trace = forward_run(fam, DiscreteRecord(0, ("g", "g", "g")), np.diag([0.3, 0.7]))
     assert trace.log_prob == pytest.approx(math.log(0.3), abs=1e-12)
-    assert np.abs(trace.states[-1].matrix - np.diag([1.0, 0.0])).max() < 1e-14
+    assert np.abs(trace.states[-1] - np.diag([1.0, 0.0])).max() < 1e-14
     assert trace.step_probs[0] == pytest.approx(0.3)
     assert trace.step_probs[1] == pytest.approx(1.0)
 
@@ -174,7 +191,7 @@ def test_log_likelihood_helper():
     rho = random_density(rng, 2)
     want = sum(forward_run(fam, r, rho).log_prob for r in recs)
     got = sum(a.log_c for a in adjs) + log_likelihood(
-        rho, [a.effect for a in adjs]
+        rho, [a.effect.matrix for a in adjs]
     )
     assert got == pytest.approx(want, rel=1e-10)
     # outside the support of some effect the sentinel is minus infinity
@@ -182,19 +199,24 @@ def test_log_likelihood_helper():
     assert log_likelihood(pure, [np.diag([0.0, 1.0])]) == -math.inf
 
 
-def test_stack_effects_accepts_mixed_inputs():
+def test_stack_effects_reads_one_stack():
     rng = np.random.default_rng(107)
     fam = random_family(rng, 2, 3)
     rec = DiscreteRecord(0, tuple(fam.outcomes(t)[0] for t in range(3)))
     adj = backward_sweep(fam, rec, (0,))[0]
-    e, logc = _stack_effects([adj, adj.effect, adj.effect.matrix])
-    assert e.shape == (3, 2, 2)
-    assert np.abs(e - e[0]).max() < 1e-15
-    assert logc[0] == pytest.approx(adj.log_c)
-    assert logc[1] == 0.0 and logc[2] == 0.0
-    # a plain array is checked at its own index, after any AdjointResult
+    mat = adj.effect.matrix
+    e, logc = _stack_effects([mat, mat, 2.0 * mat])
+    assert e.shape == (3, 2, 2) and np.array_equal(e, [mat, mat, 2.0 * mat])
+    assert np.array_equal(logc, np.zeros(3))
+    # a plain effect is checked at its own index
     with pytest.raises(ValueError, match="effect 2 is not positive semidefinite"):
-        _stack_effects([adj, adj.effect, np.diag([1.5, -0.5])])
+        _stack_effects([mat, mat, np.diag([1.5, -0.5])])
+    # per-record objects are not matrices: only an EffectBatch carries log_c
+    for effects in ([adj], [adj.effect], [mat, adj.effect]):
+        with pytest.raises(TypeError):
+            _stack_effects(effects)
+    with pytest.raises(TypeError):
+        log_likelihood(np.eye(2) / 2, [adj.effect])
 
 
 def test_effect_batch_is_an_array_view_with_per_record_access():
@@ -305,7 +327,7 @@ def test_forward_batch_mixed_lengths_matches_scalar_filter():
         covering = [r for r in recs if len(r) >= k]
         assert got[k].shape == (len(covering), 3, 3)
         for state, rec in zip(got[k], covering):
-            want = forward_run(fam, rec, rho).states[k].matrix
+            want = forward_run(fam, rec, rho).states[k]
             assert np.abs(state - want).max() < 1e-12
 
 
@@ -447,6 +469,9 @@ def test_sample_records_interventions():
     for step in (3, -1):
         with pytest.raises(ValueError, match=rf"intervention at step {step} lies"):
             sample_records(fam, np.eye(2) / 2, 5, 3, interventions={step: superop})
+    # and so is a step between two steps, which would never match one
+    with pytest.raises(TypeError, match="intervention step must be an integer"):
+        sample_records(fam, np.eye(2) / 2, 5, 3, interventions={1.5: superop})
 
 
 def test_sample_records_refuses_an_intervention_of_another_dimension():
@@ -474,11 +499,12 @@ def test_sample_records_numbers_labels_by_first_appearance_on_a_suffix():
         backward_sweep_batch(family, recs, (0,))
 
 
-def test_sample_records_keep_mean_tracks_unread_map():
+def test_sample_records_mean_tracks_unread_map():
     # ensemble average of conditional states follows the outcome-summed map
     fam = KrausFamily.repeated(2, PROJECTIVE, 1)
     rho = np.array([[0.5, 0.4], [0.4, 0.5]], dtype=complex)
-    recs, means = sample_records(fam, rho, 20000, rng_seed=4, keep_mean=True)
+    recs = sample_records(fam, rho, 20000, rng_seed=4)
+    means = [s.mean(axis=0) for s in forward_batch(fam, recs, rho, (0, 1)).values()]
     assert np.abs(means[0] - rho).max() < 1e-12
     unread = sum(
         m @ rho @ m.conj().T for y in fam.outcomes(0) for m in fam.operators(0, y)
@@ -500,4 +526,4 @@ def test_forward_batch_matches_scalar_filter():
     for i, rec in enumerate(recs):
         trace = forward_run(fam, rec, rho)
         for s in (0, 2, 5):
-            assert np.abs(got[s][i] - trace.states[s].matrix).max() < 1e-12
+            assert np.abs(got[s][i] - trace.states[s]).max() < 1e-12

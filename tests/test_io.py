@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from trajtomo import ContinuousRecord, DiscreteRecord, KrausFamily, SMEModel
+from trajtomo import (
+    ContinuousRecord,
+    DiscreteRecord,
+    KrausFamily,
+    SMEModel,
+    build_fluorescence_model,
+    build_qnd_family,
+)
 from trajtomo.io import (
     RESULT_COLUMNS,
     RESULTS_SCHEMA,
@@ -186,6 +193,42 @@ def test_read_records_names_the_bad_line(tmp_path):
     p.write_text(head % "discrete" + '{"outcomes": ["g"]}\n')
     with pytest.raises(ValueError, match="line 2: missing key 'id'"):
         read_records(p)
+
+
+def test_read_records_refuses_repeated_and_non_integer_ids(tmp_path):
+    p = tmp_path / "x.jsonl"
+    head = '{"format": "trajtomo-records", "version": 1, "record_type": "%s"}\n'
+    line = '{"id": %s, "outcomes": ["g"]}\n'
+    p.write_text(head % "discrete" + line % 1 + line % 2 + line % 1)
+    with pytest.raises(ValueError, match="lines 2 and 4: both hold record id 1"):
+        read_records(p)
+    p.write_text(head % "discrete" + line % 1 + line % 1.9)
+    with pytest.raises(ValueError, match=r"line 3: id must be an integer, got 1\.9"):
+        read_records(p)
+    p.write_text(
+        head % "continuous" + '{"id": 0.5, "dt": 1e-3, "increments": [[0.1]]}\n'
+    )
+    with pytest.raises(ValueError, match=r"line 2: id must be an integer, got 0\.5"):
+        read_records(p)
+
+
+def test_step_counts_and_steps_are_refused_not_truncated():
+    step = {"g": [np.eye(2)]}
+    assert KrausFamily.repeated(2, step, np.int64(3)).n_steps == 3
+    for build in (
+        lambda: KrausFamily.repeated(2, step, 3.9),
+        lambda: build_fluorescence_model(n_steps=46.7),
+        lambda: build_qnd_family(2.9, n_max=2),
+        lambda: instantiate_model({"kind": "povm", "parameters": {
+            "elements": {"g": matrix_to_json(np.eye(2))}, "n_steps": 2.9,
+        }}),
+    ):
+        with pytest.raises(TypeError, match=r"n_steps must be an integer, got \d+\.\d"):
+            build()
+    desc, model = qnd_desc_and_model()
+    events = [{"step": 2.7, "kind": "injection"}]
+    with pytest.raises(TypeError, match="intervention step must be an integer"):
+        interventions_from_description(dict(desc, interventions=events), model)
 
 
 def test_read_records_refuses_an_archive_without_records(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from scipy import stats
 from scipy.linalg import expm
 
+from conftest import kraus_to_superop, pauli_povm
 from trajtomo import (
     ContinuousRecord,
     DiscreteRecord,
@@ -16,11 +17,9 @@ from trajtomo import (
     build_qnd_family,
     forward_run,
     injection_channel,
-    kraus_to_superop,
     lindblad_evolve,
     mean_photon,
     number_operator,
-    pauli_povm,
     povm_family,
     quadrature_estimates,
     sample_records,
@@ -186,7 +185,7 @@ def test_projective_limit_collapses_parity_mixture():
     rho0 = 0.5 * fock(8, 0) + 0.5 * fock(8, 1)
     for seed in range(5):
         rec = sample_records(fam, rho0, 1, rng_seed=seed)[0]
-        final = forward_run(fam, rec, rho0).states[-1].matrix
+        final = forward_run(fam, rec, rho0).states[-1]
         assert np.linalg.eigvalsh(final).max() > 0.999
 
 
@@ -229,7 +228,7 @@ def test_all_undetected_outcomes_reduce_to_thermal_relaxation():
     for _ in range(12):
         vec = sup @ vec
     want = vec.reshape(8, 8) / np.trace(vec.reshape(8, 8)).real
-    assert np.abs(run.states[-1].matrix - want).max() < 1e-9
+    assert np.abs(run.states[-1] - want).max() < 1e-9
 
 
 def test_qnd_family_validation():

@@ -99,6 +99,8 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([0.7, 0.7]))
     with pytest.raises(DimensionMismatch):
         DensityMatrix(np.zeros((2, 3)))
+    with pytest.raises(DimensionMismatch):
+        DensityMatrix(np.stack([np.eye(2) / 2] * 2))
     # NaN passes the eigenvalue and trace tests, which compare
     with pytest.raises(ValueError, match="is not finite"):
         DensityMatrix(np.diag([np.nan, 0.5, 0.5]))

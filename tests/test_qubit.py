@@ -2,13 +2,12 @@
 import numpy as np
 import pytest
 
-from conftest import random_density, random_pure
+from conftest import pauli_combination, random_density, random_pure
 from trajtomo import (
     Unidentifiable,
     build_r_matrix,
     effects_to_bloch,
     from_bloch,
-    pauli_combination,
     solve_maxlike,
     to_bloch,
     variance_bloch,
@@ -34,12 +33,6 @@ def test_bloch_roundtrip():
 def test_from_bloch_rejects_outside_ball():
     with pytest.raises(ValueError):
         from_bloch([0.8, 0.8, 0.0])
-
-
-def test_pauli_combination():
-    a = np.array([0.3, -0.2, 0.5])
-    want = 0.3 * SX - 0.2 * SY + 0.5 * SZ
-    assert np.abs(pauli_combination(a) - want).max() < 1e-15
 
 
 def test_effects_to_bloch():

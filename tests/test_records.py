@@ -220,13 +220,14 @@ REMOVED = (
     "backward_continuous_batch", "forward_filter", "forward_filter_batch",
     "simulate_sme", "cp_map_continuous", "adjoint_cp_map_continuous", "build_m",
     "gradient_bloch", "lambda_bloch", "stack_effects", "HermitianOperator",
-    "EffectMatrix",
+    "EffectMatrix", "pauli_combination", "kraus_to_superop", "pauli_povm",
+    "tangent_basis",
 )
 
 
 def test_public_names_resolve_once_and_removed_names_are_gone():
     names = trajtomo.__all__
-    assert len(names) == len(set(names)) == 62
+    assert len(names) == len(set(names)) == 58
     for name in names:
         getattr(trajtomo, name)
     for name in REMOVED:
