@@ -2,8 +2,8 @@
 
 Simulates diffusive two-quadrature records from a qubit prepared along +x,
 reconstructs the state at a grid of start times, and prints the sweep next
-to the unconditional master-equation curve.  A smaller cousin of the full
-40 000-record run in the acceptance suite.
+to the unconditional (signal-averaged) evolution of the same model.  A
+smaller cousin of the full 40 000-record run in the acceptance suite.
 """
 import numpy as np
 

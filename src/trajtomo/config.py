@@ -26,7 +26,3 @@ RANK_REL = 1e-8
 # Singular values below SINGULAR_REL * largest are treated as exact zeros
 # in pseudo-inverses, separating flat likelihood directions from roundoff.
 SINGULAR_REL = 1e-10
-# Eigenvalues in (-EIG_CLIP, -PSD_TOL) found during time stepping are
-# treated as integration roundoff and projected away; anything below
-# -EIG_CLIP is a hard step failure.
-EIG_CLIP = 1e-6

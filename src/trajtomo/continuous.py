@@ -20,11 +20,6 @@ tr(K_dy(rho)) is the likelihood density of the increment relative to pure
 noise, so records compress to (effect, log scale) pairs exactly as in the
 discrete-outcome case, and the same reconstruction stack applies
 downstream.
-
-Because K_dy is built from Kraus-style operators it preserves positivity
-by construction; only the unconditional Euler propagator in
-lindblad_evolve can step slightly outside the cone, and it carries a
-clip-or-fail policy for that.
 """
 from __future__ import annotations
 
@@ -35,10 +30,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import EIG_CLIP, PSD_TOL
 from .errors import StepSizeTooLarge
 from .filtering import ContinuousRecord, RecordBatch, _initial_state
-from .operators import _coords, _integer, _real_map, _step_index
+from .operators import _coords, _integer, _matrices, _real_map, _step_index
 
 __all__ = [
     "Channel",
@@ -525,38 +519,24 @@ def _draw_increments(rng, coeffs, pairs, dt):
 
 
 def lindblad_evolve(model: SMEModel, rho0, n_steps: int | None = None) -> np.ndarray:
-    """Unconditional first-order evolution, shape (n_steps + 1, dim, dim).
+    """Unconditional evolution, shape (n_steps + 1, dim, dim): the
+    ensemble mean of the trajectories ``sample_records`` draws.
 
-    Each step adds dt * (-i[H, rho] + sum_nu (L rho L^dag
-    - 1/2 {L^dag L, rho})).  The increment is traceless, so the trace is
-    preserved identically; positivity only holds to O(dt^2), so slightly
-    negative eigenvalues are clipped and a violation beyond the clip
-    window raises StepSizeTooLarge.
+    Each step is the step map K_dy of ``_superoperators`` averaged over
+    the reference law N(0, dt) of the increments, E[dy_v] = 0 and
+    E[dy_v dy_w] = dt delta_vw, so the mean step is A_0 + dt sum_v A_vv.
+    It is completely positive and trace preserving at any dt that the
+    step operators allow; a larger dt raises StepSizeTooLarge from
+    ``_build_step_ops``.
     """
     total = model.n_steps if n_steps is None else _integer(n_steps, "n_steps")
     if not 1 <= total:
         raise ValueError("need at least one step")
-    mat = _initial_state(model, rho0).matrix
-    h = model.hamiltonian
-    ops = [c.operator for c in model.channels]
-    damp = model._damping()
-    out = [mat]
-    for t in range(total):
-        inc = -1j * (h @ mat - mat @ h)
-        for l in ops:
-            inc += l @ mat @ l.conj().T
-        inc -= 0.5 * (damp @ mat + mat @ damp)
-        mat = mat + model.dt * inc
-        mat = (mat + mat.conj().T) / 2.0
-        w, v = np.linalg.eigh(mat)
-        if w[0] < -EIG_CLIP:
-            raise StepSizeTooLarge(
-                f"unconditional step {t} produced eigenvalue {w[0]:.3e}; "
-                "reduce dt"
-            )
-        if w[0] < -PSD_TOL:
-            w = np.clip(w, 0.0, None)
-            w = w / w.sum()
-            mat = (v * w) @ v.conj().T
-        out.append(mat)
-    return np.stack(out)
+    rows = [_coords(_initial_state(model, rho0).matrix)]
+    right, pairs = _superoperators(model, adjoint=False)
+    squares = model.dt * (pairs[:, 0] == pairs[:, 1])  # E[dy_v dy_w]
+    phi = np.concatenate([[1.0], np.zeros(len(model.monitored)), squares])
+    mean = phi @ right.reshape(len(right), -1, len(right))
+    for _ in range(total):
+        rows.append(rows[-1] @ mean)
+    return _matrices(np.stack(rows))

@@ -113,7 +113,8 @@ class RecordBatch:
     signal increments taken on a grid of step ``dt``, as an (N, T, k)
     array that is zero after each record ends.  T is the longest
     record's length; ``lengths`` (each at least one) and ``record_ids``
-    have shape (N,).  The arrays are checked once at construction and
+    have shape (N,); no two records share an id, since every pass names
+    a record by its id.  The arrays are checked once at construction and
     read-only after.  An integer index returns that record's
     DiscreteRecord or ContinuousRecord view, a slice a sub-batch;
     iteration yields the views in order.
@@ -136,6 +137,10 @@ class RecordBatch:
             )
         if lengths.min(initial=1) < 1 or data.shape[1] != lengths.max(initial=0):
             raise ValueError("records need a step each and data spanning the longest")
+        order = np.sort(ids)
+        repeated = order[1:][order[1:] == order[:-1]]
+        if repeated.size:
+            raise ValueError(f"record id {repeated[0]} is held by more than one record")
         inside = np.arange(data.shape[1]) < lengths[:, None]
         if signals:
             if labels or not self.dt > 0:

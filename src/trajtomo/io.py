@@ -273,31 +273,40 @@ def read_records(path) -> tuple[dict, RecordBatch]:
         raise ValueError(
             f"archive declares {declared} records but contains {len(records)}"
         )
-    batch = _pack(records, lambda i: f"{path}, line {lines[i + 1][0]}")
-    order = np.argsort(batch.record_ids, kind="stable")
-    ids = batch.record_ids[order]
-    repeated = np.flatnonzero(ids[1:] == ids[:-1])
+    ids = np.array([r.id for r in records])
+    order = np.argsort(ids, kind="stable")
+    repeated = np.flatnonzero(np.diff(ids[order]) == 0)
     if repeated.size:
         j, i = order[repeated[0]], order[repeated[0] + 1]
         raise ValueError(
             f"{path}, lines {lines[j + 1][0]} and {lines[i + 1][0]}: both hold "
-            f"record id {ids[repeated[0]]}"
+            f"record id {ids[j]}"
         )
-    return meta, batch
+    return meta, _pack(records, lambda i: f"{path}, line {lines[i + 1][0]}")
 
 
 def _discrete_record(line: str) -> DiscreteRecord:
     obj = json.loads(line)
-    return DiscreteRecord(_integer(obj["id"], "id"), tuple(obj["outcomes"]))
+    return DiscreteRecord(
+        _integer(obj["id"], "id"), tuple(_field(obj, "outcomes", list, "an array"))
+    )
 
 
 def _continuous_record(line: str) -> ContinuousRecord:
     obj = json.loads(line)
     return ContinuousRecord(
         _integer(obj["id"], "id"),
-        float(obj["dt"]),
+        _field(obj, "dt", (int, float), "a number"),
         np.asarray(obj["increments"], float),
     )
+
+
+def _field(obj: dict, key: str, types, kind: str):
+    """obj[key], refused unless it decoded from JSON as ``kind``."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise TypeError(f"{key} must be {kind}, got {json.dumps(value)}")
+    return value
 
 
 def _parse_line(path, no: int, line: str, decode):

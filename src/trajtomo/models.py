@@ -21,8 +21,9 @@ import math
 import numpy as np
 
 from .config import KRAUS_TRACE_TOL, PSD_TOL
-from .continuous import Channel, ContinuousRecord, SMEModel
+from .continuous import Channel, SMEModel
 from .errors import IncompletePOVM
+from .filtering import RecordBatch
 from .operators import DensityMatrix, KrausFamily, _integer, as_matrix
 from .qubit import SIGMA_X, SIGMA_Y, SIGMA_Z
 
@@ -86,11 +87,16 @@ def build_fluorescence_model(
 
 
 def quadrature_estimates(
-    records: list[ContinuousRecord], *, t1: float, efficiency: float, dt: float
+    records, *, t1: float, efficiency: float, dt: float
 ) -> np.ndarray:
-    """Raw-signal estimate of (x, y) from fluorescence records."""
-    sig = np.concatenate([r.increments for r in records], axis=0)
-    return math.sqrt(2.0 * t1 / efficiency) * sig.mean(axis=0) / dt
+    """Raw-signal estimate of (x, y) from fluorescence records, a
+    RecordBatch or ContinuousRecord views: the mean increment over every
+    step of every record, rescaled."""
+    batch = RecordBatch.from_records(records)
+    if batch.dt is None:
+        raise TypeError("quadrature estimates need signal records, not outcomes")
+    inside = np.arange(batch.data.shape[1]) < batch.lengths[:, None]
+    return math.sqrt(2.0 * t1 / efficiency) * batch.data[inside].mean(axis=0) / dt
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +351,7 @@ def build_qnd_family(
         raise ValueError(f"step_time must be nonnegative and finite, got {step_time!r}")
     if not len(phase_offsets):
         raise ValueError("phase_offsets must hold at least one offset")
-    dim = n_max + 1
+    dim = _integer(n_max, "n_max") + 1
     relax = thermal_relaxation_kraus(
         dim, step_time, t_cavity=t_cavity, n_bath=n_bath
     )

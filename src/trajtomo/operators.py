@@ -118,8 +118,11 @@ def _wrap_trusted(matrix: np.ndarray) -> DensityMatrix:
 
 def _integer(value, name: str) -> int:
     """value as an int, refused rather than truncated when it is not an
-    integer (a float such as 2.9 included); the error names it ``name``."""
+    integer (a float such as 2.9 or a bool included); the error names it
+    ``name``."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None

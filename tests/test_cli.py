@@ -246,6 +246,9 @@ def test_bad_model_parameters_exit_2_naming_the_parameter(
     ("qnd", {"n_steps": 2.9, "n_max": 2}, {}, "n_steps must be an integer, got 2.9"),
     ("fluorescence", {"n_steps": 46.7}, {}, "n_steps must be an integer, got 46.7"),
     ("povm", None, {}, "n_steps must be an integer, got 2.9"),
+    ("qnd", {"n_steps": True, "n_max": 2}, {}, "n_steps must be an integer, got True"),
+    ("qnd", {"n_steps": 20, "n_max": 7.0}, {}, "n_max must be an integer, got 7.0"),
+    ("qnd", {"n_steps": 20, "n_max": True}, {}, "n_max must be an integer, got True"),
 ])
 def test_non_integer_model_fields_exit_2(
     tmp_path, capsys, kind, parameters, extras, message
@@ -263,6 +266,7 @@ def test_non_integer_model_fields_exit_2(
 @pytest.mark.parametrize("second, message", [
     ('"id":0', "lines 2 and 3: both hold record id 0"),
     ('"id":1.9', "line 3: id must be an integer, got 1.9"),
+    ('"id":true', "line 3: id must be an integer, got True"),
 ])
 def test_archive_with_a_repeated_or_non_integer_id_exits_2(
     tmp_path, capsys, second, message

@@ -146,10 +146,10 @@ def test_unmonitored_filter_matches_closed_form_decay():
     trace = forward_run(model, rec, EXCITED)
     p_e = trace.states[-1][0, 0].real
     assert p_e == pytest.approx(math.exp(-1.0), rel=1e-3)
-    # the unconditional stepper is a different first-order scheme; the two
-    # trajectories agree up to the shared discretization error O(dt)
+    # with no monitored channel the unconditional evolution applies the
+    # same step channel as the filter, so the two agree to roundoff
     uncond = lindblad_evolve(model, EXCITED)
-    assert np.abs(uncond[-1] - trace.states[-1]).max() < 0.1 * model.dt
+    assert np.abs(uncond - trace.states).max() < 1e-12
 
 
 def test_simulated_increments_follow_the_signal_law():
@@ -275,6 +275,33 @@ def test_filter_rejects_grid_mismatch():
 def test_lindblad_evolve_refuses_an_initial_state_of_another_dimension():
     with pytest.raises(DimensionMismatch, match="dimension 3, the model has 2"):
         lindblad_evolve(two_channel_model(), np.eye(3) / 3)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        build_fluorescence_model(),
+        SMEModel(
+            hamiltonian=0.7 * SZ + 0.4 * SX,
+            channels=(Channel(SM, efficiency=0.6), Channel(0.5 * SZ)),
+            dt=1e-2,
+            n_steps=3,
+        ),
+    ],
+    ids=["fluorescence", "driven_one_monitored"],
+)
+def test_lindblad_evolve_averages_the_step_map_over_the_signal(model):
+    # Gauss-Hermite with two nodes per channel is exact for the quadratic
+    # dependence of K_dy on dy, so this is the mean step of the sampler
+    rho = random_density(np.random.default_rng(20), 2)
+    nodes, weights = np.polynomial.hermite_e.hermegauss(2)
+    weights = weights / weights.sum()
+    want = np.zeros((2, 2), dtype=complex)
+    for idx in np.ndindex(*(2,) * len(model.monitored)):
+        dy = math.sqrt(model.dt) * nodes[list(idx)]
+        want += np.prod(weights[list(idx)]) * apply_cp_map(model, 0, dy, rho)
+    got = lindblad_evolve(model, rho, n_steps=1)[1]
+    assert np.abs(got - want).max() <= 1e-14
 
 
 def test_unstable_unconditional_step_raises():

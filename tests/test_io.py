@@ -185,6 +185,10 @@ def test_read_records_names_the_bad_line(tmp_path):
         '{"id": 1, "dt": 1e-3, "increments": [[0.1,\n': "line 4: malformed JSON",
         '{"id": 1, "dt": 1e-3}\n': "line 4: missing key 'increments'",
         '{"id": 1, "dt": 1e-3, "increments": [["a"]]}\n': "line 4: could not convert",
+        '{"id": 1, "dt": "0.001", "increments": [[0.1, 0.2]]}\n':
+            'line 4: dt must be a number, got "0.001"',
+        '{"id": 1, "dt": true, "increments": [[0.1, 0.2]]}\n':
+            "line 4: dt must be a number, got true",
     }
     for line, message in cases.items():
         p.write_text(head % "continuous" + good + "\n" + line)
@@ -192,6 +196,10 @@ def test_read_records_names_the_bad_line(tmp_path):
             read_records(p)
     p.write_text(head % "discrete" + '{"outcomes": ["g"]}\n')
     with pytest.raises(ValueError, match="line 2: missing key 'id'"):
+        read_records(p)
+    # a string is not the outcome sequence of its characters
+    p.write_text(head % "discrete" + '{"id": 0, "outcomes": "ge"}\n')
+    with pytest.raises(ValueError, match='line 2: outcomes must be an array, got "ge"'):
         read_records(p)
 
 
@@ -210,6 +218,10 @@ def test_read_records_refuses_repeated_and_non_integer_ids(tmp_path):
     )
     with pytest.raises(ValueError, match=r"line 2: id must be an integer, got 0\.5"):
         read_records(p)
+    # a JSON true is not the record id 1
+    p.write_text(head % "discrete" + line % 0 + line % "true")
+    with pytest.raises(ValueError, match="line 3: id must be an integer, got True"):
+        read_records(p)
 
 
 def test_step_counts_and_steps_are_refused_not_truncated():
@@ -224,6 +236,13 @@ def test_step_counts_and_steps_are_refused_not_truncated():
         }}),
     ):
         with pytest.raises(TypeError, match=r"n_steps must be an integer, got \d+\.\d"):
+            build()
+    for build, message in (
+        (lambda: KrausFamily.repeated(2, step, True), "n_steps must be an integer, got True"),
+        (lambda: build_qnd_family(3, n_max=7.0), "n_max must be an integer, got 7.0"),
+        (lambda: build_qnd_family(3, n_max=False), "n_max must be an integer, got False"),
+    ):
+        with pytest.raises(TypeError, match=message):
             build()
     desc, model = qnd_desc_and_model()
     events = [{"step": 2.7, "kind": "injection"}]

@@ -11,6 +11,7 @@ from trajtomo import (
     ContinuousRecord,
     DiscreteRecord,
     IncompletePOVM,
+    RecordBatch,
     apply_cp_map,
     backward_sweep,
     build_fluorescence_model,
@@ -79,6 +80,18 @@ def test_quadrature_estimates_deterministic_contract():
     got = quadrature_estimates(recs, t1=4e-6, efficiency=0.25, dt=dt)
     want = math.sqrt(2 * 4e-6 / 0.25) * 3.0
     assert got == pytest.approx([want, want], rel=1e-12)
+    # a batch of mixed lengths averages exactly the steps its records hold,
+    # in record order, as the concatenated increments of its views do
+    rng = np.random.default_rng(76)
+    recs = [ContinuousRecord(i, dt, rng.normal(size=(n, 2)) * dt)
+            for i, n in enumerate((10, 3, 7))]
+    batch = RecordBatch.from_records(recs)
+    got = quadrature_estimates(batch, t1=4e-6, efficiency=0.25, dt=dt)
+    assert np.all(got == quadrature_estimates(recs, t1=4e-6, efficiency=0.25, dt=dt))
+    mean = np.concatenate([r.increments for r in recs]).mean(axis=0)
+    assert np.all(got == math.sqrt(2 * 4e-6 / 0.25) * mean / dt)
+    with pytest.raises(TypeError, match="signal records"):
+        quadrature_estimates([DiscreteRecord(0, ("g",))], t1=4e-6, efficiency=0.25, dt=dt)
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +310,14 @@ def test_non_finite_parameters_are_refused_naming_them():
      "step_time must be nonnegative and finite"),
     (lambda: build_qnd_family(3, step_time=math.nan),
      "step_time must be nonnegative and finite"),
+    (lambda: build_qnd_family(3, n_max=7.0), "n_max must be an integer, got 7.0"),
+    (lambda: build_qnd_family(3, n_max=True), "n_max must be an integer, got True"),
+    (lambda: build_qnd_family(True), "n_steps must be an integer, got True"),
 ])
 def test_relaxation_refuses_bad_parameters_by_name(build, message):
-    with pytest.raises(ValueError, match=message):
+    # a count of the wrong type is a TypeError, as operator.index raises
+    error = TypeError if "an integer" in message else ValueError
+    with pytest.raises(error, match=message):
         build()
 
 

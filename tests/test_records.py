@@ -96,6 +96,11 @@ def test_constructor_rejects_malformed_arrays():
         RecordBatch.from_records(
             [ContinuousRecord(0, 0.1, [[0.0]]), ContinuousRecord(1, 0.2, [[0.0]])]
         )
+    # every pass names a record by its id, so two records may not share one
+    with pytest.raises(ValueError, match="record id 1 is held by more than one"):
+        RecordBatch(np.array([[0], [1]], np.int8), [1, 1], [1, 1], ("g", "e"))
+    with pytest.raises(ValueError, match="record id 3 is held by more than one"):
+        RecordBatch.from_records([ContinuousRecord(3, 0.1, [[0.0]])] * 2)
 
 
 def _qnd_injection(seed):
