@@ -67,6 +67,19 @@ def _refuse_repeats(values: list, what: str) -> None:
         raise ValueError(f"{what} must be distinct; repeated: {listed}")
 
 
+def _refuse_overwrite(outputs: dict, inputs: dict) -> None:
+    """Refuse, before any work, an output path that resolves to an input's."""
+    for out_flag, out in outputs.items():
+        for in_flag, source in inputs.items():
+            if out is not None and source is not None and (
+                Path(out).resolve() == Path(source).resolve()
+            ):
+                raise ValueError(
+                    f"{out_flag} {out} is the same file as {in_flag} {source}; "
+                    "an output must not overwrite an input"
+                )
+
+
 def _parse_start_times(arg: str) -> list[int]:
     try:
         starts = [int(tok) for tok in arg.split(",") if tok.strip()]
@@ -131,6 +144,7 @@ def _parse_observables(arg: str | None, dim: int) -> list[tuple[str, np.ndarray]
 
 
 def _cmd_simulate(args) -> int:
+    _refuse_overwrite({"--records": args.records}, {"--model": args.model})
     desc = tio.load_model(args.model)
     model = tio.instantiate_model(desc)
     records = sample_records(
@@ -220,6 +234,9 @@ def _fastpath_suite(rng: np.random.Generator) -> float:
 
 
 def _cmd_validate(args) -> int:
+    _refuse_overwrite(
+        {"--out": args.out}, {"--model": args.model, "--records": args.records}
+    )
     desc = tio.load_model(args.model)
     model = tio.instantiate_model(desc)
     rng = np.random.default_rng(20_260_815)
@@ -331,6 +348,11 @@ def _ensemble_rows(model, desc, records, starts, observables) -> list[dict]:
 
 
 def _cmd_tomography(args) -> int:
+    sidecar = Path(args.out).with_suffix(".state.json")
+    _refuse_overwrite(
+        {"--out": args.out, f"the state sidecar of --out {args.out},": sidecar},
+        {"--model": args.model, "--records": args.records},
+    )
     desc = tio.load_model(args.model)
     model = tio.instantiate_model(desc)
     # every argument that the records do not bear on is checked before the read
@@ -419,7 +441,6 @@ def _cmd_tomography(args) -> int:
     if args.report_ensemble_average:
         rows.extend(_ensemble_rows(model, desc, records, starts, observables))
     tio.write_results_csv(args.out, rows)
-    sidecar = Path(args.out).with_suffix(".state.json")
     tio.write_json(
         sidecar,
         {

@@ -344,34 +344,6 @@ _ERFC_FAR = (
     (1.0, 2.56852019228982242e0, 1.87295284992346725e0, 5.27905102951428412e-1,
      6.05183413124413191e-2, 2.33520497626869185e-3),
 )
-# Wichura's AS241 (Appl. Stat. 37, 477 (1988)): with q = u - 1/2 the
-# quantile is q R(0.180625 - q^2) for |q| <= 0.425; beyond, with
-# r = sqrt(-log min(u, 1 - u)), it is +-R(r - 1.6) for r <= 5 and
-# +-R(r - 5) above.
-_AS241_CENTRAL = (
-    (2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
-     4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
-     1.3314166789178437745e2, 3.3871328727963666080e0),
-    (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
-     2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
-     4.2313330701600911252e1, 1.0),
-)
-_AS241_NEAR = (
-    (7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
-     1.27045825245236838258e0, 3.64784832476320460504e0, 5.76949722146069140550e0,
-     4.63033784615654529590e0, 1.42343711074968357734e0),
-    (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
-     1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e0,
-     2.05319162663775882187e0, 1.0),
-)
-_AS241_FAR = (
-    (2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
-     2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e0,
-     5.46378491116411436990e0, 6.65790464350110377720e0),
-    (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
-     7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
-     5.99832206555887937690e-1, 1.0),
-)
 
 
 def _rational(coeffs, x):
@@ -414,21 +386,6 @@ def _ndtr(x: np.ndarray) -> np.ndarray:
     return np.where(y <= 0.46875, central, np.where(x < 0.0, half, 1.0 - half))
 
 
-def _ndtri(u: np.ndarray) -> np.ndarray:
-    """Standard normal quantile of a 1-d array in (0, 1), Wichura's AS241."""
-    q = u - 0.5
-    out = q * _rational(_AS241_CENTRAL, 0.180625 - q * q)
-    tail = np.abs(q) > 0.425
-    if tail.any():
-        qt = q[tail]
-        r = np.sqrt(-np.log(np.where(qt < 0.0, u[tail], 1.0 - u[tail])))
-        size = np.where(
-            r <= 5.0, _rational(_AS241_NEAR, r - 1.6), _rational(_AS241_FAR, r - 5.0)
-        )
-        out[tail] = np.copysign(size, qt)
-    return out
-
-
 def _tilted_normal_ppf(u, a, b, c):
     """Quantiles of the density (a + b x + c x^2) phi(x) / (a + c).
 
@@ -438,20 +395,26 @@ def _tilted_normal_ppf(u, a, b, c):
         F(x) = [a Phi(x) - b phi(x) + c (Phi(x) - x phi(x))] / (a + c)
 
     is monotone and available in closed form, Phi being ``_ndtr``.
-    Inverted by bracketed Newton iteration from the untilted quantile
-    ``_ndtri(u)``, on [-9, 9]: the bracket shrinks on the sign of
-    F(x) - u, and a step that leaves it or is not finite bisects
-    instead.  The seed needs no more than AS241's accuracy, since Newton
-    converges on its own.  F(x) - u is taken on the
-    smaller tail (1 - u minus the mass above x when x > 0), so it keeps
-    its relative accuracy as u approaches 1.  A lane stops, keeping its
-    current x, once |F(x) - u| <= 1e-15 or the Newton step or the
-    bracket is within 4 eps max(1, |x|); in the tails rounding noise
-    over a tiny density would otherwise keep Newton moving.  Only the
-    lanes still running are iterated, for at most 60 passes.
+    Inverted by bracketed Newton iteration on [-9, 9]: the bracket
+    shrinks on the sign of F(x) - u, and a step that leaves it or is not
+    finite bisects instead.  Newton starts from the untilted quantile of
+    Abramowitz & Stegun 26.2.23, a rational form in sqrt(-2 log p) for
+    the smaller tail p = min(u, 1 - u) with error below 4.5e-4; a closer
+    seed only saves passes, since Newton converges on its own.
+    F(x) - u is taken on the smaller tail (1 - u minus the mass above x
+    when x > 0), so it keeps its relative accuracy as u approaches 1.  A
+    lane stops, keeping its current x, once |F(x) - u| <= 1e-15 or the
+    Newton step or the bracket is within 4 eps max(1, |x|); in the tails
+    rounding noise over a tiny density would otherwise keep Newton
+    moving.  Only the lanes still running are iterated, for at most 60
+    passes.
     """
     u = np.clip(u, 1e-16, 1.0 - 1e-16)
-    out = np.clip(_ndtri(u), -9.0, 9.0)
+    t = np.sqrt(-2.0 * np.log(np.minimum(u, 1.0 - u)))
+    seed = t - (2.515517 + (0.802853 + 0.010328 * t) * t) / (
+        1.0 + (1.432788 + (0.189269 + 0.001308 * t) * t) * t
+    )
+    out = np.clip(np.copysign(seed, u - 0.5), -9.0, 9.0)
     lane = np.arange(u.size)
     x, norm = out.copy(), a + c
     lo = np.full(u.shape, -9.0)
@@ -489,33 +452,35 @@ def _draw_increments(rng, coeffs, pairs, dt):
 
     ``coeffs`` holds each record's (a, b_v, p_j) of the one-step density
     (a + b . dy + sum_j p_j dy_v dy_w) N(dy; 0, dt I), (v, w) = ``pairs[j]``,
-    one per term of ``_superoperators``.  The quadratic tr(K_dy rho) is
-    nonnegative; rotating to the eigenbasis of its symmetric part C
-    (C_vv = p, C_vw = C_wv = p / 2) makes the coordinates conditionally
-    one dimensional, each an analytic tilted-Gaussian quantile.  Consumes
-    exactly one uniform per coordinate per record, so the draw is
-    reproducible by seed.
+    one per term of ``_superoperators``.  In unit-variance coordinates
+    x = dy / sqrt(dt) the tilt is q(x) = a + b' . x + x . C' x, with
+    b' = sqrt(dt) b and C' = dt C the symmetric part (C_vv = p,
+    C_vw = C_wv = p / 2); it is nonnegative, so the diagonal of C' is too
+    and is clipped at zero against roundoff.  Integrating the Gaussian
+    over the later coordinates removes their cross and linear terms, so
+    by the chain rule x_i given x_0 .. x_(i-1) is the tilted Gaussian of
+    ``_tilted_normal_ppf`` with constant q(x_0 .. x_(i-1)) +
+    sum_(j>i) C'_jj, linear coefficient b'_i + 2 sum_(j<i) C'_ij x_j and
+    quadratic coefficient C'_ii.  Consumes exactly one uniform per
+    coordinate per record, so the draw is reproducible by seed.
     """
     n, k = coeffs.shape[0], coeffs.shape[1] - 1 - len(pairs)
-    a, b, p = coeffs[:, 0], coeffs[:, 1 : k + 1], coeffs[:, k + 1 :] / 2.0
+    a, b, p = coeffs[:, 0], coeffs[:, 1 : k + 1], coeffs[:, k + 1 :] * (dt / 2.0)
     quad = np.zeros((n, k, k))
     quad[:, pairs[:, 0], pairs[:, 1]] = p
     quad[:, pairs[:, 1], pairs[:, 0]] += p
-    eigs, rot = np.linalg.eigh(quad)
-    eigs = np.clip(eigs, 0.0, None)
-    # unit-variance coordinates x, dy = sqrt(dt) rot x
-    blin = np.einsum("nvk,nv->nk", rot, b) * math.sqrt(dt)
-    bquad = eigs * dt
+    diag = np.clip(np.diagonal(quad, axis1=1, axis2=2), 0.0, None)
+    blin = b * math.sqrt(dt)
     acc = a
     coords = np.empty((n, k))
     for i in range(k):
-        tail = bquad[:, i + 1:].sum(axis=1)
+        lin = blin[:, i] + 2.0 * np.einsum("nj,nj->n", quad[:, i, :i], coords[:, :i])
         xi = _tilted_normal_ppf(
-            rng.random(n), acc + tail, blin[:, i], bquad[:, i]
+            rng.random(n), acc + diag[:, i + 1:].sum(axis=1), lin, diag[:, i]
         )
         coords[:, i] = xi
-        acc = acc + (blin[:, i] + bquad[:, i] * xi) * xi
-    return math.sqrt(dt) * np.einsum("nvk,nk->nv", rot, coords)
+        acc = acc + (lin + diag[:, i] * xi) * xi
+    return math.sqrt(dt) * coords
 
 
 def lindblad_evolve(model: SMEModel, rho0, n_steps: int | None = None) -> np.ndarray:

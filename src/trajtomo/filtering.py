@@ -127,7 +127,8 @@ class RecordBatch:
     dt: float | None = None
 
     def __post_init__(self) -> None:
-        lengths, ids = np.array(self.lengths, int), np.array(self.record_ids, int)
+        lengths = _integers(self.lengths, "lengths")
+        ids = _integers(self.record_ids, "record_ids")
         data, labels = np.asarray(self.data), tuple(map(str, self.labels))
         n, signals = len(lengths), self.dt is not None
         if data.ndim != 2 + signals or data.shape[0] != n or ids.shape != (n,):
@@ -190,6 +191,17 @@ class RecordBatch:
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
+
+
+def _integers(values, name: str) -> np.ndarray:
+    """values as an int array, refused rather than truncated when an entry
+    is not an integer (a float or a bool included); the error names it
+    ``name``.  An empty array of any dtype passes."""
+    if isinstance(values, np.ndarray):
+        if values.size and values.dtype.kind not in "iu":
+            raise TypeError(f"{name} must be integers, got {values.dtype} entries")
+        return values.astype(int)
+    return np.array([_integer(v, f"{name} entry") for v in values], int)
 
 
 def _pack(records: list, where: Callable[[int], str]) -> RecordBatch:

@@ -297,8 +297,23 @@ def _continuous_record(line: str) -> ContinuousRecord:
     return ContinuousRecord(
         _integer(obj["id"], "id"),
         _field(obj, "dt", (int, float), "a number"),
-        np.asarray(obj["increments"], float),
+        _signal(obj["increments"], "true" in line or "false" in line),
     )
+
+
+def _signal(rows, literals: bool) -> np.ndarray:
+    """Decoded JSON ``increments`` as an array, refusing strings and bools
+    rather than converting them.  NumPy shows a string in the dtype but
+    folds a bool into a float array, so the values are walked when the
+    dtype is not float or the line holds a JSON literal (``literals``);
+    walking every line would add about a quarter to ``read_records``."""
+    sig = np.asarray(rows)
+    if sig.dtype.kind != "f" or literals:
+        for row in rows if isinstance(rows, list) else ():
+            for v in row if isinstance(row, list) else (row,):
+                if isinstance(v, bool) or not isinstance(v, (int, float)):
+                    raise TypeError(f"increments must hold numbers, got {json.dumps(v)}")
+    return np.asarray(sig, float)
 
 
 def _field(obj: dict, key: str, types, kind: str):

@@ -351,7 +351,10 @@ def build_qnd_family(
         raise ValueError(f"step_time must be nonnegative and finite, got {step_time!r}")
     if not len(phase_offsets):
         raise ValueError("phase_offsets must hold at least one offset")
-    dim = _integer(n_max, "n_max") + 1
+    n_max = _integer(n_max, "n_max")
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    dim = n_max + 1
     relax = thermal_relaxation_kraus(
         dim, step_time, t_cavity=t_cavity, n_bath=n_bath
     )

@@ -117,6 +117,43 @@ def test_missing_input_exits_2(tmp_path, capsys):
                 "--out", tmp_path / "o.csv"]) == 2
 
 
+@pytest.mark.parametrize("command, output, input_", [
+    ("tomography", "--out", "--records"),
+    ("tomography", "--out", "--model"),
+    ("tomography", "sidecar", "--records"),
+    ("tomography", "sidecar", "--model"),
+    ("validate", "--out", "--records"),
+    ("validate", "--out", "--model"),
+    ("simulate", "--records", "--model"),
+])
+def test_an_output_that_names_an_input_exits_2_before_any_work(
+    command, output, input_, tmp_path, capsys
+):
+    inputs = {"--model": tmp_path / "model.json", "--records": tmp_path / "recs.jsonl"}
+    if output == "sidecar":  # --out x.csv writes its states to x.state.json
+        inputs[input_] = tmp_path / "x.state.json"
+    povm_model(inputs["--model"])
+    assert run(["simulate", "--model", inputs["--model"],
+                "--records", inputs["--records"]]) == 0
+    # the same file under another spelling
+    (tmp_path / "sub").mkdir()
+    alias = tmp_path / "sub" / ".." / inputs[input_].name
+    if output == "sidecar":
+        output, out, named = "--out", alias.with_name("x.csv"), [alias.with_name("x.csv")]
+    else:
+        out, named = alias, []
+    named += [alias, inputs[input_]]
+    argv = [command, "--model", inputs["--model"]]
+    if command != "simulate":
+        argv += ["--records", inputs["--records"]]
+    before = {p: p.read_bytes() for p in inputs.values()}
+    capsys.readouterr()
+    assert run(argv + [output, out]) == 2
+    err = capsys.readouterr().err
+    assert all(str(p) in err for p in named) and "overwrite" in err
+    assert {p: p.read_bytes() for p in inputs.values()} == before
+
+
 def test_model_mismatch_exits_1(tmp_path, capsys):
     model_a, model_b = tmp_path / "a.json", tmp_path / "b.json"
     povm_model(model_a)

@@ -225,14 +225,32 @@ def test_ndtr_matches_scipy():
     assert np.all(got[~normal] < np.finfo(float).tiny)
 
 
-def test_ndtri_matches_scipy():
-    u = np.concatenate([
-        np.logspace(-300, -1, 100_000),
-        np.linspace(0.05, 0.95, 100_001),
-        1.0 - np.logspace(-16, -1, 100_000),
-    ])
-    got, want = continuous._ndtri(u), ndtri(u)
-    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(np.abs(want), 1e-300))
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("tilted", [True, False])
+def test_drawn_increments_have_the_tilted_moments(k, tilted):
+    # density (a + b.x + x.Cx) phi(x) / (a + tr C) at dt = 1, with C full
+    # (off-diagonal for k > 1): E[x] = b / (a + tr C) and
+    # E[x x^T] = ((a + tr C) I + 2 C) / (a + tr C)
+    rng = np.random.default_rng(400 + 10 * k + tilted)
+    root = rng.normal(size=(k, k))
+    quad = root @ root.T
+    if tilted:
+        b = rng.normal(size=k)
+        a = b @ np.linalg.solve(quad, b) / 4.0 + rng.uniform(0.0, 1.0)
+    else:
+        a, b = 0.0, np.zeros(k)
+    pairs = np.array([(v, w) for v in range(k) for w in range(v, k)])
+    p = np.where(pairs[:, 0] == pairs[:, 1], 1.0, 2.0) * quad[pairs[:, 0], pairs[:, 1]]
+    n = 400_000
+    coeffs = np.tile(np.concatenate([[a], b, p]), (n, 1))
+    x = continuous._draw_increments(np.random.default_rng(7), coeffs, pairs, 1.0)
+    norm = a + np.trace(quad)
+    first, second = b / norm, (norm * np.eye(k) + 2.0 * quad) / norm
+    products = x[:, :, None] * x[:, None, :]
+    z_first = (x.mean(axis=0) - first) / (x.std(axis=0) / math.sqrt(n))
+    z_second = (products.mean(axis=0) - second) / (products.std(axis=0) / math.sqrt(n))
+    assert np.abs(z_first).max() < 4.0
+    assert np.abs(z_second).max() < 4.0
 
 
 def test_step_operators_match_scipy_expm_of_the_hamiltonian():

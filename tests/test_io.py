@@ -184,7 +184,15 @@ def test_read_records_names_the_bad_line(tmp_path):
     cases = {
         '{"id": 1, "dt": 1e-3, "increments": [[0.1,\n': "line 4: malformed JSON",
         '{"id": 1, "dt": 1e-3}\n': "line 4: missing key 'increments'",
-        '{"id": 1, "dt": 1e-3, "increments": [["a"]]}\n': "line 4: could not convert",
+        '{"id": 1, "dt": 1e-3, "increments": [["a"]]}\n':
+            'line 4: increments must hold numbers, got "a"',
+        # strings and bools are refused, not converted to 0.5 and 1.0
+        '{"id": 1, "dt": 1e-3, "increments": [["0.5", true]]}\n':
+            'line 4: increments must hold numbers, got "0.5"',
+        '{"id": 1, "dt": 1e-3, "increments": [[0.5, true]]}\n':
+            "line 4: increments must hold numbers, got true",
+        '{"id": 1, "dt": 1e-3, "increments": [[false], [0.5]]}\n':
+            "line 4: increments must hold numbers, got false",
         '{"id": 1, "dt": "0.001", "increments": [[0.1, 0.2]]}\n':
             'line 4: dt must be a number, got "0.001"',
         '{"id": 1, "dt": true, "increments": [[0.1, 0.2]]}\n':

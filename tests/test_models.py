@@ -312,6 +312,8 @@ def test_non_finite_parameters_are_refused_naming_them():
      "step_time must be nonnegative and finite"),
     (lambda: build_qnd_family(3, n_max=7.0), "n_max must be an integer, got 7.0"),
     (lambda: build_qnd_family(3, n_max=True), "n_max must be an integer, got True"),
+    (lambda: build_qnd_family(3, n_max=0), "n_max must be at least 1, got 0"),
+    (lambda: build_qnd_family(3, n_max=-1), "n_max must be at least 1, got -1"),
     (lambda: build_qnd_family(True), "n_steps must be an integer, got True"),
 ])
 def test_relaxation_refuses_bad_parameters_by_name(build, message):

@@ -103,6 +103,25 @@ def test_constructor_rejects_malformed_arrays():
         RecordBatch.from_records([ContinuousRecord(3, 0.1, [[0.0]])] * 2)
 
 
+@pytest.mark.parametrize("ids, lengths, message", [
+    ([2.9, False], [1, 1], "record_ids entry must be an integer, got 2.9"),
+    ([2, True], [1, 1], "record_ids entry must be an integer, got True"),
+    (np.array([2.0, 3.0]), [1, 1], "record_ids must be integers, got float64"),
+    ([0, 1], [1.7, True], "lengths entry must be an integer, got 1.7"),
+    ([0, 1], np.array([True, True]), "lengths must be integers, got bool"),
+])
+def test_constructor_refuses_non_integer_ids_and_lengths(ids, lengths, message):
+    # refused rather than truncated to [2 0] or [1 1]
+    with pytest.raises(TypeError, match=re.escape(message)):
+        RecordBatch(np.array([[0], [1]], np.int8), lengths, ids, ("g", "e"))
+
+
+def test_empty_batch_builds_from_empty_float_arrays():
+    for empty in ((), np.asarray(())):  # np.asarray(()) is float64
+        batch = RecordBatch(np.zeros((0, 0), np.int8), empty, empty)
+        assert len(batch) == 0 and batch.record_ids.dtype.kind == "i"
+
+
 def _qnd_injection(seed):
     # the benchmark's photon-counting shape: 250 records of 2 500 steps with
     # an injection before step 1 000, at its 22 start times
