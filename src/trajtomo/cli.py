@@ -67,13 +67,19 @@ def _refuse_repeats(values: list, what: str) -> None:
         raise ValueError(f"{what} must be distinct; repeated: {listed}")
 
 
-def _refuse_overwrite(outputs: dict, inputs: dict) -> None:
-    """Refuse, before any work, an output path that resolves to an input's."""
+def _check_outputs(outputs: dict, inputs: dict) -> None:
+    """Refuse, before any work, an output path that resolves to an input's
+    or that cannot be created: a directory, or a file in a directory that
+    does not exist."""
     for out_flag, out in outputs.items():
+        if out is None:
+            continue
+        target = Path(out).resolve()
+        if target.is_dir() or not target.parent.is_dir():
+            where = "it is" if target.is_dir() else f"{target.parent} is not"
+            raise ValueError(f"{out_flag} {out} cannot be written: {where} a directory")
         for in_flag, source in inputs.items():
-            if out is not None and source is not None and (
-                Path(out).resolve() == Path(source).resolve()
-            ):
+            if source is not None and target == Path(source).resolve():
                 raise ValueError(
                     f"{out_flag} {out} is the same file as {in_flag} {source}; "
                     "an output must not overwrite an input"
@@ -144,7 +150,7 @@ def _parse_observables(arg: str | None, dim: int) -> list[tuple[str, np.ndarray]
 
 
 def _cmd_simulate(args) -> int:
-    _refuse_overwrite({"--records": args.records}, {"--model": args.model})
+    _check_outputs({"--records": args.records}, {"--model": args.model})
     desc = tio.load_model(args.model)
     model = tio.instantiate_model(desc)
     records = sample_records(
@@ -234,7 +240,7 @@ def _fastpath_suite(rng: np.random.Generator) -> float:
 
 
 def _cmd_validate(args) -> int:
-    _refuse_overwrite(
+    _check_outputs(
         {"--out": args.out}, {"--model": args.model, "--records": args.records}
     )
     desc = tio.load_model(args.model)
@@ -318,9 +324,16 @@ def _cmd_validate(args) -> int:
     return 0 if all_passed else 1
 
 
+def _row(t, observable, mean, sigma, rank, lam, kkt) -> dict:
+    """One results-table row, with the 95% bounds mean -+ 2 sigma."""
+    bounds = (mean - 2.0 * sigma, mean + 2.0 * sigma)
+    values = (t, observable, mean, sigma, *bounds, rank, lam, kkt)
+    return dict(zip(tio.RESULT_COLUMNS, values))
+
+
 def _ensemble_rows(model, desc, records, starts, observables) -> list[dict]:
     filtered = forward_batch(model, records, tio.initial_state(desc, model), starts)
-    lengths = records.lengths
+    lengths, nan = records.lengths, math.nan
     rows = []
     for t in starts:
         # filtered[t] holds every record with at least t steps; the estimate
@@ -330,26 +343,14 @@ def _ensemble_rows(model, desc, records, starts, observables) -> list[dict]:
         for name, op in observables:
             vals = np.einsum("nij,ji->n", states, op).real
             mean = float(vals.mean())
-            sem = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else float("nan")
-            rows.append(
-                {
-                    "t": t,
-                    "observable": f"ensemble:{name}",
-                    "mean": mean,
-                    "sigma": sem,
-                    "lo95": mean - 2.0 * sem,
-                    "hi95": mean + 2.0 * sem,
-                    "rank": float("nan"),
-                    "lambda": float("nan"),
-                    "kkt_residual": float("nan"),
-                }
-            )
+            sem = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else nan
+            rows.append(_row(t, f"ensemble:{name}", mean, sem, nan, nan, nan))
     return rows
 
 
 def _cmd_tomography(args) -> int:
     sidecar = Path(args.out).with_suffix(".state.json")
-    _refuse_overwrite(
+    _check_outputs(
         {"--out": args.out, f"the state sidecar of --out {args.out},": sidecar},
         {"--model": args.model, "--records": args.records},
     )
@@ -388,43 +389,18 @@ def _cmd_tomography(args) -> int:
                 file=sys.stderr,
             )
         r_matrix = build_r_matrix(result.rho, effects)
-        diag = {
-            "rank": result.rank,
-            "lambda": result.lagrange_multiplier,
-            "kkt_residual": result.kkt.residual,
-        }
+        diag = (result.rank, result.lagrange_multiplier, result.kkt.residual)
         if not observables:
-            rows.append(
-                {
-                    "t": t,
-                    "observable": "",
-                    "mean": float("nan"),
-                    "sigma": float("nan"),
-                    "lo95": float("nan"),
-                    "hi95": float("nan"),
-                    **diag,
-                }
-            )
+            rows.append(_row(t, "", math.nan, math.nan, *diag))
         for name, op in observables:
             try:
                 iv = r_matrix.interval(op, label=name)
                 mean, sigma = iv.mean, iv.sigma
-                lo, hi = iv.lo95, iv.hi95
             except Unidentifiable as exc:
                 print(f"warning: t={t} observable {name}: {exc}", file=sys.stderr)
                 mean = float(np.einsum("ij,ji->", op, result.rho.matrix).real)
-                sigma = lo = hi = float("nan")
-            rows.append(
-                {
-                    "t": t,
-                    "observable": name,
-                    "mean": mean,
-                    "sigma": sigma,
-                    "lo95": lo,
-                    "hi95": hi,
-                    **diag,
-                }
-            )
+                sigma = math.nan
+            rows.append(_row(t, name, mean, sigma, *diag))
         sidecar_states[str(t)] = {
             "rho": tio.matrix_to_json(result.rho.matrix),
             "log_likelihood": result.log_likelihood,

@@ -66,6 +66,7 @@ class DiscreteRecord:
     outcomes: tuple[str, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "id", _integer(self.id, "id"))
         if len(self.outcomes) < 1:
             raise ValueError("a record needs at least one outcome")
         object.__setattr__(self, "outcomes", tuple(str(y) for y in self.outcomes))
@@ -89,6 +90,9 @@ class ContinuousRecord:
     increments: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "id", _integer(self.id, "id"))
+        if isinstance(self.dt, bool):
+            raise TypeError(f"dt must be a number, got {self.dt!r}")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
         object.__setattr__(self, "dt", float(self.dt))
@@ -144,7 +148,7 @@ class RecordBatch:
             raise ValueError(f"record id {repeated[0]} is held by more than one record")
         inside = np.arange(data.shape[1]) < lengths[:, None]
         if signals:
-            if labels or not self.dt > 0:
+            if labels or isinstance(self.dt, bool) or not self.dt > 0:
                 raise ValueError("signal records need a positive dt and no labels")
             object.__setattr__(self, "dt", float(self.dt))
             data, pad = np.array(data, float), 0
@@ -284,7 +288,7 @@ class EffectBatch:
             raise DimensionMismatch(f"expected (N, d, d) effects, got {e.shape}")
         e = _hermitian(e)
         log_c = np.array(self.log_c, dtype=float)
-        ids = np.array(self.record_ids, dtype=int)
+        ids = _integers(self.record_ids, "record_ids")
         if log_c.shape != e.shape[:1] or ids.shape != e.shape[:1]:
             raise DimensionMismatch(
                 f"{e.shape[0]} effects need as many log scales and record ids, "
@@ -348,7 +352,7 @@ def backward_sweep(
     ``backward_sweep_batch``.
     """
     _checked(model, [record])
-    wanted = _check_starts(start_indices, len(record))
+    wanted = set(_indices(start_indices, len(record), adjoint=True))
     log_c, out = math.log(model.dim), {}
     x = np.eye(model.dim) / model.dim
     for t, eff, c in _step_by_step(model, record, x, adjoint=True):
@@ -436,63 +440,66 @@ def _stack_effects(effects) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _check_starts(start_indices: Sequence[int], n: int) -> frozenset[int]:
-    out = frozenset(int(s) for s in start_indices)
-    for s in out:
-        if not 0 <= s < n:
-            raise ValueError(f"start index {s} outside the record span [0, {n})")
+def _indices(values, span: int | None, *, adjoint: bool) -> list[int]:
+    """The start indices (``adjoint``) or time indices of a pass, in order.
+
+    Refused by name when one is not an integer or lies outside the
+    record span: a start s, the first step of a suffix, needs 0 <= s <
+    span; a time k, the number of steps conditioned on, 0 <= k <= span.
+    A span of None, that of an empty batch, bounds nothing.
+    """
+    what, end = ("start", f"{span})") if adjoint else ("time", f"{span}]")
+    out = [_integer(v, f"{what} index") for v in values]
+    for k in out:
+        if span is not None and not 0 <= k < span + (not adjoint):
+            raise ValueError(f"{what} index {k} outside the record span [0, {end}")
     return out
 
 
-def _checked(model, records) -> tuple[RecordBatch, np.ndarray]:
-    """The batch of ``records`` and the model's step-map inputs for it;
-    raises the first problem the model finds in its records."""
+def _checked(model, records) -> tuple[RecordBatch, Callable]:
+    """The batch of ``records`` and its step inputs, as the
+    ``inputs(t, flat)`` that ``_propagate`` reads; raises the first
+    problem the model finds in its records."""
     batch = RecordBatch.from_records(records)
     inputs, problems = model._read(batch)
     if problems:
         raise problems[0]
-    return batch, inputs
+    return batch, lambda t, _: inputs[:, t]
 
 
 def _propagate(
-    apply,
-    flat: np.ndarray,
-    log_c: np.ndarray,
-    steps,
-    ids: np.ndarray,
-    lengths: np.ndarray,
-    *,
-    adjoint: bool,
-    keep=frozenset(),
-    check=None,
+    model, inputs, lengths, ids, start, log_c: float, *, adjoint: bool, keep=()
 ) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Run a record type's one-step maps over a batch of operators, in place.
+    """The one batched pass: records ids[n], of lengths[n] steps, from one start.
 
-    Row n of the real array ``flat`` holds the coordinates of record
-    ids[n]'s d x d Hermitian operator in the basis of ``operators._basis``,
-    so its trace is the sum of the first d columns; callers convert to and from
-    complex matrices only at the start and at the kept snapshots.  For
-    each t in ``steps`` the records with more than t steps (``lengths``
-    holds the step counts) are active, and ``apply(t, flat, act)``
-    returns the coordinates of their unnormalized K(X), or K*(X) in the
-    adjoint direction, with ``act`` selecting their rows.  Each active
-    operator is then divided by its trace and the log trace added to
-    ``log_c``.  Steps are labelled by the time index they reach: t in
-    the adjoint direction, t + 1 forward, with 0 the forward initial
-    value.  For each label in ``keep`` the operators and log scales of
-    the records that cover the step are copied out as (ids, coordinate
-    rows, log_c rows).
+    Every record starts from the d x d Hermitian ``start`` with log scale
+    ``log_c``, carried as a row of real coordinates in the basis of
+    ``operators._basis``, whose trace is the sum of the first d.  The
+    steps run over the longest record, the last first when ``adjoint``.
+    At step t ``model._step`` maps the rows of the records with more than
+    t steps to those of the unnormalized K(X), or K*(X), given the outcome
+    codes or increments ``inputs(t, flat)``, where ``flat`` holds every
+    row.  ``model._trace_check``, when set, vets their traces; each row is
+    divided by its trace and the log trace added to its log scale.  A
+    trace not above ``PROB_FLOOR`` (NaN included) raises ZeroProbability
+    naming the record and the step.
 
-    ``check(traces, t, ids)``, when given, vets the active traces first.
-    Raises ZeroProbability, naming the record and the step, when a trace
-    is not above ``PROB_FLOOR`` (NaN included).
+    Steps are labelled by the time index they reach, t adjoint and t + 1
+    forward, with 0 the forward start.  Returns, for each label of
+    ``keep`` (checked by ``_indices``) in its order, the (n, d, d)
+    matrices, the log scales and the ids of the records that cover it.
     """
-    dim = math.isqrt(flat.shape[1])
-    shortest = lengths.min()
-    snaps = {}
-    if not adjoint and 0 in keep:
-        snaps[0] = (ids, flat.copy(), log_c.copy())
-    for t in steps:
+    dim, n = model.dim, len(ids)
+    span = int(lengths.max(initial=0))
+    wanted = dict.fromkeys(_indices(keep, span if n else None, adjoint=adjoint))
+    if not n:
+        return {k: (np.zeros((0, dim, dim), complex), np.zeros(0), ids) for k in wanted}
+    apply, check = model._step(inputs, adjoint=adjoint), model._trace_check
+    flat, log_c = np.tile(_coords(start), (n, 1)), np.full(n, log_c)
+    shortest, snaps = lengths.min(), {}
+    if not adjoint and 0 in wanted:
+        snaps[0] = (flat.copy(), log_c.copy(), ids)
+    for t in range(span - 1, -1, -1) if adjoint else range(span):
         act = slice(None) if shortest > t else lengths > t
         on = ids[act]
         new = apply(t, flat, act)
@@ -512,36 +519,12 @@ def _propagate(
             flat[act] = new
         log_c[act] += np.log(traces)
         label = t if adjoint else t + 1
-        if label in keep:
-            snaps[label] = (on, flat[act].copy(), log_c[act].copy())
-    return snaps
-
-
-def _filter(model, inputs, lengths, ids, rho0, at):
-    """Conditional states after each step count in ``at``, from rho0.
-
-    The body of ``forward_batch`` and of ``sample_records``, whose
-    ``inputs(t, flat)`` draws step t's outcomes or increments from the
-    states in ``flat``.  The states after k steps are those of the
-    records with at least k steps, in record order, as (n, dim, dim)
-    arrays.
-    """
-    dim = model.dim
-    if not len(ids):
-        return {int(k): np.zeros((0, dim, dim)) for k in at}
-    span = int(lengths.max())
-    wanted = frozenset(int(k) for k in at)
-    for k in wanted:
-        if not 0 <= k <= span:
-            raise ValueError(f"time index {k} outside the record span [0, {span}]")
-    _initial_state(model, rho0)
-    n = len(ids)
-    flat = np.tile(_coords(as_matrix(rho0)), (n, 1))
-    snaps = _propagate(
-        model._step(inputs, adjoint=False), flat, np.zeros(n), range(span), ids,
-        lengths, adjoint=False, keep=wanted, check=model._trace_check,
-    )
-    return {int(k): _matrices(snaps[int(k)][1]) for k in at}
+        if label in wanted:
+            snaps[label] = (flat[act].copy(), log_c[act].copy(), on)
+    # matrices are made once the pass is over, each block of rows freed as it
+    # is converted: made between the step temporaries they fragmented the heap
+    # and raised the peak RSS of fluorescence_cli by 1.6 MiB
+    return {k: (_matrices(snaps[k][0]), *snaps.pop(k)[1:]) for k in wanted}
 
 
 def backward_sweep_batch(
@@ -555,30 +538,20 @@ def backward_sweep_batch(
 
     ``model`` is a KrausFamily with discrete records or an SMEModel with
     signal records, given as a RecordBatch or a sequence of record views.
-    Records may differ in length: the effects at start s are those of
-    the records longer than s, in record order, and every start must lie
-    before the end of the longest record.  All records run in one masked
-    pass.  ``threads`` is accepted for older callers and ignored.
+    Every record runs back from its last step in one masked pass, from
+    the maximally mixed effect I/dim with log_c = log(dim).  Records may
+    differ in length: the effects at start s are those of the records
+    longer than s, in record order.  Each start must be an integer
+    before the end of the longest record.  ``threads`` is accepted for
+    older callers and ignored.
     """
     batch, inputs = _checked(model, records)
-    dim, ids, lengths = model.dim, batch.record_ids, batch.lengths
-    if not len(ids):
-        empty = np.zeros((0, dim, dim))
-        return {int(s): EffectBatch(empty, (), ()) for s in start_indices}
-    span = int(lengths.max())
-    wanted = _check_starts(start_indices, span)
-    n = len(ids)
-    flat = np.tile(_coords(np.eye(dim) / dim), (n, 1))
     snaps = _propagate(
-        model._step(lambda t, _: inputs[:, t], adjoint=True), flat,
-        np.full(n, math.log(dim)), range(span - 1, -1, -1), ids, lengths,
-        adjoint=True, keep=wanted, check=model._trace_check,
+        model, inputs, batch.lengths, batch.record_ids, np.eye(model.dim) / model.dim,
+        math.log(model.dim), adjoint=True, keep=start_indices,
     )
-    out = {}
-    for s in map(int, start_indices):
-        on, effs, lc = snaps[s]
-        out[s] = EffectBatch(_matrices(effs), lc, on, start=s)
-    return out
+    # each stack is released once its batch holds the checked copy
+    return {s: EffectBatch(*snaps.pop(s), start=s) for s in list(snaps)}
 
 
 def forward_batch(model, records, rho0, at: Sequence[int]) -> dict[int, np.ndarray]:
@@ -586,15 +559,18 @@ def forward_batch(model, records, rho0, at: Sequence[int]) -> dict[int, np.ndarr
 
     ``model`` and ``records`` pair as in ``backward_sweep_batch``.
     ``at`` holds step counts: entry k means the state after conditioning
-    on steps 0..k-1, so 0 is the initial state.  Records may differ in
-    length: the states after k steps are those of the records with at
-    least k steps, in record order, and k may not exceed the longest
-    record.  Returns arrays of shape (n, dim, dim) per requested time.
+    on steps 0..k-1, so 0 is the initial state rho0.  Records may differ
+    in length: the states after k steps are those of the records with at
+    least k steps, in record order, and k must be an integer no larger
+    than the longest record.  Returns arrays of shape (n, dim, dim) per
+    requested time.
     """
     batch, inputs = _checked(model, records)
-    return _filter(
-        model, lambda t, _: inputs[:, t], batch.lengths, batch.record_ids, rho0, at
+    snaps = _propagate(
+        model, inputs, batch.lengths, batch.record_ids,
+        _initial_state(model, rho0).matrix, 0.0, adjoint=False, keep=at,
     )
+    return {k: states for k, (states, _, _) in snaps.items()}
 
 
 def sample_records(
@@ -609,14 +585,17 @@ def sample_records(
 
     ``model`` is a KrausFamily, which draws outcome labels, or an
     SMEModel, which draws signal increments from the exact tilted
-    Gaussian law of its steps.  Every trajectory starts at rho0, runs
-    the model's n_steps and is conditioned on each draw.
-    ``interventions`` optionally maps a step index to a (dim^2, dim^2)
-    channel acting on row-major vec(rho), applied to all trajectories
-    just before that step (state preparation events inside a record).
+    Gaussian law of its steps.  ``n_records`` (an integer, at least one)
+    trajectories start at rho0 and run the model's n_steps in the
+    forward pass of ``forward_batch``, each step drawn from the current
+    states and then conditioned on.  ``interventions`` optionally maps a
+    step index to a (dim^2, dim^2) channel acting on row-major vec(rho),
+    applied to all trajectories just before that step (state
+    preparation events inside a record).
 
     Returns the records as a RecordBatch.
     """
+    n_records = _integer(n_records, "n_records")
     if n_records < 1:
         raise ValueError("need at least one record")
     dim, total = model.dim, model.n_steps
@@ -643,5 +622,6 @@ def sample_records(
         return step_draw(t, flat)
 
     lengths, ids = np.full(n_records, total), np.arange(n_records)
-    _filter(model, draw, lengths, ids, rho0, ())
+    rho = _initial_state(model, rho0).matrix
+    _propagate(model, draw, lengths, ids, rho, 0.0, adjoint=False)
     return RecordBatch(data, lengths, ids, **kind)

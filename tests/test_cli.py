@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import trajtomo.cli
 import trajtomo.io
 from trajtomo import (
     ContinuousRecord,
@@ -152,6 +153,76 @@ def test_an_output_that_names_an_input_exits_2_before_any_work(
     err = capsys.readouterr().err
     assert all(str(p) in err for p in named) and "overwrite" in err
     assert {p: p.read_bytes() for p in inputs.values()} == before
+
+
+@pytest.mark.parametrize("command, output, blocked", [
+    ("tomography", "--out", "missing"),
+    ("tomography", "--out", "directory"),
+    ("tomography", "sidecar", "directory"),
+    ("validate", "--out", "missing"),
+    ("validate", "--out", "directory"),
+    ("simulate", "--records", "missing"),
+    ("simulate", "--records", "directory"),
+])
+def test_an_unwritable_output_exits_2_before_any_work(
+    command, output, blocked, tmp_path, capsys, monkeypatch
+):
+    model, recs = tmp_path / "model.json", tmp_path / "recs.jsonl"
+    povm_model(model)
+    assert run(["simulate", "--model", model, "--records", recs]) == 0
+    # the path that cannot be written: a directory, or a file in a missing one
+    if blocked == "directory":
+        bad = tmp_path / ("y.state.json" if output == "sidecar" else "y.out")
+        bad.mkdir()
+    else:
+        bad = tmp_path / "missing" / "y.out"
+    out = bad.with_name("y.csv") if output == "sidecar" else bad
+
+    def work(*args, **kwargs):
+        raise AssertionError("work began before the outputs were checked")
+
+    monkeypatch.setattr(trajtomo.io, "read_records", work)
+    monkeypatch.setattr(trajtomo.cli, "sample_records", work)
+    argv = [command, "--model", model]
+    if command != "simulate":
+        argv += ["--records", recs]
+    capsys.readouterr()
+    assert run(argv + ["--out" if output == "sidecar" else output, out]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "cannot be written" in err
+    assert not out.exists() or out.is_dir()  # no result without its sidecar
+
+
+def test_state_only_and_unidentifiable_rows(tmp_path, capsys):
+    # the photon-counting estimate is diagonal, and its records say nothing
+    # about coherences, so an off-diagonal observable has no error bar
+    golden = Path(__file__).parent / "data" / "golden"
+    off = np.zeros((8, 8))
+    off[0, 1] = off[1, 0] = 1.0
+    obs = tmp_path / "offdiag.json"
+    obs.write_text(json.dumps({"label": "c01", "matrix": matrix_to_json(off)}))
+    tables = {}
+    for value in (f"@{obs},n", ""):
+        out = tmp_path / f"o{len(tables)}.csv"
+        assert run(["tomography", "--model", golden / "qnd.model.json",
+                    "--records", golden / "qnd.records.jsonl", "--out", out,
+                    "--start-times", "0,150", "--observables", value]) == 0
+        tables[value] = [ln.split(",") for ln in out.read_text().splitlines()[2:]]
+    err = capsys.readouterr().err
+    states = json.loads((tmp_path / "o0.state.json").read_text())["states"]
+    estimates, state_only = tables[f"@{obs},n"], tables[""]
+    assert [row[:2] for row in estimates] == [
+        ["0", "c01"], ["0", "n"], ["150", "c01"], ["150", "n"]
+    ]
+    for t, coherence, number, bare in zip(
+        ("0", "150"), estimates[::2], estimates[1::2], state_only
+    ):
+        assert f"warning: t={t} observable c01: " in err
+        rho = matrix_from_json(states[t]["rho"])
+        mean = float(np.einsum("ij,ji->", off, rho).real)
+        # the rank, multiplier and residual cells are the estimate's own
+        assert coherence == [t, "c01", repr(mean), "nan", "nan", "nan", *number[6:]]
+        assert bare == [t, "", "nan", "nan", "nan", "nan", *number[6:]]
 
 
 def test_model_mismatch_exits_1(tmp_path, capsys):

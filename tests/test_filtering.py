@@ -370,6 +370,32 @@ def test_batches_reject_indices_beyond_the_longest_record(mixed):
     assert forward_batch(fam, recs, rho, (4,))[4].shape[0] == covering
 
 
+# each case: a call on a family f, its records r and a state rho, then the
+# name and value in the expected message
+REFUSED_INDICES = {
+    "starts": (lambda f, r, rho: backward_sweep_batch(f, r, [1.7, True]),
+               "start index", 1.7),
+    "bool start": (lambda f, r, rho: backward_sweep_batch(f, r, [1, True]),
+                   "start index", True),
+    "scalar start": (lambda f, r, rho: backward_sweep(f, r[0], [2.0]),
+                     "start index", 2.0),
+    "times": (lambda f, r, rho: forward_batch(f, r, rho, at=[1.7]), "time index", 1.7),
+    # an empty batch bounds no index, yet an index must still be an integer
+    "empty": (lambda f, r, rho: forward_batch(f, [], rho, at=[0.5]), "time index", 0.5),
+    "count": (lambda f, r, rho: sample_records(f, rho, 2.5, 1), "n_records", 2.5),
+    "bool count": (lambda f, r, rho: sample_records(f, rho, True, 1), "n_records", True),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_INDICES)
+def test_indices_and_counts_are_refused_not_truncated(case):
+    call, name, value = REFUSED_INDICES[case]
+    fam = KrausFamily.repeated(2, PROJECTIVE, 4)
+    recs = [DiscreteRecord(0, ("g",) * 4), DiscreteRecord(1, ("e",) * 4)]
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got {value}$"):
+        call(fam, recs, np.eye(2) / 2)
+
+
 @pytest.mark.parametrize("mixed", [False, True], ids=["equal", "mixed"])
 def test_batch_errors_name_the_record_and_step(mixed):
     fam = KrausFamily.repeated(2, PROJECTIVE, 4)
