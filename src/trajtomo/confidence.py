@@ -38,7 +38,7 @@ from .config import SINGULAR_REL
 from .errors import DegenerateTrace, EffectiveSampleSizeTooLow, Unidentifiable
 from .filtering import _of_dim, _stack_effects
 from .maxlike import _checked_traces, _grad_matrix, _support, _traces
-from .operators import DensityMatrix, _coords, _hermitian, as_matrix
+from .operators import DensityMatrix, _basis, _coords, _hermitian, _integer, as_matrix
 
 __all__ = [
     "RMatrix",
@@ -64,26 +64,21 @@ def _eigenbasis_tangent(v: np.ndarray, keep: np.ndarray) -> np.ndarray:
     there are n^2 - (n - r)^2 - 1 of them, returned as a read-only
     (m, n, n) stack.  In the eigenbasis of rho: the symmetric and
     antisymmetric Gell-Mann element of every pair (j < k) with j or k in
-    the support, then the r - 1 traceless diagonals on the support,
-    rotated back.
+    the support, the rows of ``_basis`` in its order, then the r - 1
+    traceless diagonals on the support, rotated back.
     """
     n = keep.size
     j, k = np.triu_indices(n, 1)
-    live = keep[j] | keep[k]
-    j, k = j[live], k[live]
-    pairs = 2 * np.arange(j.size)
+    pairs = _basis(n)[n:][np.repeat(keep[j] | keep[k], 2)].reshape(-1, n, n)
     sup = np.flatnonzero(keep)
     r = sup.size
-    b = np.zeros((2 * j.size + r - 1, n, n), dtype=complex)
-    b[pairs, j, k] = b[pairs, k, j] = 1.0 / math.sqrt(2.0)
-    b[pairs + 1, j, k] = -1j / math.sqrt(2.0)
-    b[pairs + 1, k, j] = 1j / math.sqrt(2.0)
     # row l - 1 is (sum_{m<l} |s_m><s_m| - l |s_l><s_l|) / sqrt(l (l + 1))
     ls = np.arange(1, r)
     diag = np.tri(r - 1, r)
     diag[ls - 1, ls] = -ls
-    b[2 * j.size :, sup, sup] = diag / np.sqrt(ls * (ls + 1.0))[:, None]
-    return _hermitian(v @ b @ v.conj().T)
+    b = np.zeros((r - 1, n, n), dtype=complex)
+    b[:, sup, sup] = diag / np.sqrt(ls * (ls + 1.0))[:, None]
+    return _hermitian(v @ np.concatenate([pairs, b]) @ v.conj().T)
 
 
 @dataclass(frozen=True)
@@ -275,8 +270,7 @@ def posterior_variance_mc(
     Raises EffectiveSampleSizeTooLow when the effective sample size of
     the weights falls below _ESS_MIN.
     """
-    if n_samples < 10_000:
-        raise ValueError("need at least 10000 samples for a usable estimate")
+    n_samples = _integer(n_samples, "n_samples", 10_000)
     e, logc = _stack_effects(effects)
     n = e.shape[0]
     dim = e.shape[1] if n else as_matrix(center).shape[0]
@@ -319,7 +313,7 @@ def posterior_variance_mc(
             sigmas[k] = min(4.0 / kappa, r_state) if kappa > 0 else r_state
         sigmas[k] = min(sigmas[k], ball_radius)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     pick_ball = rng.random(n_samples) < 0.1
     z = rng.standard_normal((n_samples, m))
     xs = np.empty((n_samples, m))

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import StepSizeTooLarge
 from .filtering import ContinuousRecord, RecordBatch, _initial_state
-from .operators import _coords, _integer, _matrices, _real_map, _step_index
+from .operators import _coords, _integer, _matrices, _number, _real_map
 
 __all__ = [
     "Channel",
@@ -70,7 +70,7 @@ class Channel:
             raise ValueError("channel operator must be finite")
         op.flags.writeable = False
         object.__setattr__(self, "operator", op)
-        eta = float(self.efficiency)
+        eta = _number(self.efficiency, "efficiency")
         if not 0.0 <= eta <= 1.0:
             raise ValueError(f"efficiency {eta} outside [0, 1]")
         object.__setattr__(self, "efficiency", eta)
@@ -114,13 +114,10 @@ class SMEModel:
             if c.operator.shape != h.shape:
                 raise ValueError("channel dimension does not match hamiltonian")
         object.__setattr__(self, "channels", chans)
+        object.__setattr__(self, "dt", _number(self.dt, "dt"))
         if not self.dt > 0:
             raise ValueError("dt must be positive")
-        object.__setattr__(self, "dt", float(self.dt))
-        n_steps = _integer(self.n_steps, "n_steps")
-        if n_steps < 1:
-            raise ValueError("need at least one step")
-        object.__setattr__(self, "n_steps", n_steps)
+        object.__setattr__(self, "n_steps", _integer(self.n_steps, "n_steps", 1))
         gen = -1j * h - 0.5 * self._damping()
         speed = float(np.linalg.norm(gen, 2)) * self.dt
         if speed > 0.1:
@@ -204,7 +201,7 @@ class SMEModel:
         signal increments dy, the same at every step t in [0, n_steps),
         where M_dy = base + sum_v dy_v stack_v from ``_build_step_ops``'
         first two parts."""
-        _step_index(t, self.n_steps)
+        _integer(t, "step index", 0, self.n_steps)
         base, stack, resid = self._step_ops
         dy = np.asarray(dy, dtype=float)
         if dy.shape != stack.shape[:1]:
@@ -494,9 +491,7 @@ def lindblad_evolve(model: SMEModel, rho0, n_steps: int | None = None) -> np.nda
     step operators allow; a larger dt raises StepSizeTooLarge from
     ``_build_step_ops``.
     """
-    total = model.n_steps if n_steps is None else _integer(n_steps, "n_steps")
-    if not 1 <= total:
-        raise ValueError("need at least one step")
+    total = model.n_steps if n_steps is None else _integer(n_steps, "n_steps", 1)
     rows = [_coords(_initial_state(model, rho0).matrix)]
     right, pairs = _superoperators(model, adjoint=False)
     squares = model.dt * (pairs[:, 0] == pairs[:, 1])  # E[dy_v dy_w]

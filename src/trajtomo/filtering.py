@@ -41,6 +41,7 @@ from .operators import (
     _integer,
     _kraus_form,
     _matrices,
+    _number,
     _real_map,
     _wrap_trusted,
 )
@@ -91,11 +92,9 @@ class ContinuousRecord:
 
     def __post_init__(self):
         object.__setattr__(self, "id", _integer(self.id, "id"))
-        if isinstance(self.dt, bool):
-            raise TypeError(f"dt must be a number, got {self.dt!r}")
+        object.__setattr__(self, "dt", _number(self.dt, "dt"))
         if not self.dt > 0:
             raise ValueError("dt must be positive")
-        object.__setattr__(self, "dt", float(self.dt))
         sig = np.array(self.increments, dtype=float)
         if sig.ndim != 2:
             raise ValueError("increments must be a 2-d array (steps, channels)")
@@ -595,9 +594,8 @@ def sample_records(
 
     Returns the records as a RecordBatch.
     """
-    n_records = _integer(n_records, "n_records")
-    if n_records < 1:
-        raise ValueError("need at least one record")
+    n_records = _integer(n_records, "n_records", 1)
+    rng = np.random.default_rng(_integer(rng_seed, "rng_seed", 0))
     dim, total = model.dim, model.n_steps
     channels = {}
     for t, sup in (interventions or {}).items():
@@ -613,7 +611,7 @@ def sample_records(
                 f"{(dim * dim, dim * dim)}"
             )
         channels[t] = _real_map(sup).T
-    step_draw, data, kind = model._sampler(np.random.default_rng(rng_seed), n_records)
+    step_draw, data, kind = model._sampler(rng, n_records)
 
     def draw(t, flat):
         if t in channels:

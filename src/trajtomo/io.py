@@ -132,10 +132,7 @@ def instantiate_model(description: Mapping):
     if kind == "fluorescence":
         return build_fluorescence_model(**params)
     if kind == "qnd":
-        if "phase_offsets" in params:
-            params["phase_offsets"] = tuple(params["phase_offsets"])
-        n_steps = params.pop("n_steps")
-        return build_qnd_family(n_steps, **params)
+        return build_qnd_family(**params)
     if kind == "povm":
         elements = {
             str(y): matrix_from_json(f) for y, f in params["elements"].items()
@@ -181,9 +178,7 @@ def interventions_from_description(
         kind = ev.get("kind", "injection")
         if kind != "injection":
             raise ValueError(f"unknown intervention kind {kind!r}")
-        kwargs = {
-            k: float(ev[k]) for k in ("n_hot", "strength") if k in ev
-        }
+        kwargs = {k: ev[k] for k in ("n_hot", "strength") if k in ev}
         out[step] = injection_channel(model.dim, **kwargs)
     return out
 

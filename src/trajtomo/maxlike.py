@@ -22,7 +22,7 @@ import numpy as np
 from .config import KKT_TOL, RANK_REL
 from .errors import DegenerateLikelihood, DegenerateTrace
 from .filtering import _of_dim, _stack_effects
-from .operators import DensityMatrix, _hermitian, project_to_density
+from .operators import DensityMatrix, _hermitian, _integer, project_to_density
 
 __all__ = [
     "KKTReport",
@@ -186,7 +186,7 @@ def _check_options(max_iterations: int, kkt_tol: float) -> None:
     ``max_iterations``; the command line checks its options with it too."""
     if not (math.isfinite(kkt_tol) and kkt_tol > 0.0):
         raise ValueError(f"kkt_tol must be finite and positive, got {kkt_tol!r}")
-    if max_iterations < 0:
+    if _integer(max_iterations, "max_iterations") < 0:
         raise ValueError(f"max_iterations must be nonnegative, got {max_iterations!r}")
 
 

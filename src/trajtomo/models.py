@@ -24,7 +24,7 @@ from .config import KRAUS_TRACE_TOL, PSD_TOL
 from .continuous import Channel, SMEModel
 from .errors import IncompletePOVM
 from .filtering import RecordBatch
-from .operators import DensityMatrix, KrausFamily, _integer, as_matrix
+from .operators import DensityMatrix, KrausFamily, _integer, _number, as_matrix
 from .qubit import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 __all__ = [
@@ -69,6 +69,7 @@ def build_fluorescence_model(
     sqrt(2 t1 / efficiency) * mean(dy_1) / dt estimates x averaged over
     the window, not x(0); at the defaults that average is about 0.54 x(0).
     """
+    t1, tphi = _number(t1, "t1"), _number(tphi, "tphi")
     for name, value in (("t1", t1), ("tphi", tphi)):
         if not value > 0:
             raise ValueError(f"{name} must be positive, got {value!r}")
@@ -143,6 +144,7 @@ def number_operator(dim: int) -> np.ndarray:
 
 def thermal_state(dim: int, n_bar: float) -> DensityMatrix:
     """Truncated thermal state with untruncated mean occupation n_bar."""
+    n_bar = _number(n_bar, "n_bar")
     if not 0 <= n_bar < math.inf:
         raise ValueError(f"n_bar must be finite and nonnegative, got {n_bar!r}")
     if n_bar == 0:
@@ -214,6 +216,14 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
+def _thermal_channel(dim: int, down: float, up: float, duration: float) -> np.ndarray:
+    """Superoperator of thermal contact for ``duration``: photons leave at
+    rate ``down`` and enter at rate ``up``, truncated at ``dim`` levels."""
+    a = _lowering(dim)
+    ops = [math.sqrt(down) * a, math.sqrt(up) * a.conj().T]
+    return _expm(_lindblad_superop(dim, ops) * duration)
+
+
 def _superop_to_kraus(sup: np.ndarray, dim: int) -> list[np.ndarray]:
     """Kraus decomposition of a completely positive superoperator.
 
@@ -261,17 +271,14 @@ def thermal_relaxation_kraus(
     is the exact exponential of this generator, so the decomposition is
     trace preserving to machine precision regardless of duration.
     """
+    t_cavity, n_bath = _number(t_cavity, "t_cavity"), _number(n_bath, "n_bath")
+    duration = _number(duration, "duration")
     if not t_cavity > 0:
         raise ValueError(f"t_cavity must be positive, got {t_cavity!r}")
     for name, value in (("duration", duration), ("n_bath", n_bath)):
         if not 0 <= value < math.inf:
             raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
-    a = _lowering(dim)
-    ops = [
-        math.sqrt((1.0 + n_bath) / t_cavity) * a,
-        math.sqrt(n_bath / t_cavity) * a.conj().T,
-    ]
-    sup = _expm(_lindblad_superop(dim, ops) * duration)
+    sup = _thermal_channel(dim, (1.0 + n_bath) / t_cavity, n_bath / t_cavity, duration)
     return _superop_to_kraus(sup, dim)
 
 
@@ -289,15 +296,11 @@ def injection_channel(
     fixed completely positive trace-preserving map, it commutes with
     ensemble averaging, so reference curves stay exact.
     """
+    n_hot, strength = _number(n_hot, "n_hot"), _number(strength, "strength")
     for name, value in (("n_hot", n_hot), ("strength", strength)):
         if not 0 <= value < math.inf:
             raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
-    a = _lowering(dim)
-    ops = [
-        math.sqrt(1.0 + n_hot) * a,
-        math.sqrt(n_hot) * a.conj().T,
-    ]
-    sup = _expm(_lindblad_superop(dim, ops) * strength)
+    sup = _thermal_channel(dim, 1.0 + n_hot, n_hot, strength)
     _superop_to_kraus(sup, dim)  # validates complete positivity + trace
     return sup
 
@@ -341,8 +344,12 @@ def build_qnd_family(
     atoms produce the outcome 'no' and leave the cavity untouched beyond
     the thermal relaxation.
     """
-    if _integer(n_steps, "n_steps") < 1:
-        raise ValueError("need at least one step")
+    n_steps = _integer(n_steps, "n_steps", 1)
+    detection_efficiency = _number(detection_efficiency, "detection_efficiency")
+    readout_error = _number(readout_error, "readout_error")
+    step_time = _number(step_time, "step_time")
+    phase_per_photon = _number(phase_per_photon, "phase_per_photon")
+    phase_offsets = [_number(v, "phase_offsets entry") for v in phase_offsets]
     if not 0.0 < detection_efficiency <= 1.0:
         raise ValueError("detection_efficiency must lie in (0, 1]")
     if not 0.0 <= readout_error <= 0.5:
@@ -351,10 +358,7 @@ def build_qnd_family(
         raise ValueError(f"step_time must be nonnegative and finite, got {step_time!r}")
     if not len(phase_offsets):
         raise ValueError("phase_offsets must hold at least one offset")
-    n_max = _integer(n_max, "n_max")
-    if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
-    dim = n_max + 1
+    dim = _integer(n_max, "n_max", 1) + 1
     relax = thermal_relaxation_kraus(
         dim, step_time, t_cavity=t_cavity, n_bath=n_bath
     )

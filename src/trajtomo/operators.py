@@ -9,6 +9,7 @@ is the metric everywhere.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from functools import cache
 from typing import Iterable, Mapping, Sequence
@@ -116,24 +117,30 @@ def _wrap_trusted(matrix: np.ndarray) -> DensityMatrix:
     return obj
 
 
-def _integer(value, name: str) -> int:
+def _integer(value, name: str, low=None, high=None) -> int:
     """value as an int, refused rather than truncated when it is not an
-    integer (a float such as 2.9 or a bool included); the error names it
-    ``name``."""
+    integer (a float such as 2.9 or a bool included), and refused below
+    ``low`` or, given ``high`` too, outside [low, high); the errors name
+    it ``name``."""
     try:
         if isinstance(value, bool):
             raise TypeError
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if high is not None and not low <= value < high:
+        raise ValueError(f"{name} {value} outside [{low}, {high})")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+    return value
 
 
-def _step_index(t, n_steps: int) -> int:
-    """Step index t of a model with n_steps steps, refused outside [0, n_steps)."""
-    t = _integer(t, "step index")
-    if not 0 <= t < n_steps:
-        raise ValueError(f"step index {t} outside [0, {n_steps})")
-    return t
+def _number(value, name: str) -> float:
+    """value as a float, refused rather than converted when it is not a
+    real number (a bool or a string included); the error names it ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 class KrausFamily:
@@ -163,7 +170,7 @@ class KrausFamily:
         dim: int,
         steps: Sequence[Mapping[str, Iterable[np.ndarray]]],
     ) -> None:
-        self.dim = int(dim)
+        self.dim = _integer(dim, "dimension")
         if self.dim < 2:
             raise DimensionMismatch("dimension must be at least 2")
         if len(steps) == 0:
@@ -193,7 +200,8 @@ class KrausFamily:
         return len(self._schedule)
 
     def step(self, t: int) -> Mapping[str, tuple[np.ndarray, ...]]:
-        return self._distinct[self._schedule[_step_index(t, self.n_steps)]]
+        t = _integer(t, "step index", 0, self.n_steps)
+        return self._distinct[self._schedule[t]]
 
     def outcomes(self, t: int) -> tuple[str, ...]:
         return tuple(self.step(t).keys())

@@ -334,6 +334,12 @@ def test_repeated_intervention_step_exits_2(tmp_path, capsys):
     ("fluorescence", {"tphi": 0}, "tphi must be positive"),
     ("qnd", {"phase_per_photon": float("nan")},
      "Kraus operator for outcome 'g' is not finite"),
+    ("fluorescence", {"t1": True}, "t1 must be a number, got True"),
+    ("fluorescence", {"efficiency": "0.24"}, "efficiency must be a number, got '0.24'"),
+    ("fluorescence", {"dt": True}, "dt must be a number, got True"),
+    ("qnd", {"step_time": True}, "step_time must be a number, got True"),
+    ("qnd", {"phase_offsets": [0.0, True]},
+     "phase_offsets entry must be a number, got True"),
 ])
 def test_bad_model_parameters_exit_2_naming_the_parameter(
     tmp_path, capsys, kind, parameters, name
@@ -357,6 +363,13 @@ def test_bad_model_parameters_exit_2_naming_the_parameter(
     ("qnd", {"n_steps": True, "n_max": 2}, {}, "n_steps must be an integer, got True"),
     ("qnd", {"n_steps": 20, "n_max": 7.0}, {}, "n_max must be an integer, got 7.0"),
     ("qnd", {"n_steps": 20, "n_max": True}, {}, "n_max must be an integer, got True"),
+    ("qnd", {"n_steps": 20, "n_max": 2},
+     {"interventions": [{"step": 9, "kind": "injection", "n_hot": "4",
+                         "strength": True}]},
+     "n_hot must be a number, got '4'"),
+    ("qnd", {"n_steps": 20, "n_max": 2},
+     {"interventions": [{"step": 9, "kind": "injection", "strength": True}]},
+     "strength must be a number, got True"),
 ])
 def test_non_integer_model_fields_exit_2(
     tmp_path, capsys, kind, parameters, extras, message

@@ -384,6 +384,16 @@ REFUSED_INDICES = {
     "empty": (lambda f, r, rho: forward_batch(f, [], rho, at=[0.5]), "time index", 0.5),
     "count": (lambda f, r, rho: sample_records(f, rho, 2.5, 1), "n_records", 2.5),
     "bool count": (lambda f, r, rho: sample_records(f, rho, True, 1), "n_records", True),
+    "dimension": (lambda f, r, rho: KrausFamily(2.9, [PROJECTIVE]), "dimension", 2.9),
+    "iterations": (lambda f, r, rho: trajtomo.solve_maxlike(
+        backward_sweep_batch(f, r)[0], max_iterations=2.5), "max_iterations", 2.5),
+    "bool iterations": (lambda f, r, rho: trajtomo.solve_maxlike(
+        backward_sweep_batch(f, r)[0], max_iterations=True), "max_iterations", True),
+    "samples": (lambda f, r, rho: trajtomo.posterior_variance_mc(
+        backward_sweep_batch(f, r)[0], np.eye(2), rho, n_samples=1e5),
+        "n_samples", 100000.0),
+    "bool seed": (lambda f, r, rho: sample_records(f, rho, 2, True), "rng_seed", True),
+    "seed": (lambda f, r, rho: sample_records(f, rho, 2, 2.5), "rng_seed", 2.5),
 }
 
 
@@ -394,6 +404,19 @@ def test_indices_and_counts_are_refused_not_truncated(case):
     recs = [DiscreteRecord(0, ("g",) * 4), DiscreteRecord(1, ("e",) * 4)]
     with pytest.raises(TypeError, match=f"^{name} must be an integer, got {value}$"):
         call(fam, recs, np.eye(2) / 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda f: sample_records(f, np.eye(2) / 2, 0, 1),
+     "n_records must be at least 1, got 0"),
+    (lambda f: sample_records(f, np.eye(2) / 2, 2, -1),
+     "rng_seed must be at least 0, got -1"),
+    (lambda f: build_fluorescence_model(n_steps=0),
+     "n_steps must be at least 1, got 0"),
+], ids=["no records", "negative seed", "no steps"])
+def test_counts_and_seeds_below_their_least_value_are_refused_by_name(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(KrausFamily.repeated(2, PROJECTIVE, 4))
 
 
 @pytest.mark.parametrize("mixed", [False, True], ids=["equal", "mixed"])

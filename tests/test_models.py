@@ -8,6 +8,7 @@ from scipy.linalg import expm
 
 from conftest import kraus_to_superop, pauli_povm
 from trajtomo import (
+    Channel,
     ContinuousRecord,
     DiscreteRecord,
     IncompletePOVM,
@@ -315,10 +316,17 @@ def test_non_finite_parameters_are_refused_naming_them():
     (lambda: build_qnd_family(3, n_max=0), "n_max must be at least 1, got 0"),
     (lambda: build_qnd_family(3, n_max=-1), "n_max must be at least 1, got -1"),
     (lambda: build_qnd_family(True), "n_steps must be an integer, got True"),
+    (lambda: thermal_state(3, True), "n_bar must be a number, got True"),
+    (lambda: injection_channel(3, n_hot=True), "n_hot must be a number, got True"),
+    (lambda: build_qnd_family(3, detection_efficiency=True),
+     "detection_efficiency must be a number, got True"),
+    (lambda: Channel(np.eye(2), True), "efficiency must be a number, got True"),
 ])
 def test_relaxation_refuses_bad_parameters_by_name(build, message):
-    # a count of the wrong type is a TypeError, as operator.index raises
-    error = TypeError if "an integer" in message else ValueError
+    # a count or a parameter of the wrong type is a TypeError, as
+    # operator.index raises
+    wrong_type = "an integer" in message or "a number" in message
+    error = TypeError if wrong_type else ValueError
     with pytest.raises(error, match=message):
         build()
 

@@ -122,11 +122,13 @@ def test_constructor_refuses_non_integer_ids_and_lengths(ids, lengths, message):
     (lambda: DiscreteRecord(True, ("g",)), TypeError, "id must be an integer, got True"),
     (lambda: ContinuousRecord(0, True, [[0.0]]), TypeError,
      "dt must be a number, got True"),
+    (lambda: trajtomo.SMEModel(np.zeros((2, 2)), (), True, 3), TypeError,
+     "dt must be a number, got True"),
     (lambda: RecordBatch(np.zeros((1, 1, 1)), [1], [0], dt=True), ValueError,
      "signal records need a positive dt"),
     (lambda: trajtomo.EffectBatch(np.full((2, 2, 2), 0.5), [0.0, 0.0], [2.9, True]),
      TypeError, "record_ids entry must be an integer, got 2.9"),
-], ids=["signal id", "discrete id", "record dt", "batch dt", "effect ids"])
+], ids=["signal id", "discrete id", "record dt", "model dt", "batch dt", "effect ids"])
 def test_views_and_effects_refuse_ids_and_dt_they_would_convert(build, error, message):
     # refused rather than kept as 2.9 or True, taken as dt 1.0, or truncated to [2 1]
     with pytest.raises(error, match=re.escape(message)):
