@@ -43,7 +43,7 @@ from .filtering import (
 )
 from .maxlike import _check_options, solve_maxlike
 from .models import number_operator, povm_family
-from .operators import KrausFamily, apply_adjoint_cp_map, apply_cp_map
+from .operators import KrausFamily, _check_hermitian, apply_adjoint_cp_map, apply_cp_map
 from .qubit import PAULIS, effects_to_bloch, to_bloch, variance_bloch
 
 __all__ = ["main"]
@@ -140,8 +140,7 @@ def _parse_observables(arg: str | None, dim: int) -> list[tuple[str, np.ndarray]
                     f"observable file {name[1:]} has shape {mat.shape}; the "
                     f"model dimension is {dim}"
                 )
-            if not np.allclose(mat, mat.conj().T, atol=1e-12):
-                raise ValueError(f"observable file {name[1:]} is not Hermitian")
+            _check_hermitian(mat, f"observable file {name[1:]}")
             out.append((label, mat))
         else:
             raise ValueError(f"unknown observable {name!r}")

@@ -32,7 +32,9 @@ import numpy as np
 
 from .errors import StepSizeTooLarge
 from .filtering import ContinuousRecord, RecordBatch, _initial_state
-from .operators import _coords, _integer, _matrices, _number, _real_map
+from .operators import (
+    _check_hermitian, _coords, _integer, _matrices, _number, _real_map,
+)
 
 __all__ = [
     "Channel",
@@ -70,9 +72,7 @@ class Channel:
             raise ValueError("channel operator must be finite")
         op.flags.writeable = False
         object.__setattr__(self, "operator", op)
-        eta = _number(self.efficiency, "efficiency")
-        if not 0.0 <= eta <= 1.0:
-            raise ValueError(f"efficiency {eta} outside [0, 1]")
+        eta = _number(self.efficiency, "efficiency", "[0, 1]")
         object.__setattr__(self, "efficiency", eta)
 
 
@@ -101,10 +101,7 @@ class SMEModel:
             raise ValueError("hamiltonian must be a square matrix")
         if not np.isfinite(h).all():
             raise ValueError("hamiltonian must be finite")
-        if float(np.abs(h - h.conj().T).max()) > 1e-12 * max(
-            1.0, float(np.abs(h).max())
-        ):
-            raise ValueError("hamiltonian must be Hermitian")
+        _check_hermitian(h, "hamiltonian")
         h.flags.writeable = False
         object.__setattr__(self, "hamiltonian", h)
         chans = tuple(self.channels)
@@ -114,9 +111,7 @@ class SMEModel:
             if c.operator.shape != h.shape:
                 raise ValueError("channel dimension does not match hamiltonian")
         object.__setattr__(self, "channels", chans)
-        object.__setattr__(self, "dt", _number(self.dt, "dt"))
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        object.__setattr__(self, "dt", _number(self.dt, "dt", "(0, inf]"))
         object.__setattr__(self, "n_steps", _integer(self.n_steps, "n_steps", 1))
         gen = -1j * h - 0.5 * self._damping()
         speed = float(np.linalg.norm(gen, 2)) * self.dt

@@ -92,9 +92,7 @@ class ContinuousRecord:
 
     def __post_init__(self):
         object.__setattr__(self, "id", _integer(self.id, "id"))
-        object.__setattr__(self, "dt", _number(self.dt, "dt"))
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        object.__setattr__(self, "dt", _number(self.dt, "dt", "(0, inf]"))
         sig = np.array(self.increments, dtype=float)
         if sig.ndim != 2:
             raise ValueError("increments must be a 2-d array (steps, channels)")
@@ -147,9 +145,9 @@ class RecordBatch:
             raise ValueError(f"record id {repeated[0]} is held by more than one record")
         inside = np.arange(data.shape[1]) < lengths[:, None]
         if signals:
-            if labels or isinstance(self.dt, bool) or not self.dt > 0:
-                raise ValueError("signal records need a positive dt and no labels")
-            object.__setattr__(self, "dt", float(self.dt))
+            if labels:
+                raise ValueError("signal records need no labels")
+            object.__setattr__(self, "dt", _number(self.dt, "dt", "(0, inf]"))
             data, pad = np.array(data, float), 0
         else:
             codes = data[inside]

@@ -134,10 +134,9 @@ def instantiate_model(description: Mapping):
     if kind == "qnd":
         return build_qnd_family(**params)
     if kind == "povm":
-        elements = {
-            str(y): matrix_from_json(f) for y, f in params["elements"].items()
-        }
-        return povm_family(elements, n_steps=params.get("n_steps", 1))
+        elements = params["elements"]
+        params["elements"] = {str(y): matrix_from_json(f) for y, f in elements.items()}
+        return povm_family(**params)
     raise ValueError(f"unknown model kind {kind!r}")
 
 

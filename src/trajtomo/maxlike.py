@@ -22,7 +22,7 @@ import numpy as np
 from .config import KKT_TOL, RANK_REL
 from .errors import DegenerateLikelihood, DegenerateTrace
 from .filtering import _of_dim, _stack_effects
-from .operators import DensityMatrix, _hermitian, _integer, project_to_density
+from .operators import DensityMatrix, _hermitian, _integer, _number, project_to_density
 
 __all__ = [
     "KKTReport",
@@ -182,10 +182,9 @@ def _certificate(
 
 
 def _check_options(max_iterations: int, kkt_tol: float) -> None:
-    """Refuse a ``kkt_tol`` that is not finite and positive, or a negative
+    """Refuse a ``kkt_tol`` outside (0, inf), or a negative
     ``max_iterations``; the command line checks its options with it too."""
-    if not (math.isfinite(kkt_tol) and kkt_tol > 0.0):
-        raise ValueError(f"kkt_tol must be finite and positive, got {kkt_tol!r}")
+    _number(kkt_tol, "kkt_tol", "(0, inf)")
     if _integer(max_iterations, "max_iterations") < 0:
         raise ValueError(f"max_iterations must be nonnegative, got {max_iterations!r}")
 

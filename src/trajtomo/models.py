@@ -24,7 +24,9 @@ from .config import KRAUS_TRACE_TOL, PSD_TOL
 from .continuous import Channel, SMEModel
 from .errors import IncompletePOVM
 from .filtering import RecordBatch
-from .operators import DensityMatrix, KrausFamily, _integer, _number, as_matrix
+from .operators import (
+    DensityMatrix, KrausFamily, _check_hermitian, _integer, _number, as_matrix,
+)
 from .qubit import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 __all__ = [
@@ -69,10 +71,7 @@ def build_fluorescence_model(
     sqrt(2 t1 / efficiency) * mean(dy_1) / dt estimates x averaged over
     the window, not x(0); at the defaults that average is about 0.54 x(0).
     """
-    t1, tphi = _number(t1, "t1"), _number(tphi, "tphi")
-    for name, value in (("t1", t1), ("tphi", tphi)):
-        if not value > 0:
-            raise ValueError(f"{name} must be positive, got {value!r}")
+    t1, tphi = _number(t1, "t1", "(0, inf]"), _number(tphi, "tphi", "(0, inf]")
     lower = math.sqrt(1.0 / (2.0 * t1)) * (SIGMA_X - 1j * SIGMA_Y) / 2.0
     dephase = math.sqrt(1.0 / (2.0 * tphi)) * SIGMA_Z
     return SMEModel(
@@ -93,6 +92,8 @@ def quadrature_estimates(
     """Raw-signal estimate of (x, y) from fluorescence records, a
     RecordBatch or ContinuousRecord views: the mean increment over every
     step of every record, rescaled."""
+    t1, dt = _number(t1, "t1", "(0, inf]"), _number(dt, "dt", "(0, inf]")
+    efficiency = _number(efficiency, "efficiency", "(0, 1]")
     batch = RecordBatch.from_records(records)
     if batch.dt is None:
         raise TypeError("quadrature estimates need signal records, not outcomes")
@@ -108,9 +109,9 @@ def quadrature_estimates(
 def povm_family(elements: dict[str, np.ndarray], *, n_steps: int = 1) -> KrausFamily:
     """A measurement family from POVM elements, one shot per step.
 
-    Each element F must be positive semidefinite and the set must resolve
-    the identity; the Kraus operator used per outcome is the positive
-    square root of F.
+    Each element F must be Hermitian and positive semidefinite, and the set
+    must resolve the identity; the Kraus operator used per outcome is the
+    positive square root of F.
     """
     mats = {y: np.asarray(f, dtype=complex) for y, f in elements.items()}
     dims = {f.shape for f in mats.values()}
@@ -125,6 +126,7 @@ def povm_family(elements: dict[str, np.ndarray], *, n_steps: int = 1) -> KrausFa
         )
     step = {}
     for y, f in mats.items():
+        _check_hermitian(f, f"POVM element {y!r}")
         f = (f + f.conj().T) / 2.0
         w, v = np.linalg.eigh(f)
         if w[0] < -PSD_TOL:
@@ -139,14 +141,12 @@ def povm_family(elements: dict[str, np.ndarray], *, n_steps: int = 1) -> KrausFa
 
 
 def number_operator(dim: int) -> np.ndarray:
-    return np.diag(np.arange(dim, dtype=float)).astype(complex)
+    return np.diag(np.arange(_integer(dim, "dim", 1), dtype=float)).astype(complex)
 
 
 def thermal_state(dim: int, n_bar: float) -> DensityMatrix:
     """Truncated thermal state with untruncated mean occupation n_bar."""
-    n_bar = _number(n_bar, "n_bar")
-    if not 0 <= n_bar < math.inf:
-        raise ValueError(f"n_bar must be finite and nonnegative, got {n_bar!r}")
+    dim, n_bar = _integer(dim, "dim", 1), _number(n_bar, "n_bar", "[0, inf)")
     if n_bar == 0:
         p = np.zeros(dim)
         p[0] = 1.0
@@ -271,13 +271,9 @@ def thermal_relaxation_kraus(
     is the exact exponential of this generator, so the decomposition is
     trace preserving to machine precision regardless of duration.
     """
-    t_cavity, n_bath = _number(t_cavity, "t_cavity"), _number(n_bath, "n_bath")
-    duration = _number(duration, "duration")
-    if not t_cavity > 0:
-        raise ValueError(f"t_cavity must be positive, got {t_cavity!r}")
-    for name, value in (("duration", duration), ("n_bath", n_bath)):
-        if not 0 <= value < math.inf:
-            raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
+    dim, duration = _integer(dim, "dim", 1), _number(duration, "duration", "[0, inf)")
+    t_cavity = _number(t_cavity, "t_cavity", "(0, inf]")
+    n_bath = _number(n_bath, "n_bath", "[0, inf)")
     sup = _thermal_channel(dim, (1.0 + n_bath) / t_cavity, n_bath / t_cavity, duration)
     return _superop_to_kraus(sup, dim)
 
@@ -296,10 +292,8 @@ def injection_channel(
     fixed completely positive trace-preserving map, it commutes with
     ensemble averaging, so reference curves stay exact.
     """
-    n_hot, strength = _number(n_hot, "n_hot"), _number(strength, "strength")
-    for name, value in (("n_hot", n_hot), ("strength", strength)):
-        if not 0 <= value < math.inf:
-            raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+    dim, n_hot = _integer(dim, "dim", 1), _number(n_hot, "n_hot", "[0, inf)")
+    strength = _number(strength, "strength", "[0, inf)")
     sup = _thermal_channel(dim, 1.0 + n_hot, n_hot, strength)
     _superop_to_kraus(sup, dim)  # validates complete positivity + trace
     return sup
@@ -345,17 +339,13 @@ def build_qnd_family(
     the thermal relaxation.
     """
     n_steps = _integer(n_steps, "n_steps", 1)
-    detection_efficiency = _number(detection_efficiency, "detection_efficiency")
-    readout_error = _number(readout_error, "readout_error")
-    step_time = _number(step_time, "step_time")
+    detection_efficiency = _number(
+        detection_efficiency, "detection_efficiency", "(0, 1]"
+    )
+    readout_error = _number(readout_error, "readout_error", "[0, 0.5]")
+    step_time = _number(step_time, "step_time", "[0, inf)")
     phase_per_photon = _number(phase_per_photon, "phase_per_photon")
     phase_offsets = [_number(v, "phase_offsets entry") for v in phase_offsets]
-    if not 0.0 < detection_efficiency <= 1.0:
-        raise ValueError("detection_efficiency must lie in (0, 1]")
-    if not 0.0 <= readout_error <= 0.5:
-        raise ValueError("readout_error must lie in [0, 0.5]")
-    if not 0 <= step_time < math.inf:
-        raise ValueError(f"step_time must be nonnegative and finite, got {step_time!r}")
     if not len(phase_offsets):
         raise ValueError("phase_offsets must hold at least one offset")
     dim = _integer(n_max, "n_max", 1) + 1

@@ -135,12 +135,27 @@ def _integer(value, name: str, low=None, high=None) -> int:
     return value
 
 
-def _number(value, name: str) -> float:
-    """value as a float, refused rather than converted when it is not a
-    real number (a bool or a string included); the error names it ``name``."""
+def _number(value, name: str, interval: str = "") -> float:
+    """value as a float, refused rather than converted when it is not a real
+    number (a bool or a string included), or outside ``interval``, written as
+    it reads, such as "(0, inf]" (NaN lies in none); the errors name it ``name``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    value = float(value)
+    if interval:
+        low, high = map(float, interval[1:-1].split(","))
+        above = low <= value if interval[0] == "[" else low < value
+        below = value <= high if interval[-1] == "]" else value < high
+        if not (above and below):
+            raise ValueError(f"{name} must lie in {interval}, got {value!r}")
+    return value
+
+
+def _check_hermitian(m: np.ndarray, name: str) -> None:
+    """Refuse a square matrix m unless max|M - M*| <= 1e-12 max(1, max|M|),
+    which a NaN entry fails."""
+    if not np.abs(m - m.conj().T).max() <= 1e-12 * max(1.0, np.abs(m).max()):
+        raise ValueError(f"{name} must be Hermitian")
 
 
 class KrausFamily:

@@ -326,12 +326,12 @@ def test_repeated_intervention_step_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("kind, parameters, name", [
-    ("qnd", {"t_cavity": 0}, "t_cavity must be positive"),
-    ("qnd", {"n_bath": -0.1}, "n_bath must be nonnegative"),
-    ("qnd", {"step_time": -1e-6}, "step_time must be nonnegative"),
+    ("qnd", {"t_cavity": 0}, "t_cavity must lie in (0, inf], got 0.0"),
+    ("qnd", {"n_bath": -0.1}, "n_bath must lie in [0, inf), got -0.1"),
+    ("qnd", {"step_time": -1e-6}, "step_time must lie in [0, inf), got -1e-06"),
     ("qnd", {"phase_offsets": []}, "phase_offsets must hold at least one offset"),
-    ("fluorescence", {"t1": 0}, "t1 must be positive"),
-    ("fluorescence", {"tphi": 0}, "tphi must be positive"),
+    ("fluorescence", {"t1": 0}, "t1 must lie in (0, inf], got 0.0"),
+    ("fluorescence", {"tphi": 0}, "tphi must lie in (0, inf], got 0.0"),
     ("qnd", {"phase_per_photon": float("nan")},
      "Kraus operator for outcome 'g' is not finite"),
     ("fluorescence", {"t1": True}, "t1 must be a number, got True"),
@@ -340,6 +340,8 @@ def test_repeated_intervention_step_exits_2(tmp_path, capsys):
     ("qnd", {"step_time": True}, "step_time must be a number, got True"),
     ("qnd", {"phase_offsets": [0.0, True]},
      "phase_offsets entry must be a number, got True"),
+    ("povm", {"elements": {"g": GROUND, "e": EXCITED}, "n_step": 3},
+     "povm_family() got an unexpected keyword argument 'n_step'"),
 ])
 def test_bad_model_parameters_exit_2_naming_the_parameter(
     tmp_path, capsys, kind, parameters, name
@@ -480,9 +482,9 @@ def test_loose_kkt_tol_certifies_no_later_than_the_default(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("option, value, message", [
-    ("--kkt-tol", "0", "kkt_tol must be finite and positive"),
-    ("--kkt-tol", "-1", "kkt_tol must be finite and positive"),
-    ("--kkt-tol", "nan", "kkt_tol must be finite and positive"),
+    ("--kkt-tol", "0", "kkt_tol must lie in (0, inf), got 0.0"),
+    ("--kkt-tol", "-1", "kkt_tol must lie in (0, inf), got -1.0"),
+    ("--kkt-tol", "nan", "kkt_tol must lie in (0, inf), got nan"),
     ("--max-iterations", "-3", "max_iterations must be nonnegative"),
     ("--start-times", "0,10,0", "start times must be distinct; repeated: 0"),
     ("--start-times", "0,b", "--start-times must be comma-separated integers"),
@@ -518,6 +520,20 @@ def test_observable_from_file(tmp_path):
                 "--out", out, "--observables", f"@{obs}"]) == 0
     names = [ln.split(",")[1] for ln in out.read_text().splitlines()[2:]]
     assert names == ["pg"]
+
+
+def test_non_hermitian_observable_file_exits_2(tmp_path, capsys):
+    # within np.allclose's default relative tolerance, but not within 1e-12
+    model, recs = tmp_path / "model.json", tmp_path / "recs.jsonl"
+    povm_model(model)
+    assert run(["simulate", "--model", model, "--records", recs]) == 0
+    obs = tmp_path / "skew.json"
+    obs.write_text(json.dumps([[[1.0, 0.0], [1.000001, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]))
+    out = tmp_path / "o.csv"
+    assert run(["tomography", "--model", model, "--records", recs,
+                "--out", out, "--observables", f"@{obs}"]) == 2
+    assert f"error: observable file {obs} must be Hermitian" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_threads_flag_does_not_change_results(tmp_path):

@@ -282,6 +282,13 @@ def test_bad_solver_options_raise(options):
         solve_maxlike([GROUND] * 3 + [EXCITED] * 7, **options)
 
 
+@pytest.mark.parametrize("kkt_tol", [True, "1e-7"])
+def test_solver_tolerance_that_is_not_a_number_raises(kkt_tol):
+    # True would certify at tolerance 1.0
+    with pytest.raises(TypeError, match=f"^kkt_tol must be a number, got {kkt_tol!r}$"):
+        solve_maxlike([GROUND] * 3 + [EXCITED] * 7, kkt_tol=kkt_tol)
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="known stall, ROADMAP item 2: projected gradient with BB steps creeps "

@@ -1,5 +1,6 @@
 """Packaged measurement models: fluorescence, POVM shots, cavity readout."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from trajtomo.models import _expm, _lindblad_superop, _lowering
 
 EXCITED = np.diag([1.0, 0.0]).astype(complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
+SIGNAL = [ContinuousRecord(0, 2e-7, np.zeros((10, 2)))]  # one heterodyne record
 
 
 def fock(dim, n):
@@ -124,6 +126,10 @@ def test_povm_family_rejects_bad_elements():
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     with pytest.raises(ValueError):
         povm_family({"a": sx, "b": np.eye(2) - sx})
+    # the elements resolve the identity and their Hermitian parts are positive
+    skew = np.array([[0.5, 0.1], [0.0, 0.5]])
+    with pytest.raises(ValueError, match="POVM element 'g' must be Hermitian"):
+        povm_family({"g": skew, "e": np.eye(2) - skew})
 
 
 # ---------------------------------------------------------------------------
@@ -287,30 +293,32 @@ def test_non_finite_parameters_are_refused_naming_them():
     for build, message in (
         (lambda: build_qnd_family(3, phase_per_photon=math.nan),
          "Kraus operator for outcome 'g' is not finite"),
-        (lambda: thermal_state(4, math.nan), "n_bar must be finite"),
-        (lambda: thermal_state(4, math.inf), "n_bar must be finite"),
-        (lambda: injection_channel(4, n_hot=math.nan), "n_hot must be finite"),
-        (lambda: injection_channel(4, strength=math.nan), "strength must be finite"),
+        (lambda: thermal_state(4, math.nan), "n_bar must lie in [0, inf), got nan"),
+        (lambda: thermal_state(4, math.inf), "n_bar must lie in [0, inf), got inf"),
+        (lambda: injection_channel(4, n_hot=math.nan),
+         "n_hot must lie in [0, inf), got nan"),
+        (lambda: injection_channel(4, strength=math.nan),
+         "strength must lie in [0, inf), got nan"),
     ):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             build()
 
 
 @pytest.mark.parametrize("build, message", [
     (lambda: thermal_relaxation_kraus(4, -1e-3, t_cavity=1.0, n_bath=0.1),
-     "duration must be nonnegative and finite"),
+     "duration must lie in [0, inf), got -0.001"),
     (lambda: thermal_relaxation_kraus(4, math.nan, t_cavity=1.0, n_bath=0.1),
-     "duration must be nonnegative and finite"),
+     "duration must lie in [0, inf), got nan"),
     (lambda: thermal_relaxation_kraus(4, math.inf, t_cavity=1.0, n_bath=0.1),
-     "duration must be nonnegative and finite"),
+     "duration must lie in [0, inf), got inf"),
     (lambda: thermal_relaxation_kraus(4, 0.1, t_cavity=1.0, n_bath=math.inf),
-     "n_bath must be nonnegative and finite"),
+     "n_bath must lie in [0, inf), got inf"),
     (lambda: thermal_relaxation_kraus(4, 0.1, t_cavity=1.0, n_bath=math.nan),
-     "n_bath must be nonnegative and finite"),
+     "n_bath must lie in [0, inf), got nan"),
     (lambda: build_qnd_family(3, step_time=math.inf),
-     "step_time must be nonnegative and finite"),
+     "step_time must lie in [0, inf), got inf"),
     (lambda: build_qnd_family(3, step_time=math.nan),
-     "step_time must be nonnegative and finite"),
+     "step_time must lie in [0, inf), got nan"),
     (lambda: build_qnd_family(3, n_max=7.0), "n_max must be an integer, got 7.0"),
     (lambda: build_qnd_family(3, n_max=True), "n_max must be an integer, got True"),
     (lambda: build_qnd_family(3, n_max=0), "n_max must be at least 1, got 0"),
@@ -321,13 +329,27 @@ def test_non_finite_parameters_are_refused_naming_them():
     (lambda: build_qnd_family(3, detection_efficiency=True),
      "detection_efficiency must be a number, got True"),
     (lambda: Channel(np.eye(2), True), "efficiency must be a number, got True"),
+    (lambda: thermal_state(2.9, 0.1), "dim must be an integer, got 2.9"),
+    (lambda: number_operator(2.5), "dim must be an integer, got 2.5"),
+    (lambda: number_operator(0), "dim must be at least 1, got 0"),
+    (lambda: injection_channel(2.5), "dim must be an integer, got 2.5"),
+    (lambda: thermal_relaxation_kraus(2.5, 0.1, t_cavity=1.0, n_bath=0.1),
+     "dim must be an integer, got 2.5"),
+    (lambda: quadrature_estimates(SIGNAL, t1=True, efficiency=0.25, dt=2e-7),
+     "t1 must be a number, got True"),
+    (lambda: quadrature_estimates(SIGNAL, t1=4e-6, efficiency=0, dt=2e-7),
+     "efficiency must lie in (0, 1], got 0.0"),
+    (lambda: quadrature_estimates(SIGNAL, t1=-1.0, efficiency=0.25, dt=2e-7),
+     "t1 must lie in (0, inf], got -1.0"),
+    (lambda: quadrature_estimates(SIGNAL, t1=4e-6, efficiency=0.25, dt="2e-7"),
+     "dt must be a number, got '2e-7'"),
 ])
 def test_relaxation_refuses_bad_parameters_by_name(build, message):
     # a count or a parameter of the wrong type is a TypeError, as
     # operator.index raises
     wrong_type = "an integer" in message or "a number" in message
     error = TypeError if wrong_type else ValueError
-    with pytest.raises(error, match=message):
+    with pytest.raises(error, match=re.escape(message)):
         build()
 
 

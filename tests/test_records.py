@@ -124,8 +124,8 @@ def test_constructor_refuses_non_integer_ids_and_lengths(ids, lengths, message):
      "dt must be a number, got True"),
     (lambda: trajtomo.SMEModel(np.zeros((2, 2)), (), True, 3), TypeError,
      "dt must be a number, got True"),
-    (lambda: RecordBatch(np.zeros((1, 1, 1)), [1], [0], dt=True), ValueError,
-     "signal records need a positive dt"),
+    (lambda: RecordBatch(np.zeros((1, 1, 1)), [1], [0], dt=True), TypeError,
+     "dt must be a number, got True"),
     (lambda: trajtomo.EffectBatch(np.full((2, 2, 2), 0.5), [0.0, 0.0], [2.9, True]),
      TypeError, "record_ids entry must be an integer, got 2.9"),
 ], ids=["signal id", "discrete id", "record dt", "model dt", "batch dt", "effect ids"])
