@@ -415,17 +415,19 @@ def _cmd_tomography(args) -> int:
         )
     if args.report_ensemble_average:
         rows.extend(_ensemble_rows(model, desc, records, starts, observables))
-    tio.write_results_csv(args.out, rows)
-    tio.write_json(
-        sidecar,
-        {
-            "format": "trajtomo-tomography",
-            "version": tio.FORMAT_VERSION,
-            "model_hash": tio.model_hash(desc),
-            "start_times": starts,
-            "states": sidecar_states,
-        },
-    )
+    # the table lands only with its sidecar: both are written, then moved
+    with tio._landing(sidecar, args.out) as (sidecar_tmp, out_tmp):
+        tio.write_results_csv(out_tmp, rows)
+        tio.write_json(
+            sidecar_tmp,
+            {
+                "format": "trajtomo-tomography",
+                "version": tio.FORMAT_VERSION,
+                "model_hash": tio.model_hash(desc),
+                "start_times": starts,
+                "states": sidecar_states,
+            },
+        )
     print(f"wrote {len(rows)} rows to {args.out} (states in {sidecar})")
     return 0
 

@@ -82,8 +82,9 @@ class SMEModel:
 
     Answers the record passes and the sampler of ``trajtomo.filtering``
     for signal records through the same private members as
-    ``KrausFamily`` (``_read``, ``_step``, ``_trace_check``, ``_ops``,
-    ``_sampler``, which draws from the adjoint step maps of ``_step``);
+    ``KrausFamily`` (``_read``, ``_pattern``, ``_step``, ``_trace_check``,
+    ``_ops``, ``_sampler``, which draws from the adjoint step maps of
+    ``_step``);
     a signal step's trace must stay within ``_TRACE_BAND`` of one.
     """
 
@@ -167,18 +168,29 @@ class SMEModel:
             ) for n in np.flatnonzero(lengths > self.n_steps)]
         return batch.data, [ValueError(f"record {ids[0]} {why}")]
 
-    def _step(self, increments, *, adjoint: bool):
-        """The batched step map for signal records.
+    def _pattern(self, *, adjoint: bool) -> np.ndarray:
+        """The exact nonzero pattern of the step maps, as in
+        ``KrausFamily._pattern``: entry [i, j] is set when some term of the
+        expansion of ``_superoperators`` carries coordinate i into j."""
+        right, _ = _superoperators(self, adjoint=adjoint)
+        k = self.dim**2
+        return (right != 0).reshape(k, -1, k).any(axis=1)
+
+    def _step(self, increments, live, *, adjoint: bool):
+        """The batched step map for signal records, on the coordinates
+        ``live``.
 
         ``increments(t, flat)`` returns every record's signal increments at
-        step t, shape (N, n_monitored); the coordinate rows of the active X
-        become those of K_dy(X), or K*_dy(X) in the adjoint direction,
-        through the expansion of ``_superoperators``: one real product of
-        the rows with the stacked maps, weighted by phi(dy).
+        step t, shape (N, n_monitored); the rows of the active X, their
+        coordinates at ``live``, become those of K_dy(X), or K*_dy(X) in
+        the adjoint direction, through the expansion of
+        ``_superoperators`` with each map cut to ``live``: one real product
+        of the rows with the stacked maps, weighted by phi(dy).
         """
         right, pairs = _superoperators(self, adjoint=adjoint)
-        k = self.dim**2
+        k, n = self.dim**2, len(live)
         n_terms = right.shape[1] // k
+        right = right[np.ix_(live, (np.arange(n_terms)[:, None] * k + live).ravel())]
 
         def apply(t, flat, act):
             dy = increments(t, flat)[act]
@@ -187,7 +199,7 @@ class SMEModel:
                 [np.ones((len(x), 1)), dy, dy[:, pairs[:, 0]] * dy[:, pairs[:, 1]]],
                 axis=1,
             )
-            return np.matmul(phi[:, None, :], (x @ right).reshape(-1, n_terms, k))[:, 0]
+            return np.matmul(phi[:, None, :], (x @ right).reshape(-1, n_terms, n))[:, 0]
 
         return apply
 
@@ -203,19 +215,19 @@ class SMEModel:
             raise ValueError(f"expected {stack.shape[0]} signal increments")
         return (base + np.einsum("v,vij->ij", dy, stack) if len(dy) else base, *resid)
 
-    def _sampler(self, rng: np.random.Generator, n_records: int):
+    def _sampler(self, rng: np.random.Generator, n_records: int, live):
         """The increment draw of ``filtering.sample_records``.
 
         Returns ``draw(t, flat)``, which draws every record's step-t
-        increments from the exact one-step law of the states with
-        coordinate rows ``flat``, stores them in the returned (n_records,
-        n_steps, n_monitored) signal array and returns them; and the
-        RecordBatch keywords.
+        increments from the exact one-step law of the states whose
+        coordinates at ``live`` are the rows ``flat``, stores them in the
+        returned (n_records, n_steps, n_monitored) signal array and returns
+        them; and the RecordBatch keywords.
         """
         right, pairs = _superoperators(self, adjoint=True)
         # columns A_m*(I), whose products with rows rho give the coefficients
         # of tr K_dy(rho) = sum_m phi_m(dy) tr(rho A_m*(I))
-        weights = (_coords(np.eye(self.dim)) @ right).reshape(-1, self.dim**2).T
+        weights = (_coords(np.eye(self.dim)) @ right).reshape(-1, self.dim**2).T[live]
         signals = np.empty((n_records, self.n_steps, len(self.monitored)))
 
         def draw(t, flat):

@@ -17,9 +17,12 @@ ContinuousRecord are the per-record views it hands out.  Every pass,
 and the sampler, takes either model type, a KrausFamily for discrete
 outcomes or an SMEModel for diffusive signals, through the private
 methods the two classes share: ``_read`` checks a batch and gives its
-step-map inputs, ``_step`` and ``_trace_check`` step a batch, ``_ops``
-gives one step's Kraus operators, and ``_sampler`` draws the records
-from the same adjoint step maps.
+step-map inputs, ``_pattern`` gives the exact nonzero pattern of the
+step maps, ``_step`` and ``_trace_check`` step a batch, ``_ops`` gives
+one step's Kraus operators, and ``_sampler`` draws the records from the
+same adjoint step maps.  A pass carries only the coordinates its start
+row can reach under that pattern (``_live``): for a QND model in the
+Fock basis, started diagonal, 8 of 64.
 """
 from __future__ import annotations
 
@@ -36,6 +39,7 @@ from .operators import (
     DensityMatrix,
     as_matrix,
     _check_positive,
+    _closure,
     _coords,
     _hermitian,
     _integer,
@@ -464,19 +468,33 @@ def _checked(model, records) -> tuple[RecordBatch, Callable]:
     return batch, lambda t, _: inputs[:, t]
 
 
+def _live(model, start, *, adjoint: bool, channels=()) -> np.ndarray:
+    """The sorted coordinates that a pass from the d x d Hermitian ``start``
+    can make nonzero: those of start, closed under the exact nonzero
+    pattern of the model's step maps in the pass direction and of the maps
+    ``channels`` on coordinate rows (interventions, forward).  Every other
+    coordinate of every row stays exactly zero, so the pass drops it."""
+    pattern = model._pattern(adjoint=adjoint)
+    for c in channels:
+        pattern = pattern | (c != 0)
+    return np.flatnonzero(_closure(pattern, _coords(start) != 0))
+
+
 def _propagate(
-    model, inputs, lengths, ids, start, log_c: float, *, adjoint: bool, keep=()
+    model, inputs, lengths, ids, start, log_c: float, live, *, adjoint: bool, keep=()
 ) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The one batched pass: records ids[n], of lengths[n] steps, from one start.
 
     Every record starts from the d x d Hermitian ``start`` with log scale
     ``log_c``, carried as a row of real coordinates in the basis of
-    ``operators._basis``, whose trace is the sum of the first d.  The
-    steps run over the longest record, the last first when ``adjoint``.
-    At step t ``model._step`` maps the rows of the records with more than
-    t steps to those of the unnormalized K(X), or K*(X), given the outcome
-    codes or increments ``inputs(t, flat)``, where ``flat`` holds every
-    row.  ``model._trace_check``, when set, vets their traces; each row is
+    ``operators._basis``, cut to the sorted coordinates ``live`` that
+    ``_live`` finds for the pass; its trace is the sum of the live ones
+    among the first d.  The steps run over the longest record, the last
+    first when ``adjoint``.  At step t ``model._step``, its maps cut to
+    ``live`` once, maps the rows of the records with more than t steps to
+    those of the unnormalized K(X), or K*(X), given the outcome codes or
+    increments ``inputs(t, flat)``, where ``flat`` holds every row.
+    ``model._trace_check``, when set, vets their traces; each row is
     divided by its trace and the log trace added to its log scale.  A
     trace not above ``PROB_FLOOR`` (NaN included) raises ZeroProbability
     naming the record and the step.
@@ -491,8 +509,9 @@ def _propagate(
     wanted = dict.fromkeys(_indices(keep, span if n else None, adjoint=adjoint))
     if not n:
         return {k: (np.zeros((0, dim, dim), complex), np.zeros(0), ids) for k in wanted}
-    apply, check = model._step(inputs, adjoint=adjoint), model._trace_check
-    flat, log_c = np.tile(_coords(start), (n, 1)), np.full(n, log_c)
+    apply, check = model._step(inputs, live, adjoint=adjoint), model._trace_check
+    flat, log_c = np.tile(_coords(start)[live], (n, 1)), np.full(n, log_c)
+    diag = np.count_nonzero(live < dim)  # the live diagonal coordinates lead
     shortest, snaps = lengths.min(), {}
     if not adjoint and 0 in wanted:
         snaps[0] = (flat.copy(), log_c.copy(), ids)
@@ -500,7 +519,7 @@ def _propagate(
         act = slice(None) if shortest > t else lengths > t
         on = ids[act]
         new = apply(t, flat, act)
-        traces = new[:, :dim].sum(axis=1)
+        traces = new[:, :diag].sum(axis=1)
         if check is not None:
             check(traces, t, on)
         bad = int(np.argmin(traces))
@@ -521,7 +540,15 @@ def _propagate(
     # matrices are made once the pass is over, each block of rows freed as it
     # is converted: made between the step temporaries they fragmented the heap
     # and raised the peak RSS of fluorescence_cli by 1.6 MiB
-    return {k: (_matrices(snaps[k][0]), *snaps.pop(k)[1:]) for k in wanted}
+    return {k: (_matrices(_scatter(snaps[k][0], live, dim)), *snaps.pop(k)[1:])
+            for k in wanted}
+
+
+def _scatter(rows: np.ndarray, live, dim: int) -> np.ndarray:
+    """Rows of coordinates at ``live`` as rows of all dim^2 coordinates."""
+    full = np.zeros((len(rows), dim * dim))
+    full[:, live] = rows
+    return full
 
 
 def backward_sweep_batch(
@@ -543,9 +570,10 @@ def backward_sweep_batch(
     older callers and ignored.
     """
     batch, inputs = _checked(model, records)
+    start = np.eye(model.dim) / model.dim
     snaps = _propagate(
-        model, inputs, batch.lengths, batch.record_ids, np.eye(model.dim) / model.dim,
-        math.log(model.dim), adjoint=True, keep=start_indices,
+        model, inputs, batch.lengths, batch.record_ids, start, math.log(model.dim),
+        _live(model, start, adjoint=True), adjoint=True, keep=start_indices,
     )
     # each stack is released once its batch holds the checked copy
     return {s: EffectBatch(*snaps.pop(s), start=s) for s in list(snaps)}
@@ -563,9 +591,10 @@ def forward_batch(model, records, rho0, at: Sequence[int]) -> dict[int, np.ndarr
     requested time.
     """
     batch, inputs = _checked(model, records)
+    rho = _initial_state(model, rho0).matrix
     snaps = _propagate(
-        model, inputs, batch.lengths, batch.record_ids,
-        _initial_state(model, rho0).matrix, 0.0, adjoint=False, keep=at,
+        model, inputs, batch.lengths, batch.record_ids, rho, 0.0,
+        _live(model, rho, adjoint=False), adjoint=False, keep=at,
     )
     return {k: states for k, (states, _, _) in snaps.items()}
 
@@ -609,15 +638,18 @@ def sample_records(
                 f"{(dim * dim, dim * dim)}"
             )
         channels[t] = _real_map(sup).T
-    step_draw, data, kind = model._sampler(rng, n_records)
+    rho = _initial_state(model, rho0).matrix
+    live = _live(model, rho, adjoint=False, channels=channels.values())
+    channels = {t: c[np.ix_(live, live)] for t, c in channels.items()}
+    diag = np.count_nonzero(live < dim)
+    step_draw, data, kind = model._sampler(rng, n_records, live)
 
     def draw(t, flat):
         if t in channels:
             flat[:] = flat @ channels[t]
-            flat /= flat[:, :dim].sum(axis=1, keepdims=True)
+            flat /= flat[:, :diag].sum(axis=1, keepdims=True)
         return step_draw(t, flat)
 
     lengths, ids = np.full(n_records, total), np.arange(n_records)
-    rho = _initial_state(model, rho0).matrix
-    _propagate(model, draw, lengths, ids, rho, 0.0, adjoint=False)
+    _propagate(model, draw, lengths, ids, rho, 0.0, live, adjoint=False)
     return RecordBatch(data, lengths, ids, **kind)

@@ -16,10 +16,12 @@ shortest round-trip representation.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
 import math
+import os
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -128,13 +130,13 @@ def instantiate_model(description: Mapping):
     discrete kinds.
     """
     kind = description["kind"]
-    params = dict(description["parameters"])
+    params = dict(_object(description["parameters"], "model parameters"))
     if kind == "fluorescence":
         return build_fluorescence_model(**params)
     if kind == "qnd":
         return build_qnd_family(**params)
     if kind == "povm":
-        elements = params["elements"]
+        elements = _object(params.get("elements"), "povm elements")
         params["elements"] = {str(y): matrix_from_json(f) for y, f in elements.items()}
         return povm_family(**params)
     raise ValueError(f"unknown model kind {kind!r}")
@@ -170,7 +172,12 @@ def interventions_from_description(
     if not isinstance(model, KrausFamily):
         raise ValueError("interventions are only supported for discrete models")
     out: dict[int, np.ndarray] = {}
-    for ev in events:
+    if not isinstance(events, (list, tuple)):
+        raise TypeError(f"interventions must be an array, got {type(events).__name__}")
+    for i, ev in enumerate(events):
+        ev = _object(ev, f"intervention {i}")
+        if "step" not in ev:
+            raise ValueError(f"intervention {i} has no 'step'")
         step = _integer(ev["step"], "intervention step")
         if step in out:
             raise ValueError(f"two interventions at step {step}; a step takes one")
@@ -180,6 +187,34 @@ def interventions_from_description(
         kwargs = {k: ev[k] for k in ("n_hot", "strength") if k in ev}
         out[step] = injection_channel(model.dim, **kwargs)
     return out
+
+
+def _object(value, name: str) -> Mapping:
+    """value, refused unless it is a JSON object; the error names it ``name``."""
+    if not isinstance(value, Mapping):
+        raise TypeError(f"{name} must be an object, got {type(value).__name__}")
+    return value
+
+
+@contextlib.contextmanager
+def _landing(*paths):
+    """Temporary paths, one beside each of ``paths``, for a block to write;
+    each is moved onto its path, in order, once the whole block has run,
+    and all are removed if it raises, so that no path is ever left holding
+    part of a file, nor one output without the others."""
+    temps = [
+        os.path.join(os.path.dirname(p), f".{os.path.basename(p)}.{os.getpid()}.tmp")
+        for p in map(os.fspath, paths)
+    ]
+    try:
+        yield temps
+        for tmp, path in zip(temps, paths):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +255,7 @@ def write_records(
     if metadata:
         meta.update(metadata)
     labels = np.array(batch.labels, dtype=object)
-    with open(path, "w") as fh:
+    with _landing(path) as (tmp,), open(tmp, "w") as fh:
         fh.write(canonical_json(meta))
         fh.write("\n")
         for rid, row, n in zip(batch.record_ids.tolist(), batch.data, batch.lengths):
@@ -384,7 +419,7 @@ def write_results_csv(path, rows: Sequence[Mapping]) -> None:
     can reject tables written under a different layout; the second is
     the usual column header.
     """
-    with open(path, "w", newline="") as fh:
+    with _landing(path) as (tmp,), open(tmp, "w", newline="") as fh:
         fh.write(RESULTS_SCHEMA + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RESULT_COLUMNS)
@@ -396,6 +431,6 @@ def write_results_csv(path, rows: Sequence[Mapping]) -> None:
 
 
 def write_json(path, payload: Mapping) -> None:
-    with open(path, "w") as fh:
+    with _landing(path) as (tmp,), open(tmp, "w") as fh:
         fh.write(canonical_json(payload))
         fh.write("\n")

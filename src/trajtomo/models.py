@@ -25,7 +25,8 @@ from .continuous import Channel, SMEModel
 from .errors import IncompletePOVM
 from .filtering import RecordBatch
 from .operators import (
-    DensityMatrix, KrausFamily, _check_hermitian, _integer, _number, as_matrix,
+    DensityMatrix, KrausFamily, _check_hermitian, _closure, _integer, _number,
+    as_matrix,
 )
 from .qubit import SIGMA_X, SIGMA_Y, SIGMA_Z
 
@@ -235,14 +236,14 @@ def _superop_to_kraus(sup: np.ndarray, dim: int) -> list[np.ndarray]:
     n = dim * dim
     choi = sup.reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3).reshape(n, n)
     choi = (choi + choi.conj().T) / 2.0
-    # label every index with the smallest index of its connected block
-    linked, label = choi != 0, np.arange(n)
-    while True:
-        lower = np.minimum(label, np.where(linked, label, n).min(axis=1))
-        if np.array_equal(lower, label):
-            break
-        label = lower
-    blocks = [np.flatnonzero(label == k) for k in np.unique(label)]
+    # the Hermitian Choi matrix links indices both ways, so the closure of
+    # one index is its connected block; blocks come in order of smallest index
+    linked, left, blocks = choi != 0, np.ones(n, bool), []
+    for k in range(n):
+        if left[k]:
+            block = _closure(linked, np.arange(n) == k)
+            left &= ~block
+            blocks.append(np.flatnonzero(block))
     eigs = [np.linalg.eigh(choi[np.ix_(idx, idx)]) for idx in blocks]
     cut = 1e-12 * max(max(float(w[-1]) for w, _ in eigs), 0.0)
     ops = []

@@ -169,14 +169,15 @@ class KrausFamily:
     entry, so per-step tables are built once per distinct step.
 
     The record passes of ``trajtomo.filtering`` ask the model which
-    records it accepts (``_read``), how a batch steps (``_step``,
-    ``_trace_check``), what one step's Kraus operators are (``_ops``, for
-    the step-by-step references and ``apply_cp_map``) and how to draw
-    records (``_sampler``, from the adjoint step maps of ``_step``);
-    ``SMEModel`` answers the same for signal records.
+    records it accepts (``_read``), which coordinates its step maps can
+    couple (``_pattern``), how a batch steps on the coordinates a pass
+    carries (``_step``, ``_trace_check``), what one step's Kraus operators
+    are (``_ops``, for the step-by-step references and ``apply_cp_map``)
+    and how to draw records (``_sampler``, from the adjoint step maps of
+    ``_step``); ``SMEModel`` answers the same for signal records.
     """
 
-    __slots__ = ("dim", "_distinct", "_schedule")
+    __slots__ = ("dim", "_distinct", "_schedule", "_maps")
     _record_type = "discrete"  # the record archives this model reads
     _trace_check = None  # step traces are outcome probabilities, not near one
 
@@ -275,26 +276,41 @@ class KrausFamily:
     def _superops(self, *, adjoint: bool) -> list[list[np.ndarray]]:
         """Maps of each distinct step, in its outcome order, with coordinate
         rows x of X going to x @ map for K_y(X), or K*_y(X) in the adjoint
-        direction; step t's maps are entry ``_schedule[t]``."""
-        table = []
-        for step in self._distinct:
-            sup = [
-                _real_map(sum(np.kron(m, m.conj()) for m in ops)) for ops in step.values()
+        direction; step t's maps are entry ``_schedule[t]``.  The adjoint
+        maps are built on first use and kept read-only; the forward maps
+        are their transposes."""
+        if not hasattr(self, "_maps"):
+            self._maps = [
+                [_real_map(sum(np.kron(m, m.conj()) for m in ops)) for ops in s.values()]
+                for s in self._distinct
             ]
-            table.append(sup if adjoint else [r.T for r in sup])
-        return table
+            for r in (r for sup in self._maps for r in sup):
+                r.flags.writeable = False
+        return self._maps if adjoint else [[r.T for r in sup] for sup in self._maps]
 
-    def _step(self, outcomes, *, adjoint: bool):
-        """The batched step map for discrete outcomes.
+    def _pattern(self, *, adjoint: bool) -> np.ndarray:
+        """The exact nonzero pattern of every step map, as a (d^2, d^2)
+        boolean matrix: entry [i, j] is set when some outcome of some step
+        carries coordinate i of a row into coordinate j of its image."""
+        pattern = np.zeros((self.dim**2,) * 2, bool)
+        for r in (r for sup in self._superops(adjoint=adjoint) for r in sup):
+            pattern |= r != 0
+        return pattern
+
+    def _step(self, outcomes, live, *, adjoint: bool):
+        """The batched step map for discrete outcomes, on the coordinates
+        ``live``.
 
         ``outcomes(t, flat)`` returns every record's outcome code at step t
         (-1 for a record that has ended, which matches no label); each
-        record's coordinate row is replaced by that of K_y(X), or K*_y(X) in
-        the adjoint direction, one masked real product per label, and the
-        active rows are returned as a view of ``flat`` when every record is
-        active.
+        record's row, its coordinates at ``live``, is replaced by that of
+        K_y(X), or K*_y(X) in the adjoint direction, one masked real
+        product per label with the map cut to ``live``, and the active rows
+        are returned as a view of ``flat`` when every record is active.
         """
-        maps, schedule = self._superops(adjoint=adjoint), self._schedule
+        cut = np.ix_(live, live)
+        maps = [[r[cut] for r in sup] for sup in self._superops(adjoint=adjoint)]
+        schedule = self._schedule
 
         def apply(t, flat, act):
             codes = outcomes(t, flat)
@@ -306,19 +322,21 @@ class KrausFamily:
 
         return apply
 
-    def _sampler(self, rng: np.random.Generator, n_records: int):
+    def _sampler(self, rng: np.random.Generator, n_records: int, live):
         """The outcome draw of ``filtering.sample_records``.
 
         Returns ``draw(t, flat)``, which draws every record's step-t outcome
-        from the coordinate rows ``flat`` of their states, one uniform per
-        record, stores its code in the returned (n_records, n_steps) code
-        matrix and returns its index into ``outcomes(t)``; and the
-        RecordBatch keywords, whose labels are numbered in order of first
-        appearance over the steps.
+        from the rows ``flat`` of their states' coordinates at ``live``, one
+        uniform per record, stores its code in the returned (n_records,
+        n_steps) code matrix and returns its index into ``outcomes(t)``; and
+        the RecordBatch keywords, whose labels are numbered in order of
+        first appearance over the steps.
         """
         schedule, eye = self._schedule, _coords(np.eye(self.dim))
         # columns K*_y(I) per outcome, whose products with rows rho give tr K_y(rho)
-        weights = [(eye @ np.stack(maps)).T for maps in self._superops(adjoint=True)]
+        weights = [
+            (eye @ np.stack(maps))[:, live].T for maps in self._superops(adjoint=True)
+        ]
         # outcome i of step t is recorded as relabel[schedule[t], i]
         labels: dict[str, int] = {}
         relabel = np.zeros((len(self._distinct), max(map(len, self._distinct))), int)
@@ -450,6 +468,18 @@ def _real_map(sup: np.ndarray) -> np.ndarray:
     """
     b = _basis(math.isqrt(sup.shape[0]))
     return (b.conj() @ sup @ b.T).real
+
+
+def _closure(pattern: np.ndarray, seed: np.ndarray) -> np.ndarray:
+    """The indices reachable from the boolean mask ``seed`` along an exact
+    boolean (n, n) ``pattern``, in which i reaches j when pattern[i, j]:
+    the smallest mask that holds seed and is closed under the pattern."""
+    reach = np.array(seed, bool)
+    while True:
+        grown = reach | pattern[reach].any(axis=0)
+        if np.array_equal(grown, reach):
+            return reach
+        reach = grown
 
 
 def _project_simplex(w: np.ndarray) -> np.ndarray:

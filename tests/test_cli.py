@@ -386,6 +386,47 @@ def test_non_integer_model_fields_exit_2(
     assert not recs.exists()
 
 
+QND_FILE = {"format": "trajtomo-model", "version": 1, "kind": "qnd",
+            "parameters": {"n_steps": 20, "n_max": 2}}
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"kind": "povm", "parameters": {"elements": [GROUND, EXCITED]}},
+     "povm elements must be an object, got list"),
+    ({"parameters": [1, 2]}, "model parameters must be an object, got list"),
+    ({"interventions": [{"kind": "injection"}]}, "intervention 0 has no 'step'"),
+    ({"interventions": [5]}, "intervention 0 must be an object, got int"),
+    ({"interventions": 5}, "interventions must be an array, got int"),
+])
+def test_model_file_fields_of_the_wrong_shape_exit_2_naming_the_field(
+    tmp_path, capsys, fields, message
+):
+    model, recs = tmp_path / "model.json", tmp_path / "recs.jsonl"
+    model.write_text(json.dumps({**QND_FILE, **fields}))
+    assert run(["simulate", "--model", model, "--records", recs]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not recs.exists()
+
+
+def test_a_failed_sidecar_write_leaves_no_table_and_no_temporary_file(
+    tmp_path, capsys, monkeypatch
+):
+    model, recs = tmp_path / "model.json", tmp_path / "recs.jsonl"
+    povm_model(model)
+    assert run(["simulate", "--model", model, "--records", recs]) == 0
+    before = sorted(tmp_path.iterdir())
+
+    def fail(path, payload):
+        raise OSError(f"cannot write {path}")
+
+    monkeypatch.setattr(trajtomo.io, "write_json", fail)
+    capsys.readouterr()
+    out = tmp_path / "o.csv"
+    assert run(["tomography", "--model", model, "--records", recs, "--out", out]) == 2
+    assert "error: cannot write" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
 @pytest.mark.parametrize("second, message", [
     ('"id":0', "lines 2 and 3: both hold record id 0"),
     ('"id":1.9', "line 3: id must be an integer, got 1.9"),

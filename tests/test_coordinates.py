@@ -205,7 +205,9 @@ def test_outcome_sampler_weighs_each_outcome_by_its_step_trace():
     fam = build_qnd_family(4)
     rng = np.random.default_rng(901)
     rhos = np.stack([random_density(rng, fam.dim) for _ in range(5)])
-    draw, _, _ = fam._sampler(np.random.default_rng(0), len(rhos))
+    draw, _, _ = fam._sampler(
+        np.random.default_rng(0), len(rhos), np.arange(fam.dim**2)
+    )
     seen = []
 
     class Rows(np.ndarray):
@@ -242,7 +244,9 @@ def test_signal_sampler_draws_from_the_step_trace_quadratic(model, monkeypatch):
 
     monkeypatch.setattr(continuous, "_draw_increments", spy)
     rhos = np.stack([random_density(rng, model.dim) for _ in range(5)])
-    draw, _, _ = model._sampler(np.random.default_rng(0), len(rhos))
+    draw, _, _ = model._sampler(
+        np.random.default_rng(0), len(rhos), np.arange(model.dim**2)
+    )
     draw(0, _coords(rhos))
     ((coeffs, pairs),) = seen
     a, b, p = coeffs[:, 0], coeffs[:, 1 : k + 1], coeffs[:, k + 1 :]

@@ -576,3 +576,64 @@ def test_forward_batch_matches_scalar_filter():
         trace = forward_run(fam, rec, rho)
         for s in (0, 2, 5):
             assert np.abs(got[s][i] - trace.states[s]).max() < 1e-12
+
+
+# A pass carries only the coordinates its start row can reach under the
+# exact nonzero pattern of its maps; these tests fail if it drops one it needs.
+
+
+def test_sampler_reach_counts_the_interventions():
+    # steps 0 and 1 read nothing, the second flipping the qubit, and step 2
+    # measures Z; the Hadamards before steps 1 and 2 take |0><0| to |+><+|,
+    # which the flip keeps, and back.  The steps alone reach both populations
+    # but no coherence, so a cut that ignored the Hadamards would draw 50/50.
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]], complex) / math.sqrt(2.0)
+    superop = np.kron(hadamard, hadamard.conj())
+    wait = {"-": [np.eye(2, dtype=complex)]}
+    flip = {"-": [np.array([[0.0, 1.0], [1.0, 0.0]], complex)]}
+    z = {"0": [np.diag([1.0, 0.0]).astype(complex)],
+         "1": [np.diag([0.0, 1.0]).astype(complex)]}
+    fam = KrausFamily(2, [wait, flip, z])
+    recs = sample_records(
+        fam, np.diag([1.0, 0.0]), 200, rng_seed=11,
+        interventions={1: superop, 2: superop},
+    )
+    assert all(rec.outcomes == ("-", "-", "0") for rec in recs)
+
+
+def test_qnd_forward_batch_from_a_coherent_state_matches_forward_run():
+    # off-diagonal coordinates of rho0 are reachable and must be carried
+    fam = build_qnd_family(40)
+    # a coherent state of mean photon number 1, truncated at 7 photons
+    psi = np.array([1.0 / math.sqrt(math.factorial(n)) for n in range(8)])
+    psi /= np.linalg.norm(psi)
+    rho = np.outer(psi, psi.conj())
+    recs = sample_records(fam, rho, 6, rng_seed=12)
+    got = forward_batch(fam, recs, rho, range(41))
+    for i, rec in enumerate(recs):
+        states = forward_run(fam, rec, rho).states
+        for t in range(41):
+            assert np.abs(got[t][i] - states[t]).max() <= 1e-12, (i, t)
+    assert np.abs(got[40][:, 0, 1]).max() > 1e-3  # coherences survive
+
+
+def test_qnd_injection_batch_sweep_matches_the_single_record_sweep():
+    # the qnd_injection workload's model, draw and start times, with the
+    # records cut to distinct lengths; checked at its shortest and longest
+    t_cavity, step_time = 65e-3, 86e-6
+    fam = build_qnd_family(2_500, t_cavity=t_cavity, n_bath=0.06, step_time=step_time)
+    full = sample_records(
+        fam, thermal_state(8, 0.06), 250, rng_seed=7,
+        interventions={1_000: injection_channel(8)},
+    )
+    lengths = np.random.default_rng(7).permutation(np.arange(2_200, 2_501))[:250]
+    recs = [DiscreteRecord(r.id, r.outcomes[:n]) for r, n in zip(full, lengths)]
+    relative = [-1.3, -1.0, -0.75, -0.5, -0.3, -0.15] + [0.1 * k for k in range(16)]
+    starts = [1_000 + round(r * t_cavity / step_time) for r in relative]
+    batch = backward_sweep_batch(fam, recs, starts)
+    for i in (int(np.argmin(lengths)), int(np.argmax(lengths))):
+        alone = backward_sweep(fam, recs[i], starts)
+        for s in starts:
+            got, want = batch[s][i], alone[s]
+            assert np.abs(got.effect.matrix - want.effect.matrix).max() <= 1e-14
+            assert abs(got.log_c - want.log_c) <= 1e-14 * abs(want.log_c)
