@@ -82,10 +82,12 @@ class SMEModel:
 
     Answers the record passes and the sampler of ``trajtomo.filtering``
     for signal records through the same private members as
-    ``KrausFamily`` (``_read``, ``_pattern``, ``_step``, ``_trace_check``,
-    ``_ops``, ``_sampler``, which draws from the adjoint step maps of
-    ``_step``);
-    a signal step's trace must stay within ``_TRACE_BAND`` of one.
+    ``KrausFamily``: ``_read``; ``_expansion``, the one step map
+    K_dy = sum_m phi_m(dy) R_m of ``_superoperators`` at every step;
+    ``_combine``, which weights the blocks R_m by phi(dy); ``_ops``; and
+    ``_sampler``, which draws the increments from the tilted Gaussian
+    that those weights give.  A signal step's trace must stay within
+    ``_TRACE_BAND`` of one (``_trace_check``).
     """
 
     _record_type = "continuous"  # the record archives this model reads
@@ -168,40 +170,21 @@ class SMEModel:
             ) for n in np.flatnonzero(lengths > self.n_steps)]
         return batch.data, [ValueError(f"record {ids[0]} {why}")]
 
-    def _pattern(self, *, adjoint: bool) -> np.ndarray:
-        """The exact nonzero pattern of the step maps, as in
-        ``KrausFamily._pattern``: entry [i, j] is set when some term of the
-        expansion of ``_superoperators`` carries coordinate i into j."""
+    def _expansion(self, *, adjoint: bool):
+        """The step map as ``trajtomo.filtering`` runs it: every step is
+        the one distinct step, whose (d^2, M d^2) map is that of
+        ``_superoperators`` in the pass direction."""
         right, _ = _superoperators(self, adjoint=adjoint)
-        k = self.dim**2
-        return (right != 0).reshape(k, -1, k).any(axis=1)
+        return np.zeros(self.n_steps, np.intp), [right]
 
-    def _step(self, increments, live, *, adjoint: bool):
-        """The batched step map for signal records, on the coordinates
-        ``live``.
-
-        ``increments(t, flat)`` returns every record's signal increments at
-        step t, shape (N, n_monitored); the rows of the active X, their
-        coordinates at ``live``, become those of K_dy(X), or K*_dy(X) in
-        the adjoint direction, through the expansion of
-        ``_superoperators`` with each map cut to ``live``: one real product
-        of the rows with the stacked maps, weighted by phi(dy).
-        """
-        right, pairs = _superoperators(self, adjoint=adjoint)
-        k, n = self.dim**2, len(live)
-        n_terms = right.shape[1] // k
-        right = right[np.ix_(live, (np.arange(n_terms)[:, None] * k + live).ravel())]
-
-        def apply(t, flat, act):
-            dy = increments(t, flat)[act]
-            x = flat[act]
-            phi = np.concatenate(
-                [np.ones((len(x), 1)), dy, dy[:, pairs[:, 0]] * dy[:, pairs[:, 1]]],
-                axis=1,
-            )
-            return np.matmul(phi[:, None, :], (x @ right).reshape(-1, n_terms, n))[:, 0]
-
-        return apply
+    def _combine(self, dy, blocks):
+        """Rows with signal increments dy (n, n_monitored): their (n, M,
+        live) ``blocks`` weighted by phi(dy) of ``_superoperators``."""
+        pairs = self._pairs
+        phi = np.concatenate(
+            [np.ones((len(dy), 1)), dy, dy[:, pairs[:, 0]] * dy[:, pairs[:, 1]]], axis=1
+        )
+        return np.matmul(phi[:, None, :], blocks)[:, 0]
 
     def _ops(self, t: int, dy) -> tuple[np.ndarray, ...]:
         """The Kraus operators (M_dy, *undetected residue) of a step with
@@ -215,27 +198,33 @@ class SMEModel:
             raise ValueError(f"expected {stack.shape[0]} signal increments")
         return (base + np.einsum("v,vij->ij", dy, stack) if len(dy) else base, *resid)
 
-    def _sampler(self, rng: np.random.Generator, n_records: int, live):
+    def _sampler(self, rng: np.random.Generator, n_records: int):
         """The increment draw of ``filtering.sample_records``.
 
-        Returns ``draw(t, flat)``, which draws every record's step-t
-        increments from the exact one-step law of the states whose
-        coordinates at ``live`` are the rows ``flat``, stores them in the
+        Returns ``draw(t, coeffs)``, which draws every record's step-t
+        increments from the exact one-step law whose density relative to
+        N(0, dt) is sum_m phi_m(dy) coeffs[n, m], stores them in the
         returned (n_records, n_steps, n_monitored) signal array and returns
         them; and the RecordBatch keywords.
         """
-        right, pairs = _superoperators(self, adjoint=True)
-        # columns A_m*(I), whose products with rows rho give the coefficients
-        # of tr K_dy(rho) = sum_m phi_m(dy) tr(rho A_m*(I))
-        weights = (_coords(np.eye(self.dim)) @ right).reshape(-1, self.dim**2).T[live]
+        pairs = self._pairs
         signals = np.empty((n_records, self.n_steps, len(self.monitored)))
 
-        def draw(t, flat):
+        def draw(t, coeffs):
             if len(pairs):
-                signals[:, t] = _draw_increments(rng, flat @ weights, pairs, self.dt)
+                signals[:, t] = _draw_increments(rng, coeffs, pairs, self.dt)
             return signals[:, t]
 
         return draw, signals, {"dt": self.dt}
+
+    @cached_property
+    def _pairs(self) -> np.ndarray:
+        """The read-only rows (v, w), v <= w in row-major order, of the
+        monitored channels whose increment products dy_v dy_w weight the
+        pair terms of ``_superoperators``."""
+        pairs = np.stack(np.triu_indices(len(self.monitored)), axis=1)
+        pairs.flags.writeable = False
+        return pairs
 
     @cached_property
     def _step_ops(self):
@@ -310,15 +299,14 @@ def _superoperators(model: SMEModel, *, adjoint: bool):
     base, stack, resid = model._step_ops
     terms = [np.kron(base, base.conj()) + sum(np.kron(k, k.conj()) for k in resid)]
     terms += [np.kron(s, base.conj()) + np.kron(base, s.conj()) for s in stack]
-    pairs = [(v, w) for v in range(len(stack)) for w in range(v, len(stack))]
-    for v, w in pairs:
+    for v, w in model._pairs:
         term = np.kron(stack[v], stack[w].conj())
         if v != w:
             term = term + np.kron(stack[w], stack[v].conj())
         terms.append(term)
     maps = [_real_map(a) for a in terms]
     right = np.concatenate([r if adjoint else r.T for r in maps], axis=1)
-    return right, np.array(pairs, dtype=int).reshape(-1, 2)
+    return right, model._pairs
 
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)

@@ -15,14 +15,18 @@ Records travel as one RecordBatch of arrays, from the sampler and the
 archive reader to every batched pass; DiscreteRecord and
 ContinuousRecord are the per-record views it hands out.  Every pass,
 and the sampler, takes either model type, a KrausFamily for discrete
-outcomes or an SMEModel for diffusive signals, through the private
-methods the two classes share: ``_read`` checks a batch and gives its
-step-map inputs, ``_pattern`` gives the exact nonzero pattern of the
-step maps, ``_step`` and ``_trace_check`` step a batch, ``_ops`` gives
-one step's Kraus operators, and ``_sampler`` draws the records from the
-same adjoint step maps.  A pass carries only the coordinates its start
-row can reach under that pattern (``_live``): for a QND model in the
-Fock basis, started diagonal, 8 of 64.
+outcomes or an SMEModel for diffusive signals, as one expansion of its
+step maps, K_y = sum_m phi_m(y) R_m, with phi one-hot on an outcome and
+(1, dy, dy dy) on signal increments.  The models give what differs,
+through private methods they share: ``_read`` checks a batch and gives
+its step inputs, ``_expansion`` the blocks R_m of each distinct step as
+one stacked real map, ``_combine`` a row's image from its blocks (a
+gather by outcome, or the phi(dy) weighting), ``_trace_check``, ``_ops``
+(one step's Kraus operators) and ``_sampler`` (a step's draw from its M
+trace weights).  The step (``_propagate``), the coordinates a pass can
+reach under the blocks' nonzero pattern (``_live``: 8 of 64 for a QND
+model in the Fock basis, started diagonal) and the sampler's weight
+columns (``_weights``) are written once, here.
 """
 from __future__ import annotations
 
@@ -391,12 +395,7 @@ def _step_by_step(model, record, x, *, adjoint):
         c = float(new.trace().real)
         if check is not None:
             check(np.array([c]), t, [record.id])
-        if not c > PROB_FLOOR:
-            raise ZeroProbability(
-                f"record {record.id} has probability {c!r} at step {t}",
-                step=t,
-                record_id=record.id,
-            )
+        _floor(np.array([c]), t, [record.id])
         x = new / c
         yield t, x, c
 
@@ -468,16 +467,42 @@ def _checked(model, records) -> tuple[RecordBatch, Callable]:
     return batch, lambda t, _: inputs[:, t]
 
 
+def _floor(traces, t: int, ids, where: str = "at") -> None:
+    """Refuse the step-t traces of the records ``ids`` unless each is above
+    ``PROB_FLOOR`` (NaN is not): ZeroProbability names the record with the
+    smallest, and the step as ``{where} step {t}``."""
+    bad = int(np.argmin(traces))
+    if not traces[bad] > PROB_FLOOR:
+        p = float(traces[bad])
+        raise ZeroProbability(
+            f"record {ids[bad]} has probability {p!r} {where} step {t}",
+            step=t,
+            record_id=int(ids[bad]),
+        )
+
+
 def _live(model, start, *, adjoint: bool, channels=()) -> np.ndarray:
     """The sorted coordinates that a pass from the d x d Hermitian ``start``
     can make nonzero: those of start, closed under the exact nonzero
-    pattern of the model's step maps in the pass direction and of the maps
-    ``channels`` on coordinate rows (interventions, forward).  Every other
-    coordinate of every row stays exactly zero, so the pass drops it."""
-    pattern = model._pattern(adjoint=adjoint)
-    for c in channels:
-        pattern = pattern | (c != 0)
+    pattern of every block of the model's step maps in the pass direction
+    and of the maps ``channels`` on coordinate rows (interventions,
+    forward).  Every other coordinate of every row stays exactly zero, so
+    the pass drops it."""
+    k = model.dim**2
+    pattern = np.zeros((k, k), bool)
+    for m in (*model._expansion(adjoint=adjoint)[1], *channels):
+        pattern |= (m != 0).reshape(k, -1, k).any(axis=1)
     return np.flatnonzero(_closure(pattern, _coords(start) != 0))
+
+
+def _weights(model, live):
+    """The schedule of ``model._expansion`` and, per distinct step, the
+    sampler's (live, M) weight columns: the coordinates of K_m*(I), whose
+    products with state rows give the M coefficients tr(X K_m*(I)) of the
+    step trace tr K(X) = sum_m phi_m tr(X K_m*(I))."""
+    schedule, maps = model._expansion(adjoint=True)
+    eye, k = _coords(np.eye(model.dim)), model.dim**2
+    return schedule, [(eye @ m).reshape(-1, k)[:, live].T for m in maps]
 
 
 def _propagate(
@@ -490,14 +515,15 @@ def _propagate(
     ``operators._basis``, cut to the sorted coordinates ``live`` that
     ``_live`` finds for the pass; its trace is the sum of the live ones
     among the first d.  The steps run over the longest record, the last
-    first when ``adjoint``.  At step t ``model._step``, its maps cut to
-    ``live`` once, maps the rows of the records with more than t steps to
-    those of the unnormalized K(X), or K*(X), given the outcome codes or
-    increments ``inputs(t, flat)``, where ``flat`` holds every row.
-    ``model._trace_check``, when set, vets their traces; each row is
-    divided by its trace and the log trace added to its log scale.  A
-    trace not above ``PROB_FLOOR`` (NaN included) raises ZeroProbability
-    naming the record and the step.
+    first when ``adjoint``.  Step t maps the rows of the records with more
+    than t steps to those of the unnormalized K(X), or K*(X): one product
+    with the step's stacked map of ``model._expansion``, cut to ``live``
+    once, gives each row's M blocks, which ``model._combine`` reduces to
+    one by the row's outcome code or increments of ``inputs(t, flat)``,
+    where ``flat`` holds every row.  ``model._trace_check``, when set,
+    vets their traces; each row is divided by its trace and the log trace
+    added to its log scale.  A trace not above ``PROB_FLOOR`` (NaN
+    included) raises ZeroProbability naming the record and the step.
 
     Steps are labelled by the time index they reach, t adjoint and t + 1
     forward, with 0 the forward start.  Returns, for each label of
@@ -509,7 +535,11 @@ def _propagate(
     wanted = dict.fromkeys(_indices(keep, span if n else None, adjoint=adjoint))
     if not n:
         return {k: (np.zeros((0, dim, dim), complex), np.zeros(0), ids) for k in wanted}
-    apply, check = model._step(inputs, live, adjoint=adjoint), model._trace_check
+    schedule, maps = model._expansion(adjoint=adjoint)
+    k, width = dim * dim, len(live)
+    maps = [m[np.ix_(live, (np.arange(m.shape[1] // k)[:, None] * k + live).ravel())]
+            for m in maps]
+    check = model._trace_check
     flat, log_c = np.tile(_coords(start)[live], (n, 1)), np.full(n, log_c)
     diag = np.count_nonzero(live < dim)  # the live diagonal coordinates lead
     shortest, snaps = lengths.min(), {}
@@ -518,21 +548,15 @@ def _propagate(
     for t in range(span - 1, -1, -1) if adjoint else range(span):
         act = slice(None) if shortest > t else lengths > t
         on = ids[act]
-        new = apply(t, flat, act)
+        y = inputs(t, flat)[act]
+        x = flat[act]
+        new = model._combine(y, (x @ maps[schedule[t]]).reshape(len(x), -1, width))
         traces = new[:, :diag].sum(axis=1)
         if check is not None:
             check(traces, t, on)
-        bad = int(np.argmin(traces))
-        if not traces[bad] > PROB_FLOOR:
-            p = float(traces[bad])
-            raise ZeroProbability(
-                f"record {on[bad]} has probability {p!r} at step {t}",
-                step=t,
-                record_id=int(on[bad]),
-            )
+        _floor(traces, t, on)
         new /= traces[:, None]
-        if new.base is not flat:  # a view of flat is already in place
-            flat[act] = new
+        flat[act] = new
         log_c[act] += np.log(traces)
         label = t if adjoint else t + 1
         if label in wanted:
@@ -637,19 +661,24 @@ def sample_records(
                 f"intervention at step {t} has shape {sup.shape}, the model needs "
                 f"{(dim * dim, dim * dim)}"
             )
+        if not np.isfinite(sup).all():
+            raise ValueError(f"intervention at step {t} is not finite")
         channels[t] = _real_map(sup).T
     rho = _initial_state(model, rho0).matrix
     live = _live(model, rho, adjoint=False, channels=channels.values())
     channels = {t: c[np.ix_(live, live)] for t, c in channels.items()}
     diag = np.count_nonzero(live < dim)
-    step_draw, data, kind = model._sampler(rng, n_records, live)
+    schedule, weights = _weights(model, live)
+    step_draw, data, kind = model._sampler(rng, n_records)
+    lengths, ids = np.full(n_records, total), np.arange(n_records)
 
     def draw(t, flat):
         if t in channels:
             flat[:] = flat @ channels[t]
-            flat /= flat[:, :diag].sum(axis=1, keepdims=True)
-        return step_draw(t, flat)
+            traces = flat[:, :diag].sum(axis=1, keepdims=True)
+            _floor(traces[:, 0], t, ids, "after the intervention at")
+            flat /= traces
+        return step_draw(t, flat @ weights[schedule[t]])
 
-    lengths, ids = np.full(n_records, total), np.arange(n_records)
     _propagate(model, draw, lengths, ids, rho, 0.0, live, adjoint=False)
     return RecordBatch(data, lengths, ids, **kind)

@@ -169,12 +169,14 @@ class KrausFamily:
     entry, so per-step tables are built once per distinct step.
 
     The record passes of ``trajtomo.filtering`` ask the model which
-    records it accepts (``_read``), which coordinates its step maps can
-    couple (``_pattern``), how a batch steps on the coordinates a pass
-    carries (``_step``, ``_trace_check``), what one step's Kraus operators
-    are (``_ops``, for the step-by-step references and ``apply_cp_map``)
-    and how to draw records (``_sampler``, from the adjoint step maps of
-    ``_step``); ``SMEModel`` answers the same for signal records.
+    records it accepts (``_read``), its step maps as one expansion
+    K_y = sum_m [y = m] R_m with one real block R_m per outcome
+    (``_expansion``), how a record's outcome picks its block
+    (``_combine``, a gather by outcome code), whether step traces are
+    checked (``_trace_check``), what one step's Kraus operators are
+    (``_ops``, for the step-by-step references and ``apply_cp_map``) and
+    how to draw an outcome from its weights (``_sampler``); ``SMEModel``
+    answers the same for signal records.
     """
 
     __slots__ = ("dim", "_distinct", "_schedule", "_maps")
@@ -273,70 +275,42 @@ class KrausFamily:
                 ))
         return codes, problems
 
-    def _superops(self, *, adjoint: bool) -> list[list[np.ndarray]]:
-        """Maps of each distinct step, in its outcome order, with coordinate
-        rows x of X going to x @ map for K_y(X), or K*_y(X) in the adjoint
-        direction; step t's maps are entry ``_schedule[t]``.  The adjoint
-        maps are built on first use and kept read-only; the forward maps
-        are their transposes."""
+    def _expansion(self, *, adjoint: bool):
+        """The step maps as ``trajtomo.filtering`` runs them: the read-only
+        ``_schedule`` and, per distinct step, one real (d^2, M d^2) map
+        whose block m takes coordinate rows x of X to those of K_m(X), or
+        K*_m(X) in the adjoint direction, m in the step's outcome order.
+        Both directions are built on first use and kept read-only."""
         if not hasattr(self, "_maps"):
-            self._maps = [
+            blocks = [
                 [_real_map(sum(np.kron(m, m.conj()) for m in ops)) for ops in s.values()]
                 for s in self._distinct
             ]
-            for r in (r for sup in self._maps for r in sup):
-                r.flags.writeable = False
-        return self._maps if adjoint else [[r.T for r in sup] for sup in self._maps]
+            self._maps = {
+                a: [np.concatenate([r if a else r.T for r in rs], 1) for rs in blocks]
+                for a in (False, True)
+            }
+            for m in (*self._maps[False], *self._maps[True]):
+                m.flags.writeable = False
+        return self._schedule, self._maps[adjoint]
 
-    def _pattern(self, *, adjoint: bool) -> np.ndarray:
-        """The exact nonzero pattern of every step map, as a (d^2, d^2)
-        boolean matrix: entry [i, j] is set when some outcome of some step
-        carries coordinate i of a row into coordinate j of its image."""
-        pattern = np.zeros((self.dim**2,) * 2, bool)
-        for r in (r for sup in self._superops(adjoint=adjoint) for r in sup):
-            pattern |= r != 0
-        return pattern
+    @staticmethod
+    def _combine(codes, blocks):
+        """Row n's image: block ``codes[n]`` of its (n, M, live) ``blocks``."""
+        return blocks[np.arange(len(codes)), codes]
 
-    def _step(self, outcomes, live, *, adjoint: bool):
-        """The batched step map for discrete outcomes, on the coordinates
-        ``live``.
-
-        ``outcomes(t, flat)`` returns every record's outcome code at step t
-        (-1 for a record that has ended, which matches no label); each
-        record's row, its coordinates at ``live``, is replaced by that of
-        K_y(X), or K*_y(X) in the adjoint direction, one masked real
-        product per label with the map cut to ``live``, and the active rows
-        are returned as a view of ``flat`` when every record is active.
-        """
-        cut = np.ix_(live, live)
-        maps = [[r[cut] for r in sup] for sup in self._superops(adjoint=adjoint)]
-        schedule = self._schedule
-
-        def apply(t, flat, act):
-            codes = outcomes(t, flat)
-            for i, r in enumerate(maps[schedule[t]]):
-                mask = codes == i
-                if mask.any():
-                    flat[mask] = flat[mask] @ r
-            return flat[act]
-
-        return apply
-
-    def _sampler(self, rng: np.random.Generator, n_records: int, live):
+    def _sampler(self, rng: np.random.Generator, n_records: int):
         """The outcome draw of ``filtering.sample_records``.
 
-        Returns ``draw(t, flat)``, which draws every record's step-t outcome
-        from the rows ``flat`` of their states' coordinates at ``live``, one
-        uniform per record, stores its code in the returned (n_records,
-        n_steps) code matrix and returns its index into ``outcomes(t)``; and
-        the RecordBatch keywords, whose labels are numbered in order of
-        first appearance over the steps.
+        Returns ``draw(t, probs)``, which draws every record's step-t
+        outcome from its row of the (n_records, M) outcome weights
+        ``probs`` (clipped at zero and normalized in place), one uniform
+        per record, stores its code in the returned (n_records, n_steps)
+        code matrix and returns its index into ``outcomes(t)``; and the
+        RecordBatch keywords, whose labels are numbered in order of first
+        appearance over the steps.
         """
-        schedule, eye = self._schedule, _coords(np.eye(self.dim))
-        # columns K*_y(I) per outcome, whose products with rows rho give tr K_y(rho)
-        weights = [
-            (eye @ np.stack(maps))[:, live].T for maps in self._superops(adjoint=True)
-        ]
+        schedule = self._schedule
         # outcome i of step t is recorded as relabel[schedule[t], i]
         labels: dict[str, int] = {}
         relabel = np.zeros((len(self._distinct), max(map(len, self._distinct))), int)
@@ -347,14 +321,12 @@ class KrausFamily:
         code_type = np.min_scalar_type(-max(len(labels), 1))
         codes = np.empty((n_records, len(schedule)), code_type)
 
-        def draw(t, flat):
-            w = weights[schedule[t]]
-            probs = flat @ w
+        def draw(t, probs):
             np.clip(probs, 0.0, None, out=probs)
             probs /= probs.sum(axis=1, keepdims=True)
             u = rng.random(n_records)
             idx = (probs.cumsum(axis=1) < u[:, None]).sum(axis=1)
-            idx = np.minimum(idx, w.shape[1] - 1)
+            idx = np.minimum(idx, probs.shape[1] - 1)
             codes[:, t] = relabel[schedule[t], idx]
             return idx
 

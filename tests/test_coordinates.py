@@ -28,6 +28,7 @@ from trajtomo import (
 )
 from trajtomo import continuous
 from trajtomo.continuous import _superoperators
+from trajtomo.filtering import _weights
 from trajtomo.operators import _basis, _coords, _matrices, _real_map
 
 DIMS = (2, 3, 8)
@@ -57,8 +58,8 @@ def test_step_maps_are_real_and_reproduce_the_kraus_maps(dim):
     rng = np.random.default_rng(400 + dim)
     step = random_step(rng, dim, n_outcomes=3, ops_per_outcome=3)
     fam = KrausFamily(dim, [step])
-    forward = fam._superops(adjoint=False)[0]
-    adjoint = fam._superops(adjoint=True)[0]
+    forward = np.hsplit(fam._expansion(adjoint=False)[1][0], 3)
+    adjoint = np.hsplit(fam._expansion(adjoint=True)[1][0], 3)
     b = _basis(dim)
     for i, (y, ops) in enumerate(step.items()):
         sup = sum(np.kron(m, m.conj()) for m in ops)
@@ -125,11 +126,31 @@ def check_passes_against_the_references(model, recs, rho, starts, at):
             assert np.abs(state - want).max() < 1e-12
 
 
-@pytest.mark.parametrize("dim", DIMS)
-def test_discrete_passes_on_mixed_lengths_match_the_references(dim):
+def mixed_outcome_steps(rng, dim):
+    """Steps of 1, 2 and 4 outcomes, each passed more than once by identity,
+    so the schedule repeats entries and the stacked maps of the distinct
+    steps have different widths.  The 1-outcome step is a diagonal unitary,
+    whose map alone couples no population to a coherence: a pass that read
+    the reach of the first distinct step only would drop the coherences
+    that the others make from I/dim."""
+    one = {"y0": [np.diag(np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, dim)))]}
+    two, four = (random_step(rng, dim, m, 2) for m in (2, 4))
+    return [one, two, four, two, one, two, four]
+
+
+@pytest.mark.parametrize(
+    "dim, outcomes",
+    [pytest.param(dim, "three", id=str(dim)) for dim in DIMS]
+    + [pytest.param(dim, "mixed", id=f"{dim}-mixed") for dim in DIMS],
+)
+def test_discrete_passes_on_mixed_lengths_match_the_references(dim, outcomes):
     rng = np.random.default_rng(600 + dim)
     n_steps = 7
-    fam = KrausFamily(dim, [random_step(rng, dim, 3, 2) for _ in range(n_steps)])
+    if outcomes == "three":
+        steps = [random_step(rng, dim, 3, 2) for _ in range(n_steps)]
+    else:
+        steps = mixed_outcome_steps(rng, dim)
+    fam = KrausFamily(dim, steps)
     rho = random_density(rng, dim)
     lengths = rng.integers(1, n_steps + 1, size=9)
     lengths[0] = n_steps
@@ -200,27 +221,14 @@ def test_sampler_means_match_the_step_by_step_states(dim):
 
 
 def test_outcome_sampler_weighs_each_outcome_by_its_step_trace():
-    # the sampler's coefficients are the products its draw takes with the
-    # states' coordinate rows, one column per outcome of step t
+    # the sampler's coefficients are the products of the states' coordinate
+    # rows with its weight columns, one column per outcome of step t
     fam = build_qnd_family(4)
     rng = np.random.default_rng(901)
     rhos = np.stack([random_density(rng, fam.dim) for _ in range(5)])
-    draw, _, _ = fam._sampler(
-        np.random.default_rng(0), len(rhos), np.arange(fam.dim**2)
-    )
-    seen = []
-
-    class Rows(np.ndarray):
-        """State rows that keep each product the draw takes with them."""
-
-        def __matmul__(self, other):
-            seen.append(np.asarray(self) @ other)
-            return seen[-1].copy()
-
+    schedule, weights = _weights(fam, np.arange(fam.dim**2))
     for t in range(fam.n_steps):
-        seen.clear()
-        draw(t, _coords(rhos).view(Rows))
-        (probs,) = seen
+        probs = _coords(rhos) @ weights[schedule[t]]
         want = [
             [apply_cp_map(fam, t, y, rho).trace().real for y in fam.outcomes(t)]
             for rho in rhos
@@ -244,10 +252,9 @@ def test_signal_sampler_draws_from_the_step_trace_quadratic(model, monkeypatch):
 
     monkeypatch.setattr(continuous, "_draw_increments", spy)
     rhos = np.stack([random_density(rng, model.dim) for _ in range(5)])
-    draw, _, _ = model._sampler(
-        np.random.default_rng(0), len(rhos), np.arange(model.dim**2)
-    )
-    draw(0, _coords(rhos))
+    draw, _, _ = model._sampler(np.random.default_rng(0), len(rhos))
+    schedule, weights = _weights(model, np.arange(model.dim**2))
+    draw(0, _coords(rhos) @ weights[schedule[0]])
     ((coeffs, pairs),) = seen
     a, b, p = coeffs[:, 0], coeffs[:, 1 : k + 1], coeffs[:, k + 1 :]
     for n, rho in enumerate(rhos):

@@ -1,5 +1,6 @@
 """Forward filtering, backward compression, and batch equivalence."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -448,6 +449,22 @@ def test_sample_records_zero_probability_names_the_record_and_step(monkeypatch):
     message = r"^record \d+ has probability 0\.3\d* at step 0$"
     with pytest.raises(ZeroProbability, match=message):
         sample_records(fam, np.diag([0.3, 0.7]), 50, rng_seed=5)
+
+
+@pytest.mark.parametrize("channel, error, message", [
+    (np.full((4, 4), np.nan), ValueError, r"^intervention at step 1 is not finite$"),
+    # X rho with no X on the right takes |g><g| to |e><g|, of trace zero
+    (np.kron([[0.0, 1.0], [1.0, 0.0]], np.eye(2)), ZeroProbability,
+     r"^record 0 has probability 0\.0 after the intervention at step 1$"),
+], ids=["not finite", "zero trace"])
+def test_sample_records_names_a_faulty_intervention(channel, error, message):
+    fam = KrausFamily.repeated(2, PROJECTIVE, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message) as info:
+            sample_records(fam, np.diag([1.0, 0.0]), 5, 1, interventions={1: channel})
+    if error is ZeroProbability:
+        assert (info.value.record_id, info.value.step) == (0, 1)
 
 
 def test_backward_sweep_batch_matches_scalar_sweep():
