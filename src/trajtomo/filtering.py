@@ -675,9 +675,9 @@ def sample_records(
     def draw(t, flat):
         if t in channels:
             flat[:] = flat @ channels[t]
-            traces = flat[:, :diag].sum(axis=1, keepdims=True)
-            _floor(traces[:, 0], t, ids, "after the intervention at")
-            flat /= traces
+            traces = flat[:, :diag].sum(axis=1)
+            _floor(traces, t, ids, "after the intervention at")
+            flat /= traces[:, None]
         return step_draw(t, flat @ weights[schedule[t]])
 
     _propagate(model, draw, lengths, ids, rho, 0.0, live, adjoint=False)
