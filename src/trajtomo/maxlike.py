@@ -11,6 +11,16 @@ first-order optimality conditions hold to a scaled tolerance:
     [rho, G] = 0,    G <= lambda * I,    G = lambda * I on the support,
 
 with lambda = tr(rho G), which equals the record count at any state.
+
+The solver works on the blocks of the effects' joint exact nonzero
+pattern in the computational basis, its connected components.  tr(rho E)
+then reads only rho's matching diagonal blocks, so the optimum keeps
+exact zeros off them, and each iterate is carried as its in-block
+entries.  A projection decomposes each block larger than 1 x 1 once, and
+one simplex projection takes all the blocks' eigenvalues together.
+Commuting photon-counting effects are diagonal: every block is 1 x 1 and
+the solve is a mixture likelihood on the simplex with no
+eigendecomposition.  A dense problem is the one block of size d.
 """
 from __future__ import annotations
 
@@ -22,7 +32,9 @@ import numpy as np
 from .config import KKT_TOL, RANK_REL
 from .errors import DegenerateLikelihood, DegenerateTrace
 from .filtering import _of_dim, _stack_effects
-from .operators import DensityMatrix, _hermitian, _integer, _number, project_to_density
+from .operators import (
+    DensityMatrix, _components, _hermitian, _integer, _number, _project_blocks,
+)
 
 __all__ = [
     "KKTReport",
@@ -48,12 +60,17 @@ class KKTReport:
     residual is the worst of three numbers, all zero at an exact optimum:
     the Frobenius norm of [rho, G], how far the top of G pokes above
     lambda, and how far G dips below lambda on the support of rho.
+
+    likelihood_gap = N log(lambda_max(G) / N) bounds f* - f(rho) from
+    above: by Jensen's inequality f(sigma) - f(rho) = sum_n log(tr(sigma
+    E_n) / tr(rho E_n)) <= N log(tr(sigma G) / N) for every state sigma.
     """
 
     residual: float
     commutator_norm: float
     ascent_excess: float
     support_deficit: float
+    likelihood_gap: float
     lagrange_multiplier: float
     rank: int
     threshold: float
@@ -87,11 +104,84 @@ def _traces(e_flat: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return (e_flat @ flat.T).real
 
 
-def _f_and_traces(mat: np.ndarray, e_flat: np.ndarray, logc_sum: float):
-    traces = _traces(e_flat, mat)
+def _f(traces: np.ndarray, logc_sum: float) -> float:
+    """f from the traces tr(rho E_n), -inf unless all are positive."""
     if traces.min() <= 0.0:
-        return -math.inf, traces
-    return float(logc_sum + np.log(traces).sum()), traces
+        return -math.inf
+    return float(logc_sum + np.log(traces).sum())
+
+
+class _Blocks:
+    """The layout of a block-diagonal d x d matrix over the given parts,
+    disjoint index sets covering 0..d-1.
+
+    The matrix is carried as the vector of its in-block entries, at the
+    row-major positions ``pos`` of the d x d matrix: the ``n1`` entries of
+    the 1 x 1 blocks first, then each larger block row-major, at the
+    slices of ``big``.  ``x[swap]`` is the vector of the transpose and
+    ``x[diag]`` the diagonal.  One part of size d (``dense``) lays a dense
+    matrix out as its row-major entries, so a dense problem runs the
+    products of the plain matrix form.
+    """
+
+    def __init__(self, dim: int, parts) -> None:
+        ones = [p for p in parts if p.size == 1]
+        big = [p for p in parts if p.size > 1]
+        self.dim, self.n1 = dim, len(ones)
+        self.pos = np.concatenate(
+            [np.zeros(0, int), *(p * (dim + 1) for p in ones),
+             *((p[:, None] * dim + p).ravel() for p in big)]
+        )
+        where = np.zeros(dim * dim, int)
+        where[self.pos] = np.arange(self.pos.size)
+        self.swap = where[self.pos % dim * dim + self.pos // dim]
+        self.diag = np.flatnonzero(self.pos % (dim + 1) == 0)
+        ends = self.n1 + np.cumsum([p.size**2 for p in big], dtype=int)
+        self.big = [(slice(e - p.size**2, e), p.size) for e, p in zip(ends, big)]
+
+    @classmethod
+    def dense(cls, dim: int) -> "_Blocks":
+        """The one block of size dim: a matrix as its row-major entries."""
+        return cls(dim, [np.arange(dim)])
+
+    @classmethod
+    def of(cls, e: np.ndarray) -> "_Blocks":
+        """The layout of the connected components of the (N, d, d) effect
+        stack's joint exact nonzero pattern, in which every effect, the
+        gradient and every solver iterate are block diagonal."""
+        linked = (e != 0).any(axis=0)
+        return cls(e.shape[1], _components(linked | linked.T))
+
+    def mats(self, x: np.ndarray) -> list[np.ndarray]:
+        """The larger blocks of x, as square views."""
+        return [x[s].reshape(b, b) for s, b in self.big]
+
+    def pair(self, a: np.ndarray, b: np.ndarray) -> float:
+        """Re tr(A B), summed block by block."""
+        total = a[: self.n1] @ b[: self.n1]
+        for s, k in self.big:
+            total = total + np.einsum("ij,ji->", a[s].reshape(k, k), b[s].reshape(k, k))
+        return float(total.real)
+
+    def traces(self, e_blk: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """tr(X E_n) for every row n of the in-block effect stack e_blk."""
+        return (e_blk @ x[self.swap]).real
+
+    def gradient(self, e_blk: np.ndarray, traces: np.ndarray) -> np.ndarray:
+        """sum_n E_n / t_n, symmetrized."""
+        g = (1.0 / traces) @ e_blk
+        return (g + g[self.swap].conj()) / 2.0
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """The closest state, by ``operators._project_blocks``."""
+        pops, mats = _project_blocks(x[: self.n1].real, self.mats(x))
+        return np.concatenate([pops, *(m.ravel() for m in mats)])
+
+    def full(self, x: np.ndarray) -> np.ndarray:
+        """The d x d matrix, exactly zero off the blocks."""
+        out = np.zeros(self.dim * self.dim, complex)
+        out[self.pos] = x
+        return out.reshape(self.dim, self.dim)
 
 
 def log_likelihood(rho, effects) -> float:
@@ -104,14 +194,13 @@ def log_likelihood(rho, effects) -> float:
     if e.shape[0] == 0:
         return 0.0
     mat = _of_dim(rho, e.shape[1], "state")
-    return _f_and_traces(mat, e.reshape(e.shape[0], -1), float(logc.sum()))[0]
+    return _f(_traces(e.reshape(e.shape[0], -1), mat), float(logc.sum()))
 
 
 def _grad_matrix(e_flat: np.ndarray, traces: np.ndarray) -> np.ndarray:
     """sum_n E_n / t_n from the flattened effect stack, symmetrized."""
     dim = math.isqrt(e_flat.shape[1])
-    g = ((1.0 / traces) @ e_flat).reshape(dim, dim)
-    return (g + g.conj().T) / 2.0
+    return _Blocks.dense(dim).gradient(e_flat, traces).reshape(dim, dim)
 
 
 def _checked_traces(rho, effects):
@@ -139,7 +228,8 @@ def kkt_certificate(rho, effects) -> KKTReport:
     """Check first-order optimality of a state for the given effects."""
     mat, e_flat, traces = _checked_traces(rho, effects)
     g = _grad_matrix(e_flat, traces)
-    return _certificate(mat, g, e_flat.shape[0], KKT_TOL)
+    dense = _Blocks.dense(mat.shape[0])
+    return _certificate(dense, mat.ravel(), g.ravel(), e_flat.shape[0], KKT_TOL)
 
 
 def _support(mat: np.ndarray):
@@ -152,21 +242,33 @@ def _support(mat: np.ndarray):
 
 
 def _certificate(
-    mat: np.ndarray, g: np.ndarray, n_records: int, kkt_tol: float
+    lay: _Blocks, x: np.ndarray, g: np.ndarray, n_records: int, kkt_tol: float
 ) -> KKTReport:
-    lam = float(np.einsum("ij,ji->", mat, g).real)
-    comm = mat @ g - g @ mat
-    comm_norm = float(np.linalg.norm(comm))
-    g_eigs = np.linalg.eigvalsh(g)
-    ascent = max(0.0, float(g_eigs[-1]) - lam)
-    _, v, support = _support(mat)
-    rank = int(support.sum())
-    if rank == 0:
-        support_deficit = math.inf
-    else:
-        vr = v[:, support]
-        inner = np.linalg.eigvalsh(vr.conj().T @ g @ vr)
-        support_deficit = max(0.0, lam - float(inner[0]))
+    """The KKT report of the state and gradient laid out by lay, block by
+    block: the commutator norm is the root of the blocks' squared norms,
+    G's top eigenvalue the largest of the blocks', and the rank (by
+    ``_support``'s rule, against the largest eigenvalue of all blocks) and
+    the support deficit come from each block's own eigendecomposition."""
+    lam = lay.pair(x, g)
+    pops, g_pops = x[: lay.n1].real, g[: lay.n1].real
+    rhos, gs = lay.mats(x), lay.mats(g)
+    eigs = [np.linalg.eigh(r) for r in rhos]
+    w = np.concatenate([pops, *(wk for wk, _ in eigs)])
+    eps = RANK_REL * max(float(w.max()), 0.0)
+    rank = int(np.count_nonzero(w > eps))
+    # the 1 x 1 blocks commute with G, their eigenvalues are their entries,
+    # and G on the support of a larger block is compressed to it
+    comm, g_top = [], float(g_pops.max(initial=-math.inf))
+    inner = float(g_pops[pops > eps].min(initial=math.inf))
+    for r, q, (wk, v) in zip(rhos, gs, eigs):
+        comm.append(np.linalg.norm(r @ q - q @ r))
+        g_top = max(g_top, float(np.linalg.eigvalsh(q)[-1]))
+        vr = v[:, wk > eps]
+        on_support = np.linalg.eigvalsh(vr.conj().T @ q @ vr)
+        inner = min(inner, float(on_support.min(initial=math.inf)))
+    comm_norm = math.hypot(*comm)
+    ascent = max(0.0, g_top - lam)
+    support_deficit = math.inf if rank == 0 else max(0.0, lam - inner)
     residual = max(comm_norm, ascent, support_deficit)
     threshold = kkt_tol * max(n_records, 1)
     return KKTReport(
@@ -174,6 +276,8 @@ def _certificate(
         commutator_norm=comm_norm,
         ascent_excess=ascent,
         support_deficit=support_deficit,
+        # lambda_max(G) >= tr(rho G) = N, so the bound is never below zero
+        likelihood_gap=max(0.0, n_records * math.log(g_top / n_records)),
         lagrange_multiplier=lam,
         rank=rank,
         threshold=threshold,
@@ -200,8 +304,13 @@ def solve_maxlike(
     Projected gradient ascent from I/d with a Barzilai-Borwein step
     proposal and a monotone backtracking line search, whose
     sufficient-increase test sums the rise in f from the per-record trace
-    ratios.  Iterations stop as soon as the stationarity certificate
-    passes; hitting the iteration cap returns the best state found with
+    ratios.  The ascent runs on the blocks of the effects' joint exact
+    nonzero pattern (module docstring): one eigendecomposition per block
+    larger than 1 x 1 per projection, none for commuting photon-counting
+    effects, and the certificate is taken block by block.  ``rho`` and
+    ``gradient`` are full d x d matrices, exactly zero off the blocks.
+    Iterations stop as soon as the stationarity certificate passes;
+    hitting the iteration cap returns the best state found with
     ``certified=False``.  ``f_history`` holds f at the start and after
     every iteration.  The certificate passes at a residual of ``kkt_tol``
     per record; it must be finite and positive, and ``max_iterations``
@@ -221,14 +330,17 @@ def solve_maxlike(
             "on the state"
         )
     logc_sum = float(logc.sum())
-    e_flat = e.reshape(n, -1)
+    lay = _Blocks.of(e)
+    # row-major, as the dense stack is, so one block runs the same products
+    e_blk = np.ascontiguousarray(e.reshape(n, -1)[:, lay.pos])
     # every effect has a positive trace, so f is finite at I/d
-    mat = eye.astype(complex) / dim
-    f, traces = _f_and_traces(mat, e_flat, logc_sum)
-    g = _grad_matrix(e_flat, traces)
+    x = (eye.astype(complex) / dim).ravel()[lay.pos]
+    traces = lay.traces(e_blk, x)
+    f = _f(traces, logc_sum)
+    g = lay.gradient(e_blk, traces)
     history = [f]
     alpha = 1.0 / max(n, 1)
-    report = _certificate(mat, g, n, kkt_tol)
+    report = _certificate(lay, x, g, n, kkt_tol)
     iters = 0
     while iters < max_iterations and not report.satisfied:
         iters += 1
@@ -236,41 +348,40 @@ def solve_maxlike(
         step = alpha
         lam = report.lagrange_multiplier
         for _ in range(_MAX_BACKTRACKS):
-            cand = project_to_density(mat + step * g).matrix
-            delta = cand - mat
+            cand = lay.project(x + step * g)
+            delta = cand - x
             # the rise is summed from tr(delta E_n) / t_n, below f's roundoff,
             # and both it and the gain drop the n tr(delta) roundoff term
-            shift = float(delta.trace().real)
-            gain = float(np.einsum("ij,ji->", g, delta).real) - lam * shift
-            ratio = _traces(e_flat, delta) / traces
+            shift = float(delta[lay.diag].sum().real)
+            gain = lay.pair(g, delta) - lam * shift
+            ratio = lay.traces(e_blk, delta) / traces
             if (
                 ratio.min() > -1.0
                 and np.log1p(ratio).sum() - n * math.log1p(shift)
                 >= _ARMIJO_C1 * gain
             ):
-                f_new, traces_new = _f_and_traces(cand, e_flat, logc_sum)
+                traces_new = lay.traces(e_blk, cand)
+                f_new = _f(traces_new, logc_sum)
                 if math.isfinite(f_new):
                     accepted = True
                     break
             step *= _ARMIJO_SHRINK
         if not accepted:
             break
-        g_new = _grad_matrix(e_flat, traces_new)
-        s = delta.reshape(-1)
-        y = (g - g_new).reshape(-1)
-        sy = float(np.vdot(s, y).real)
+        g_new = lay.gradient(e_blk, traces_new)
+        y = g - g_new
+        sy = float(np.vdot(delta, y).real)
         if sy > 0.0:
-            alpha = min(max(float(np.vdot(s, s).real) / sy, 1e-18), 1e18)
+            alpha = min(max(float(np.vdot(delta, delta).real) / sy, 1e-18), 1e18)
         else:
             alpha = min(step * 2.0, 1e18)
-        mat, f, g, traces = cand, f_new, g_new, traces_new
+        x, f, g, traces = cand, f_new, g_new, traces_new
         history.append(f)
-        report = _certificate(mat, g, n, kkt_tol)
-    rho = DensityMatrix(mat)
+        report = _certificate(lay, x, g, n, kkt_tol)
     return TomographyResult(
-        rho=rho,
+        rho=DensityMatrix(lay.full(x)),
         log_likelihood=f,
-        gradient=_hermitian(g),
+        gradient=_hermitian(lay.full(g)),
         kkt=report,
         n_records=n,
         n_iterations=iters,

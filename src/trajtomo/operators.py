@@ -68,12 +68,18 @@ def _check_positive(e: np.ndarray, name, finite=True, unit_trace=False) -> None:
     bad = int(np.argmin(tr))
     if not tr[bad] > 0.0:
         raise ValueError(f"{name(bad)} has trace {tr[bad]:.3e}, not positive")
-    w = np.linalg.eigvalsh(e)[:, 0]
-    bad = int(np.argmin(w / tr))
-    if w[bad] < -PSD_TOL * tr[bad]:
-        raise ValueError(
-            f"{name(bad)} is not positive semidefinite (min eigenvalue {w[bad]:.3e})"
-        )
+    # E + PSD_TOL tr(E) I has a Cholesky factor when no eigenvalue of E lies
+    # below -PSD_TOL tr(E), up to roundoff; only a failed factorization
+    # pays for the eigenvalues that name the worst offender
+    try:
+        np.linalg.cholesky(e + (PSD_TOL * tr)[:, None, None] * np.eye(e.shape[-1]))
+    except np.linalg.LinAlgError:
+        w = np.linalg.eigvalsh(e)[:, 0]
+        bad = int(np.argmin(w / tr))
+        if w[bad] < -PSD_TOL * tr[bad]:
+            raise ValueError(
+                f"{name(bad)} is not positive semidefinite (min eigenvalue {w[bad]:.3e})"
+            ) from None
     if unit_trace:
         dev = np.abs(tr - 1.0)
         bad = int(np.argmax(dev))
@@ -454,26 +460,52 @@ def _closure(pattern: np.ndarray, seed: np.ndarray) -> np.ndarray:
         reach = grown
 
 
+def _components(linked: np.ndarray) -> list[np.ndarray]:
+    """The connected components of a symmetric boolean (n, n) pattern, as
+    sorted index arrays in order of their smallest index."""
+    n = len(linked)
+    left, parts = np.ones(n, bool), []
+    for k in range(n):
+        if left[k]:
+            part = _closure(linked, np.arange(n) == k)
+            left &= ~part
+            parts.append(np.flatnonzero(part))
+    return parts
+
+
 def _project_simplex(w: np.ndarray) -> np.ndarray:
     """Euclidean projection of a real vector onto the probability simplex."""
     u = np.sort(w)[::-1]
-    css = np.cumsum(u)
+    css = u.cumsum()
     ks = np.arange(1, w.size + 1)
     mask = u + (1.0 - css) / ks > 0
-    k = ks[mask][-1]
-    tau = (1.0 - css[k - 1]) / k
+    k = int(ks[mask][-1])
+    tau = (1.0 - float(css[k - 1])) / k
     return np.maximum(w + tau, 0.0)
+
+
+def _project_blocks(pops: np.ndarray, mats) -> tuple[np.ndarray, list]:
+    """Closest state, in Frobenius norm, to the block-diagonal Hermitian
+    matrix whose 1 x 1 blocks are the reals ``pops`` and whose larger
+    blocks are the square matrices ``mats``: one eigendecomposition per
+    larger block, one simplex projection of all the eigenvalues together,
+    each block recomposed in its own eigenbasis and symmetrized as
+    ``_hermitian`` does.  Returns the projected (pops, mats)."""
+    eigs = [np.linalg.eigh((m + m.conj().T) / 2.0) for m in mats]
+    lam = _project_simplex(np.concatenate([pops, *(w for w, _ in eigs)]))
+    out, at = [], pops.size
+    for w, v in eigs:
+        m = (v * lam[at : at + w.size]) @ v.conj().T
+        out.append((m + m.conj().T) * 0.5)
+        at += w.size
+    return lam[: pops.size], out
 
 
 def project_to_density(x) -> DensityMatrix:
     """Closest density matrix in Frobenius norm.
 
     Diagonalize, project the spectrum onto the probability simplex, and
-    recompose in the same eigenbasis.
+    recompose in the same eigenbasis: the one-block case of
+    ``_project_blocks``.
     """
-    m = as_matrix(x)
-    m = (m + m.conj().T) / 2.0
-    w, v = np.linalg.eigh(m)
-    lam = _project_simplex(w)
-    out = (v * lam) @ v.conj().T
-    return _wrap_trusted(out)
+    return _wrap_trusted(_project_blocks(np.zeros(0), [as_matrix(x)])[1][0])

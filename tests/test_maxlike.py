@@ -11,6 +11,7 @@ from trajtomo import (
     DegenerateTrace,
     backward_sweep_batch,
     build_qnd_family,
+    build_r_matrix,
     gradient,
     injection_channel,
     kkt_certificate,
@@ -257,6 +258,76 @@ def test_certifies_qnd_starts_at_roundoff_floor():
         result = solve_maxlike(np.asarray(effects[s].effects))
         assert result.certified, s
         assert result.kkt.residual <= result.kkt.threshold
+
+
+def _block_effects(rng, dim, parts, n):
+    """n effects block diagonal over parts, each block a random positive
+    matrix present with probability 0.8 (the first kept if all miss)."""
+    out = np.zeros((n, dim, dim), dtype=complex)
+    for e in out:
+        for p in parts:
+            if rng.random() < 0.8:
+                e[np.ix_(p, p)] = rng.random() * random_density(rng, len(p))
+        if not e.any():
+            e[np.ix_(parts[0], parts[0])] = random_density(rng, len(parts[0]))
+    return out
+
+
+@pytest.mark.parametrize(
+    "dim, parts",
+    [(4, [[0, 2], [1], [3]]), (5, [[0, 3], [1, 2, 4]]), (4, [[0], [1], [2], [3]])],
+    ids=["2+1+1", "2+3", "diagonal"],
+)
+def test_block_solve_matches_the_rotated_dense_solve(dim, parts):
+    # a random unitary U makes every effect dense: U E U* is one block
+    rng = np.random.default_rng(300)
+    parts = [np.array(p) for p in parts]
+    effects = _block_effects(rng, dim, parts, 80)
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    u = np.linalg.qr(z)[0]
+    rotated = u @ effects @ u.conj().T
+    assert (rotated != 0).all()
+    block, dense = solve_maxlike(effects), solve_maxlike(rotated)
+    assert block.certified and dense.certified
+    assert block.rank == dense.rank
+    back = u.conj().T @ dense.rho.matrix @ u
+    assert np.abs(block.rho.matrix - back).max() < 1e-6
+    off = np.ones((dim, dim), dtype=bool)
+    for p in parts:
+        off[np.ix_(p, p)] = False
+    assert (block.rho.matrix[off] == 0).all() and (block.gradient[off] == 0).all()
+    obs = np.zeros((dim, dim), dtype=complex)
+    for p in parts:
+        shape = (p.size, p.size)
+        h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        obs[np.ix_(p, p)] = h + h.conj().T
+    want = build_r_matrix(dense.rho, rotated).variance(u @ obs @ u.conj().T)
+    got = build_r_matrix(block.rho, effects).variance(obs)
+    assert got == pytest.approx(want, rel=1e-6)
+
+
+def _gap_instance(case):
+    if case == "qubit":
+        rng = np.random.default_rng(209)
+        return np.stack([random_density(rng, 2) for _ in range(60)])
+    fam = build_qnd_family(300)
+    records = sample_records(fam, thermal_state(fam.dim, 0.06), 60, 11)
+    return backward_sweep_batch(fam, records, [0])[0]
+
+
+@pytest.mark.parametrize("case", ["qnd", "qubit"])
+def test_likelihood_gap_bounds_the_distance_to_the_optimum(case):
+    # N log(lambda_max(G) / N) >= f* - f(rho) at every iterate, and the
+    # certified optimum stands in for f*, which it cannot exceed
+    effects = _gap_instance(case)
+    best = solve_maxlike(effects)
+    assert best.certified
+    assert 0.0 <= best.kkt.likelihood_gap < 1e-2
+    for cut in (0, 1, 2, 4):
+        early = solve_maxlike(effects, max_iterations=cut)
+        assert early.n_iterations == cut
+        rise = best.log_likelihood - early.log_likelihood
+        assert early.kkt.likelihood_gap >= rise >= 0.0
 
 
 def test_solutions_cover_both_ranks():

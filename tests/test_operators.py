@@ -23,6 +23,8 @@ from trajtomo import (
     project_to_density,
     solve_maxlike,
 )
+from trajtomo.config import PSD_TOL
+from trajtomo.operators import _check_positive, _hermitian
 
 PROJECTIVE = {
     "g": [np.diag([1.0, 0.0]).astype(complex)],
@@ -127,6 +129,37 @@ def test_density_matrix_validation():
 def test_one_validity_rule_guards_states_and_effects(enter, bad, match):
     with pytest.raises(ValueError, match=match):
         enter(bad.astype(complex))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8])
+def test_positivity_check_agrees_with_the_eigenvalue_rule_near_its_cut(dim):
+    # smallest eigenvalue -k PSD_TOL tr(E) for k uniform in [0, 3]: the
+    # Cholesky test accepts and refuses the matrices that the smallest
+    # eigenvalue does, and a refused stack names the same worst offender
+    rng = np.random.default_rng(310 + dim)
+    n = 400
+    z = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
+    v = np.linalg.qr(z)[0]
+    w = rng.random((n, dim)) + 0.1
+    w[:, 0] = -rng.uniform(0.0, 3.0, n) * PSD_TOL * w[:, 1:].sum(axis=1)
+    e = _hermitian((v * w[:, None, :]) @ v.conj().transpose(0, 2, 1))
+    tr = np.einsum("nii->n", e).real
+    low = np.linalg.eigvalsh(e)[:, 0]
+    want = low >= -PSD_TOL * tr
+    assert 0 < want.sum() < n
+
+    def accepts(k):
+        try:
+            _check_positive(e[k : k + 1], str)
+        except ValueError:
+            return False
+        return True
+
+    assert [accepts(k) for k in range(n)] == want.tolist()
+    _check_positive(e[want], str)
+    worst = int(np.argmin(low / tr))
+    with pytest.raises(ValueError, match=f"^effect {worst} is not positive semidefinite"):
+        _check_positive(e, lambda k: f"effect {k}")
 
 
 def test_kraus_family_rejects_non_trace_preserving():
